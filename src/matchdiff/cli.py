@@ -3,7 +3,7 @@
 Subcommands: derive-atable, verify, conjecture, simulate, census.  Every
 output embeds the full run configuration; reruns with equal configuration
 are byte-identical.  Exit codes: 0 success / all pass, 1 check failure,
-2 configuration error, 3 resource or budget failure.
+2 configuration error, 3 resource or budget failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import __version__
 from .atable import ATableError, ConjectureSpec
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 20250809
 
@@ -252,7 +254,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .positivity import ensemble_grid
+    from .positivity import TrendReport, TrendRow, ensemble_grid
 
     config = _config_line("census", args,
                           ("r", "n", "samples", "seed", "smax", "jobs"))
@@ -265,7 +267,7 @@ def cmd_census(args) -> int:
              "# model=permutation-union-conditioned-on-simple",
              "r,n,samples,seed,p_graph_positive,p_graph_positive_dec,"
              + ",".join(f"mean_c{s}" for s in range(4, args.smax + 1, 2))]
-    fractions = []
+    rows = []
     for n in _parse_ints(args.n):
         stats = ensemble_grid(r, n, args.samples, [(0, 0)], args.seed,
                               jobs=args.jobs)
@@ -283,19 +285,15 @@ def cmd_census(args) -> int:
         cells += [f"{totals[s] / ncen:.4f}"
                   for s in range(4, args.smax + 1, 2)]
         lines.append(",".join(str(c) for c in cells))
-        fractions.append((n, float(st.p_graph_positive),
-                          st.p_graph_positive, args.samples))
+        rows.append(TrendRow(n=n, stats=stats))
     text = "\n".join(lines) + "\n"
     _write_out(args, text)
     sys.stdout.write(text)
-    from .positivity import wilson_bounds
-    ok = True
-    for (na, pa, fa, sa), (nb, pb, fb, sb) in zip(fractions, fractions[1:]):
-        lo_a, _ = wilson_bounds(int(fa * sa), sa)
-        _, hi_b = wilson_bounds(int(fb * sb), sb)
-        if hi_b < lo_a:
-            print(f"positivity fraction drops from n={na} to n={nb}")
-            ok = False
+    report = TrendReport(r=r, samples=args.samples, seed=args.seed, rows=rows)
+    drops = report.positivity_drops()
+    for na, nb in drops:
+        print(f"positivity fraction drops from n={na} to n={nb}")
+    ok = not drops
     print("# positivity fraction trend: "
           + ("non-decreasing (2 SE)" if ok else "DECREASING"))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -376,6 +374,11 @@ def main(argv=None) -> int:
     except GenerationBudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        # a crash must not read as "check failed" (exit 1)
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -383,12 +383,20 @@ def parse_graph(text: str) -> BipGraph:
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines or not lines[0].startswith("bipartite "):
         raise GraphError("missing 'bipartite n=<n> r=<r>' header")
-    fields = dict(kv.split("=") for kv in lines[0].split()[1:])
-    n, r = int(fields["n"]), int(fields["r"])
+    fields = dict(kv.split("=", 1) for kv in lines[0].split()[1:]
+                  if "=" in kv)
+    try:
+        n, r = int(fields["n"]), int(fields["r"])
+    except (KeyError, ValueError):
+        raise GraphError(f"header {lines[0]!r} needs integer n= and r=") \
+            from None
     rows: list[list[int]] = [[] for _ in range(n)]
     for ln in lines[1:]:
-        us, vs = ln.split()
-        u, v = int(us), int(vs)
+        try:
+            us, vs = ln.split()
+            u, v = int(us), int(vs)
+        except ValueError:
+            raise GraphError(f"malformed edge line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range")
         rows[u].append(v)

@@ -1,17 +1,21 @@
 """Per-graph positivity statistics and Monte Carlo estimation.
 
 The central quantities are the exact rational ratios
-rho_i = (m_i / mbar_i) ((v-1)/r)^i; every sign decision about the finite
-differences of d(i) = ln(rho_i) is made by integer cross-multiplication of
-binomially exponentiated rho products.  Logarithms (certified interval
-arithmetic) are attached for display only and never decide a sign.
+rho_i = (m_i / mbar_i) ((v-1)/r)^i and the finite differences of
+d(i) = ln(rho_i).  Floating point may *filter* a sign but never decides
+one without a proven bound.  `delta_table` encloses each Delta^k d(i) in a
+float interval (`_filtered_signs`; the error bound is stated at
+`_LOG_ERR`) and takes its sign only when the interval excludes 0.
+Otherwise the exact test `delta_sign`, integer cross-multiplication of
+binomially exponentiated rho products, decides.  The mpmath intervals of
+`DProfile.d_values` are for display only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
 from .graphs import BipGraph, gen_regular_bipartite
 from .identities import lsplit
@@ -50,6 +54,65 @@ def delta_sign(rho: list[Rat], i: int, k: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+# Error budget of one math.log(x) on an integer x >= 1, in units of
+# |ln x| + 1.  CPython rounds x to the nearest double (relative error
+# <= 2^-53, so <= 2^-53 absolute in ln x) or, above the double range, adds
+# ln(mantissa) to exponent * ln(2); glibc documents log to within 1 ulp.
+# Together the error stays below 2^-51 (|ln x| + 1); the filter assumes
+# 2^-40 (|ln x| + 1), a margin of 2^11.
+_LOG_ERR = 2.0 ** -40
+_U = 2.0 ** -53  # unit roundoff of a double
+# The radius below is itself computed in doubles, with relative error under
+# 2^-44 for k <= _FILTER_K_MAX; this factor covers it.
+_SLACK = 1 + 2.0 ** -20
+# C(k, l) is exact as a double up to k = 56 (C(57, 28) > 2^53)
+_FILTER_K_MAX = 56
+
+
+def _log_enclosure(rho: list[Rat]) -> tuple[list[float], list[float]]:
+    """Float midpoints and radii that enclose d(i) = ln(rho_i): two
+    math.log calls within their budget each, plus the rounding of their
+    difference (at most u (|ln p| + |ln q|))."""
+    mids, rads = [], []
+    for q in rho:
+        lp = log(q.numerator)
+        lq = log(q.denominator)
+        mids.append(lp - lq)
+        rads.append(_LOG_ERR * (lp + lq + 2) + _U * (lp + lq))
+    return mids, rads
+
+
+def _filtered_signs(rho: list[Rat]) -> dict[tuple[int, int], int]:
+    """Sign of Delta^k d(i) on every i + k <= n, equal to `delta_sign`.
+
+    With c_l = (-1)^(k-l) C(k, l), the float sum s of c_l mids[i+l] is
+    within  sum |c_l| rads[i+l] + gamma_{k+1} sum |c_l mids[i+l]|  of the
+    exact Delta^k d(i): the first term bounds the error of the enclosed
+    logs, the second is Higham's bound for a (k+1)-term inner product with
+    exact coefficients, gamma_m = m u / (1 - m u) (Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., eq. 3.5).  The sign of s decides when
+    |s| exceeds that bound; otherwise the exact `delta_sign` does."""
+    n = len(rho) - 1
+    mids, rads = _log_enclosure(rho)
+    signs = {}
+    for k in range(n + 1):
+        coef = [(-1) ** (k - ell) * comb(k, ell) for ell in range(k + 1)]
+        gamma = (k + 1) * _U / (1 - (k + 1) * _U)
+        for i in range(n - k + 1):
+            s = mag = err = 0.0
+            for c, m, e in zip(coef, mids[i:], rads[i:]):
+                t = c * m
+                s += t
+                mag += abs(t)
+                err += abs(c) * e
+            bound = (err + gamma * mag) * _SLACK
+            if k <= _FILTER_K_MAX and abs(s) > bound:
+                signs[(i, k)] = 1 if s > 0 else -1
+            else:
+                signs[(i, k)] = delta_sign(rho, i, k)
+    return signs
+
+
 def alpha0_exact(g_or_rho, i: int, k: int) -> Rat:
     """alpha_0 = prod_{L+} rho^{C(k,l)} - prod_{L-} rho^{C(k,l)}, exact."""
     rho = g_or_rho if isinstance(g_or_rho, list) else rho_vector(g_or_rho)
@@ -75,19 +138,25 @@ class DProfile:
     signs: dict[tuple[int, int], int]  # (i, k) -> sign of Delta^k d(i)
 
     def d_values(self, prec_bits: int = 128):
-        """d(i) = ln(rho_i) as certified intervals (display only)."""
+        """d(i) = ln(rho_i) as certified intervals (display only); raises
+        ArithmeticError when prec_bits leaves one wider than 2^-64."""
         from mpmath import iv
         iv.prec = prec_bits
         out = []
-        for q in self.rho:
+        for i, q in enumerate(self.rho):
             val = iv.log(iv.mpf(q.numerator) / iv.mpf(q.denominator))
-            assert val.delta < iv.mpf(2) ** -64
+            if not val.delta < iv.mpf(2) ** -64:
+                raise ArithmeticError(
+                    f"interval for d({i}) is {val.delta} wide at "
+                    f"prec_bits={prec_bits}, above 2^-64")
             out.append(val)
         return out
 
     def delta_value(self, i: int, k: int, prec_bits: int = 128):
-        """Certified interval for Delta^k d(i): display only, never used
-        for sign decisions (those come from the exact `signs` table)."""
+        """Certified mpmath interval for Delta^k d(i), for display.  It
+        never decides a sign: `signs` comes from `_filtered_signs`, whose
+        float enclosure carries a proven error bound and defers to the
+        exact `delta_sign` whenever that enclosure contains 0."""
         ds = self.d_values(prec_bits)
         total = 0
         for ell in range(k + 1):
@@ -102,12 +171,7 @@ def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
     """Exact sign table of Delta^k d(i) over the meaningful domain
     i + k <= n (d(i) is only finite for i <= n)."""
     rho = rho_vector(g, mvec)
-    n = g.n
-    signs = {}
-    for k in range(n + 1):
-        for i in range(n - k + 1):
-            signs[(i, k)] = delta_sign(rho, i, k)
-    return DProfile(g.graph_id(), n, rho, signs)
+    return DProfile(g.graph_id(), g.n, rho, _filtered_signs(rho))
 
 
 def graph_positive(g: BipGraph, mvec: MatchVector | None = None) -> bool:
@@ -170,17 +234,16 @@ def _grid_worker(args):
     pos = 0
     for idx in range(lo, hi):
         g = _sample_graph(r, n, seed, idx)
-        rho = rho_vector(g)
+        mvec = match_poly_full(g)
+        rho = rho_vector(g, mvec)
         for (i, k) in pairs:
             a0 = alpha0_exact(rho, i, k)
             sums[(i, k)] += a0
             sqs[(i, k)] += a0 * a0
             if a0 < 0:
                 viol[(i, k)] += 1
-        if full:
-            prof = delta_table(g)
-            if prof.positive():
-                pos += 1
+        if full and delta_table(g, mvec).positive():
+            pos += 1
     return sums, sqs, viol, pos
 
 
@@ -281,19 +344,26 @@ class TrendReport:
                 return False
         return True
 
-    def monotone_positivity(self, z: float = 2.0) -> bool:
-        """Positivity fraction non-decreasing in n within noise (Wilson
-        intervals, see monotone_violation)."""
+    def positivity_drops(self, z: float = 2.0) -> list[tuple[int, int]]:
+        """Consecutive (n_a, n_b) rows whose positivity fraction drops
+        beyond noise: the later Wilson interval lies strictly below the
+        earlier one (see monotone_violation)."""
         seq = []
         for row in self.rows:
             st = next(iter(row.stats.values()))
-            seq.append((int(st.p_graph_positive * st.samples), st.samples))
-        for (xa, na), (xb, nb) in zip(seq, seq[1:]):
+            seq.append((row.n, int(st.p_graph_positive * st.samples),
+                        st.samples))
+        drops = []
+        for (n_a, xa, na), (n_b, xb, nb) in zip(seq, seq[1:]):
             lo_a, _ = wilson_bounds(xa, na, z)
             _, hi_b = wilson_bounds(xb, nb, z)
             if hi_b < lo_a:
-                return False
-        return True
+                drops.append((n_a, n_b))
+        return drops
+
+    def monotone_positivity(self, z: float = 2.0) -> bool:
+        """Positivity fraction non-decreasing in n within noise."""
+        return not self.positivity_drops(z)
 
     def csv(self, config_line: str = "") -> str:
         lines = []

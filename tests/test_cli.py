@@ -2,7 +2,7 @@
 
 import pytest
 
-from matchdiff.cli import main
+from matchdiff.cli import EXIT_INTERNAL, main
 
 
 @pytest.fixture
@@ -93,12 +93,37 @@ def test_simulate_k0_violations_zero(env_cache, capsys, tmp_path):
             assert cells[12] == "0"  # p_violation
 
 
+CENSUS_CSV = """\
+# matchdiff 0.1.0 command=census jobs=1 n=6,8 r=3 samples=30 seed=20250809 smax=6
+# model=permutation-union-conditioned-on-simple
+r,n,samples,seed,p_graph_positive,p_graph_positive_dec,mean_c4,mean_c6
+3,6,30,20250809,1,1,5.1000,13.0000
+3,8,30,20250809,1,1,4.9667,12.6667
+"""
+
+
 def test_census_runs(env_cache, capsys, tmp_path):
     out_path = tmp_path / "census.csv"
     code, out, _ = run(capsys, "census", "--n", "6,8", "--samples", "30",
                        "--out", str(out_path))
     assert code == 0
-    assert "mean_c4" in out_path.read_text()
+    # both outputs as captured before the trend rule moved to TrendReport
+    assert out_path.read_text() == CENSUS_CSV
+    assert out == CENSUS_CSV + \
+        "# positivity fraction trend: non-decreasing (2 SE)\n"
+
+
+def test_crash_exits_internal_not_check_failed(env_cache, capsys,
+                                               monkeypatch):
+    import matchdiff.positivity
+
+    def crash(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(matchdiff.positivity, "trend_report", crash)
+    code, _, err = run(capsys, "simulate", "--n", "6", "--samples", "2")
+    assert code == EXIT_INTERNAL == 4
+    assert "internal error: KeyError: 'boom'" in err
 
 
 def test_bad_flags_exit_config(capsys):

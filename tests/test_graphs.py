@@ -139,6 +139,14 @@ def test_load_rejects_bad_files():
     # non-regular edge list
     with pytest.raises(GraphError):
         parse_graph("bipartite n=2 r=2\n0 0\n0 1\n1 0\n")
+    # header without r=, or with a non-integer or bare field
+    for header in ("bipartite n=2", "bipartite n=2 r=x", "bipartite n r=2"):
+        with pytest.raises(GraphError, match="header"):
+            parse_graph(f"{header}\n0 0\n0 1\n1 0\n1 1\n")
+    # edge lines with the wrong number of fields or non-integers
+    for edge in ("0", "0 1 1", "0 a"):
+        with pytest.raises(GraphError, match="edge line"):
+            parse_graph(f"bipartite n=2 r=2\n0 0\n{edge}\n1 0\n1 1\n")
 
 
 def test_builtin_graphs_validate():

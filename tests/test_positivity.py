@@ -1,13 +1,17 @@
 """Exact positivity statistics and the Monte Carlo harness."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from matchdiff import positivity
 from matchdiff.graphs import BipGraph, gen_regular_bipartite
-from matchdiff.positivity import (alpha0_exact, delta_sign, delta_table,
-                                  ensemble_grid, ensemble_run, graph_positive,
-                                  rho_vector, trend_report)
+from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
+                                  TrendRow, _filtered_signs, _log_enclosure,
+                                  _sample_graph, alpha0_exact, delta_sign,
+                                  delta_table, ensemble_grid, ensemble_run,
+                                  graph_positive, rho_vector, trend_report)
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
 
@@ -57,6 +61,70 @@ def test_d_values_certified_intervals():
     ref = mp.log(mp.mpf(10) / 9)
     assert ds[2].a <= ref <= ds[2].b
     assert float(ds[2].delta) < 2 ** -64
+
+
+def test_d_values_reject_low_precision():
+    with pytest.raises(ArithmeticError, match="prec_bits=32"):
+        delta_table(K33).d_values(prec_bits=32)
+
+
+def exact_signs(rho):
+    n = len(rho) - 1
+    return {(i, k): delta_sign(rho, i, k)
+            for k in range(n + 1) for i in range(n - k + 1)}
+
+
+def test_filtered_signs_equal_exact():
+    """The float filter with exact fallback gives delta_sign's answer on
+    every (i, k): the first 100 samples per n of the acceptance grid
+    (r=3, n=6..12), 25 per n at r=4 for n=6..14, and K33 and C4."""
+    rhos = [rho_vector(K33), rho_vector(C4)]
+    rhos += [rho_vector(_sample_graph(3, n, 20250809, idx))
+             for n in range(6, 13) for idx in range(100)]
+    rhos += [rho_vector(_sample_graph(4, n, 20250809, idx))
+             for n in range(6, 15) for idx in range(25)]
+    for rho in rhos:
+        assert _filtered_signs(rho) == exact_signs(rho), rho
+
+
+def test_log_enclosure_contains_exact_logs():
+    """Every math.log the filter uses lies within its stated budget of
+    the mpmath interval, and each float enclosure contains ln(rho_i).
+    The huge ratio takes CPython's path for ints beyond the double range."""
+    from mpmath import iv
+
+    rhos = [rho_vector(K33), rho_vector(C4),
+            [F(3 ** 2000, 2 ** 1500 + 1), F(1, 10 ** 400)]]
+    rhos += [rho_vector(_sample_graph(r, n, 20250809, idx))
+             for r, n in ((3, 12), (4, 14)) for idx in range(3)]
+    saved, iv.prec = iv.prec, 200
+    try:
+        for rho in rhos:
+            mids, rads = _log_enclosure(rho)
+            for q, mid, rad in zip(rho, mids, rads):
+                for x in (q.numerator, q.denominator):
+                    lx = math.log(x)
+                    ref = iv.log(iv.mpf(x))
+                    budget = _LOG_ERR * (abs(lx) + 1)
+                    assert ref.a - budget <= lx <= ref.b + budget, x
+                d = iv.log(iv.mpf(q.numerator)) - \
+                    iv.log(iv.mpf(q.denominator))
+                assert mid - rad <= d.a and d.b <= mid + rad, q
+    finally:
+        iv.prec = saved
+
+
+def test_grid_counts_each_sample_once(monkeypatch):
+    calls = []
+    count = positivity.match_poly_full
+
+    def counting(g, *args):
+        calls.append(g)
+        return count(g, *args)
+
+    monkeypatch.setattr(positivity, "match_poly_full", counting)
+    ensemble_grid(3, 8, 10, [(1, 1)], seed=5)
+    assert len(calls) == 10
 
 
 def test_alpha0_exact_fixtures():
@@ -155,3 +223,18 @@ def test_trend_report_structure():
     st = rep.rows[0].stats[(0, 0)]
     assert st.p_violation == 0
     assert rep.monotone_violation(0, 0)
+
+
+def test_positivity_drops_reported():
+    def row(n, positive):
+        st = EnsembleStats(r=3, n=n, i=0, k=0, samples=100, seed=1,
+                           alpha_hat=F(0), beta_hat=F(0), p_violation=F(0),
+                           p_graph_positive=F(positive, 100))
+        return TrendRow(n=n, stats={(0, 0): st})
+
+    rep = TrendReport(r=3, samples=100, seed=1,
+                      rows=[row(6, 90), row(8, 95), row(10, 40), row(12, 45)])
+    assert rep.positivity_drops() == [(8, 10)]
+    assert not rep.monotone_positivity()
+    del rep.rows[2:]
+    assert rep.positivity_drops() == [] and rep.monotone_positivity()
