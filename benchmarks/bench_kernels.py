@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled counting kernels against the pure-Python
-fallback on representative workloads.
+"""Time the frontier-DP counting kernel beside the oracle kernels it
+replaced (the pure-Python subset DP and ordered-edge DFS, plus the compiled
+ones when the extension is built), and the cycle census on each backend.
+
+Every row checks that all kernels give identical counts.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -13,6 +16,7 @@ import time
 from matchdiff import _kernels_py
 from matchdiff.graphs import (builtin_graph, gen_regular_bipartite,
                               incidence_pg, random_lift)
+from matchdiff.matchcount import frontier_counts
 
 try:
     from matchdiff import _kernels
@@ -30,16 +34,44 @@ def timeit(fn, *args, repeat=3):
     return best, result
 
 
-def bench(name, py_fn, args, repeat=3):
-    t_py, r_py = timeit(py_fn, *args, repeat=repeat)
-    row = f"{name:<44s} pure {t_py * 1e3:10.2f} ms"
-    if _kernels is not None:
-        cy_fn = getattr(_kernels, py_fn.__name__)
-        t_cy, r_cy = timeit(cy_fn, *args, repeat=repeat)
-        assert [int(x) for x in r_cy] == [int(x) for x in r_py] \
-            if isinstance(r_py, list) else r_cy == r_py, f"{name}: mismatch"
-        row += f"   cython {t_cy * 1e3:10.2f} ms   speedup {t_py / t_cy:7.1f}x"
+def _normal(res):
+    if isinstance(res, dict):
+        return {int(k): int(v) for k, v in res.items()}
+    return [int(x) for x in res]
+
+
+def bench(name, runs, repeat=3):
+    """runs: (label, fn, args) triples expected to return equal counts."""
+    row = f"{name:<34s}"
+    first = None
+    for label, fn, args in runs:
+        t, res = timeit(fn, *args, repeat=repeat)
+        res = _normal(res)
+        if first is None:
+            first = res
+        assert res == first, f"{name}: {label} disagrees"
+        row += f"  {label} {t * 1e3:10.2f} ms"
     print(row)
+
+
+def oracle_runs(fn_name, args):
+    runs = [("pure", getattr(_kernels_py, fn_name), args)]
+    if _kernels is not None:
+        runs.append(("cython", getattr(_kernels, fn_name), args))
+    return runs
+
+
+def poly_row(name, g, repeat=3):
+    neigh = [list(r) for r in g.adj]
+    bench(name, [("frontier", frontier_counts, (neigh, g.n))]
+          + oracle_runs("match_poly_counts", (neigh,)), repeat)
+
+
+def upto_row(name, g, j_max, repeat=1):
+    edges = [(u, g.n + v) for u, v in g.edges()]
+    bench(name, [("frontier", frontier_counts,
+                  ([list(r) for r in g.adj], j_max))]
+          + oracle_runs("match_upto_counts", (edges, 2 * g.n, j_max)), repeat)
 
 
 def main():
@@ -50,31 +82,21 @@ def main():
     if _kernels is None:
         print("compiled kernels unavailable; timing pure-python only")
 
-    g12 = gen_regular_bipartite(12, 3, seed=1)
-    bench("match_poly_counts  n=12 r=3",
-          _kernels_py.match_poly_counts, ([list(r) for r in g12.adj],))
-
+    poly_row("matching poly  n=12 r=3", gen_regular_bipartite(12, 3, seed=1))
     if not opts.quick:
-        g16 = gen_regular_bipartite(16, 4, seed=1)
-        bench("match_poly_counts  n=16 r=4",
-              _kernels_py.match_poly_counts, ([list(r) for r in g16.adj],),
-              repeat=1)
+        poly_row("matching poly  n=16 r=4",
+                 gen_regular_bipartite(16, 4, seed=1), repeat=1)
 
     hw3 = random_lift(builtin_graph("heawood"), 3, seed=2)  # n=21 cubic
-    edges = [(u, hw3.n + v) for u, v in hw3.edges()]
-    bench("match_upto_counts  n=21 r=3 j<=5",
-          _kernels_py.match_upto_counts, (edges, 2 * hw3.n, 5), repeat=1)
-
+    upto_row("m_0..m_5  n=21 r=3", hw3, 5)
     if not opts.quick:
-        pg = incidence_pg(3)  # n=13, r=4
-        pgl = random_lift(pg, 2, seed=3)
-        edges = [(u, pgl.n + v) for u, v in pgl.edges()]
-        bench("match_upto_counts  n=26 r=4 j<=5",
-              _kernels_py.match_upto_counts, (edges, 2 * pgl.n, 5), repeat=1)
+        pgl = random_lift(incidence_pg(3), 2, seed=3)  # n=26, r=4
+        upto_row("m_0..m_5  n=26 r=4", pgl, 5)
 
     cage = builtin_graph("tutte_12cage")
-    bench("cycle_census_counts 12-cage s<=12",
-          _kernels_py.cycle_census_counts, (cage.global_adj(), 12), repeat=1)
+    bench("cycle census 12-cage s<=12",
+          oracle_runs("cycle_census_counts", (cage.global_adj(), 12)),
+          repeat=1)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Kernel backend selection.
+"""Kernel backend selection for the cycle census.
 
 Prefers the compiled extension; falls back to the pure-Python kernels when
 the extension is missing or MATCHDIFF_PURE is set to a non-empty value
-other than "0".
+other than "0".  Matching counts do not go through here: they use
+`matchcount.frontier_counts` on every backend.
 """
 
 from __future__ import annotations
@@ -23,6 +24,4 @@ else:
 
 BACKEND: str = _impl.BACKEND
 
-match_poly_counts = _impl.match_poly_counts
-match_upto_counts = _impl.match_upto_counts
 cycle_census_counts = _impl.cycle_census_counts

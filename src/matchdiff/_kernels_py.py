@@ -1,8 +1,11 @@
-"""Pure-Python counting kernels (arbitrary-precision fallback).
+"""Pure-Python kernels with the signatures of the compiled `_kernels`.
 
-Same signatures as the compiled module `_kernels`; selected at import time
-by `_backend` when the extension is unavailable or disabled.  Counts are
-Python ints, so there is no overflow to detect here.
+`cycle_census_counts` is the census kernel when `_backend` finds no
+extension.  The matching-count kernels here, the subset DP and the
+ordered-edge DFS, are no longer on any counting path: they are the
+independent oracles that tests check `matchcount.frontier_counts`
+against, and the pure side of the compiled-versus-pure benchmark.
+Counts are Python ints, so there is no overflow to detect.
 """
 
 from __future__ import annotations

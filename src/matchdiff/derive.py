@@ -17,7 +17,7 @@ from .atable import (ATable, QualificationError, a1_builtin,
 from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
                      girth_search, incidence_pg, is_prime, random_lift)
-from .matchcount import match_count_upto, match_poly_full
+from .matchcount import match_count_upto
 from .rng import derive_seed
 from .series import Rat
 
@@ -72,13 +72,10 @@ def count_mj(g: BipGraph, j: int, cache: _CountCache | None = None) -> int:
         hit = cache.get(gid, j)
         if hit is not None:
             return hit
-    if g.n <= 16 and j <= g.n:
-        m = match_poly_full(g).counts[j]
-    else:
-        m = match_count_upto(g, j, guard=max(j, 7)).counts[j]
+    m = match_count_upto(g, j, guard=j).counts[j]
     if cache is not None:
         cache.put(gid, j, m)
-    return int(m)
+    return m
 
 
 # -- qualified families -------------------------------------------------------

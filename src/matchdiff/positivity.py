@@ -13,6 +13,7 @@ binomially exponentiated rho products, decides.  The mpmath intervals of
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log
@@ -128,6 +129,19 @@ def alpha0_exact(g_or_rho, i: int, k: int) -> Rat:
     return p - q
 
 
+@contextmanager
+def _iv_prec(prec_bits: int):
+    """mpmath's interval context at prec_bits, restored on exit (the
+    precision is process-wide and `iv` has no workprec)."""
+    from mpmath import iv
+    saved = iv.prec
+    iv.prec = prec_bits
+    try:
+        yield iv
+    finally:
+        iv.prec = saved
+
+
 @dataclass
 class DProfile:
     """Exact positivity profile of one graph."""
@@ -140,16 +154,15 @@ class DProfile:
     def d_values(self, prec_bits: int = 128):
         """d(i) = ln(rho_i) as certified intervals (display only); raises
         ArithmeticError when prec_bits leaves one wider than 2^-64."""
-        from mpmath import iv
-        iv.prec = prec_bits
-        out = []
-        for i, q in enumerate(self.rho):
-            val = iv.log(iv.mpf(q.numerator) / iv.mpf(q.denominator))
-            if not val.delta < iv.mpf(2) ** -64:
-                raise ArithmeticError(
-                    f"interval for d({i}) is {val.delta} wide at "
-                    f"prec_bits={prec_bits}, above 2^-64")
-            out.append(val)
+        with _iv_prec(prec_bits) as iv:
+            out = []
+            for i, q in enumerate(self.rho):
+                val = iv.log(iv.mpf(q.numerator) / iv.mpf(q.denominator))
+                if not val.delta < iv.mpf(2) ** -64:
+                    raise ArithmeticError(
+                        f"interval for d({i}) is {val.delta} wide at "
+                        f"prec_bits={prec_bits}, above 2^-64")
+                out.append(val)
         return out
 
     def delta_value(self, i: int, k: int, prec_bits: int = 128):
@@ -157,10 +170,11 @@ class DProfile:
         never decides a sign: `signs` comes from `_filtered_signs`, whose
         float enclosure carries a proven error bound and defers to the
         exact `delta_sign` whenever that enclosure contains 0."""
-        ds = self.d_values(prec_bits)
-        total = 0
-        for ell in range(k + 1):
-            total += (-1) ** (k + ell) * comb(k, ell) * ds[i + ell]
+        with _iv_prec(prec_bits):
+            ds = self.d_values(prec_bits)
+            total = 0
+            for ell in range(k + 1):
+                total += (-1) ** (k + ell) * comb(k, ell) * ds[i + ell]
         return total
 
     def positive(self) -> bool:
@@ -235,15 +249,18 @@ def _grid_worker(args):
     for idx in range(lo, hi):
         g = _sample_graph(r, n, seed, idx)
         mvec = match_poly_full(g)
-        rho = rho_vector(g, mvec)
+        if full:
+            prof = delta_table(g, mvec)
+            rho = prof.rho
+            pos += prof.positive()
+        else:
+            rho = rho_vector(g, mvec)
         for (i, k) in pairs:
             a0 = alpha0_exact(rho, i, k)
             sums[(i, k)] += a0
             sqs[(i, k)] += a0 * a0
             if a0 < 0:
                 viol[(i, k)] += 1
-        if full and delta_table(g, mvec).positive():
-            pos += 1
     return sums, sqs, viol, pos
 
 

@@ -136,12 +136,11 @@ def test_table_predicts_held_out_cage_counts(table):
     this exercises the pointwise a_3, a_4 entries on independent data."""
     from math import factorial
 
-    from matchdiff._backend import BACKEND
     from matchdiff.graphs import builtin_graph
 
     cage = builtin_graph("tutte_12cage")
     n, r = cage.n, cage.r
-    j_max = 5 if BACKEND == "cython" else 3
+    j_max = 5
     counts = match_count_upto(cage, j_max).counts
     for j in range(2, j_max + 1):
         pred = F(n ** j * r ** j, factorial(j)) * (

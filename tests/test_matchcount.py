@@ -1,13 +1,17 @@
-"""Exact matching counts: fixtures, closed forms, cross-validation between
-the independent counting routes, and kernel backend agreement."""
+"""Exact matching counts: fixtures, closed forms, and the frontier kernel
+against the independent oracles (subset DP, ordered-edge DFS,
+deletion-contraction brute force)."""
 
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matchdiff import _backend, _kernels_py
+from matchdiff import _kernels_py, matchcount
 from matchdiff.graphs import BipGraph, gen_regular_bipartite, incidence_pg
-from matchdiff.matchcount import (CapExceededError, complete_graph_edges,
+from matchdiff.matchcount import (CapExceededError, MatchVector,
+                                  complete_graph_edges, frontier_counts,
                                   match_count_upto, match_poly_full,
                                   match_poly_general_bruteforce, mbar_vector)
 
@@ -52,7 +56,16 @@ def test_counters_agree_on_random_graphs():
         j = min(n, 5)
         upto = match_count_upto(g, j)
         assert full.counts[:j + 1] == upto.counts
+        assert list(full.counts) == _kernels_py.match_poly_counts(
+            [list(row) for row in g.adj])
+        assert list(upto.counts) == _kernels_py.match_upto_counts(
+            [(u, n + v) for u, v in g.edges()], 2 * n, j)
         full.validate_regular(n, r)
+        # a vector breaking only Newton's inequality at i = 2 is rejected
+        bad = list(full.counts)
+        bad[3] *= 10 ** 6
+        with pytest.raises(AssertionError, match="Newton"):
+            MatchVector(tuple(bad), "tampered").validate_regular(n, r)
 
 
 def test_m2_closed_form():
@@ -92,35 +105,59 @@ def test_caps():
         match_poly_general_bruteforce(12, complete_graph_edges(12))
 
 
-def test_backends_agree():
-    g = gen_regular_bipartite(10, 3, seed=5)
-    neigh = [list(r) for r in g.adj]
-    edges = [(u, g.n + v) for u, v in g.edges()]
-    pure_full = _kernels_py.match_poly_counts(neigh)
-    pure_upto = _kernels_py.match_upto_counts(edges, 2 * g.n, 4)
-    assert [int(x) for x in _backend.match_poly_counts(neigh)] == pure_full
-    assert [int(x) for x in
-            _backend.match_upto_counts(edges, 2 * g.n, 4)] == pure_upto
+@st.composite
+def bipartite_graphs(draw):
+    """Arbitrary bipartite graphs with at most 5 vertices per side:
+    any degrees, isolated vertices included."""
+    nl = draw(st.integers(0, 5))
+    nr = draw(st.integers(0, 5))
+    edges = draw(st.sets(st.tuples(st.integers(0, nl - 1),
+                                   st.integers(0, nr - 1)))
+                 if nl and nr else st.just(set()))
+    neigh = [sorted(v for u2, v in edges if u2 == u) for u in range(nl)]
+    return nl, nr, neigh, sorted(edges)
 
 
-@pytest.mark.skipif(_backend.BACKEND != "cython",
-                    reason="compiled kernels unavailable")
+def _padded(counts, j_max):
+    counts = list(counts)[:j_max + 1]
+    return counts + [0] * (j_max + 1 - len(counts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs(), st.integers(0, 6))
+def test_frontier_matches_oracles(graph, j_max):
+    nl, nr, neigh, edges = graph
+    got = frontier_counts(neigh, j_max)
+    size = max(nl, nr)
+    square = neigh + [[] for _ in range(size - nl)]
+    assert got == _padded(_kernels_py.match_poly_counts(square), j_max)
+    global_edges = [(u, nl + v) for u, v in edges]
+    assert got == _kernels_py.match_upto_counts(global_edges, nl + nr, j_max)
+    assert got == _padded(match_poly_general_bruteforce(
+        nl + nr, global_edges).counts, j_max)
+
+    if edges:
+        # deletion recurrence m(G) = m(G - e) + x m(G - u - v)
+        u, v = edges[0]
+        minus_e = [[w for w in row if (x, w) != (u, v)]
+                   for x, row in enumerate(neigh)]
+        minus_uv = [[] if x == u else [w for w in row if w != v]
+                    for x, row in enumerate(neigh)]
+        shifted = [0] + frontier_counts(minus_uv, j_max)[:j_max]
+        assert got == [a + b for a, b in
+                       zip(frontier_counts(minus_e, j_max), shifted)]
+
+    if nl:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matchcount, "FRONTIER_STATE_BUDGET", 0)
+            with pytest.raises(CapExceededError):
+                frontier_counts(neigh, j_max)
+
+
 def test_kernel_overflow_detected():
     # K_{21,21}: 21! > 2^64, so DP cells overflow and the machine-word
     # kernel must raise instead of wrapping
+    kernels = pytest.importorskip("matchdiff._kernels")
     neigh = [list(range(21))] * 21
     with pytest.raises(OverflowError):
-        _backend.match_poly_counts(neigh)
-
-
-def test_overflow_falls_back_to_pure(monkeypatch):
-    from matchdiff import matchcount
-
-    def boom(neigh):
-        raise OverflowError("synthetic")
-
-    monkeypatch.setattr(matchcount._backend, "match_poly_counts", boom)
-    assert match_poly_full(K33).counts == (1, 9, 18, 6)
-    monkeypatch.setattr(matchcount._backend, "match_upto_counts",
-                        lambda *a: (_ for _ in ()).throw(OverflowError()))
-    assert match_count_upto(K33, 2).counts == (1, 9, 18)
+        kernels.match_poly_counts(neigh)

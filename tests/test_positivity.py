@@ -68,6 +68,20 @@ def test_d_values_reject_low_precision():
         delta_table(K33).d_values(prec_bits=32)
 
 
+def test_d_values_restores_iv_precision():
+    from mpmath import iv
+
+    before = iv.prec
+    prof = delta_table(K33)
+    prof.d_values(prec_bits=300)
+    assert iv.prec == before
+    prof.delta_value(1, 1, prec_bits=300)
+    assert iv.prec == before
+    with pytest.raises(ArithmeticError):
+        prof.d_values(prec_bits=32)
+    assert iv.prec == before
+
+
 def exact_signs(rho):
     n = len(rho) - 1
     return {(i, k): delta_sign(rho, i, k)
@@ -115,16 +129,22 @@ def test_log_enclosure_contains_exact_logs():
 
 
 def test_grid_counts_each_sample_once(monkeypatch):
-    calls = []
-    count = positivity.match_poly_full
+    """Each sample is counted once and gets one rho vector."""
+    calls = {"match_poly_full": [], "rho_vector": []}
 
-    def counting(g, *args):
-        calls.append(g)
-        return count(g, *args)
+    def counted(name):
+        fn = getattr(positivity, name)
 
-    monkeypatch.setattr(positivity, "match_poly_full", counting)
+        def wrapper(g, *args):
+            calls[name].append(g)
+            return fn(g, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(positivity, name, counted(name))
     ensemble_grid(3, 8, 10, [(1, 1)], seed=5)
-    assert len(calls) == 10
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"match_poly_full": 10, "rho_vector": 10}
 
 
 def test_alpha0_exact_fixtures():
