@@ -43,17 +43,39 @@ def cache_dir() -> str:
     return os.environ.get("MATCHDIFF_CACHE", "./cache")
 
 
+def _count_record(line: bytes) -> tuple[tuple[str, int], int]:
+    rec = json.loads(line)
+    return (rec["g"], rec["j"]), int(rec["m"])
+
+
 class _CountCache:
-    """Append-only cache of exact m_j values keyed by (graph id, j)."""
+    """Append-only cache of exact m_j values keyed by (graph id, j).
+
+    A final line without its newline that does not parse is a torn append
+    from a killed run: loading ignores it, and the next `put` cuts the file
+    back to the last complete line first.  Any other line that does not
+    parse raises."""
 
     def __init__(self, root: str | None):
         self.path = os.path.join(root, "counts.jsonl") if root else None
         self.data: dict[tuple[str, int], int] = {}
+        self._cut: int | None = None  # file size to restore before appending
+        self._lead = ""  # newline the last record lacks
         if self.path and os.path.exists(self.path):
-            with open(self.path) as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    self.data[(rec["g"], rec["j"])] = int(rec["m"])
+            with open(self.path, "rb") as fh:
+                raw = fh.read()
+            *lines, tail = raw.split(b"\n")
+            for line in lines:
+                key, m = _count_record(line)
+                self.data[key] = m
+            if tail:
+                try:
+                    key, m = _count_record(tail)
+                except ValueError:
+                    self._cut = len(raw) - len(tail)
+                else:
+                    self.data[key] = m
+                    self._lead = "\n"
 
     def get(self, gid: str, j: int) -> int | None:
         return self.data.get((gid, j))
@@ -63,7 +85,11 @@ class _CountCache:
         if self.path:
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
             with open(self.path, "a") as fh:
-                fh.write(json.dumps({"g": gid, "j": j, "m": m}) + "\n")
+                if self._cut is not None:
+                    fh.truncate(self._cut)
+                fh.write(self._lead + json.dumps({"g": gid, "j": j, "m": m})
+                         + "\n")
+            self._cut, self._lead = None, ""
 
 
 def count_mj(g: BipGraph, j: int, cache: _CountCache | None = None) -> int:

@@ -13,7 +13,7 @@ import math
 from collections import deque
 
 from . import _backend
-from .rng import Rng, derive_seed
+from .rng import GOLDEN, MASK, MIX1, MIX2, Rng, derive_seed, range_limit
 
 
 class GraphError(ValueError):
@@ -109,26 +109,57 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
 
     This is the permutation model conditioned on simplicity, not the exactly
     uniform distribution over simple r-regular bipartite graphs.
+
+    Stream contract: attempt a draws from `Rng(derive_seed(seed, a))`.  Its
+    r permutations are successive `Rng.permutation(n)` shuffles, and left
+    row u gets the right neighbour perm[u] of each; the attempt is rejected
+    when a row would get the same neighbour twice.  Position i of a
+    Fisher-Yates shuffle is final once step i has run, so it is checked
+    then and the attempt stops at the first repeated edge.  That only skips
+    draws of an attempt that is already rejected: an accepted attempt
+    consumes every draw of its r shuffles, so the same (n, r, seed) gives
+    the same graph as drawing each permutation in full.
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
+    # Fisher-Yates step at position i draws randrange(i + 1)
+    steps = [(i, i + 1, range_limit(i + 1)) for i in range(n - 1, 0, -1)]
     for attempt in range(max_tries):
-        rng = Rng(derive_seed(seed, attempt))
-        rows = [[] for _ in range(n)]
-        ok = True
-        for _ in range(r):
-            perm = rng.permutation(n)
-            for u in range(n):
-                if perm[u] in rows[u]:
-                    ok = False
-                    break
-                rows[u].append(perm[u])
-            if not ok:
-                break
-        if ok:
-            return BipGraph(n, r, rows)
+        masks = _simple_attempt(Rng(derive_seed(seed, attempt)), n, r, steps)
+        if masks is not None:
+            return BipGraph(n, r, [[v for v in range(n) if m >> v & 1]
+                                   for m in masks])
     raise GenerationBudgetError(
         f"no simple graph after {max_tries} draws (n={n}, r={r})")
+
+
+def _simple_attempt(rng: Rng, n: int, r: int, steps) -> list[int] | None:
+    """One attempt of `gen_regular_bipartite`: each left row's right
+    neighbours as a bitmask, or None at the first repeated edge.  The draws
+    are `rng.randrange(k)` inlined on the splitmix64 state."""
+    s = rng.state
+    masks = [0] * n
+    for _ in range(r):
+        perm = list(range(n))
+        for i, k, lim in steps:
+            while True:
+                s = (s + GOLDEN) & MASK
+                u = ((s ^ (s >> 30)) * MIX1) & MASK
+                u = ((u ^ (u >> 27)) * MIX2) & MASK
+                u ^= u >> 31
+                if u < lim:
+                    break
+            j = u % k
+            bit = 1 << perm[j]
+            perm[j] = perm[i]
+            if masks[i] & bit:
+                return None
+            masks[i] |= bit
+        bit = 1 << perm[0]
+        if masks[0] & bit:
+            return None
+        masks[0] |= bit
+    return masks
 
 
 def girth(g: BipGraph) -> int | float:
@@ -218,7 +249,7 @@ class LiftSpec:
 def random_lift(g: BipGraph, k: int, seed: int) -> BipGraph:
     """Random degree-k lift: each base edge becomes a permutation matching
     between the fibers.  Regularity and bipartiteness are preserved, and the
-    girth never decreases (asserted)."""
+    girth never decreases (checked: GraphError otherwise)."""
     if k < 1:
         raise GraphError("lift degree must be >= 1")
     rng = Rng(seed)
@@ -229,7 +260,8 @@ def random_lift(g: BipGraph, k: int, seed: int) -> BipGraph:
         for t in range(k):
             rows[u * k + t].append(v * k + perm[t])
     lifted = BipGraph(n * k, g.r, rows)
-    assert girth(lifted) >= girth(g), "lift decreased girth"
+    if girth(lifted) < girth(g):
+        raise GraphError("lift decreased girth")
     return lifted
 
 
@@ -313,7 +345,9 @@ def girth_search(n: int, r: int, target_girth: int, seed: int,
         raise GraphError("target girth must be even for bipartite graphs")
     if target_girth <= 4:
         g = gen_regular_bipartite(n, r, seed)
-        assert girth(g) >= 4
+        gg = girth(g)
+        if gg < 4:
+            raise GraphError(f"permutation-model sample has girth {gg} < 4")
         return g
     g = find_circulant(n, r, target_girth, seed=seed)
     if g is not None:

@@ -7,14 +7,22 @@ from __future__ import annotations
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def splitmix64(x: int) -> int:
     x = (x + GOLDEN) & MASK
     z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    z = ((z ^ (z >> 30)) * MIX1) & MASK
+    z = ((z ^ (z >> 27)) * MIX2) & MASK
     return (z ^ (z >> 31)) & MASK
+
+
+def range_limit(k: int) -> int:
+    """Largest multiple of k not above 2^64: `randrange(k)` keeps a draw u
+    only when u < range_limit(k), then returns u % k."""
+    return (1 << 64) - ((1 << 64) % k)
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -32,15 +40,15 @@ class Rng:
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        z = ((z ^ (z >> 30)) * MIX1) & MASK
+        z = ((z ^ (z >> 27)) * MIX2) & MASK
         return (z ^ (z >> 31)) & MASK
 
     def randrange(self, k: int) -> int:
         """Uniform integer in [0, k) by rejection (no modulo bias)."""
         if k <= 0:
             raise ValueError("empty range")
-        lim = (1 << 64) - ((1 << 64) % k)
+        lim = range_limit(k)
         while True:
             u = self.next_u64()
             if u < lim:

@@ -11,7 +11,8 @@ from matchdiff.atable import (ATable, ATableError, ConjectureSpec, FitError,
                               build_F_conjecture, build_H, derive_M_pointwise,
                               export_atable, fit_atable, import_atable,
                               root_product)
-from matchdiff.derive import derive_with_invariance, qualified_family
+from matchdiff.derive import (_CountCache, derive_with_invariance,
+                              qualified_family)
 from matchdiff.graphs import incidence_pg, random_lift
 from matchdiff.matchcount import match_count_upto
 from matchdiff.series import JPoly, NSeries, RLaurent
@@ -118,6 +119,42 @@ def test_strict_policy_agrees_on_overlap(table, repo_cache_dir):
     assert strict.entries[1].sym == table.entries[1].sym == a1_builtin()
     (r, j), = ((3, 3),)
     assert strict.value(2, r, j) == table.value(2, r, j)
+
+
+def test_count_cache_survives_torn_tail(tmp_path):
+    cache = _CountCache(str(tmp_path))
+    cache.put("bg-a", 2, 10)
+    cache.put("bg-b", 3, 20)
+    path = tmp_path / "counts.jsonl"
+    with open(path, "a") as fh:
+        fh.write('{"g": "bg-c", "j": 4, "m": 3')  # killed mid-append
+    cache = _CountCache(str(tmp_path))
+    assert cache.data == {("bg-a", 2): 10, ("bg-b", 3): 20}
+    cache.put("bg-d", 5, 40)
+    reloaded = _CountCache(str(tmp_path)).data
+    assert reloaded == {("bg-a", 2): 10, ("bg-b", 3): 20, ("bg-d", 5): 40}
+    assert path.read_text().count("\n") == 3
+
+
+def test_count_cache_keeps_unterminated_record(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    path.write_text('{"g": "bg-a", "j": 2, "m": 10}')
+    cache = _CountCache(str(tmp_path))
+    assert cache.get("bg-a", 2) == 10
+    cache.put("bg-b", 3, 20)
+    assert _CountCache(str(tmp_path)).data == {("bg-a", 2): 10,
+                                               ("bg-b", 3): 20}
+
+
+def test_count_cache_rejects_corrupt_line(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    path.write_text('{"g": "bg-a", "j": 2, "m\n'
+                    '{"g": "bg-b", "j": 3, "m": 20}\n')
+    with pytest.raises(ValueError):
+        _CountCache(str(tmp_path))
+    path.write_text('{"g": "bg-a", "j": 2, "m": 1\n')
+    with pytest.raises(ValueError):
+        _CountCache(str(tmp_path))
 
 
 def test_lift_spec_builds():

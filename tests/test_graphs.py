@@ -1,15 +1,24 @@
 """Graph construction, girth, censuses, lifts, search, and file I/O."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matchdiff.graphs import (BipGraph, GraphError, builtin_graph,
-                              circulant_bipartite, cycle_census,
-                              find_circulant, gen_regular_bipartite, girth,
-                              girth_search, incidence_pg, load_graph,
-                              parse_graph, random_lift, save_graph)
+import matchdiff
+from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
+                              builtin_graph, circulant_bipartite,
+                              cycle_census, find_circulant,
+                              gen_regular_bipartite, girth, girth_search,
+                              incidence_pg, load_graph, parse_graph,
+                              random_lift, save_graph)
+from matchdiff.rng import (GOLDEN, MASK, MIX1, MIX2, Rng, derive_seed,
+                           splitmix64)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -34,6 +43,104 @@ def test_validation_rejects_bad_graphs():
         BipGraph(2, 2, [[0, 1], [0]])  # wrong degree
     with pytest.raises(GraphError):
         BipGraph(3, 2, [[0, 1], [0, 1], [0, 1]])  # right side not regular
+
+
+def reference_gen(n: int, r: int, seed: int,
+                  max_tries: int = 2_000_000) -> BipGraph:
+    """Oracle: the plain permutation-model sampler, drawing every
+    permutation in full with `Rng.permutation` before checking it."""
+    if r > n:
+        raise GraphError(f"need r <= n, got r={r}, n={n}")
+    for attempt in range(max_tries):
+        rng = Rng(derive_seed(seed, attempt))
+        rows = [[] for _ in range(n)]
+        ok = True
+        for _ in range(r):
+            perm = rng.permutation(n)
+            for u in range(n):
+                if perm[u] in rows[u]:
+                    ok = False
+                    break
+                rows[u].append(perm[u])
+            if not ok:
+                break
+        if ok:
+            return BipGraph(n, r, rows)
+    raise GenerationBudgetError(
+        f"no simple graph after {max_tries} draws (n={n}, r={r})")
+
+
+@st.composite
+def sampler_inputs(draw):
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, min(n, 4)))
+    seed = draw(st.one_of(
+        st.sampled_from([0, -1, -(2 ** 63), 2 ** 64 - 1, 2 ** 64,
+                         2 ** 64 + 7, 3 * 2 ** 70 + 1]),
+        st.integers(-(2 ** 80), 2 ** 80)))
+    return n, r, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampler_inputs())
+def test_gen_matches_reference_sampler(args):
+    assert gen_regular_bipartite(*args).adj == reference_gen(*args).adj
+
+
+# the r=5 draws of derive_with_invariance(5, 2) at the default derivation seed
+@pytest.mark.parametrize("n,seed", [(7, 13483562770953319214),
+                                    (8, 5042045720238222367),
+                                    (9, 12621457273394957343)])
+def test_gen_matches_reference_sampler_r5(n, seed):
+    assert gen_regular_bipartite(n, 5, seed).adj == \
+        reference_gen(n, 5, seed).adj
+
+
+def _unmix(z: int) -> int:
+    """Inverse of the splitmix64 output mix, so a test can choose a draw."""
+    def unshift(x, s):
+        y = x
+        for _ in range(64 // s + 1):
+            y = x ^ (y >> s)
+        return y
+    z = unshift(z, 31) * pow(MIX2, -1, 1 << 64) & MASK
+    z = unshift(z, 27) * pow(MIX1, -1, 1 << 64) & MASK
+    return unshift(z, 30)
+
+
+def test_gen_redraws_out_of_range_draw():
+    """A draw at or above randrange's limit is redrawn, as in the oracle:
+    choose the seed whose attempt 0 starts with the draw 2^64 - 1."""
+    state = (_unmix(MASK) - GOLDEN) & MASK
+    seed = ((_unmix(state) - GOLDEN) & MASK) ^ splitmix64(0)
+    assert Rng(derive_seed(seed, 0)).next_u64() == MASK
+    for n in (3, 7, 12):  # 2^64 - 1 is rejected unless n is a power of two
+        assert gen_regular_bipartite(n, 1, seed).adj == \
+            reference_gen(n, 1, seed).adj
+
+
+def test_gen_errors_match_reference_sampler():
+    for sampler in (gen_regular_bipartite, reference_gen):
+        with pytest.raises(GenerationBudgetError):
+            sampler(7, 5, seed=1, max_tries=50)
+        with pytest.raises(GraphError):
+            sampler(3, 4, seed=1)
+
+
+def test_gen_graph_ids_pinned():
+    """The sampler's stream contract, pinned independently of the oracle."""
+    pinned = {
+        (6, 3, 0): "bg-6x3-07091f388aa2b647",
+        (8, 3, 1): "bg-8x3-5a5e9e70fece5179",
+        (10, 3, -7): "bg-10x3-4e87530841946bbb",
+        (12, 4, 2 ** 64 + 5): "bg-12x4-fc78bbc1f38e3a12",
+        (9, 5, 3): "bg-9x5-be353138181ec9d8",
+        (14, 4, 123456789): "bg-14x4-bbf95c1d8c2ac414",
+        (7, 2, 42): "bg-7x2-7fdbd8bd29bad7e2",
+        (5, 5, 11): "bg-5x5-bef0036c8116f725",
+    }
+    for (n, r, seed), gid in pinned.items():
+        assert gen_regular_bipartite(n, r, seed).graph_id() == gid
 
 
 def test_gen_forced_small_cases():
@@ -103,6 +210,38 @@ def test_random_lift():
     assert (lifted.n, lifted.r) == (21, 3)
     assert lifted.nedges == 3 * hw.nedges
     assert girth(lifted) >= girth(hw)
+
+
+_GIRTH_CHECKS_UNDER_O = """
+import sys
+from matchdiff import graphs
+if __debug__:
+    sys.exit("expected python -O")
+graphs.girth = lambda g: 6 if g.n == 7 else 4
+try:
+    graphs.random_lift(graphs.incidence_pg(2), 3, seed=1)
+except graphs.GraphError as exc:
+    print("lift:", exc)
+graphs.girth = lambda g: 2
+try:
+    graphs.girth_search(6, 3, 4, seed=1)
+except graphs.GraphError as exc:
+    print("search:", exc)
+"""
+
+
+def test_girth_checks_survive_optimize():
+    """The girth checks in random_lift and girth_search raise GraphError
+    even under `python -O`, which strips assert statements."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matchdiff.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _GIRTH_CHECKS_UNDER_O],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "lift: lift decreased girth",
+        "search: permutation-model sample has girth 2 < 4"]
 
 
 def test_circulant():

@@ -57,9 +57,9 @@ def test_d_values_certified_intervals():
     prof = delta_table(K33)
     ds = prof.d_values()
     assert ds[0].a <= 0 <= ds[0].b
-    mp.prec = 300
-    ref = mp.log(mp.mpf(10) / 9)
-    assert ds[2].a <= ref <= ds[2].b
+    with mp.workprec(300):
+        ref = mp.log(mp.mpf(10) / 9)
+        assert ds[2].a <= ref <= ds[2].b
     assert float(ds[2].delta) < 2 ** -64
 
 
