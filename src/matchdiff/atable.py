@@ -6,6 +6,12 @@ with forced roots at j = 0..h) or pointwise values at fixed (r, j).  Tables
 are reconstructed from exact matching counts of girth-qualified graphs by
 exact linear algebra; every fit keeps held-out rows whose residuals must be
 exactly zero.
+
+The series built from a table (`build_H`, the base of `build_F_conjecture`,
+and `identities.build_F`) are memoized on the ATable instance, keyed on
+(kind, h_max, at_r) plus every entry a_1..a_{h_max} as it reads at call
+time.  Each loaded table has its own memo; nothing is shared across tables
+or cached process-wide.
 """
 
 from __future__ import annotations
@@ -55,10 +61,17 @@ class AEntry:
 
 
 class ATable:
-    """Write-once coefficient store with provenance and cross-validation."""
+    """Write-once coefficient store with provenance and cross-validation.
+
+    The table also owns the memo of the exact series built from it
+    (`_memo_series`): H, F = (1 + H)(1 + K), and the 1 + H base of the
+    extended expansion with its j-shifts.  A memo lives and dies with its
+    table instance; there is no process-wide cache, so every freshly
+    loaded table builds each series once."""
 
     def __init__(self):
         self.entries: dict[int, AEntry] = {}
+        self._series: dict = {}
 
     def entry(self, h: int) -> AEntry:
         if h not in self.entries:
@@ -71,6 +84,27 @@ class ATable:
         while (h + 1) in self.entries and self.entries[h + 1].sym is not None:
             h += 1
         return h
+
+    def _memo_series(self, kind, h_max: int, at_r: int | None, build):
+        """`build()`, computed once per distinct key.
+
+        The key is (kind, h_max, at_r) plus the entry values a build reads:
+        for every h <= h_max, the symbolic entry (with its degree bound) and
+        the sorted pointwise values.  Entries are re-read on every call, so
+        a `set_sym`, an `add_point` or a direct assignment to `entries[h]`
+        changes the key and never serves a stale series."""
+        values = []
+        for h in range(1, h_max + 1):
+            e = self.entries.get(h)
+            if e is None:
+                values.append(None)
+            else:
+                values.append((e.sym, None if e.sym is None else e.sym.bound,
+                               tuple(sorted(e.points.items()))))
+        key = (kind, h_max, at_r, tuple(values))
+        if key not in self._series:
+            self._series[key] = build()
+        return self._series[key]
 
     def point_max(self, r: int) -> int:
         """Largest h usable at fixed r (symbolic or j-interpolable)."""
@@ -119,11 +153,7 @@ class ATable:
         # quotient of degree <= h-1; extra points act as held-out rows
         rows = [[Fraction(j) ** t for t in range(h)] for j in js]
         rhs = [e.points[(r, j)] / pi.eval_j(j).as_rat() for j in js]
-        if len(js) > h:
-            q = solve_overdetermined_exact(rows, rhs)
-        else:
-            from .series import solve_linear_exact
-            q = solve_linear_exact(rows, rhs)
+        q = solve_overdetermined_exact(rows, rhs)
         out = pi * JPoly([Fraction(x) for x in q])
         return JPoly(out.c, bound=2 * h)
 
@@ -155,13 +185,6 @@ class ATable:
                 f"conflicting values for a_{h}({r}, {j}): {old} vs {val}")
         e.points[(r, j)] = Fraction(val)
         e.provenance.append(f"{provenance} (r={r}, j={j})")
-
-    def check_roots(self, j_window: int = 8) -> None:
-        """Exact root check at all integer points in the window."""
-        for h, e in self.entries.items():
-            if e.sym is not None:
-                for z in range(0, h + 1):
-                    assert e.sym.eval_j(z).is_zero(), (h, z)
 
 
 # -- reconstruction from counting data --------------------------------------
@@ -246,7 +269,13 @@ def build_H(table: ATable, h_max: int, at_r: int | None = None) -> NSeries:
     """H = sum_{h=1}^{h_max} a_h(r, j)/n^h as a proper zero-constant series.
 
     The finite upper limit j-1 of the defining sum is encoded by the roots
-    of the a_h, not by truncating in j."""
+    of the a_h, not by truncating in j.  Built once per table and key (see
+    `ATable._memo_series`)."""
+    return table._memo_series("H", h_max, at_r,
+                              lambda: _build_H(table, h_max, at_r))
+
+
+def _build_H(table: ATable, h_max: int, at_r: int | None) -> NSeries:
     window = (-h_max, 0) if at_r is None else (0, 0)
     coeffs = {}
     for h in range(1, h_max + 1):
@@ -296,17 +325,22 @@ def build_F_conjecture(table: ATable, spec: ConjectureSpec, h_max: int,
         + sum_i c_i j(j-1)..(j-z_i+1) (1/(n r))^{z_i} sum_{s>=0} a_s(r, j-z_i)/n^s
 
     with a_0 = 1 (forced by the (1 + H) normal form).  Empty spec reduces
-    to 1 + H."""
+    to 1 + H.  The base 1 + H and its j-shifts are built once per table
+    and key (see `ATable._memo_series`); only the spec terms are new."""
     for z, _ in spec.terms:
         if z > h_max:
             raise ATableError(
                 f"z={z} exceeds truncation h_max={h_max}; the term would be "
                 "invisible at this order")
     window = (-h_max, 0) if at_r is None else (0, 0)
-    base = NSeries.one(h_max, window) + build_H(table, h_max, at_r=at_r)
+    base = table._memo_series(
+        "1+H", h_max, at_r,
+        lambda: NSeries.one(h_max, window) + build_H(table, h_max, at_r=at_r))
     f = base
     for z, c in spec.terms:
-        shifted = base.shift_j(z).truncate(h_max - z)
+        shifted = table._memo_series(
+            ("1+H", z), h_max, at_r,
+            lambda: base.shift_j(z).truncate(h_max - z))
         if at_r is None:
             rfac = RLaurent.term(Fraction(c), -z, (-h_max, 0))
         else:

@@ -136,13 +136,12 @@ def cmd_verify(args) -> int:
         if args.id == "first-identity":
             for k in ks:
                 for i in iis:
-                    at_r = None if k - 1 <= table.sym_max() else 3
-                    reports.append(idn.check_first_identity(table, i, k,
-                                                            at_r=at_r))
+                    reports.append(idn.check_first_identity(
+                        table, i, k, at_r=idn.at_r_for(table, k - 1)))
         elif args.id in ("log-coeff",):
             for h in (args.hmax and range(1, args.hmax + 1)) or (1, 2):
-                at_r = None if h <= table.sym_max() else 3
-                reports.append(idn.check_log_coefficients(table, h, at_r=at_r))
+                reports.append(idn.check_log_coefficients(
+                    table, h, at_r=idn.at_r_for(table, h)))
         elif args.id in ("top-coeff",):
             for k in ks:
                 reports.append(idn.check_top_coefficient(table, k))
@@ -157,9 +156,8 @@ def cmd_verify(args) -> int:
         elif args.id == "t-cancellation":
             for k in ks:
                 for i in iis:
-                    at_r = None if k - 2 <= table.sym_max() else 3
-                    reports.append(idn.check_t_cancellation(table, i, k,
-                                                            at_r=at_r))
+                    reports.append(idn.check_t_cancellation(
+                        table, i, k, at_r=idn.at_r_for(table, k - 2)))
         elif args.id == "fd-monomial":
             for k in ks:
                 for d in range(0, k + 1):

@@ -3,7 +3,12 @@
 Every check is exact (no tolerances); a report passes iff its witness map
 is empty, and each witness pins the offending coefficient by (j-power,
 n-power).  Checks run symbolically in r where the table allows, otherwise
-pointwise at a fixed r (recorded in the report parameters).
+pointwise at a fixed r (recorded in the report parameters); `at_r_for` is
+the one home of that choice.
+
+F = (1 + H)(1 + K) is built once per table instance and key (kind, h_max,
+at_r, the entries a_1..a_{h_max} read): every check on the same table
+reuses it, and a table whose entries change gets a fresh build.
 """
 
 from __future__ import annotations
@@ -53,12 +58,24 @@ def lsplit(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lplus, lminus
 
 
+def at_r_for(table: ATable, level: int, r_point: int = 3) -> int | None:
+    """The r a check at 1/n-level `level` runs at: None (symbolic in r) when
+    a_1..a_level are all symbolic, otherwise the fixed point `r_point`."""
+    return None if level <= table.sym_max() else r_point
+
+
 def _rparam(at_r) -> str:
     return "sym" if at_r is None else str(at_r)
 
 
 def build_F(table: ATable, h_max: int, at_r: int | None = None) -> NSeries:
-    """F = (1 + H)(1 + K), the formal matching-ratio series."""
+    """F = (1 + H)(1 + K), the formal matching-ratio series, built once per
+    table and key (see `ATable._memo_series`)."""
+    return table._memo_series("F", h_max, at_r,
+                              lambda: _build_F(table, h_max, at_r))
+
+
+def _build_F(table: ATable, h_max: int, at_r: int | None) -> NSeries:
     window = (-h_max, 0) if at_r is None else (0, 0)
     h = build_H(table, h_max, at_r=at_r)
     k = build_K(h_max)
@@ -378,31 +395,30 @@ def core_suite(table: ATable, ks=(2, 3), i_max: int = 3,
     symbolic, order-3 checks pointwise at r_point."""
     reports: list[CheckReport] = []
     sym_max = table.sym_max()
-    for h in range(1, sym_max + 1):
-        reports.append(check_log_coefficients(table, h))
+    # point_max counts symbolic levels too, so h3 >= sym_max
     h3 = table.point_max(r_point)
-    for h in range(sym_max + 1, h3 + 1):
-        reports.append(check_log_coefficients(table, h, at_r=r_point))
+    for h in range(1, h3 + 1):
+        reports.append(check_log_coefficients(
+            table, h, at_r=at_r_for(table, h, r_point)))
     for k in ks:
-        if k - 1 <= sym_max:
-            reports.append(check_top_coefficient(table, k))
-        elif k - 1 <= h3:
-            reports.append(check_top_coefficient(table, k, at_r=r_point))
+        if k - 1 <= h3:
+            reports.append(check_top_coefficient(
+                table, k, at_r=at_r_for(table, k - 1, r_point)))
     for d in range(0, 5):
         for k in range(d, 5):
             reports.append(check_fd_monomial(k, d))
     for k in ks:
-        if k - 1 > max(sym_max, h3):
+        if k - 1 > h3:
             continue
-        at_r = None if k - 1 <= sym_max else r_point
+        at_r = at_r_for(table, k - 1, r_point)
         for i in range(i_max + 1):
             reports.append(check_first_identity(table, i, k, at_r=at_r))
     if h3 >= 3:
         reports.append(check_first_identity(table, 0, 4, at_r=r_point))
     for k in (3, 4):
-        if k - 2 > max(sym_max, h3):
+        if k - 2 > h3:
             continue
-        at_r = None if k - 2 <= sym_max else r_point
+        at_r = at_r_for(table, k - 2, r_point)
         for i in range(i_max + 1):
             reports.append(check_t_cancellation(table, i, k, at_r=at_r))
     for k in (0, 1, 2, 3):

@@ -5,8 +5,7 @@ leading factor (2n-1)^i 2^i n^i / (2n)!-ratio; its logarithm G decomposes
 into five elementary pieces (three logarithms, a linear term, and a
 Stirling-series tail), each expandable exactly.
 
-The series variable lives on the j-slot of NSeries; ISeries below is a
-documentation alias for series whose formal variable is the index i.
+The series variable, the matching index i, lives on the j-slot of NSeries.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .series import EXACT_ORDER, JPoly, NSeries, Rat
-
-# Series in the matching index i (carried on the NSeries j-slot); the alias
-# marks intent so i-series and j-series are not mixed by accident.
-ISeries = NSeries
 
 
 def bernoulli_numbers(m_max: int) -> list[Rat]:
@@ -43,17 +38,19 @@ def stirling_constants(j_max: int) -> dict[int, Rat]:
     for j in range(1, j_max + 1, 2):
         m2 = j + 1
         out[j] = -bern[m2] / (m2 * (m2 - 1) * 2 ** j)
-    assert out[1] == Fraction(-1, 24)
+    if out[1] != Fraction(-1, 24):
+        raise ArithmeticError(
+            f"Stirling constant c_1 = {out[1]}, expected -1/24")
     return out
 
 
-def _ln_one_minus_i_over_n(order: int) -> ISeries:
+def _ln_one_minus_i_over_n(order: int) -> NSeries:
     """ln(1 - i/n) = -sum_{m>=1} i^m / (m n^m), exact through `order`."""
     coeffs = {m: JPoly.monomial(m, Fraction(-1, m)) for m in range(1, order + 1)}
     return NSeries(coeffs, order)
 
 
-def build_G(h_max: int) -> ISeries:
+def build_G(h_max: int) -> NSeries:
     """The five-part logarithm G_i, exact through 1/n^h_max.
 
     The +2i linear piece must cancel the -2i produced by
@@ -91,7 +88,7 @@ def build_G(h_max: int) -> ISeries:
     return g
 
 
-def build_K(h_max: int) -> ISeries:
+def build_K(h_max: int) -> NSeries:
     """K = exp(G) - 1, exact through 1/n^h_max."""
     return build_G(h_max).exp() - 1
 

@@ -6,7 +6,14 @@ The carrier type is NSeries: a map  h -> JPoly  where h is the exponent of
 each JPoly is a polynomial in the matching index j whose coefficients are
 Laurent polynomials in the degree r with exact rational coefficients.
 
-All arithmetic is exact; floating point never enters this module.
+All arithmetic is exact; floating point never enters this module.  RLaurent
+results that provably stay in their window (sums, negation, scalar
+multiples) skip the window check; products are always checked.
+
+Nothing here is cached.  The series built from a coefficient table (H, F
+and the extended-expansion base) are memoized by the ATable instance that
+holds the table, keyed on (kind, h_max, at_r) and the table entries read;
+see `atable.ATable._memo_series`.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ class RLaurent:
 
     def __init__(self, coeffs: dict[int, Rat], window: tuple[int, int]):
         lo, hi = window
-        c = {e: Fraction(v) for e, v in coeffs.items() if v != 0}
+        c = {e: v if isinstance(v, Fraction) else Fraction(v)
+             for e, v in coeffs.items() if v != 0}
         for e in c:
             if not lo <= e <= hi:
                 raise WindowOverflowError(
@@ -61,6 +69,19 @@ class RLaurent:
         self.c = c
         self.lo = lo
         self.hi = hi
+
+    @classmethod
+    def _trusted(cls, c: dict[int, Rat], lo: int, hi: int) -> "RLaurent":
+        """Wrap `c` as is: nonzero Fraction values, exponents in [lo, hi].
+
+        Only for results that provably satisfy both (sums, negation and
+        scalar multiples of checked operands); everything else goes
+        through the checked constructor."""
+        self = object.__new__(cls)
+        self.c = c
+        self.lo = lo
+        self.hi = hi
+        return self
 
     @classmethod
     def zero(cls, window=(0, 0)) -> "RLaurent":
@@ -94,16 +115,22 @@ class RLaurent:
         return other, w
 
     def __add__(self, other):
-        other, w = self._join(other)
+        other, (lo, hi) = self._join(other)
         c = dict(self.c)
         for e, v in other.c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return RLaurent(c, w)
+            if e in c:
+                v = c[e] + v
+                if not v:
+                    del c[e]
+                    continue
+            c[e] = v
+        return RLaurent._trusted(c, lo, hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RLaurent({e: -v for e, v in self.c.items()}, self.window)
+        return RLaurent._trusted({e: -v for e, v in self.c.items()},
+                                 self.lo, self.hi)
 
     def __sub__(self, other):
         other, _ = self._join(other)
@@ -114,14 +141,18 @@ class RLaurent:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RLaurent({e: v * other for e, v in self.c.items()},
-                            self.window)
+            c = {e: v * other for e, v in self.c.items()} if other else {}
+            return RLaurent._trusted(c, self.lo, self.hi)
         w = (min(self.lo, other.lo), max(self.hi, other.hi))
         c: dict[int, Rat] = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
                 e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + v1 * v2
+                if e in c:
+                    c[e] += v1 * v2
+                else:
+                    c[e] = v1 * v2
+        # the product can leave the window: the checked constructor raises
         return RLaurent(c, w)
 
     __rmul__ = __mul__
@@ -375,14 +406,6 @@ class NSeries:
             return c0.is_zero() or c0 == JPoly.const(1)
         return c0 == (JPoly.const(const_term) if const_term else JPoly.zero())
 
-    def require_proper(self, const_term: int) -> "NSeries":
-        if not self.is_proper(const_term):
-            raise ImproperSeriesError(
-                f"series is not proper with constant term {const_term}: "
-                f"min exponent {self.min_exp}, "
-                f"constant {self.c.get(0, JPoly.zero())!r}")
-        return self
-
     def truncate(self, order: int) -> "NSeries":
         return NSeries({h: p for h, p in self.c.items() if h <= order},
                        min(self.order, order), self.window)
@@ -579,36 +602,18 @@ class NSeries:
         return cls(coeffs, order, window)
 
 
-def solve_linear_exact(rows: list[list[Rat]], rhs: list[Rat]) -> list[Rat]:
-    """Solve a square exact-rational system by Gaussian elimination."""
-    m = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(rows)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
-
-
 class InconsistentSystemError(ValueError):
     """An overdetermined exact system had a nonzero residual."""
 
 
 def solve_overdetermined_exact(rows: list[list[Rat]],
                                rhs: list[Rat]) -> list[Rat]:
-    """Solve an exact-rational system with more rows than unknowns.
+    """Solve an exact-rational system with at least as many rows as unknowns.
 
-    The system must have full column rank and be exactly consistent; any
-    nonzero residual raises InconsistentSystemError (this is how held-out
-    validation rows are enforced)."""
+    The system must have full column rank (a singular square system raises
+    ValueError) and be exactly consistent; any nonzero residual raises
+    InconsistentSystemError (this is how held-out validation rows are
+    enforced)."""
     nun = len(rows[0]) if rows else 0
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
          for i, row in enumerate(rows)]

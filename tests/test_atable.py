@@ -2,6 +2,8 @@
 counting data, symbolic fits with held-out validation, series builders,
 and file round-trips."""
 
+import copy
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +16,10 @@ from matchdiff.atable import (ATable, ATableError, ConjectureSpec, FitError,
 from matchdiff.derive import (_CountCache, derive_with_invariance,
                               qualified_family)
 from matchdiff.graphs import incidence_pg, random_lift
+from matchdiff.identities import build_F
 from matchdiff.matchcount import match_count_upto
-from matchdiff.series import JPoly, NSeries, RLaurent
+from matchdiff.series import (InconsistentSystemError, JPoly, NSeries,
+                              RLaurent)
 
 
 def test_a1_builtin_values():
@@ -215,6 +219,72 @@ def test_jpoly_at_r_interpolates_points(table):
     for j in range(0, 4):
         assert jp.eval_j(j).is_zero()
     assert jp.eval_j(4).as_rat() == table.value(3, 3, 4)
+
+
+def test_jpoly_at_r_square_case_unchanged(table):
+    """a_3 at r=3 has exactly 3 points beyond the roots (a square solve);
+    the coefficients of j^1..j^6 as they were under the dedicated square
+    solver."""
+    jp = table.jpoly_at_r(3, 3)
+    assert jp.bound == 6
+    assert [c.as_rat() for c in jp.c] == [
+        0, F(4, 27), F(-71, 648), F(557, 1296), F(-133, 144), F(715, 1296),
+        F(-125, 1296)]
+
+
+def _fresh_copy(table: ATable) -> ATable:
+    """Same entries, empty series memo."""
+    fresh = ATable()
+    fresh.entries = copy.deepcopy(table.entries)
+    return fresh
+
+
+def _builds(table: ATable):
+    spec = ConjectureSpec(((1, F(2, 3)), (2, F(-1, 5))))
+    return [build_F(table, 2), build_F(table, 3, at_r=3),
+            build_F_conjecture(table, spec, 2),
+            build_F_conjecture(table, spec, 3, at_r=3)]
+
+
+def test_series_memo_tracks_entry_changes(table):
+    t = copy.deepcopy(table)
+    before = _builds(t)
+    assert build_F(t, 2) is before[0]  # memo hit
+
+    # direct assignment: a corrupted a_2 must not be served from the memo
+    bad = t.entries[2].sym + JPoly.monomial(4, F(1, 9))
+    t.entries[2].sym = JPoly(bad.c, bound=4)
+    after = _builds(t)
+    assert after == _builds(_fresh_copy(t))
+    assert after[0] != before[0] and after[2] != before[2]
+
+    # set_sym: a_3 becomes symbolic (constant in r), so h_max=3 builds
+    # symbolic in r now work and equal a fresh build
+    t = copy.deepcopy(table)
+    _builds(t)
+    t.set_sym(3, table.jpoly_at_r(3, 3), "test")
+    assert _builds(t) == _builds(_fresh_copy(t))
+    assert build_F(t, 3) == build_F(_fresh_copy(t), 3)
+
+    # add_point: a held-out value inconsistent with the interpolant must
+    # fail the rebuild instead of returning the memoized series
+    t = copy.deepcopy(table)
+    _builds(t)
+    t.add_point(3, 3, 7, F(1), "test")
+    with pytest.raises(InconsistentSystemError):
+        build_F(t, 3, at_r=3)
+    with pytest.raises(InconsistentSystemError):
+        build_F_conjecture(t, ConjectureSpec(((1, F(1)),)), 3, at_r=3)
+
+
+def test_series_memo_is_per_table(repo_cache_dir):
+    path = os.path.join(repo_cache_dir, "atable_r345_seed20250809.txt")
+    t1, t2 = import_atable(path), import_atable(path)
+    f1 = build_F(t1, 2)
+    assert build_F(t1, 2) is f1
+    assert not t2._series
+    f2 = build_F(t2, 2)
+    assert f2 is not f1 and f2 == f1
 
 
 def test_build_H_level1(table):

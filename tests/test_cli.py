@@ -1,5 +1,9 @@
 """End-to-end command line runs (small configurations)."""
 
+import hashlib
+import os
+import shutil
+
 import pytest
 
 from matchdiff.cli import EXIT_INTERNAL, main
@@ -129,3 +133,24 @@ def test_crash_exits_internal_not_check_failed(env_cache, capsys,
 def test_bad_flags_exit_config(capsys):
     code, _, _ = run(capsys, "simulate", "--n", "notanumber")
     assert code == 2
+
+
+# sha256 of the stdout, captured before the series memo and the unchecked
+# RLaurent paths went in; both outputs must stay byte-identical.
+GOLDEN_STDOUT = {
+    ("verify", "--suite", "core"):
+        "f9d9e9fd6ab336e7c66422bd8867c1054acc1e0398f0f60fe6fdfea0bb0bfaec",
+    ("conjecture", "--trials", "20", "--seed", "1"):
+        "c8e3f6425ff4c2a9ed221ccd77074c817e58ab94e37d15914d02764843449682",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_identity_commands_golden_stdout(argv, repo_cache_dir, tmp_path,
+                                         capsys):
+    shipped = os.path.join(repo_cache_dir, "atable_r345_seed20250809.txt")
+    for name in ("atable_r345_seed20250809.txt", "atable_r345_seed1.txt"):
+        shutil.copyfile(shipped, tmp_path / name)
+    code, out, _ = run(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

@@ -21,6 +21,22 @@ def test_c1_is_minus_one_24th():
                                      5: F(-1, 40320)}
 
 
+def test_c1_check_raises_without_assert(monkeypatch):
+    """The c_1 = -1/24 check is an explicit raise, so `python -O` keeps it."""
+    import matchdiff.kseries as ks
+
+    real = ks.bernoulli_numbers
+
+    def skewed(m_max):
+        b = real(m_max)
+        b[2] += 1
+        return b
+
+    monkeypatch.setattr(ks, "bernoulli_numbers", skewed)
+    with pytest.raises(ArithmeticError, match="-1/24"):
+        stirling_constants(5)
+
+
 def test_bernoulli_prefix():
     assert bernoulli_numbers(6) == [F(1), F(-1, 2), F(1, 6), 0, F(-1, 30),
                                     0, F(1, 42)]

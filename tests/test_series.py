@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from matchdiff.atable import a1_builtin
 from matchdiff.series import (ImproperSeriesError, JPoly, NSeries, RLaurent,
-                              TruncationError, WindowOverflowError)
+                              TruncationError, WindowOverflowError,
+                              solve_overdetermined_exact)
 
 W = (-2, 2)
 # wide enough that triple products of window-(-2,2) exponents still fit
@@ -253,3 +254,99 @@ def test_text_roundtrip():
 def test_text_header_required():
     with pytest.raises(ValueError):
         NSeries.from_text("1 2 0 1/2\n")
+
+
+# -- RLaurent and JPoly arithmetic against evaluation ----------------------------
+
+nonzero_rationals = rationals.filter(lambda x: x != 0)
+# ints and zeros among the stored values exercise the constructor's
+# conversion and zero filtering
+raw_values = st.one_of(rationals, st.integers(-3, 3))
+
+
+@st.composite
+def windowed(draw):
+    lo, hi = draw(st.integers(-3, 0)), draw(st.integers(0, 3))
+    coeffs = draw(st.dictionaries(st.integers(lo, hi), raw_values,
+                                  max_size=3))
+    return RLaurent(coeffs, (lo, hi))
+
+
+@st.composite
+def windowed_jpolys(draw):
+    return JPoly([draw(windowed()) for _ in range(draw(st.integers(0, 2)))])
+
+
+def assert_well_formed(x: RLaurent):
+    assert all(isinstance(v, F) and v != 0 for v in x.c.values())
+    assert all(x.lo <= e <= x.hi for e in x.c)
+
+
+def assert_jpoly_well_formed(p: JPoly):
+    assert not p.c or not p.c[-1].is_zero()
+    for x in p.c:
+        assert_well_formed(x)
+
+
+def product_or_raise(a, b):
+    """a * b, or None when a product coefficient leaves the joined window
+    (in which case the product must raise)."""
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    exact: dict[int, F] = {}
+    for e1, v1 in a.c.items():
+        for e2, v2 in b.c.items():
+            exact[e1 + e2] = exact.get(e1 + e2, F(0)) + v1 * v2
+    if any(v != 0 and not lo <= e <= hi for e, v in exact.items()):
+        with pytest.raises(WindowOverflowError):
+            a * b
+        return None
+    return a * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(windowed(), windowed(), nonzero_rationals, raw_values)
+def test_rlaurent_ops_match_evaluation(a, b, r0, s):
+    assert_well_formed(a)
+    results = [(a + b, a.eval(r0) + b.eval(r0)),
+               (a - b, a.eval(r0) - b.eval(r0)),
+               (-a, -a.eval(r0)),
+               (a * s, a.eval(r0) * s),
+               (s * a, s * a.eval(r0)),
+               (a + s, a.eval(r0) + s),
+               (s - a, s - a.eval(r0))]
+    prod = product_or_raise(a, b)
+    if prod is not None:
+        results.append((prod, a.eval(r0) * b.eval(r0)))
+    for got, want in results:
+        assert_well_formed(got)
+        assert got.eval(r0) == want
+    assert (a - a).c == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(windowed_jpolys(), windowed_jpolys(), nonzero_rationals, rationals)
+def test_jpoly_ops_match_evaluation(p, q, r0, j0):
+    def ev(x):
+        return x.eval_j(j0).eval(r0)
+
+    for got, want in ((p + q, ev(p) + ev(q)), (p - q, ev(p) - ev(q)),
+                      (-p, -ev(p))):
+        assert_jpoly_well_formed(got)
+        assert ev(got) == want
+    assert (p - p).is_zero()
+    try:
+        prod = p * q
+    except WindowOverflowError:
+        # some coefficient product left its joined window
+        assert any(product_or_raise(a, b) is None for a in p.c for b in q.c)
+    else:
+        assert_jpoly_well_formed(prod)
+        assert ev(prod) == ev(p) * ev(q)
+
+
+def test_singular_square_system_raises():
+    with pytest.raises(ValueError):
+        solve_overdetermined_exact([[F(1), F(2)], [F(2), F(4)]],
+                                   [F(1), F(2)])
+    assert solve_overdetermined_exact([[F(1), F(1)], [F(1), F(-1)]],
+                                      [F(3), F(1)]) == [F(2), F(1)]
