@@ -144,10 +144,12 @@ def cmd_verify(args) -> int:
                     table, h, at_r=idn.at_r_for(table, h)))
         elif args.id in ("top-coeff",):
             for k in ks:
-                reports.append(idn.check_top_coefficient(table, k))
+                reports.append(idn.check_top_coefficient(
+                    table, k, at_r=idn.at_r_for(table, k - 1)))
         elif args.id == "alpha0":
             for k in ks:
-                reports.append(idn.check_alpha0_series(table, None, k))
+                reports.append(idn.check_alpha0_series(
+                    table, None, k, at_r=idn.at_r_for(table, k - 1)))
         elif args.id == "second-identity":
             for k in ks:
                 for i in iis:

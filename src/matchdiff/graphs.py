@@ -8,12 +8,15 @@ the single source of truth for qualification decisions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+from bisect import bisect_right
 from collections import deque
 
 from . import _backend
-from .rng import GOLDEN, MASK, MIX1, MIX2, Rng, derive_seed, range_limit
+from .rng import (GOLDEN, GOLDEN_INV, MASK, MIX1, MIX2, Rng, derive_seed,
+                  range_limit, unmix64)
 
 
 class GraphError(ValueError):
@@ -113,19 +116,46 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     Stream contract: attempt a draws from `Rng(derive_seed(seed, a))`.  Its
     r permutations are successive `Rng.permutation(n)` shuffles, and left
     row u gets the right neighbour perm[u] of each; the attempt is rejected
-    when a row would get the same neighbour twice.  Position i of a
-    Fisher-Yates shuffle is final once step i has run, so it is checked
-    then and the attempt stops at the first repeated edge.  That only skips
-    draws of an attempt that is already rejected: an accepted attempt
-    consumes every draw of its r shuffles, so the same (n, r, seed) gives
-    the same graph as drawing each permutation in full.
+    when a row would get the same neighbour twice.
+
+    Row lockstep: position i of a Fisher-Yates shuffle is final once its
+    step i has run, and the r shuffles are independent of each other, so
+    the rows are filled one at a time, i = n-1 down to 1, each from step i
+    of every shuffle, and row 0 from what remains.  The attempt stops at
+    the first neighbour that repeats within a row.  Whether an attempt is
+    rejected does not depend on the order the rows are checked in, and an
+    accepted attempt fills every row with the draws of its full shuffles,
+    so every (n, r, seed) gives the same graph as drawing each permutation
+    in full.
+
+    Draw addressing and its guard: splitmix64's state after t draws is
+    s0 + t*GOLDEN, so while no draw is redrawn by `randrange`, step i of
+    shuffle p is draw p*(n-1) + n-i and is computed directly from s0.  A
+    redraw needs a draw at or above `range_limit(k)` for some k <= n;
+    `_hot_draws(n)` lists the few states whose draw is that high, and an
+    attempt any of whose r*(n-1) draws could land on one runs the
+    sequential `_simple_attempt` instead, which follows the stream draw by
+    draw and is exact for every attempt.
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
     # Fisher-Yates step at position i draws randrange(i + 1)
     steps = [(i, i + 1, range_limit(i + 1)) for i in range(n - 1, 0, -1)]
+    # shuffle p's permutation lives at perms[p*n : p*n + n]
+    rows = [(i, i + 1, [((p * (n - 1) + n - i) * GOLDEN & MASK, p * n)
+                        for p in range(r)])
+            for i in range(n - 1, 0, -1)]
+    identity = list(range(n)) * r
+    hot = _hot_draws(n)
+    span = r * (n - 1)
     for attempt in range(max_tries):
-        masks = _simple_attempt(Rng(derive_seed(seed, attempt)), n, r, steps)
+        rng = Rng(derive_seed(seed, attempt))
+        s0 = rng.state
+        c = s0 * GOLDEN_INV & MASK
+        if hot[bisect_right(hot, c)] - c <= span:
+            masks = _simple_attempt(rng, n, r, steps)
+        else:
+            masks = _lockstep_attempt(s0, n, r, rows, identity)
         if masks is not None:
             return BipGraph(n, r, [[v for v in range(n) if m >> v & 1]
                                    for m in masks])
@@ -133,10 +163,59 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
         f"no simple graph after {max_tries} draws (n={n}, r={r})")
 
 
+@functools.lru_cache(maxsize=None)
+def _hot_draws(n: int) -> tuple[int, ...]:
+    """The states whose draw some `randrange(k)` with 2 <= k <= n redraws,
+    as sorted values state * GOLDEN^-1 mod 2^64, closed by the first one
+    plus 2^64 (or by 2^65 when there are none).
+
+    Draw t of a stream started at s0 has state s0 + t*GOLDEN, so it is hot
+    exactly when this list holds s0 * GOLDEN^-1 + t mod 2^64: the first
+    entry above c = s0 * GOLDEN^-1 says whether any of draws 1..T can be."""
+    low = min((range_limit(k) for k in range(2, n + 1)), default=1 << 64)
+    hot = sorted(unmix64(u) * GOLDEN_INV & MASK for u in range(low, 1 << 64))
+    return tuple(hot + [hot[0] + (1 << 64)] if hot else [1 << 65])
+
+
+def _lockstep_attempt(s0: int, n: int, r: int, rows,
+                      identity: list[int]) -> list[int] | None:
+    """One attempt of `gen_regular_bipartite` in row lockstep, for a stream
+    start s0 none of whose r*(n-1) draws is redrawn: each left row's right
+    neighbours as a bitmask, or None at the first repeated edge.  `rows`
+    holds, per position i, the draw offset t*GOLDEN of step i of each
+    shuffle and where that shuffle starts in the one list `identity`
+    (r identity permutations back to back) that the attempt copies."""
+    perms = identity[:]
+    masks = [0] * n
+    for i, k, draws in rows:
+        seen = 0
+        for off, base in draws:
+            s = (s0 + off) & MASK
+            u = ((s ^ (s >> 30)) * MIX1) & MASK
+            u = ((u ^ (u >> 27)) * MIX2) & MASK
+            j = base + (u ^ (u >> 31)) % k
+            bit = 1 << perms[j]
+            if seen & bit:
+                return None
+            seen |= bit
+            perms[j] = perms[base + i]
+        masks[i] = seen
+    seen = 0
+    for base in range(0, n * r, n):
+        bit = 1 << perms[base]
+        if seen & bit:
+            return None
+        seen |= bit
+    masks[0] = seen
+    return masks
+
+
 def _simple_attempt(rng: Rng, n: int, r: int, steps) -> list[int] | None:
-    """One attempt of `gen_regular_bipartite`: each left row's right
-    neighbours as a bitmask, or None at the first repeated edge.  The draws
-    are `rng.randrange(k)` inlined on the splitmix64 state."""
+    """One attempt of `gen_regular_bipartite`, one shuffle after the other:
+    each left row's right neighbours as a bitmask, or None at the first
+    repeated edge.  The draws are `rng.randrange(k)` inlined on the
+    splitmix64 state, redraws included, so this is the exact path for the
+    attempts whose draws `_lockstep_attempt` cannot address directly."""
     s = rng.state
     masks = [0] * n
     for _ in range(r):
@@ -448,39 +527,3 @@ def builtin_graph(name: str) -> BipGraph:
     from importlib.resources import files
     data = files("matchdiff").joinpath("data").joinpath(f"{name}.bg").read_text()
     return parse_graph(data)
-
-
-def from_lcf(lst: list[int], reps: int) -> BipGraph:
-    """Bipartite graph from LCF notation (cubic Hamiltonian graphs); the
-    2-coloring of the result orders each side by original vertex index."""
-    nv = len(lst) * reps
-    adj = [set() for _ in range(nv)]
-    for i in range(nv):
-        adj[i].add((i + 1) % nv)
-        adj[(i + 1) % nv].add(i)
-    for i in range(nv):
-        j = (i + lst[i % len(lst)]) % nv
-        adj[i].add(j)
-        adj[j].add(i)
-    color = [-1] * nv
-    color[0] = 0
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if color[w] < 0:
-                color[w] = 1 - color[u]
-                q.append(w)
-            elif color[w] == color[u]:
-                raise GraphError("LCF graph is not bipartite")
-    left = [i for i in range(nv) if color[i] == 0]
-    right = [i for i in range(nv) if color[i] == 1]
-    if len(left) != len(right):
-        raise GraphError("unbalanced bipartition")
-    lidx = {v: i for i, v in enumerate(left)}
-    ridx = {v: i for i, v in enumerate(right)}
-    rows = [[] for _ in range(len(left))]
-    for v in left:
-        for w in adj[v]:
-            rows[lidx[v]].append(ridx[w])
-    return BipGraph(len(left), 3, rows)

@@ -9,6 +9,7 @@ MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+GOLDEN_INV = pow(GOLDEN, -1, 1 << 64)
 
 
 def splitmix64(x: int) -> int:
@@ -17,6 +18,20 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * MIX1) & MASK
     z = ((z ^ (z >> 27)) * MIX2) & MASK
     return (z ^ (z >> 31)) & MASK
+
+
+def unmix64(z: int) -> int:
+    """Inverse of the splitmix64 output mix: the state x whose draw is z,
+    that is `splitmix64((x - GOLDEN) & MASK) == z`.  Each xorshift step is
+    undone by iterating it, each multiplication by the inverse constant."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z & MASK, 31) * pow(MIX2, -1, 1 << 64) & MASK
+    z = unshift(z, 27) * pow(MIX1, -1, 1 << 64) & MASK
+    return unshift(z, 30)
 
 
 def range_limit(k: int) -> int:

@@ -47,6 +47,17 @@ def test_verify_single_id(env_cache, capsys):
     assert len(lines) == 3 and all("PASS" in ln for ln in lines)
 
 
+@pytest.mark.parametrize("check", ["top-coeff", "alpha0"])
+def test_verify_single_id_past_symbolic_levels(check, env_cache, capsys):
+    """k=4 needs a_3, which the shipped table has only at r=3, so that
+    check runs at r=3 instead of failing on the missing symbolic entry."""
+    code, out, _ = run(capsys, "verify", "--id", check, "--k", "2,3,4")
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith(check)]
+    assert [ln.split()[1] for ln in lines] == ["r=sym", "r=sym", "r=3"]
+    assert all(ln.split()[-1] == "PASS" for ln in lines)
+
+
 def test_verify_unknown_id(env_cache, capsys):
     code, _, err = run(capsys, "verify", "--id", "nonsense")
     assert code == 2

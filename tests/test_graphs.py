@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchdiff
+from matchdiff import graphs
 from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               builtin_graph, circulant_bipartite,
                               cycle_census, find_circulant,
                               gen_regular_bipartite, girth, girth_search,
                               incidence_pg, load_graph, parse_graph,
                               random_lift, save_graph)
-from matchdiff.rng import (GOLDEN, MASK, MIX1, MIX2, Rng, derive_seed,
-                           splitmix64)
+from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, splitmix64,
+                           unmix64)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -96,27 +97,53 @@ def test_gen_matches_reference_sampler_r5(n, seed):
         reference_gen(n, 5, seed).adj
 
 
-def _unmix(z: int) -> int:
-    """Inverse of the splitmix64 output mix, so a test can choose a draw."""
-    def unshift(x, s):
-        y = x
-        for _ in range(64 // s + 1):
-            y = x ^ (y >> s)
-        return y
-    z = unshift(z, 31) * pow(MIX2, -1, 1 << 64) & MASK
-    z = unshift(z, 27) * pow(MIX1, -1, 1 << 64) & MASK
-    return unshift(z, 30)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, MASK))
+def test_unmix64_inverts_the_output_mix(x):
+    assert unmix64(splitmix64(x)) == (x + GOLDEN) & MASK
+    assert splitmix64((unmix64(x) - GOLDEN) & MASK) == x
+
+
+def _seed_with_top_draw(t: int) -> int:
+    """The seed whose attempt 0 has 2^64 - 1 as its draw t (1-based)."""
+    s0 = (unmix64(MASK) - t * GOLDEN) & MASK
+    seed = ((unmix64(s0) - GOLDEN) & MASK) ^ splitmix64(0)
+    rng = Rng(derive_seed(seed, 0))
+    assert [rng.next_u64() for _ in range(t)][-1] == MASK
+    return seed
 
 
 def test_gen_redraws_out_of_range_draw():
     """A draw at or above randrange's limit is redrawn, as in the oracle:
-    choose the seed whose attempt 0 starts with the draw 2^64 - 1."""
-    state = (_unmix(MASK) - GOLDEN) & MASK
-    seed = ((_unmix(state) - GOLDEN) & MASK) ^ splitmix64(0)
-    assert Rng(derive_seed(seed, 0)).next_u64() == MASK
+    attempt 0 starts with the draw 2^64 - 1."""
+    seed = _seed_with_top_draw(1)
     for n in (3, 7, 12):  # 2^64 - 1 is rejected unless n is a power of two
         assert gen_regular_bipartite(n, 1, seed).adj == \
             reference_gen(n, 1, seed).adj
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 12])
+def test_gen_redraw_guard_matches_reference(n, r):
+    """Attempt 0 draws 2^64 - 1 at the next-to-last (k = 3) or last (k = 2)
+    step of shuffle 0, the first step of shuffle 1 (k = n) or the attempt's
+    last draw (k = 2).  2^64 - 1 is redrawn unless k is a power of two;
+    either way the redraw guard sends the attempt down the sequential
+    path."""
+    for t in (n - 2, n - 1, n, r * (n - 1)):
+        seed = _seed_with_top_draw(t)
+        assert gen_regular_bipartite(n, r, seed).adj == \
+            reference_gen(n, r, seed).adj, t
+
+
+@pytest.mark.parametrize("n,r,t", [(9, 2, 9), (9, 3, 7), (7, 2, 5)])
+def test_gen_redraw_guard_bites(n, r, t, monkeypatch):
+    """With the guard's hot set emptied, the row lockstep reads draw t
+    where the stream redraws it, and attempt 0 comes out different."""
+    seed = _seed_with_top_draw(t)
+    monkeypatch.setattr(graphs, "_hot_draws", lambda n: (1 << 65,))
+    assert gen_regular_bipartite(n, r, seed).adj != \
+        reference_gen(n, r, seed).adj
 
 
 def test_gen_errors_match_reference_sampler():
@@ -138,6 +165,10 @@ def test_gen_graph_ids_pinned():
         (14, 4, 123456789): "bg-14x4-bbf95c1d8c2ac414",
         (7, 2, 42): "bg-7x2-7fdbd8bd29bad7e2",
         (5, 5, 11): "bg-5x5-bef0036c8116f725",
+        # the slowest draw of a cold (r=5, j=2) derivation, and a girth
+        # search restart of a cold derive-atable
+        (8, 5, 14989779772074328663): "bg-8x5-19318006f29a8497",
+        (22, 5, 720701715770117513): "bg-22x5-ddda65baa4e9d939",
     }
     for (n, r, seed), gid in pinned.items():
         assert gen_regular_bipartite(n, r, seed).graph_id() == gid
