@@ -9,7 +9,6 @@ the single source of truth for qualification decisions.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from bisect import bisect_right
 from collections import deque
@@ -87,6 +86,9 @@ class BipGraph:
         return BipGraph(self.n, self.r, rows)
 
     def graph_id(self) -> str:
+        # imported here: hashlib loads OpenSSL, and only derive's family
+        # records need ids, not the Monte Carlo path
+        import hashlib
         h = hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
         return f"bg-{self.n}x{self.r}-{h}"
 

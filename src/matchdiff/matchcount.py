@@ -30,10 +30,9 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class MatchVector:
-    """Exact matching counts m_0..m_J with a source tag."""
+    """Exact matching counts m_0..m_J."""
 
     counts: tuple[int, ...]
-    source: str
 
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
@@ -52,7 +51,10 @@ class MatchVector:
         """Invariants forced for an r-regular bipartite source.  On a full
         vector m_0..m_n this includes Newton's inequalities, which hold
         because the matching polynomial is real-rooted (Heilmann-Lieb):
-        m_i^2 i (n-i) >= m_{i-1} m_{i+1} (i+1) (n-i+1)."""
+        m_i^2 i (n-i) >= m_{i-1} m_{i+1} (i+1) (n-i+1), and for r >= 2
+        Schrijver's lower bound on perfect matchings, m_n >=
+        ((r-1)^(r-1) / r^(r-2))^n (J. Combin. Theory Ser. B 72, 1998),
+        checked as m_n r^((r-2)n) >= (r-1)^((r-1)n)."""
         m = self.counts
         if m[0] != 1:
             raise AssertionError(f"m_0 = {m[0]} != 1")
@@ -73,6 +75,10 @@ class MatchVector:
                         m[i - 1] * m[i + 1] * (i + 1) * (n - i + 1):
                     raise AssertionError(
                         f"Newton's inequality fails at m_{i}")
+            if r >= 2 and \
+                    m[n] * r ** ((r - 2) * n) < (r - 1) ** ((r - 1) * n):
+                raise AssertionError(
+                    f"m_{n} = {m[n]} is below Schrijver's lower bound")
 
 
 def _left_order(neigh: list[list[int]], nright: int) -> list[int]:
@@ -162,7 +168,7 @@ def match_poly_full(g: BipGraph, cap: int = FULL_POLY_CAP) -> MatchVector:
     """Full matching polynomial m_0..m_n."""
     if g.n > cap:
         raise CapExceededError(f"n={g.n} exceeds full-polynomial cap {cap}")
-    return MatchVector(tuple(frontier_counts(g.adj, g.n)), g.graph_id())
+    return MatchVector(tuple(frontier_counts(g.adj, g.n)))
 
 
 def match_count_upto(g: BipGraph, j_max: int,
@@ -170,7 +176,7 @@ def match_count_upto(g: BipGraph, j_max: int,
     """Counts m_0..m_j_max (zero beyond n)."""
     if j_max > guard:
         raise CapExceededError(f"j_max={j_max} exceeds guard {guard}")
-    return MatchVector(tuple(frontier_counts(g.adj, j_max)), g.graph_id())
+    return MatchVector(tuple(frontier_counts(g.adj, j_max)))
 
 
 def mbar_vector(v: int, j_max: int | None = None) -> MatchVector:
@@ -183,7 +189,7 @@ def mbar_vector(v: int, j_max: int | None = None) -> MatchVector:
         raise ValueError(f"j_max={j_max} exceeds v/2")
     counts = [factorial(v) // (factorial(v - 2 * i) * factorial(i) * 2 ** i)
               for i in range(j_max + 1)]
-    return MatchVector(tuple(counts), f"complete-graph v={v}")
+    return MatchVector(tuple(counts))
 
 
 def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
@@ -209,7 +215,7 @@ def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
         return out
 
     counts = rec(tuple(edges))
-    return MatchVector(tuple(counts), f"bruteforce v={nverts}")
+    return MatchVector(tuple(counts))
 
 
 def complete_graph_edges(v: int) -> list[tuple[int, int]]:

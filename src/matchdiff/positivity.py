@@ -9,6 +9,12 @@ float interval (`_filtered_signs`; the error bound is stated at
 Otherwise the exact test `delta_sign`, integer cross-multiplication of
 binomially exponentiated rho products, decides.  The mpmath intervals of
 `DProfile.d_values` are for display only.
+
+The Monte Carlo moments are exact too, with no rational per sample: every
+graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
+scales alpha_0 by a per-(n, r, i, k) integer D into an integer (see
+`_alpha0_constants`), sums it and its square as integers, and divides by
+D and D^2 once, after the merge.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log
+from math import comb, lcm, log
 
 from .graphs import BipGraph, gen_regular_bipartite
 from .identities import lsplit
@@ -146,7 +152,6 @@ def _iv_prec(prec_bits: int):
 class DProfile:
     """Exact positivity profile of one graph."""
 
-    graph_id: str
     n: int
     rho: list[Rat]
     signs: dict[tuple[int, int], int]  # (i, k) -> sign of Delta^k d(i)
@@ -185,7 +190,7 @@ def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
     """Exact sign table of Delta^k d(i) over the meaningful domain
     i + k <= n (d(i) is only finite for i <= n)."""
     rho = rho_vector(g, mvec)
-    return DProfile(g.graph_id(), g.n, rho, _filtered_signs(rho))
+    return DProfile(g.n, rho, _filtered_signs(rho))
 
 
 def graph_positive(g: BipGraph, mvec: MatchVector | None = None) -> bool:
@@ -240,71 +245,104 @@ def _sample_graph(r: int, n: int, seed: int, index: int) -> BipGraph:
     return gen_regular_bipartite(n, r, derive_seed(seed, index))
 
 
+def _alpha0_constants(r: int, n: int, pairs) -> dict:
+    """Integer constants that give D alpha_0 from the counts of one sample.
+
+    rho_i = m_i K_i, where K_i = (v-1)^i / (mbar_i r^i) is fixed by (n, r).
+    So alpha_0 = x K+ - y K-, where x and y are the products of
+    m_{i+l}^C(k,l) over L+ and L-, and K+ and K- are the same products of
+    K.  With D = lcm(den K+, den K-), c+ = K+ D and c- = K- D are integers
+    and D alpha_0 = x c+ - y c-.  Maps each (i, k) to (plus, minus, c+, c-,
+    D), where plus and minus are the (index, exponent) factors of x and y."""
+    v = 2 * n
+    mbar = mbar_vector(v)
+    out = {}
+    for (i, k) in pairs:
+        sides = []
+        for ells in lsplit(k):
+            factors = tuple((i + ell, comb(k, ell)) for ell in ells)
+            const = Fraction(1)
+            for j, e in factors:
+                const *= Fraction((v - 1) ** j, mbar[j] * r ** j) ** e
+            sides.append((factors, const))
+        (plus, kplus), (minus, kminus) = sides
+        d = lcm(kplus.denominator, kminus.denominator)
+        out[(i, k)] = (plus, minus, kplus.numerator * (d // kplus.denominator),
+                       kminus.numerator * (d // kminus.denominator), d)
+    return out
+
+
+def _scaled_alpha0(m, const) -> int:
+    """D alpha_0 of the sample with counts m, exactly, for one entry of
+    `_alpha0_constants`; its sign is the sign of alpha_0."""
+    plus, minus, cplus, cminus, _ = const
+    x = y = 1
+    for j, e in plus:
+        x *= m[j] ** e
+    for j, e in minus:
+        y *= m[j] ** e
+    return x * cplus - y * cminus
+
+
 def _grid_worker(args):
-    r, n, seed, lo, hi, pairs, full = args
-    sums = {p: Fraction(0) for p in pairs}
-    sqs = {p: Fraction(0) for p in pairs}
-    viol = {p: 0 for p in pairs}
+    """Integer partial sums of D alpha_0 and its square, violation and
+    positive-graph counts over the samples lo..hi-1."""
+    r, n, seed, lo, hi, consts = args
+    sums = dict.fromkeys(consts, 0)
+    sqs = dict.fromkeys(consts, 0)
+    viol = dict.fromkeys(consts, 0)
     pos = 0
     for idx in range(lo, hi):
         g = _sample_graph(r, n, seed, idx)
         mvec = match_poly_full(g)
-        if full:
-            prof = delta_table(g, mvec)
-            rho = prof.rho
-            pos += prof.positive()
-        else:
-            rho = rho_vector(g, mvec)
-        for (i, k) in pairs:
-            a0 = alpha0_exact(rho, i, k)
-            sums[(i, k)] += a0
-            sqs[(i, k)] += a0 * a0
-            if a0 < 0:
-                viol[(i, k)] += 1
+        pos += delta_table(g, mvec).positive()
+        m = mvec.counts
+        for p, const in consts.items():
+            a = _scaled_alpha0(m, const)
+            sums[p] += a
+            sqs[p] += a * a
+            viol[p] += a < 0
     return sums, sqs, viol, pos
 
 
 def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
-                  full_positivity: bool = True,
                   jobs: int = 1) -> dict[tuple[int, int], EnsembleStats]:
     """Shared-sample ensemble statistics for several (i, k) pairs at once.
 
     Per-sample seeds come from a splittable counter scheme, so results are
-    identical for any `jobs`; exact-rational aggregation is associative."""
-    pairs = [p for p in pairs if p[0] + p[1] <= n]
+    identical for any `jobs`.  Workers sum the integers D alpha_0 and
+    (D alpha_0)^2 (see `_alpha0_constants`, computed once per call); the
+    merge adds those integers, and the exact moments come from one
+    division by D and by D^2 at the end."""
     if samples < 1:
         raise ValueError("need samples >= 1")
-    chunks = []
+    consts = _alpha0_constants(
+        r, n, dict.fromkeys(p for p in pairs if p[0] + p[1] <= n))
     if jobs > 1:
         step = max(64, samples // (4 * jobs) + 1)
-        starts = list(range(0, samples, step))
-        for lo in starts:
-            chunks.append((r, n, seed, lo, min(lo + step, samples), pairs,
-                           full_positivity))
-    else:
-        chunks.append((r, n, seed, 0, samples, pairs, full_positivity))
-
-    if jobs > 1:
+        chunks = [(r, n, seed, lo, min(lo + step, samples), consts)
+                  for lo in range(0, samples, step)]
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
             parts = pool.map(_grid_worker, chunks)
     else:
-        parts = [_grid_worker(c) for c in chunks]
+        parts = [_grid_worker((r, n, seed, 0, samples, consts))]
 
-    sums = {p: Fraction(0) for p in pairs}
-    sqs = {p: Fraction(0) for p in pairs}
-    viol = {p: 0 for p in pairs}
+    sums = dict.fromkeys(consts, 0)
+    sqs = dict.fromkeys(consts, 0)
+    viol = dict.fromkeys(consts, 0)
     pos = 0
     for psums, psqs, pviol, ppos in parts:
-        for p in pairs:
+        for p in consts:
             sums[p] += psums[p]
             sqs[p] += psqs[p]
             viol[p] += pviol[p]
         pos += ppos
     out = {}
-    for (i, k) in pairs:
-        mean = sums[(i, k)] / samples
-        beta = sqs[(i, k)] / samples - mean * mean
+    for (i, k), const in consts.items():
+        d = const[-1]
+        mean = Fraction(sums[(i, k)], d * samples)
+        beta = Fraction(sqs[(i, k)], d * d * samples) - mean * mean
         out[(i, k)] = EnsembleStats(
             r=r, n=n, i=i, k=k, samples=samples, seed=seed,
             alpha_hat=mean, beta_hat=beta,

@@ -65,7 +65,22 @@ def test_counters_agree_on_random_graphs():
         bad = list(full.counts)
         bad[3] *= 10 ** 6
         with pytest.raises(AssertionError, match="Newton"):
-            MatchVector(tuple(bad), "tampered").validate_regular(n, r)
+            MatchVector(tuple(bad)).validate_regular(n, r)
+
+
+def test_validate_regular_schrijver_bound():
+    """A full vector whose m_n sits one below Schrijver's lower bound, and
+    that passes every other check, is rejected; at the bound it passes."""
+    for n, r, seed in ((8, 3, 1), (7, 4, 2), (9, 5, 3)):
+        full = list(match_poly_full(gen_regular_bipartite(n, r, seed)).counts)
+        num, den = (r - 1) ** ((r - 1) * n), r ** ((r - 2) * n)
+        least = -(-num // den)  # smallest m_n the bound allows
+        assert 1 < least < full[n]
+        full[n] = least
+        MatchVector(tuple(full)).validate_regular(n, r)
+        full[n] = least - 1
+        with pytest.raises(AssertionError, match="Schrijver"):
+            MatchVector(tuple(full)).validate_regular(n, r)
 
 
 def test_m2_closed_form():

@@ -1,15 +1,26 @@
 """Exact positivity statistics and the Monte Carlo harness."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import matchdiff
 from matchdiff import positivity
-from matchdiff.graphs import BipGraph, gen_regular_bipartite
+from matchdiff.derive import _swap_shuffle
+from matchdiff.graphs import (BipGraph, circulant_bipartite,
+                              gen_regular_bipartite)
+from matchdiff.matchcount import match_poly_full
 from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
-                                  TrendRow, _filtered_signs, _log_enclosure,
-                                  _sample_graph, alpha0_exact, delta_sign,
+                                  TrendRow, _alpha0_constants,
+                                  _filtered_signs, _log_enclosure,
+                                  _sample_graph, _scaled_alpha0,
+                                  alpha0_exact, delta_sign,
                                   delta_table, ensemble_grid, ensemble_run,
                                   graph_positive, rho_vector, trend_report)
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
@@ -228,9 +239,76 @@ def test_ensemble_single_sample():
 
 
 def test_ensemble_parallel_agrees_with_serial():
-    a = ensemble_grid(3, 7, 40, [(1, 1), (2, 2)], seed=5, jobs=1)
-    b = ensemble_grid(3, 7, 40, [(1, 1), (2, 2)], seed=5, jobs=2)
+    # jobs=2 cuts 130 samples into chunks of max(64, 130 // 8 + 1) = 64,
+    # so three partials are merged
+    pairs = [(1, 1), (2, 2), (0, 3), (3, 2), (2, 4)]
+    a = ensemble_grid(3, 7, 130, pairs, seed=5, jobs=1)
+    b = ensemble_grid(3, 7, 130, pairs, seed=5, jobs=2)
     assert a == b
+
+
+def test_ensemble_grid_counts_a_repeated_pair_once():
+    one = ensemble_grid(3, 8, 20, [(2, 1)], seed=3)
+    assert ensemble_grid(3, 8, 20, [(2, 1), (2, 1)], seed=3) == one
+
+
+def _integer_alpha0_errors(g, consts):
+    """(i, k) pairs where the integer D alpha_0 of `_scaled_alpha0`
+    disagrees with D `alpha0_exact` or its sign with `delta_sign`."""
+    mvec = match_poly_full(g)
+    rho = rho_vector(g, mvec)
+    errors = []
+    for (i, k), const in consts.items():
+        a = _scaled_alpha0(mvec.counts, const)
+        if a != const[-1] * alpha0_exact(rho, i, k) or \
+                (a > 0) - (a < 0) != delta_sign(rho, i, k):
+            errors.append((i, k))
+    return errors
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([3, 4, 5]), n=st.integers(3, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_integer_alpha0_equals_exact(r, n, seed):
+    n = max(n, r)
+    # seeded 2-edge swaps of a circulant: the permutation model takes about
+    # a second per graph at r=5
+    g = _swap_shuffle(circulant_bipartite(n, range(r)), seed)
+    pairs = [(i, k) for k in range(n + 1) for i in range(n - k + 1)]
+    assert _integer_alpha0_errors(g, _alpha0_constants(r, n, pairs)) == []
+
+
+def test_integer_alpha0_check_catches_swapped_constants():
+    g = gen_regular_bipartite(8, 3, 4)
+    pairs = [(i, k) for k in range(9) for i in range(9 - k)]
+    consts = _alpha0_constants(3, 8, pairs)
+    swapped = {p: (plus, minus, cminus, cplus, d)
+               for p, (plus, minus, cplus, cminus, d) in consts.items()}
+    assert _integer_alpha0_errors(g, swapped)
+
+
+def test_ensemble_grid_computes_no_graph_ids(monkeypatch):
+    def refuse(self):
+        raise AssertionError("graph_id called on the sampling path")
+
+    monkeypatch.setattr(BipGraph, "graph_id", refuse)
+    assert ensemble_grid(3, 6, 5, [(1, 1), (2, 2)], seed=1)
+
+
+def test_trend_report_does_not_load_hashlib():
+    """hashlib loads OpenSSL (megabytes of resident memory); the Monte
+    Carlo path has no use for it."""
+    src = os.path.dirname(os.path.dirname(matchdiff.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from matchdiff.positivity import trend_report\n"
+            "trend_report(3, [6, 8], 5, [(1, 1), (2, 2)], seed=1).csv()\n"
+            "print('hashlib' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_trend_report_structure():
