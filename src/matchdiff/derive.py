@@ -93,12 +93,18 @@ class _CountCache:
 
 
 def count_mj(g: BipGraph, j: int, cache: _CountCache | None = None) -> int:
+    """m_j of g, from the cache or freshly counted.  A fresh count vector
+    must pass `MatchVector.validate_regular` (the m_0/m_1/m_2 closed forms
+    and, on a full vector, Newton's inequalities and Schrijver's bound)
+    before m_j enters the cache; a failing one raises AssertionError."""
     gid = g.graph_id()
     if cache is not None:
         hit = cache.get(gid, j)
         if hit is not None:
             return hit
-    m = match_count_upto(g, j, guard=j).counts[j]
+    mvec = match_count_upto(g, j, guard=j)
+    mvec.validate_regular(g.n, g.r)
+    m = mvec.counts[j]
     if cache is not None:
         cache.put(gid, j, m)
     return m

@@ -10,6 +10,15 @@ All arithmetic is exact; floating point never enters this module.  RLaurent
 results that provably stay in their window (sums, negation, scalar
 multiples) skip the window check; products are always checked.
 
+Every product of JPolys -- `JPoly * JPoly` and each 1/n coefficient of
+`NSeries.mul_capped` -- is one fused convolution (`_convolve`).  It runs
+over the (1/n, j, r) exponents of every kept pair of terms, multiplies each
+pair of rational coefficients once and adds the result into a flat
+accumulator keyed by 1/n exponent, then j-power, then r-exponent.  Each
+result RLaurent and JPoly is built once, at the end, without the values
+that cancelled.  No RLaurent is built per term; the window test still
+runs on every product term, against the window of the pair it came from.
+
 Nothing here is cached.  The series built from a coefficient table (H, F
 and the extended-expansion base) are memoized by the ATable instance that
 holds the table, keyed on (kind, h_max, at_r) and the table entries read;
@@ -19,6 +28,7 @@ see `atable.ATable._memo_series`.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 Rat = Fraction
 
@@ -207,6 +217,82 @@ def _as_rlaurent(x, window) -> RLaurent:
     return RLaurent.const(x, window)
 
 
+def _with_zero(x: RLaurent) -> RLaurent:
+    """x + RLaurent.zero(): the same values, window joined with (0, 0)."""
+    if x.lo <= 0 <= x.hi:
+        return x
+    return RLaurent._trusted(x.c, min(x.lo, 0), max(x.hi, 0))
+
+
+def _convolve(pairs) -> dict:
+    """{key: sum of p1 * p2 over the (key, p1, p2) in `pairs`} for JPolys.
+
+    The one home of the JPoly product rule.  For each pair of j-powers and
+    each pair of r-exponents it does one Fraction product and adds it into
+    the accumulator of its key, j-power and r-exponent.  Every product term
+    must lie in the window of its coefficient pair (the join of the two
+    windows); the first one that does not makes the checked RLaurent
+    product of that pair raise its WindowOverflowError.
+
+    The result is what summing the pair products in order gives, window for
+    window: a coefficient's window is (0, 0) joined with the windows of its
+    contributing coefficient pairs, a JPoly's bound is None if any pair has
+    an unbounded factor and else the largest bound sum, and after each pair
+    the top j-coefficients that cancelled to zero are dropped (so a later
+    pair reaching that j-power starts it again from window (0, 0))."""
+    acc: dict = {}
+    for key, p1, p2 in pairs:
+        bound = p1._merge_bound(p2, add)
+        slot = acc.get(key)
+        if slot is None:
+            cols: list[dict[int, Rat]] = []
+            los: list[int] = []
+            his: list[int] = []
+            acc[key] = [cols, los, his, bound]
+        else:
+            cols, los, his, prev = slot
+            slot[3] = None if prev is None or bound is None \
+                else max(prev, bound)
+        b = p2.c
+        for _ in range(len(cols), len(p1.c) + len(b) - 1):
+            cols.append({})
+            los.append(0)
+            his.append(0)
+        for i, x in enumerate(p1.c):
+            xc = x.c.items()
+            xlo, xhi = x.lo, x.hi
+            for m, y in enumerate(b, i):
+                lo = xlo if xlo < y.lo else y.lo
+                hi = xhi if xhi > y.hi else y.hi
+                if lo < los[m]:
+                    los[m] = lo
+                if hi > his[m]:
+                    his[m] = hi
+                col = cols[m]
+                yc = y.c.items()
+                for e1, v1 in xc:
+                    for e2, v2 in yc:
+                        e = e1 + e2
+                        if e < lo or e > hi:
+                            # the checked product raises first, naming its
+                            # first nonzero stray exponent as it always did
+                            x * y
+                            raise WindowOverflowError(
+                                f"r-exponent {e} outside window [{lo}, {hi}]")
+                        if e in col:
+                            col[e] += v1 * v2
+                        else:
+                            col[e] = v1 * v2
+        while cols and not any(cols[-1].values()):
+            cols.pop()
+            los.pop()
+            his.pop()
+    return {key: JPoly._trusted(
+                [RLaurent._trusted({e: v for e, v in col.items() if v}, lo, hi)
+                 for col, lo, hi in zip(cols, los, his)], bound)
+            for key, (cols, los, his, bound) in acc.items()}
+
+
 class DegreeBoundError(ValueError):
     """A JPoly exceeded its declared degree bound."""
 
@@ -225,6 +311,19 @@ class JPoly:
                 f"degree {len(c) - 1} exceeds bound {bound}")
         self.c = tuple(c)
         self.bound = bound
+
+    @classmethod
+    def _trusted(cls, c: list[RLaurent], bound: int | None) -> "JPoly":
+        """Wrap RLaurent coefficients as is, dropping trailing zeros.
+
+        Only for results whose degree provably stays within `bound` (sums,
+        negation, scalar multiples and products of checked operands)."""
+        while c and not c[-1].c:
+            c.pop()
+        self = object.__new__(cls)
+        self.c = tuple(c)
+        self.bound = bound
+        return self
 
     @classmethod
     def zero(cls) -> "JPoly":
@@ -259,16 +358,15 @@ class JPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
             other = JPoly.const(other)
-        n = max(len(self.c), len(other.c))
-        c = [(self.c[i] if i < len(self.c) else RLaurent.zero())
-             + (other.c[i] if i < len(other.c) else RLaurent.zero())
-             for i in range(n)]
-        return JPoly(c, self._merge_bound(other, max))
+        c = [x + y for x, y in zip(self.c, other.c)]
+        longer = self.c if len(self.c) > len(other.c) else other.c
+        c.extend(_with_zero(x) for x in longer[len(c):])
+        return JPoly._trusted(c, self._merge_bound(other, max))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JPoly([-x for x in self.c], self.bound)
+        return JPoly._trusted([-x for x in self.c], self.bound)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
@@ -280,13 +378,8 @@ class JPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
-            return JPoly([x * other for x in self.c], self.bound)
-        c = [RLaurent.zero() for _ in range(len(self.c) + len(other.c) - 1)] \
-            if self.c and other.c else []
-        for i, a in enumerate(self.c):
-            for k, b in enumerate(other.c):
-                c[i + k] = c[i + k] + a * b
-        return JPoly(c, self._merge_bound(other, lambda x, y: x + y))
+            return JPoly._trusted([x * other for x in self.c], self.bound)
+        return _convolve(((0, self, other),))[0]
 
     __rmul__ = __mul__
 
@@ -468,14 +561,9 @@ class NSeries:
         if self.c:
             cands.append(other.order + min(self.c))
         order = min(min(cands), cap, EXACT_ORDER)
-        c: dict[int, JPoly] = {}
-        for h1, p1 in self.c.items():
-            for h2, p2 in other.c.items():
-                h = h1 + h2
-                if h > order:
-                    continue
-                prod = p1 * p2
-                c[h] = c[h] + prod if h in c else prod
+        c = _convolve((h1 + h2, p1, p2)
+                      for h1, p1 in self.c.items()
+                      for h2, p2 in other.c.items() if h1 + h2 <= order)
         return NSeries(c, order, self._join_window(other))
 
     def pow_int(self, e: int) -> "NSeries":

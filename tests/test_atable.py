@@ -8,16 +8,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from matchdiff import derive
 from matchdiff.atable import (ATable, ATableError, ConjectureSpec, FitError,
                               QualificationError, a1_builtin,
                               build_F_conjecture, build_H, derive_M_pointwise,
                               export_atable, fit_atable, import_atable,
                               root_product)
-from matchdiff.derive import (_CountCache, derive_with_invariance,
+from matchdiff.derive import (_CountCache, count_mj, derive_with_invariance,
                               qualified_family)
 from matchdiff.graphs import incidence_pg, random_lift
 from matchdiff.identities import build_F
-from matchdiff.matchcount import match_count_upto
+from matchdiff.matchcount import MatchVector, match_count_upto
 from matchdiff.series import (InconsistentSystemError, JPoly, NSeries,
                               RLaurent)
 
@@ -159,6 +160,29 @@ def test_count_cache_rejects_corrupt_line(tmp_path):
     path.write_text('{"g": "bg-a", "j": 2, "m": 1\n')
     with pytest.raises(ValueError):
         _CountCache(str(tmp_path))
+
+
+def test_count_mj_validates_fresh_counts(tmp_path, monkeypatch):
+    """A freshly counted vector that breaks the m_2 closed form raises, and
+    its m_j never reaches the cache."""
+    hw = incidence_pg(2)
+    cache = _CountCache(str(tmp_path))
+    assert count_mj(hw, 2, cache) == 21 * 20 // 2 - 2 * 7 * 3
+    path = tmp_path / "counts.jsonl"
+    before = path.read_text()
+    assert before.count("\n") == 1
+    counter = derive.match_count_upto
+
+    def bad_m2(g, j, guard):
+        counts = list(counter(g, j, guard).counts)
+        counts[2] += 1
+        return MatchVector(tuple(counts))
+
+    monkeypatch.setattr(derive, "match_count_upto", bad_m2)
+    with pytest.raises(AssertionError, match="m_2"):
+        count_mj(hw, 3, cache)
+    assert path.read_text() == before
+    assert cache.get(hw.graph_id(), 3) is None
 
 
 def test_lift_spec_builds():

@@ -121,11 +121,11 @@ def test_caps():
 
 
 @st.composite
-def bipartite_graphs(draw):
-    """Arbitrary bipartite graphs with at most 5 vertices per side:
+def bipartite_graphs(draw, max_side=5):
+    """Arbitrary bipartite graphs with at most `max_side` vertices per side:
     any degrees, isolated vertices included."""
-    nl = draw(st.integers(0, 5))
-    nr = draw(st.integers(0, 5))
+    nl = draw(st.integers(0, max_side))
+    nr = draw(st.integers(0, max_side))
     edges = draw(st.sets(st.tuples(st.integers(0, nl - 1),
                                    st.integers(0, nr - 1)))
                  if nl and nr else st.just(set()))
@@ -167,6 +167,18 @@ def test_frontier_matches_oracles(graph, j_max):
             mp.setattr(matchcount, "FRONTIER_STATE_BUDGET", 0)
             with pytest.raises(CapExceededError):
                 frontier_counts(neigh, j_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartite_graphs(max_side=8), st.integers(0, 8), st.data())
+def test_frontier_counts_ignore_labels(graph, j_max, data):
+    """Permuting the left vertices and relabelling the right ones changes
+    the processing order and the state masks, never the counts."""
+    nl, nr, neigh, _ = graph
+    left = data.draw(st.permutations(range(nl)))
+    right = data.draw(st.permutations(range(nr)))
+    relabelled = [[right[v] for v in neigh[u]] for u in left]
+    assert frontier_counts(relabelled, j_max) == frontier_counts(neigh, j_max)
 
 
 def test_kernel_overflow_detected():

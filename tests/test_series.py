@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchdiff.atable import a1_builtin
-from matchdiff.series import (ImproperSeriesError, JPoly, NSeries, RLaurent,
-                              TruncationError, WindowOverflowError,
-                              solve_overdetermined_exact)
+from matchdiff.series import (EXACT_ORDER, ImproperSeriesError, JPoly,
+                              NSeries, RLaurent, TruncationError,
+                              WindowOverflowError, solve_overdetermined_exact)
 
 W = (-2, 2)
 # wide enough that triple products of window-(-2,2) exponents still fit
@@ -350,3 +350,187 @@ def test_singular_square_system_raises():
                                    [F(1), F(2)])
     assert solve_overdetermined_exact([[F(1), F(1)], [F(1), F(-1)]],
                                       [F(3), F(1)]) == [F(2), F(1)]
+
+
+# -- the fused product against the per-pair product it replaced -----------------
+#
+# `reference_jpoly_add`, `reference_jpoly_mul` and `reference_mul_capped` are
+# JPoly.__add__, JPoly.__mul__ and NSeries.mul_capped as they were before the
+# product became one convolution: one checked RLaurent product per pair of
+# j-coefficients, summed through RLaurent and JPoly additions.
+
+
+def reference_jpoly_add(p, q):
+    n = max(len(p.c), len(q.c))
+    c = [(p.c[i] if i < len(p.c) else RLaurent.zero())
+         + (q.c[i] if i < len(q.c) else RLaurent.zero())
+         for i in range(n)]
+    return JPoly(c, p._merge_bound(q, max))
+
+
+def reference_jpoly_mul(p, q):
+    c = [RLaurent.zero() for _ in range(len(p.c) + len(q.c) - 1)] \
+        if p.c and q.c else []
+    for i, a in enumerate(p.c):
+        for k, b in enumerate(q.c):
+            c[i + k] = c[i + k] + a * b
+    return JPoly(c, p._merge_bound(q, lambda x, y: x + y))
+
+
+def reference_mul_capped(a, b, cap):
+    cands = [max(a.order, b.order)]
+    if b.c:
+        cands.append(a.order + min(b.c))
+    if a.c:
+        cands.append(b.order + min(a.c))
+    order = min(min(cands), cap, EXACT_ORDER)
+    c = {}
+    for h1, p1 in a.c.items():
+        for h2, p2 in b.c.items():
+            h = h1 + h2
+            if h > order:
+                continue
+            prod = reference_jpoly_mul(p1, p2)
+            c[h] = reference_jpoly_add(c[h], prod) if h in c else prod
+    return NSeries(c, order, a._join_window(b))
+
+
+def outcome(f, *args):
+    """('ok', value) or ('overflow', message)."""
+    try:
+        return "ok", f(*args)
+    except WindowOverflowError as exc:
+        return "overflow", str(exc)
+
+
+def assert_same_jpoly(got, want):
+    assert got.bound == want.bound
+    assert len(got.c) == len(want.c)
+    for x, y in zip(got.c, want.c):
+        assert x.c == y.c
+        assert x.window == y.window
+        assert_well_formed(x)
+    assert not got.c or got.c[-1].c
+
+
+def assert_same_nseries(got, want):
+    assert (got.order, got.window) == (want.order, want.window)
+    assert list(got.c) == list(want.c)
+    for h in want.c:
+        assert_same_jpoly(got.c[h], want.c[h])
+
+
+# few distinct values, so that sums of products cancel now and then
+small_values = st.sampled_from([F(1), F(-1), F(2), F(-1, 2)])
+
+
+@st.composite
+def symbolic_rlaurents(draw, min_size=0):
+    """Windows like (-3, 0), sometimes not containing 0; exponents up to
+    the window's edges, so that products often leave it."""
+    lo = draw(st.integers(-3, 1))
+    hi = draw(st.integers(max(lo, -1), 2))
+    coeffs = draw(st.dictionaries(st.integers(lo, hi), small_values,
+                                  min_size=min_size, max_size=2))
+    return RLaurent(coeffs, (lo, hi))
+
+
+@st.composite
+def bounded_jpolys(draw):
+    """Nonzero JPolys of degree <= 2 (zero coefficients inside), with a
+    degree bound or None."""
+    deg = draw(st.integers(0, 2))
+    c = [draw(symbolic_rlaurents()) for _ in range(deg)]
+    c.append(draw(symbolic_rlaurents(min_size=1)))
+    slack = draw(st.integers(-1, 2))  # -1: no bound
+    return JPoly(c, None if slack < 0 else deg + slack)
+
+
+@st.composite
+def symbolic_nseries(draw):
+    order = draw(st.integers(0, 4))
+    hs = draw(st.lists(st.integers(-2, order), min_size=1, max_size=4,
+                       unique=True))
+    window = (draw(st.integers(-3, 0)), draw(st.integers(0, 2)))
+    return NSeries({h: draw(bounded_jpolys()) for h in hs}, order, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbolic_nseries(), symbolic_nseries(), st.integers(-3, 6))
+def test_fused_product_equals_per_pair_product(a, b, cap):
+    want = outcome(reference_mul_capped, a, b, cap)
+    got = outcome(a.mul_capped, b, cap)
+    assert got[0] == want[0]
+    if want[0] == "overflow":
+        assert got[1] == want[1]
+    else:
+        assert_same_nseries(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_jpolys(), bounded_jpolys())
+def test_fused_jpoly_ops_equal_per_pair_ops(p, q):
+    assert_same_jpoly(p + q, reference_jpoly_add(p, q))
+    want = outcome(reference_jpoly_mul, p, q)
+    got = outcome(JPoly.__mul__, p, q)
+    assert got[0] == want[0]
+    if want[0] == "overflow":
+        assert got[1] == want[1]
+    else:
+        assert_same_jpoly(got[1], want[1])
+
+
+def test_fused_product_fixed_cases():
+    """Cases the random ones may miss: an overflow that a sum would hide,
+    and a top j-coefficient that cancels before a later pair reaches it
+    again (its window then restarts at (0, 0), as a JPoly sum did)."""
+    tight = JPoly([RLaurent({-2: F(1)}, (-2, 0))])
+    x = NSeries({1: tight, 2: -tight}, 4, (-2, 0))
+    for s in (x, NSeries({1: tight}, 4, (-2, 0))):
+        with pytest.raises(WindowOverflowError, match="r-exponent -4"):
+            s * s
+    # (r + r^2)(r^2 - r) = r^4 - r^2: the first stray term, r^3, cancels,
+    # and the error names r^4 as the per-pair product did
+    p = JPoly([RLaurent({1: F(1), 2: F(1)}, (0, 2))])
+    q = JPoly([RLaurent({2: F(1), 1: F(-1)}, (0, 2))])
+    assert outcome(JPoly.__mul__, p, q) == outcome(reference_jpoly_mul, p, q) \
+        == ("overflow", "r-exponent 4 outside window [0, 2]")
+
+    # at 1/n the pairs (0, 1), (1, 0), (2, -1) give [1, u] + [1, -u] + [1, 1]
+    u = RLaurent.const(1, (-3, 0))
+    one = RLaurent.const(1)
+    a = NSeries({0: JPoly([one]), 1: JPoly([one, -u]), 2: JPoly([one])},
+                3, (-3, 0))
+    b = NSeries({1: JPoly([one, u]), 0: JPoly([one]), -1: JPoly([one, one])},
+                3, (-3, 0))
+    got, want = a.mul_capped(b, 3), reference_mul_capped(a, b, 3)
+    assert_same_nseries(got, want)
+    assert got.c[1] == JPoly([F(3), F(1)])
+    assert got.c[1].c[1].window == (0, 0)
+
+
+def _symbolic_series(order=4):
+    """1 + a_1/n + (a_1^2 - j)/n^2 at window (-4, 0): several terms, each
+    with several r-exponents."""
+    w = (-4, 0)
+    a1 = a1_builtin().map_coeffs(lambda c: c.with_window(w))
+    j = JPoly.monomial(1, 1, w)
+    return NSeries({0: JPoly.const(1, w), 1: a1,
+                    2: reference_jpoly_mul(a1, a1) - j}, order, w)
+
+
+def test_fused_product_builds_no_rlaurent_per_term(monkeypatch):
+    """No RLaurent product and no checked RLaurent is built on the way:
+    the per-pair path must not come back."""
+    a = _symbolic_series()
+    b = a.shift_j(1)
+    want = reference_mul_capped(a, b, 4)
+    want_jpoly = reference_jpoly_mul(a.c[1], b.c[2])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-term RLaurent built")
+
+    monkeypatch.setattr(RLaurent, "__mul__", refuse)
+    monkeypatch.setattr(RLaurent, "__init__", refuse)
+    assert_same_nseries(a.mul_capped(b, 4), want)
+    assert_same_jpoly(a.c[1] * b.c[2], want_jpoly)
