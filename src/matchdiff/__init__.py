@@ -1,7 +1,7 @@
 """Exact-arithmetic workbench for matching-count identities and positivity
 statistics of random regular bipartite graphs."""
 
-from ._backend import BACKEND as KERNEL_BACKEND
+from ._kernels_py import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
 

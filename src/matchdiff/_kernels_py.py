@@ -1,11 +1,13 @@
 """Pure-Python kernels with the signatures of the compiled `_kernels`.
 
-`cycle_census_counts` is the census kernel when `_backend` finds no
-extension.  The matching-count kernels here, the subset DP and the
-ordered-edge DFS, are no longer on any counting path: they are the
-independent oracles that tests check `matchcount.frontier_counts`
-against, and the pure side of the compiled-versus-pure benchmark.
-Counts are Python ints, so there is no overflow to detect.
+`cycle_census_counts` is the package's one cycle-census kernel, called by
+`graphs.cycle_census`.  The matching-count kernels here, the subset DP
+and the ordered-edge DFS, are no longer on any counting path: they are
+the independent oracles that tests check `matchcount.frontier_counts`
+against.  All three, and `BACKEND`, are the pure side of perfbench's
+comparison with `_kernels.c`, which perfbench compiles out of tree; the
+package itself never builds or imports that extension.  Counts are
+Python ints, so there is no overflow to detect.
 """
 
 from __future__ import annotations

@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--r", default="3,4,5")
     p.add_argument("--strict-girth", action="store_true")
-    p.add_argument("--suite", default="core")
+    p.add_argument("--suite", default="core", choices=("core",))
     p.add_argument("--id", default=None)
     p.add_argument("--k", default=None)
     p.add_argument("--i", default=None)

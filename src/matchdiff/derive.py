@@ -16,7 +16,8 @@ from .atable import (ATable, QualificationError, a1_builtin,
                      derive_M_pointwise, fit_atable)
 from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
-                     girth_search, incidence_pg, is_prime, random_lift)
+                     girth_search, incidence_pg, is_prime, propose_swap,
+                     random_lift)
 from .matchcount import match_count_upto
 from .rng import derive_seed
 from .series import Rat
@@ -134,7 +135,6 @@ def _swap_shuffle(g: BipGraph, seed: int, sweeps: int = 10) -> BipGraph:
     """Randomize a graph by valid 2-edge swaps (simplicity preserved)."""
     from .rng import Rng
 
-    n, r = g.n, g.r
     rows = [set(row) for row in g.adj]
     rng = Rng(seed)
     wanted = sweeps * g.nedges
@@ -142,17 +142,14 @@ def _swap_shuffle(g: BipGraph, seed: int, sweeps: int = 10) -> BipGraph:
     for _ in range(50 * wanted):
         if done >= wanted:
             break
-        u1, u2 = rng.randrange(n), rng.randrange(n)
-        if u1 == u2:
+        swap = propose_swap(rows, g.r, rng)
+        if swap is None:
             continue
-        v1 = sorted(rows[u1])[rng.randrange(r)]
-        v2 = sorted(rows[u2])[rng.randrange(r)]
-        if v1 == v2 or v2 in rows[u1] or v1 in rows[u2]:
-            continue
+        u1, v1, u2, v2 = swap
         rows[u1].discard(v1); rows[u2].discard(v2)
         rows[u1].add(v2); rows[u2].add(v1)
         done += 1
-    return BipGraph(n, r, [sorted(row) for row in rows])
+    return BipGraph(g.n, g.r, [sorted(row) for row in rows])
 
 
 def _random_style_graph(r: int, n: int, min_girth: int, seed: int) -> BipGraph:

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 
-from . import _backend
+from ._kernels_py import cycle_census_counts
 from .rng import (GOLDEN, GOLDEN_INV, MASK, MIX1, MIX2, Rng, derive_seed,
                   range_limit, unmix64)
 
@@ -29,7 +29,7 @@ class GenerationBudgetError(RuntimeError):
 class BipGraph:
     """Immutable r-regular bipartite graph with n vertices per side."""
 
-    __slots__ = ("n", "r", "adj", "_radj")
+    __slots__ = ("n", "r", "adj")
 
     def __init__(self, n: int, r: int, adj):
         adj = tuple(tuple(sorted(row)) for row in adj)
@@ -51,7 +51,6 @@ class BipGraph:
         self.n = n
         self.r = r
         self.adj = adj
-        self._radj = None
 
     @property
     def nedges(self) -> int:
@@ -59,15 +58,6 @@ class BipGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u]]
-
-    def right_adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._radj is None:
-            rows = [[] for _ in range(self.n)]
-            for u in range(self.n):
-                for v in self.adj[u]:
-                    rows[v].append(u)
-            self._radj = tuple(tuple(sorted(row)) for row in rows)
-        return self._radj
 
     def global_adj(self) -> list[list[int]]:
         """Adjacency over vertices 0..2n-1 (right vertex v is n + v)."""
@@ -277,7 +267,7 @@ def cycle_census(g: BipGraph, s_max: int) -> dict[int, int]:
     """Exact counts of s-cycles for even s <= s_max (cost guard s_max <= 12)."""
     if s_max > 12:
         raise ValueError("cycle census capped at s_max = 12")
-    raw = _backend.cycle_census_counts(g.global_adj(), s_max)
+    raw = cycle_census_counts(g.global_adj(), s_max)
     return {s: c for s, c in raw.items() if s % 2 == 0}
 
 
@@ -382,6 +372,25 @@ def find_circulant(n: int, r: int, min_girth: int,
     return None
 
 
+def propose_swap(rows: list[set[int]], r: int,
+                 rng: Rng) -> tuple[int, int, int, int] | None:
+    """One 2-edge swap proposal on the left rows `rows` (sets of r right
+    neighbours): draw u1, then u2, then a neighbour of each from its sorted
+    row.  Returns (u1, v1, u2, v2) when trading the edges (u1, v1), (u2, v2)
+    for (u1, v2), (u2, v1) keeps the graph simple, else None; rows are not
+    changed."""
+    n = len(rows)
+    u1 = rng.randrange(n)
+    u2 = rng.randrange(n)
+    if u1 == u2:
+        return None
+    v1 = sorted(rows[u1])[rng.randrange(r)]
+    v2 = sorted(rows[u2])[rng.randrange(r)]
+    if v1 == v2 or v2 in rows[u1] or v1 in rows[u2]:
+        return None
+    return u1, v1, u2, v2
+
+
 def _edge_cycle_score(gadj, a, b, s_max, weights, skip=None) -> int:
     """Weighted count of cycles of length <= s_max through edge (a, b) in
     the global adjacency `gadj`, optionally ignoring the edge `skip`.
@@ -462,14 +471,10 @@ def girth_search(n: int, r: int, target_girth: int, seed: int,
         for _ in range(budget // restarts):
             if cur_score == 0:
                 break
-            u1 = rng.randrange(n)
-            u2 = rng.randrange(n)
-            if u1 == u2:
+            swap = propose_swap(rows, r, rng)
+            if swap is None:
                 continue
-            v1 = sorted(rows[u1])[rng.randrange(r)]
-            v2 = sorted(rows[u2])[rng.randrange(r)]
-            if v1 == v2 or v2 in rows[u1] or v1 in rows[u2]:
-                continue
+            u1, v1, u2, v2 = swap
             old = _pair_cycle_score(gadj, (u1, n + v1), (u2, n + v2),
                                     s_max, weights)
             apply_swap(u1, v1, u2, v2)

@@ -6,8 +6,7 @@ polynomial and the fixed-size counts m_0..m_j: a path-decomposition
 Besides it stand the closed form for complete graphs and a
 deletion-contraction brute force; the subset DP and the ordered-edge DFS
 in `_kernels_py` are kept as independent test oracles.  The kernel is pure
-Python on arbitrary-precision ints, so the kernel backend plays no part
-here.
+Python on arbitrary-precision ints.
 """
 
 from __future__ import annotations

@@ -167,10 +167,6 @@ class RLaurent:
 
     __rmul__ = __mul__
 
-    def shift(self, rpow: int) -> "RLaurent":
-        """Multiply by r**rpow (window must already cover the result)."""
-        return RLaurent({e + rpow: v for e, v in self.c.items()}, self.window)
-
     def eval(self, r0) -> Rat:
         r0 = Fraction(r0)
         if r0 == 0 and any(e < 0 for e in self.c):

@@ -63,6 +63,12 @@ def test_verify_unknown_id(env_cache, capsys):
     assert code == 2
 
 
+def test_verify_unknown_suite(env_cache, capsys):
+    code, out, err = run(capsys, "verify", "--suite", "nonsense")
+    assert code == 2
+    assert out == "" and "invalid choice" in err
+
+
 def test_verify_missing_table_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MATCHDIFF_CACHE", str(tmp_path))
     code, _, err = run(capsys, "verify")

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchdiff
-from matchdiff import graphs
+from matchdiff import _kernels_py, graphs
+from matchdiff.derive import _swap_shuffle
 from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               builtin_graph, circulant_bipartite,
                               cycle_census, find_circulant,
@@ -202,6 +203,23 @@ def test_cycle_census_fixtures():
     hw = incidence_pg(2)
     assert cycle_census(hw, 4) == {4: 0}
     assert brute_force_4cycles(hw) == 0
+    # known cycle counts of the girth-6 and girth-8 cages
+    assert cycle_census(builtin_graph("heawood"), 12) == {
+        4: 0, 6: 28, 8: 21, 10: 84, 12: 56}
+    assert cycle_census(builtin_graph("tutte_coxeter"), 10) == {
+        4: 0, 6: 0, 8: 90, 10: 72}
+
+
+def test_kernel_benchmark_contract():
+    """perfbench compiles the shipped `_kernels.c` out of tree and times it
+    against these pure kernels, reporting `KERNEL_BACKEND` as the backend
+    its recorded numbers belong to."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert os.path.isfile(os.path.join(root, "src", "matchdiff", "_kernels.c"))
+    for name in ("match_poly_counts", "match_upto_counts",
+                 "cycle_census_counts"):
+        assert callable(getattr(_kernels_py, name))
+    assert _kernels_py.BACKEND == matchdiff.KERNEL_BACKEND == "pure-python"
 
 
 def test_cycle_census_matches_bruteforce_on_random_graphs():
@@ -292,8 +310,20 @@ def test_girth_search_targets():
     assert girth(g4) >= 4
     g6 = girth_search(7, 3, 6, seed=1)
     assert g6.n == 7 and girth(g6) >= 6
+    # no circulant reaches girth 8 at n=15, so this runs the hill climb
+    assert find_circulant(15, 3, 8) is None
     g8 = girth_search(15, 3, 8, seed=7)
     assert g8.n == 15 and girth(g8) >= 8
+    assert g8.graph_id() == "bg-15x3-fa1450d7411c9e5f"
+
+
+def test_swap_shuffle_ids_pinned():
+    """`derive._swap_shuffle` draws its 2-edge swaps through
+    `propose_swap`, as the girth search's hill climb does."""
+    assert _swap_shuffle(circulant_bipartite(9, range(4)),
+                         5).graph_id() == "bg-9x4-970940135bcd2e25"
+    assert _swap_shuffle(find_circulant(20, 7, 4, seed=3),
+                         11).graph_id() == "bg-20x7-8114da482054b61f"
 
 
 def test_save_load_roundtrip(tmp_path):
