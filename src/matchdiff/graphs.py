@@ -69,12 +69,6 @@ class BipGraph:
                 rows[n + v].append(u)
         return [sorted(row) for row in rows]
 
-    def relabel(self, left_perm: list[int], right_perm: list[int]) -> "BipGraph":
-        rows = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            rows[left_perm[u]] = [right_perm[v] for v in self.adj[u]]
-        return BipGraph(self.n, self.r, rows)
-
     def graph_id(self) -> str:
         # imported here: hashlib loads OpenSSL, and only derive's family
         # records need ids, not the Monte Carlo path
@@ -300,23 +294,6 @@ def incidence_pg(q: int) -> BipGraph:
     return BipGraph(n, q + 1, rows)
 
 
-class LiftSpec:
-    """Recipe for a random lift: base graph, fiber size, permutation seed.
-
-    The resulting graph has k*n vertices per side, the base degree, and
-    girth at least the base girth."""
-
-    __slots__ = ("base", "k", "seed")
-
-    def __init__(self, base: BipGraph, k: int, seed: int):
-        self.base = base
-        self.k = k
-        self.seed = seed
-
-    def build(self) -> BipGraph:
-        return random_lift(self.base, self.k, self.seed)
-
-
 def random_lift(g: BipGraph, k: int, seed: int) -> BipGraph:
     """Random degree-k lift: each base edge becomes a permutation matching
     between the fibers.  Regularity and bipartiteness are preserved, and the
@@ -493,11 +470,6 @@ def girth_search(n: int, r: int, target_girth: int, seed: int,
         f"budget={budget})")
 
 
-def save_graph(g: BipGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(g.to_text())
-
-
 def parse_graph(text: str) -> BipGraph:
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
@@ -521,11 +493,6 @@ def parse_graph(text: str) -> BipGraph:
             raise GraphError(f"edge ({u}, {v}) out of range")
         rows[u].append(v)
     return BipGraph(n, r, rows)
-
-
-def load_graph(path) -> BipGraph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
 
 
 def builtin_graph(name: str) -> BipGraph:

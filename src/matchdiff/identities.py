@@ -184,12 +184,7 @@ def check_first_identity(table: ATable, i: int, k: int,
     order = k - 1
     total = RLaurent.zero()
     for ell in range(k + 1):
-        u = _f_point(table, i + ell, order, at_r) - 1
-        inner = NSeries.zero(order, u.window)
-        power = NSeries.one(order, u.window)
-        for m in range(1, k):
-            power = power.mul_capped(u, order)
-            inner = inner + power * Fraction((-1) ** (m + 1), m)
+        inner = (_f_point(table, i + ell, order, at_r) - 1).ln1p()
         total = total + inner.coeff(0, order) * Fraction(
             comb(k, ell) * (-1) ** (ell + k))
     expected = (RLaurent({-(k - 1): Fraction(factorial(k - 2))}, (-(k - 1), 0))

@@ -43,9 +43,6 @@ class MatchVector:
     def j_max(self) -> int:
         return len(self.counts) - 1
 
-    def to_text(self) -> str:
-        return " ".join(str(c) for c in self.counts)
-
     def validate_regular(self, n: int, r: int) -> None:
         """Invariants forced for an r-regular bipartite source.  On a full
         vector m_0..m_n this includes Newton's inequalities, which hold

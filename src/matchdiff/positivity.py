@@ -7,8 +7,7 @@ one without a proven bound.  `delta_table` encloses each Delta^k d(i) in a
 float interval (`_filtered_signs`; the error bound is stated at
 `_LOG_ERR`) and takes its sign only when the interval excludes 0.
 Otherwise the exact test `delta_sign`, integer cross-multiplication of
-binomially exponentiated rho products, decides.  The mpmath intervals of
-`DProfile.d_values` are for display only.
+binomially exponentiated rho products, decides.
 
 The Monte Carlo moments are exact too, with no rational per sample: every
 graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
@@ -19,14 +18,13 @@ D and D^2 once, after the merge.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log
 
 from .graphs import BipGraph, gen_regular_bipartite
 from .identities import lsplit
-from .matchcount import FULL_POLY_CAP, MatchVector, match_poly_full, mbar_vector
+from .matchcount import MatchVector, match_poly_full, mbar_vector
 from .rng import derive_seed
 from .series import Rat, rat_str
 
@@ -135,19 +133,6 @@ def alpha0_exact(g_or_rho, i: int, k: int) -> Rat:
     return p - q
 
 
-@contextmanager
-def _iv_prec(prec_bits: int):
-    """mpmath's interval context at prec_bits, restored on exit (the
-    precision is process-wide and `iv` has no workprec)."""
-    from mpmath import iv
-    saved = iv.prec
-    iv.prec = prec_bits
-    try:
-        yield iv
-    finally:
-        iv.prec = saved
-
-
 @dataclass
 class DProfile:
     """Exact positivity profile of one graph."""
@@ -155,32 +140,6 @@ class DProfile:
     n: int
     rho: list[Rat]
     signs: dict[tuple[int, int], int]  # (i, k) -> sign of Delta^k d(i)
-
-    def d_values(self, prec_bits: int = 128):
-        """d(i) = ln(rho_i) as certified intervals (display only); raises
-        ArithmeticError when prec_bits leaves one wider than 2^-64."""
-        with _iv_prec(prec_bits) as iv:
-            out = []
-            for i, q in enumerate(self.rho):
-                val = iv.log(iv.mpf(q.numerator) / iv.mpf(q.denominator))
-                if not val.delta < iv.mpf(2) ** -64:
-                    raise ArithmeticError(
-                        f"interval for d({i}) is {val.delta} wide at "
-                        f"prec_bits={prec_bits}, above 2^-64")
-                out.append(val)
-        return out
-
-    def delta_value(self, i: int, k: int, prec_bits: int = 128):
-        """Certified mpmath interval for Delta^k d(i), for display.  It
-        never decides a sign: `signs` comes from `_filtered_signs`, whose
-        float enclosure carries a proven error bound and defers to the
-        exact `delta_sign` whenever that enclosure contains 0."""
-        with _iv_prec(prec_bits):
-            ds = self.d_values(prec_bits)
-            total = 0
-            for ell in range(k + 1):
-                total += (-1) ** (k + ell) * comb(k, ell) * ds[i + ell]
-        return total
 
     def positive(self) -> bool:
         return all(s >= 0 for s in self.signs.values())
@@ -191,10 +150,6 @@ def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
     i + k <= n (d(i) is only finite for i <= n)."""
     rho = rho_vector(g, mvec)
     return DProfile(g.n, rho, _filtered_signs(rho))
-
-
-def graph_positive(g: BipGraph, mvec: MatchVector | None = None) -> bool:
-    return delta_table(g, mvec).positive()
 
 
 @dataclass
@@ -313,11 +268,14 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
     identical for any `jobs`.  Workers sum the integers D alpha_0 and
     (D alpha_0)^2 (see `_alpha0_constants`, computed once per call); the
     merge adds those integers, and the exact moments come from one
-    division by D and by D^2 at the end."""
+    division by D and by D^2 at the end.  Pairs outside the domain
+    i + k <= n are dropped; when none is left, nothing is sampled."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     consts = _alpha0_constants(
         r, n, dict.fromkeys(p for p in pairs if p[0] + p[1] <= n))
+    if not consts:
+        return {}
     if jobs > 1:
         step = max(64, samples // (4 * jobs) + 1)
         chunks = [(r, n, seed, lo, min(lo + step, samples), consts)
@@ -351,15 +309,6 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
     return out
 
 
-def ensemble_run(r: int, n: int, samples: int, i: int, k: int,
-                 seed: int, jobs: int = 1) -> EnsembleStats:
-    """Monte Carlo estimate at a single (i, k); deterministic in all
-    arguments."""
-    if n > FULL_POLY_CAP:
-        raise ValueError(f"n={n} beyond the exact-counting cap")
-    return ensemble_grid(r, n, samples, [(i, k)], seed, jobs=jobs)[(i, k)]
-
-
 def wilson_bounds(successes: int, samples: int,
                   z: float = 2.0) -> tuple[float, float]:
     """Wilson score interval; unlike the plug-in standard error it stays
@@ -369,6 +318,15 @@ def wilson_bounds(successes: int, samples: int,
     center = (successes + z * z / 2) / denom
     half = z * (p * (1 - p) * samples + z * z / 4) ** 0.5 / denom
     return center - half, center + half
+
+
+def _wilson_above(x_hi: int, n_hi: int, x_lo: int, n_lo: int,
+                  z: float) -> bool:
+    """The trend rule: the Wilson interval of x_hi/n_hi lies strictly above
+    that of x_lo/n_lo, so the two proportions differ beyond noise."""
+    lo, _ = wilson_bounds(x_hi, n_hi, z)
+    _, hi = wilson_bounds(x_lo, n_lo, z)
+    return lo > hi
 
 
 @dataclass
@@ -391,30 +349,25 @@ class TrendReport:
         seq = [row.stats[(i, k)] for row in self.rows
                if (i, k) in row.stats]
         for a, b in zip(seq, seq[1:]):
-            xa = int(a.p_violation * a.samples)
-            xb = int(b.p_violation * b.samples)
-            _, hi_a = wilson_bounds(xa, a.samples, z)
-            lo_b, _ = wilson_bounds(xb, b.samples, z)
-            if lo_b > hi_a:
+            if _wilson_above(int(b.p_violation * b.samples), b.samples,
+                             int(a.p_violation * a.samples), a.samples, z):
                 return False
         return True
 
     def positivity_drops(self, z: float = 2.0) -> list[tuple[int, int]]:
         """Consecutive (n_a, n_b) rows whose positivity fraction drops
         beyond noise: the later Wilson interval lies strictly below the
-        earlier one (see monotone_violation)."""
+        earlier one.  Rows without stats (no (i, k) in their domain) are
+        skipped."""
         seq = []
         for row in self.rows:
-            st = next(iter(row.stats.values()))
-            seq.append((row.n, int(st.p_graph_positive * st.samples),
-                        st.samples))
-        drops = []
-        for (n_a, xa, na), (n_b, xb, nb) in zip(seq, seq[1:]):
-            lo_a, _ = wilson_bounds(xa, na, z)
-            _, hi_b = wilson_bounds(xb, nb, z)
-            if hi_b < lo_a:
-                drops.append((n_a, n_b))
-        return drops
+            if row.stats:
+                st = next(iter(row.stats.values()))
+                seq.append((row.n, int(st.p_graph_positive * st.samples),
+                            st.samples))
+        return [(n_a, n_b)
+                for (n_a, xa, na), (n_b, xb, nb) in zip(seq, seq[1:])
+                if _wilson_above(xa, na, xb, nb, z)]
 
     def monotone_positivity(self, z: float = 2.0) -> bool:
         """Positivity fraction non-decreasing in n within noise."""

@@ -486,15 +486,6 @@ class NSeries:
                 f"coefficient at 1/n^{npow} beyond validity order {self.order}")
         return self.c.get(npow, JPoly.zero())
 
-    def is_proper(self, const_term: int | None = None) -> bool:
-        """No positive powers of n; constant term 0 or 1 as declared."""
-        if any(h < 0 for h in self.c):
-            return False
-        c0 = self.c.get(0, JPoly.zero())
-        if const_term is None:
-            return c0.is_zero() or c0 == JPoly.const(1)
-        return c0 == (JPoly.const(const_term) if const_term else JPoly.zero())
-
     def truncate(self, order: int) -> "NSeries":
         return NSeries({h: p for h, p in self.c.items() if h <= order},
                        min(self.order, order), self.window)
@@ -648,42 +639,6 @@ class NSeries:
                        else f"({self.c[h]!r})*n^{-h}")
                  for h in sorted(self.c)]
         return " + ".join(parts) + f" + O(n^-{self.order + 1})"
-
-    # -- text form (used by the atable cache) --------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"nseries H={self.order}"]
-        for h in sorted(self.c):
-            p = self.c[h]
-            for jpow in range(p.deg + 1):
-                rl = p.coeff(jpow)
-                for rpow in sorted(rl.c):
-                    lines.append(f"{h} {jpow} {rpow} {rat_str(rl.c[rpow])}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, window=None) -> "NSeries":
-        lines = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("nseries H="):
-            raise ValueError("missing 'nseries H=<order>' header")
-        order = int(lines[0].split("=", 1)[1])
-        triples = []
-        for ln in lines[1:]:
-            hs, js, rs, vs = ln.split()
-            triples.append((int(hs), int(js), int(rs), parse_rat(vs)))
-        if window is None:
-            rexps = [t[2] for t in triples] or [0]
-            window = (min(min(rexps), 0), max(max(rexps), 0))
-        per_h: dict[int, dict[int, dict[int, Rat]]] = {}
-        for h, jpow, rpow, v in triples:
-            per_h.setdefault(h, {}).setdefault(jpow, {})[rpow] = v
-        coeffs = {}
-        for h, jmap in per_h.items():
-            deg = max(jmap)
-            coeffs[h] = JPoly(
-                [RLaurent(jmap.get(i, {}), window) for i in range(deg + 1)])
-        return cls(coeffs, order, window)
 
 
 class InconsistentSystemError(ValueError):

@@ -185,16 +185,6 @@ def test_count_mj_validates_fresh_counts(tmp_path, monkeypatch):
     assert cache.get(hw.graph_id(), 3) is None
 
 
-def test_lift_spec_builds():
-    from matchdiff.graphs import LiftSpec, girth
-
-    hw = incidence_pg(2)
-    spec = LiftSpec(hw, 2, seed=5)
-    g = spec.build()
-    assert (g.n, g.r) == (14, 3)
-    assert girth(g) >= 6
-
-
 def test_table_predicts_held_out_cage_counts(table):
     """The 12-cage (girth 12, never used in any fit) must have its exact
     matching counts reproduced by the M_j formula with the derived table;

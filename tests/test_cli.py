@@ -3,9 +3,12 @@
 import hashlib
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import matchdiff
 from matchdiff.cli import EXIT_INTERNAL, main
 
 
@@ -114,6 +117,16 @@ def test_simulate_k0_violations_zero(env_cache, capsys, tmp_path):
             assert cells[12] == "0"  # p_violation
 
 
+def test_simulate_skips_n_without_domain_pairs(env_cache, capsys):
+    """i = k = 3 has no i + k <= n at n = 4: that n gets no CSV rows and the
+    trend rules skip it."""
+    code, out, _ = run(capsys, "simulate", "--n", "4,6", "--i", "3",
+                       "--k", "3", "--samples", "5")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines() if ln[:1].isdigit()]
+    assert rows and all(cells[1] == "6" for cells in rows)
+
+
 CENSUS_CSV = """\
 # matchdiff 0.1.0 command=census jobs=1 n=6,8 r=3 samples=30 seed=20250809 smax=6
 # model=permutation-union-conditioned-on-simple
@@ -132,6 +145,19 @@ def test_census_runs(env_cache, capsys, tmp_path):
     assert out_path.read_text() == CENSUS_CSV
     assert out == CENSUS_CSV + \
         "# positivity fraction trend: non-decreasing (2 SE)\n"
+
+
+def test_census_smax_cap_fails_before_sampling(env_cache, capsys,
+                                               monkeypatch):
+    import matchdiff.positivity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ensemble sampled before the cycle census")
+
+    monkeypatch.setattr(matchdiff.positivity, "ensemble_grid", refuse)
+    code, _, err = run(capsys, "census", "--smax", "14", "--samples", "5")
+    assert code == 2
+    assert "capped at s_max = 12" in err
 
 
 def test_crash_exits_internal_not_check_failed(env_cache, capsys,
@@ -171,3 +197,35 @@ def test_identity_commands_golden_stdout(argv, repo_cache_dir, tmp_path,
     code, out, _ = run(capsys, *argv, "--cache", str(tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+STDLIB_ONLY = """\
+import contextlib, io, pkgutil, sys
+sys.modules["mpmath"] = None
+before = set(sys.modules)
+import matchdiff
+from matchdiff import cli
+for info in pkgutil.iter_modules(matchdiff.__path__):
+    __import__("matchdiff." + info.name)
+runs = [["verify", "--suite", "core", "--cache", sys.argv[1]],
+        ["simulate", "--n", "6", "--samples", "3"],
+        ["census", "--n", "6", "--samples", "3"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"matchdiff"}))
+"""
+
+
+def test_runs_on_the_standard_library_alone(repo_cache_dir):
+    """Every module imports, and verify, simulate and census run, with
+    mpmath blocked; nothing outside the standard library gets loaded."""
+    src = os.path.dirname(os.path.dirname(matchdiff.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", STDLIB_ONLY, repo_cache_dir],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out == "[]\n"

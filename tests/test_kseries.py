@@ -49,7 +49,8 @@ def test_g_vanishes_at_zero():
 
 def test_g_is_proper_zero():
     g = build_G(6)
-    assert g.is_proper(0)
+    # no constant term and no positive powers of n
+    assert min(g.c) >= 1
 
 
 def test_k_first_order_coefficient():

@@ -21,8 +21,8 @@ from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
                                   _filtered_signs, _log_enclosure,
                                   _sample_graph, _scaled_alpha0,
                                   alpha0_exact, delta_sign,
-                                  delta_table, ensemble_grid, ensemble_run,
-                                  graph_positive, rho_vector, trend_report)
+                                  delta_table, ensemble_grid, rho_vector,
+                                  trend_report)
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
 
@@ -59,38 +59,7 @@ def test_delta_table_k33():
     # Delta^2 d(1) = d(3) - 2 d(2) + d(1): 50/27 vs (10/9)^2 = 100/81
     assert prof.signs[(1, 2)] == (F(50, 27) > F(100, 81)) - \
         (F(50, 27) < F(100, 81))
-    assert graph_positive(K33) == prof.positive()
-
-
-def test_d_values_certified_intervals():
-    from mpmath import mp
-
-    prof = delta_table(K33)
-    ds = prof.d_values()
-    assert ds[0].a <= 0 <= ds[0].b
-    with mp.workprec(300):
-        ref = mp.log(mp.mpf(10) / 9)
-        assert ds[2].a <= ref <= ds[2].b
-    assert float(ds[2].delta) < 2 ** -64
-
-
-def test_d_values_reject_low_precision():
-    with pytest.raises(ArithmeticError, match="prec_bits=32"):
-        delta_table(K33).d_values(prec_bits=32)
-
-
-def test_d_values_restores_iv_precision():
-    from mpmath import iv
-
-    before = iv.prec
-    prof = delta_table(K33)
-    prof.d_values(prec_bits=300)
-    assert iv.prec == before
-    prof.delta_value(1, 1, prec_bits=300)
-    assert iv.prec == before
-    with pytest.raises(ArithmeticError):
-        prof.d_values(prec_bits=32)
-    assert iv.prec == before
+    assert prof.positive()  # every difference above is >= 0
 
 
 def exact_signs(rho):
@@ -177,21 +146,31 @@ def test_alpha0_sign_equals_delta_sign():
 
 
 def test_exact_signs_agree_with_interval_logs():
-    """Interval-log evaluation of Delta^k d(i) (256-bit) must agree with
-    the exact integer cross-multiplication decision on 1000+ random
+    """Interval-log evaluation of Delta^k d(i) (256-bit mpmath) must agree
+    with the exact integer cross-multiplication decision on 1000+ random
     (g, i, k) whenever the interval is decisive."""
+    from mpmath import iv
+
     checked = 0
-    for seed in range(25):
-        g = gen_regular_bipartite(7 + seed % 3, 3, seed=seed)
-        prof = delta_table(g)
-        for (i, k), sign in prof.signs.items():
-            val = prof.delta_value(i, k, prec_bits=256)
-            if val.a > 0:
-                assert sign > 0, (seed, i, k)
-            elif val.b < 0:
-                assert sign < 0, (seed, i, k)
-            # interval straddling zero cannot certify; the exact path decides
-            checked += 1
+    saved, iv.prec = iv.prec, 256
+    try:
+        for seed in range(25):
+            g = gen_regular_bipartite(7 + seed % 3, 3, seed=seed)
+            prof = delta_table(g)
+            ds = [iv.log(iv.mpf(q.numerator) / iv.mpf(q.denominator))
+                  for q in prof.rho]
+            for (i, k), sign in prof.signs.items():
+                val = sum((-1) ** (k + ell) * math.comb(k, ell) * ds[i + ell]
+                          for ell in range(k + 1))
+                if val.a > 0:
+                    assert sign > 0, (seed, i, k)
+                elif val.b < 0:
+                    assert sign < 0, (seed, i, k)
+                # an interval straddling zero cannot certify; the exact
+                # path decides
+                checked += 1
+    finally:
+        iv.prec = saved
     assert checked >= 1000
 
 
@@ -216,12 +195,10 @@ def test_alpha0_constant_for_low_index():
 
 
 def test_ensemble_reproducible_and_exact():
-    a = ensemble_run(3, 8, 60, i=2, k=1, seed=77)
-    b = ensemble_run(3, 8, 60, i=2, k=1, seed=77)
+    a = ensemble_grid(3, 8, 60, [(2, 1)], seed=77)[(2, 1)]
+    b = ensemble_grid(3, 8, 60, [(2, 1)], seed=77)[(2, 1)]
     assert a == b
     # exact moments equal brute-force recomputation from per-sample values
-    from matchdiff.positivity import _sample_graph
-
     vals = []
     for idx in range(60):
         rho = rho_vector(_sample_graph(3, 8, 77, idx))
@@ -233,7 +210,7 @@ def test_ensemble_reproducible_and_exact():
 
 
 def test_ensemble_single_sample():
-    st = ensemble_run(3, 8, 1, i=1, k=1, seed=3)
+    st = ensemble_grid(3, 8, 1, [(1, 1)], seed=3)[(1, 1)]
     assert st.beta_hat == 0
     assert st.p_violation in (F(0), F(1))
 
@@ -245,6 +222,14 @@ def test_ensemble_parallel_agrees_with_serial():
     a = ensemble_grid(3, 7, 130, pairs, seed=5, jobs=1)
     b = ensemble_grid(3, 7, 130, pairs, seed=5, jobs=2)
     assert a == b
+
+
+def test_ensemble_grid_outside_domain_samples_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled with no (i, k) in the domain")
+
+    monkeypatch.setattr(positivity, "_sample_graph", refuse)
+    assert ensemble_grid(3, 4, 5, [(3, 3), (0, 5)], seed=1) == {}
 
 
 def test_ensemble_grid_counts_a_repeated_pair_once():
@@ -336,3 +321,6 @@ def test_positivity_drops_reported():
     assert not rep.monotone_positivity()
     del rep.rows[2:]
     assert rep.positivity_drops() == [] and rep.monotone_positivity()
+    # a row with no (i, k) in its domain has no stats and is skipped
+    rep.rows += [TrendRow(n=9, stats={}), row(10, 40)]
+    assert rep.positivity_drops() == [(8, 10)]

@@ -243,19 +243,6 @@ def test_explicit_window_widening():
     assert (wide * wide) == RLaurent({-4: F(1)}, (-4, 0))
 
 
-def test_text_roundtrip():
-    a1 = NSeries({1: a1_builtin(), 2: JPoly.const(F(3, 7), (-1, 0))}, 5,
-                 (-1, 0))
-    again = NSeries.from_text(a1.to_text())
-    assert again == a1
-    assert again.order == 5
-
-
-def test_text_header_required():
-    with pytest.raises(ValueError):
-        NSeries.from_text("1 2 0 1/2\n")
-
-
 # -- RLaurent and JPoly arithmetic against evaluation ----------------------------
 
 nonzero_rationals = rationals.filter(lambda x: x != 0)
