@@ -15,7 +15,7 @@ import traceback
 
 from . import __version__
 from .atable import ATableError, ConjectureSpec
-from .graphs import GenerationBudgetError, cycle_census
+from .graphs import GenerationBudgetError, check_census_smax
 from .rng import Rng
 
 EXIT_OK = 0
@@ -254,7 +254,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .positivity import TrendReport, TrendRow, _sample_graph, ensemble_grid
+    from .positivity import TrendReport, TrendRow, ensemble_grid
     from .series import rat_str
 
     config = _config_line("census", args,
@@ -269,17 +269,15 @@ def cmd_census(args) -> int:
              "r,n,samples,seed,p_graph_positive,p_graph_positive_dec,"
              + ",".join(f"mean_c{s}" for s in range(4, args.smax + 1, 2))]
     rows = []
+    # the census runs on the first ncen of the samples the grid draws
     ncen = min(args.samples, 200)
+    check_census_smax(args.smax)  # an s_max above its cap samples nothing
     for n in _parse_ints(args.n):
-        # the census first: an s_max above its cap fails before any sampling
-        totals = {s: 0 for s in range(4, args.smax + 1, 2)}
-        for idx in range(ncen):
-            g = _sample_graph(r, n, args.seed, idx)
-            for s, c in cycle_census(g, args.smax).items():
-                totals[s] += c
         stats = ensemble_grid(r, n, args.samples, [(0, 0)], args.seed,
-                              jobs=args.jobs)
+                              jobs=args.jobs, census_smax=args.smax,
+                              census_samples=ncen)
         st = stats[(0, 0)]
+        totals = st.cycle_totals
         cells = [r, n, args.samples, args.seed,
                  rat_str(st.p_graph_positive),
                  f"{float(st.p_graph_positive):.6g}"]

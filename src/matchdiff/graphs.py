@@ -257,10 +257,15 @@ def girth(g: BipGraph) -> int | float:
     return best
 
 
-def cycle_census(g: BipGraph, s_max: int) -> dict[int, int]:
-    """Exact counts of s-cycles for even s <= s_max (cost guard s_max <= 12)."""
+def check_census_smax(s_max: int) -> None:
+    """The census's cost guard: s_max <= 12."""
     if s_max > 12:
         raise ValueError("cycle census capped at s_max = 12")
+
+
+def cycle_census(g: BipGraph, s_max: int) -> dict[int, int]:
+    """Exact counts of s-cycles for even s <= s_max (cost guard s_max <= 12)."""
+    check_census_smax(s_max)
     raw = cycle_census_counts(g.global_adj(), s_max)
     return {s: c for s, c in raw.items() if s % 2 == 0}
 

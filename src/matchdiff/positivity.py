@@ -1,13 +1,29 @@
 """Per-graph positivity statistics and Monte Carlo estimation.
 
 The central quantities are the exact rational ratios
-rho_i = (m_i / mbar_i) ((v-1)/r)^i and the finite differences of
-d(i) = ln(rho_i).  Floating point may *filter* a sign but never decides
-one without a proven bound.  `delta_table` encloses each Delta^k d(i) in a
-float interval (`_filtered_signs`; the error bound is stated at
-`_LOG_ERR`) and takes its sign only when the interval excludes 0.
-Otherwise the exact test `delta_sign`, integer cross-multiplication of
-binomially exponentiated rho products, decides.
+rho_i = m_i K_i, with K_i = (v-1)^i / (mbar_i r^i) fixed by (n, r), and
+the finite differences of d(i) = ln(rho_i) = ln m_i + ln K_i.
+
+`delta_table` takes the sign of every Delta^k d(i), i + k <= n, from one
+cascade (`_sign_cascade`).  Rounding never decides a sign without a proven
+bound: each tier encloses every difference in an interval and takes the
+sign only where the interval excludes 0.
+1. Floats.  d(i) = log(m_i) + ln K_i, then the difference triangle
+   Delta^k(i) = Delta^(k-1)(i+1) - Delta^(k-1)(i).  The radius of d(i) is
+   the log budget `_LOG_ERR` (ln C(nr, i) + 1) (an i-matching is a set of
+   i edges, so m_i <= C(nr, i)), plus the error of the float ln K_i, plus
+   one rounding; each difference adds the radii of its two operands and
+   one rounding, u times a bound on its magnitude.
+2. `decimal` at 40, then 80, then 160 digits, for the cells the floats
+   leave open: the same triangle, with a half-ulp radius per operation
+   (`Context.ln` is correctly rounded).
+3. The exact `delta_sign`, integer cross-multiplication of binomially
+   exponentiated rho products, for what is still open.
+Every radius depends only on (n, r), not on the graph: it is computed once
+per (n, r) in exact rationals (`_KTable`) and rounded up.  The structural
+zeros Delta^0 d(0) = Delta^0 d(1) = Delta^1 d(0) = 0 (rho_0 = rho_1 = 1
+on every regular graph) read 0 from the float tier, as every true zero
+does, and are never sent on to the later tiers.
 
 The Monte Carlo moments are exact too, with no rational per sample: every
 graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
@@ -19,14 +35,144 @@ D and D^2 once, after the merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context
 from fractions import Fraction
-from math import comb, lcm, log
+from functools import lru_cache
+from math import comb, inf, lcm, log, nextafter
+from operator import gt, lt, sub
 
-from .graphs import BipGraph, gen_regular_bipartite
+from .graphs import BipGraph, cycle_census, gen_regular_bipartite
 from .identities import lsplit
 from .matchcount import MatchVector, match_poly_full, mbar_vector
 from .rng import derive_seed
 from .series import Rat, rat_str
+
+# Error budget of one math.log(x) on an integer x >= 1, in units of
+# |ln x| + 1.  CPython rounds x to the nearest double (relative error
+# <= 2^-53, so <= 2^-53 absolute in ln x) or, above the double range, adds
+# ln(mantissa) to exponent * ln(2); glibc documents log to within 1 ulp.
+# Together the error stays below 2^-51 (|ln x| + 1); the cascade assumes
+# 2^-40 (|ln x| + 1), a margin of 2^11.
+_LOG_ERR = Fraction(1, 2 ** 40)
+_U = Fraction(1, 2 ** 53)  # unit roundoff of a double
+# A computed result is at most _GROW times the bound on the exact one
+# (which needs 1 + u for a double, 1 + 5 * 10^-prec at prec digits).
+_GROW = 1 + Fraction(1, 2 ** 20)
+_TINY = Fraction(1, 2 ** 1074)  # below the normal range, rounding is absolute
+_DECIMAL_TIERS = (40, 80, 160)  # digits
+_CEIL = Context(prec=6, rounding=ROUND_CEILING)
+_STRUCTURAL_ZEROS = frozenset({(0, 0), (1, 0), (0, 1)})
+
+
+def _ln_upper(x: int) -> Fraction:
+    """An upper bound on ln x for an integer x >= 1 (`_LOG_ERR` budget)."""
+    lx = Fraction(log(x))
+    return lx + _LOG_ERR * (lx + 1)
+
+
+def _float_up(q: Fraction) -> float:
+    """The least double >= q."""
+    f = float(q)
+    return f if Fraction(f) >= q else nextafter(f, inf)
+
+
+def _half_ulp(b: Fraction, prec: int) -> Fraction:
+    """At least half an ulp, at `prec` digits, of any value of magnitude
+    at most b: 5 * 10^(e - prec), where e >= 0 and 10^(e+1) > b."""
+    return Fraction(5, 10 ** prec) * 10 ** max(0, len(str(int(b))) - 1)
+
+
+class _KTable:
+    """Everything the sign cascade needs that depends only on the constants
+    K_i = rho_i / m_i and on bounds m_i <= m_max[i], never on the counts.
+
+    ln m_i <= LM_i, ln(num K_i) <= LN_i and ln(den K_i) <= LD_i, so
+    |d(i)| <= LM_i + LN_i + LD_i + 2 =: B(i, 0) for every computed d(i),
+    and the exact difference of two computed cells is at most
+    B_a + B_b, its computed value at most B(i, k) = (B_a + B_b) _GROW.
+    An operation whose exact result is at most B in magnitude errs by at
+    most err(B) = u B as a double and `_half_ulp`(B, prec) in decimal.  So
+        rad(i, 0) = (error of ln m_i) + (error of ln K_i) + err(B(i, 0)),
+        rad(i, k) = rad(i, k-1) + rad(i+1, k-1) + err(B_a + B_b),
+    computed in exact rationals and rounded up once per cell.  The first
+    two terms of rad(i, 0) are stated where each tier builds it."""
+
+    def __init__(self, K, m_max, zeros=frozenset()):
+        self.K = tuple(K)
+        self.m_max = tuple(m_max)
+        self.zeros = zeros
+        n = len(self.K) - 1
+        self.cells = [(i, k) for k in range(n + 1) for i in range(n - k + 1)]
+        self._lm = [_ln_upper(m) for m in self.m_max]
+        self._lk = [(_ln_upper(q.numerator), _ln_upper(q.denominator))
+                    for q in self.K]
+        self._bounds = [[lm + ln + ld + 2 for lm, (ln, ld)
+                         in zip(self._lm, self._lk)]]
+        for _ in range(n):
+            b = self._bounds[-1]
+            self._bounds.append([(x + y) * _GROW for x, y in zip(b, b[1:])])
+        self._decimal = {}
+        # float tier: log(m_i) is within _LOG_ERR (LM_i + 1) of ln m_i, and
+        # ln K_i is the 40-digit decimal value (itself within e of ln K_i)
+        # rounded to the nearest double, within u (LN_i + LD_i + 1) + _TINY
+        lnk, krad = self._decimal_lnk(_DECIMAL_TIERS[0])
+        self.mid = [float(x) for x in lnk]
+        rad0 = [_LOG_ERR * (lm + 1) + _U * (ln + ld + 1) + _TINY + e + _U * b
+                for lm, (ln, ld), e, b
+                in zip(self._lm, self._lk, krad, self._bounds[0])]
+        # one flat list in the order of `cells`, and its negation
+        self.rads = [_float_up(q) for row in
+                     self._radius_rows(rad0, lambda b: _U * b) for q in row]
+        self.neg_rads = [-e for e in self.rads]
+        self._pairs = [(q.numerator, q.denominator) for q in self.K]
+
+    def rho(self, counts) -> list[Rat]:
+        """rho_i = m_i K_i, exactly."""
+        return [Fraction(a * m, b) for (a, b), m in zip(self._pairs, counts)]
+
+    def _decimal_lnk(self, prec: int):
+        """ln K_i = ln(num) - ln(den) at `prec` digits, and the radius of
+        its three roundings."""
+        ctx = Context(prec=prec)
+        lnk = [ctx.subtract(ctx.ln(q.numerator), ctx.ln(q.denominator))
+               for q in self.K]
+        rad = [_half_ulp(ln, prec) + _half_ulp(ld, prec)
+               + _half_ulp(ln + ld, prec) for ln, ld in self._lk]
+        return lnk, rad
+
+    def _radius_rows(self, rad0, err):
+        rows = [rad0]
+        for b in self._bounds[:-1]:
+            rad = rows[-1]
+            rows.append([ra + rb + err(x + y) for ra, rb, x, y
+                         in zip(rad, rad[1:], b, b[1:])])
+        return rows
+
+    def decimal(self, prec: int):
+        """ln K_i at `prec` digits and the tier's radius rows, as Decimals
+        rounded up (computed on first use)."""
+        if prec not in self._decimal:
+            lnk, krad = self._decimal_lnk(prec)
+            # Context.ln is correctly rounded: ln m_i within half an ulp
+            rad0 = [_half_ulp(lm, prec) + e + _half_ulp(b, prec)
+                    for lm, e, b in zip(self._lm, krad, self._bounds[0])]
+            rows = self._radius_rows(rad0, lambda b: _half_ulp(b, prec))
+            self._decimal[prec] = (lnk, [
+                [_CEIL.divide(q.numerator, q.denominator) for q in row]
+                for row in rows])
+        return self._decimal[prec]
+
+
+@lru_cache(maxsize=None)
+def _k_table(n: int, r: int) -> _KTable:
+    """The `_KTable` of r-regular bipartite graphs with n vertices a side:
+    K_i = (v-1)^i / (mbar_i r^i), and m_i <= C(nr, i) (an i-matching is a
+    set of i edges)."""
+    v = 2 * n
+    mbar = mbar_vector(v)
+    return _KTable([Fraction((v - 1) ** i, mbar[i] * r ** i)
+                    for i in range(n + 1)],
+                   [comb(n * r, i) for i in range(n + 1)], _STRUCTURAL_ZEROS)
 
 
 def rho_vector(g: BipGraph, mvec: MatchVector | None = None) -> list[Rat]:
@@ -34,13 +180,7 @@ def rho_vector(g: BipGraph, mvec: MatchVector | None = None) -> list[Rat]:
     graph."""
     if mvec is None:
         mvec = match_poly_full(g)
-    v = 2 * g.n
-    mbar = mbar_vector(v)
-    out = []
-    for i in range(g.n + 1):
-        out.append(Fraction(mvec[i] * (v - 1) ** i,
-                            mbar[i] * g.r ** i))
-    return out
+    return _k_table(g.n, g.r).rho(mvec.counts)
 
 
 def delta_sign(rho: list[Rat], i: int, k: int) -> int:
@@ -59,62 +199,60 @@ def delta_sign(rho: list[Rat], i: int, k: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-# Error budget of one math.log(x) on an integer x >= 1, in units of
-# |ln x| + 1.  CPython rounds x to the nearest double (relative error
-# <= 2^-53, so <= 2^-53 absolute in ln x) or, above the double range, adds
-# ln(mantissa) to exponent * ln(2); glibc documents log to within 1 ulp.
-# Together the error stays below 2^-51 (|ln x| + 1); the filter assumes
-# 2^-40 (|ln x| + 1), a margin of 2^11.
-_LOG_ERR = 2.0 ** -40
-_U = 2.0 ** -53  # unit roundoff of a double
-# The radius below is itself computed in doubles, with relative error under
-# 2^-44 for k <= _FILTER_K_MAX; this factor covers it.
-_SLACK = 1 + 2.0 ** -20
-# C(k, l) is exact as a double up to k = 56 (C(57, 28) > 2^53)
-_FILTER_K_MAX = 56
+def _decimal_triangle(counts, tab: _KTable, prec: int, k_max: int):
+    """Rows k = 0..k_max of Delta^k d(i) at `prec` digits, and the radius
+    rows that enclose them (`_KTable.decimal`)."""
+    lnk, rads = tab.decimal(prec)
+    ctx = Context(prec=prec)
+    row = [ctx.add(ctx.ln(m), c) for m, c in zip(counts, lnk)]
+    rows = [row]
+    for _ in range(k_max):
+        row = [ctx.subtract(b, a) for a, b in zip(row, row[1:])]
+        rows.append(row)
+    return rows, rads
 
 
-def _log_enclosure(rho: list[Rat]) -> tuple[list[float], list[float]]:
-    """Float midpoints and radii that enclose d(i) = ln(rho_i): two
-    math.log calls within their budget each, plus the rounding of their
-    difference (at most u (|ln p| + |ln q|))."""
-    mids, rads = [], []
-    for q in rho:
-        lp = log(q.numerator)
-        lq = log(q.denominator)
-        mids.append(lp - lq)
-        rads.append(_LOG_ERR * (lp + lq + 2) + _U * (lp + lq))
-    return mids, rads
+def _float_triangle(counts, tab: _KTable) -> list[float]:
+    """Delta^k d(i) in doubles, flat in the order of `tab.cells`; each is
+    within `tab.rads` of the exact value."""
+    if len(counts) != len(tab.K) or any(map(gt, counts, tab.m_max)):
+        raise ValueError("counts outside the bounds of their constants")
+    row = [log(m) + c for m, c in zip(counts, tab.mid)]
+    values = row
+    for _ in range(len(row) - 1):
+        row = list(map(sub, row[1:], row))
+        values += row
+    return values
 
 
-def _filtered_signs(rho: list[Rat]) -> dict[tuple[int, int], int]:
-    """Sign of Delta^k d(i) on every i + k <= n, equal to `delta_sign`.
-
-    With c_l = (-1)^(k-l) C(k, l), the float sum s of c_l mids[i+l] is
-    within  sum |c_l| rads[i+l] + gamma_{k+1} sum |c_l mids[i+l]|  of the
-    exact Delta^k d(i): the first term bounds the error of the enclosed
-    logs, the second is Higham's bound for a (k+1)-term inner product with
-    exact coefficients, gamma_m = m u / (1 - m u) (Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., eq. 3.5).  The sign of s decides when
-    |s| exceeds that bound; otherwise the exact `delta_sign` does."""
-    n = len(rho) - 1
-    mids, rads = _log_enclosure(rho)
-    signs = {}
-    for k in range(n + 1):
-        coef = [(-1) ** (k - ell) * comb(k, ell) for ell in range(k + 1)]
-        gamma = (k + 1) * _U / (1 - (k + 1) * _U)
-        for i in range(n - k + 1):
-            s = mag = err = 0.0
-            for c, m, e in zip(coef, mids[i:], rads[i:]):
-                t = c * m
-                s += t
-                mag += abs(t)
-                err += abs(c) * e
-            bound = (err + gamma * mag) * _SLACK
-            if k <= _FILTER_K_MAX and abs(s) > bound:
-                signs[(i, k)] = 1 if s > 0 else -1
+def _sign_cascade(counts, tab: _KTable, rho: list[Rat]
+                  ) -> dict[tuple[int, int], int]:
+    """Sign of Delta^k d(i) on every i + k <= n, equal to `delta_sign`:
+    the float triangle, then the decimal tiers on the cells it leaves
+    open, then `delta_sign` (see the module docstring)."""
+    values = _float_triangle(counts, tab)
+    # +-1 where |x| > rad; 0 where the interval holds 0 (left open)
+    flat = list(map(sub, map(gt, values, tab.rads),
+                    map(lt, values, tab.neg_rads)))
+    signs = dict(zip(tab.cells, flat))
+    if flat.count(0) == len(tab.zeros):
+        return signs  # a true zero is never decided, so these are the zeros
+    cells = [c for c in tab.cells if signs[c] == 0 and c not in tab.zeros]
+    for prec in _DECIMAL_TIERS:
+        rows, rads = _decimal_triangle(counts, tab, prec,
+                                       max(k for _, k in cells))
+        left = []
+        for i, k in cells:
+            x = rows[k][i]
+            if x.copy_abs() > rads[k][i]:
+                signs[(i, k)] = -1 if x.is_signed() else 1
             else:
-                signs[(i, k)] = delta_sign(rho, i, k)
+                left.append((i, k))
+        cells = left
+        if not cells:
+            return signs
+    for i, k in cells:
+        signs[(i, k)] = delta_sign(rho, i, k)
     return signs
 
 
@@ -142,14 +280,17 @@ class DProfile:
     signs: dict[tuple[int, int], int]  # (i, k) -> sign of Delta^k d(i)
 
     def positive(self) -> bool:
-        return all(s >= 0 for s in self.signs.values())
+        return min(self.signs.values()) >= 0
 
 
 def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
     """Exact sign table of Delta^k d(i) over the meaningful domain
     i + k <= n (d(i) is only finite for i <= n)."""
+    if mvec is None:
+        mvec = match_poly_full(g)
     rho = rho_vector(g, mvec)
-    return DProfile(g.n, rho, _filtered_signs(rho))
+    return DProfile(g.n, rho, _sign_cascade(mvec.counts, _k_table(g.n, g.r),
+                                            rho))
 
 
 @dataclass
@@ -166,6 +307,8 @@ class EnsembleStats:
     beta_hat: Rat
     p_violation: Rat
     p_graph_positive: Rat
+    # s -> s-cycles summed over the first census samples (census only)
+    cycle_totals: dict[int, int] | None = None
 
     @property
     def cheb_bound(self) -> Rat | None:
@@ -203,23 +346,24 @@ def _sample_graph(r: int, n: int, seed: int, index: int) -> BipGraph:
 def _alpha0_constants(r: int, n: int, pairs) -> dict:
     """Integer constants that give D alpha_0 from the counts of one sample.
 
-    rho_i = m_i K_i, where K_i = (v-1)^i / (mbar_i r^i) is fixed by (n, r).
-    So alpha_0 = x K+ - y K-, where x and y are the products of
-    m_{i+l}^C(k,l) over L+ and L-, and K+ and K- are the same products of
-    K.  With D = lcm(den K+, den K-), c+ = K+ D and c- = K- D are integers
+    rho_i = m_i K_i, where K_i = (v-1)^i / (mbar_i r^i) is fixed by (n, r)
+    (`_k_table`).  So alpha_0 = x K+ - y K-, where x and y are the products
+    of m_{i+l}^C(k,l) over L+ and L-, and K+ and K- are the same products
+    of K, each one Fraction of its numerator and denominator products.
+    With D = lcm(den K+, den K-), c+ = K+ D and c- = K- D are integers
     and D alpha_0 = x c+ - y c-.  Maps each (i, k) to (plus, minus, c+, c-,
     D), where plus and minus are the (index, exponent) factors of x and y."""
-    v = 2 * n
-    mbar = mbar_vector(v)
+    K = _k_table(n, r).K
     out = {}
     for (i, k) in pairs:
         sides = []
         for ells in lsplit(k):
             factors = tuple((i + ell, comb(k, ell)) for ell in ells)
-            const = Fraction(1)
+            num = den = 1
             for j, e in factors:
-                const *= Fraction((v - 1) ** j, mbar[j] * r ** j) ** e
-            sides.append((factors, const))
+                num *= K[j].numerator ** e
+                den *= K[j].denominator ** e
+            sides.append((factors, Fraction(num, den)))
         (plus, kplus), (minus, kminus) = sides
         d = lcm(kplus.denominator, kminus.denominator)
         out[(i, k)] = (plus, minus, kplus.numerator * (d // kplus.denominator),
@@ -241,11 +385,14 @@ def _scaled_alpha0(m, const) -> int:
 
 def _grid_worker(args):
     """Integer partial sums of D alpha_0 and its square, violation and
-    positive-graph counts over the samples lo..hi-1."""
-    r, n, seed, lo, hi, consts = args
+    positive-graph counts over the samples lo..hi-1, and the s-cycle
+    totals (even s <= census_smax) over those of them below census_samples.
+    """
+    r, n, seed, lo, hi, consts, census_smax, census_samples = args
     sums = dict.fromkeys(consts, 0)
     sqs = dict.fromkeys(consts, 0)
     viol = dict.fromkeys(consts, 0)
+    cycles = dict.fromkeys(range(4, census_smax + 1, 2), 0)
     pos = 0
     for idx in range(lo, hi):
         g = _sample_graph(r, n, seed, idx)
@@ -257,18 +404,26 @@ def _grid_worker(args):
             sums[p] += a
             sqs[p] += a * a
             viol[p] += a < 0
-    return sums, sqs, viol, pos
+        if idx < census_samples:
+            for s, c in cycle_census(g, census_smax).items():
+                cycles[s] += c
+    return sums, sqs, viol, pos, cycles
 
 
 def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
-                  jobs: int = 1) -> dict[tuple[int, int], EnsembleStats]:
+                  jobs: int = 1, census_smax: int = 0,
+                  census_samples: int = 0
+                  ) -> dict[tuple[int, int], EnsembleStats]:
     """Shared-sample ensemble statistics for several (i, k) pairs at once.
 
     Per-sample seeds come from a splittable counter scheme, so results are
     identical for any `jobs`.  Workers sum the integers D alpha_0 and
     (D alpha_0)^2 (see `_alpha0_constants`, computed once per call); the
     merge adds those integers, and the exact moments come from one
-    division by D and by D^2 at the end.  Pairs outside the domain
+    division by D and by D^2 at the end.  With census_samples > 0, the
+    first census_samples samples also get a cycle census up to
+    census_smax, and every stat carries the merged totals in
+    `cycle_totals`.  Pairs outside the domain
     i + k <= n are dropped; when none is left, nothing is sampled."""
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -276,25 +431,29 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
         r, n, dict.fromkeys(p for p in pairs if p[0] + p[1] <= n))
     if not consts:
         return {}
+    census = (census_smax, census_samples)
     if jobs > 1:
         step = max(64, samples // (4 * jobs) + 1)
-        chunks = [(r, n, seed, lo, min(lo + step, samples), consts)
+        chunks = [(r, n, seed, lo, min(lo + step, samples), consts, *census)
                   for lo in range(0, samples, step)]
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
             parts = pool.map(_grid_worker, chunks)
     else:
-        parts = [_grid_worker((r, n, seed, 0, samples, consts))]
+        parts = [_grid_worker((r, n, seed, 0, samples, consts, *census))]
 
     sums = dict.fromkeys(consts, 0)
     sqs = dict.fromkeys(consts, 0)
     viol = dict.fromkeys(consts, 0)
+    cycles = dict.fromkeys(range(4, census_smax + 1, 2), 0)
     pos = 0
-    for psums, psqs, pviol, ppos in parts:
+    for psums, psqs, pviol, ppos, pcycles in parts:
         for p in consts:
             sums[p] += psums[p]
             sqs[p] += psqs[p]
             viol[p] += pviol[p]
+        for s in cycles:
+            cycles[s] += pcycles[s]
         pos += ppos
     out = {}
     for (i, k), const in consts.items():
@@ -305,7 +464,8 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
             r=r, n=n, i=i, k=k, samples=samples, seed=seed,
             alpha_hat=mean, beta_hat=beta,
             p_violation=Fraction(viol[(i, k)], samples),
-            p_graph_positive=Fraction(pos, samples))
+            p_graph_positive=Fraction(pos, samples),
+            cycle_totals=cycles if census_samples else None)
     return out
 
 

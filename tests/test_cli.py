@@ -147,6 +147,23 @@ def test_census_runs(env_cache, capsys, tmp_path):
         "# positivity fraction trend: non-decreasing (2 SE)\n"
 
 
+def test_census_draws_each_sample_once(env_cache, capsys, monkeypatch):
+    """The cycle census runs on the samples the grid already draws."""
+    import matchdiff.positivity
+
+    drawn = []
+    draw = matchdiff.positivity._sample_graph
+
+    def counted(r, n, seed, index):
+        drawn.append((n, index))
+        return draw(r, n, seed, index)
+
+    monkeypatch.setattr(matchdiff.positivity, "_sample_graph", counted)
+    code, out, _ = run(capsys, "census", "--n", "6,8", "--samples", "30")
+    assert code == 0 and out.startswith(CENSUS_CSV)
+    assert sorted(drawn) == [(n, i) for n in (6, 8) for i in range(30)]
+
+
 def test_census_smax_cap_fails_before_sampling(env_cache, capsys,
                                                monkeypatch):
     import matchdiff.positivity

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 import matchdiff
 from matchdiff import positivity
 from matchdiff.derive import _swap_shuffle
-from matchdiff.graphs import (BipGraph, circulant_bipartite,
+from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
                               gen_regular_bipartite)
 from matchdiff.matchcount import match_poly_full
 from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
                                   TrendRow, _alpha0_constants,
-                                  _filtered_signs, _log_enclosure,
-                                  _sample_graph, _scaled_alpha0,
+                                  _decimal_triangle, _float_triangle,
+                                  _k_table, _KTable, _sample_graph,
+                                  _scaled_alpha0, _sign_cascade,
                                   alpha0_exact, delta_sign,
                                   delta_table, ensemble_grid, rho_vector,
                                   trend_report)
@@ -69,48 +70,166 @@ def exact_signs(rho):
 
 
 def test_filtered_signs_equal_exact():
-    """The float filter with exact fallback gives delta_sign's answer on
-    every (i, k): the first 100 samples per n of the acceptance grid
-    (r=3, n=6..12), 25 per n at r=4 for n=6..14, and K33 and C4."""
-    rhos = [rho_vector(K33), rho_vector(C4)]
-    rhos += [rho_vector(_sample_graph(3, n, 20250809, idx))
-             for n in range(6, 13) for idx in range(100)]
-    rhos += [rho_vector(_sample_graph(4, n, 20250809, idx))
-             for n in range(6, 15) for idx in range(25)]
-    for rho in rhos:
-        assert _filtered_signs(rho) == exact_signs(rho), rho
+    """The sign cascade gives delta_sign's answer on every (i, k): the
+    first 100 samples per n of the acceptance grid (r=3, n=6..12), 25 per
+    n at r=4 for n=6..14, and K33 and C4."""
+    graphs = [K33, C4]
+    graphs += [_sample_graph(3, n, 20250809, idx)
+               for n in range(6, 13) for idx in range(100)]
+    graphs += [_sample_graph(4, n, 20250809, idx)
+               for n in range(6, 15) for idx in range(25)]
+    for g in graphs:
+        prof = delta_table(g)
+        assert prof.signs == exact_signs(prof.rho), prof.rho
+
+
+def _iv_triangle(counts, K):
+    """mpmath intervals of Delta^k d(i), d(i) = ln m_i + ln K_i, flat in
+    the order of `_KTable.cells`."""
+    from mpmath import iv
+
+    row = [iv.log(iv.mpf(m)) + iv.log(iv.mpf(q.numerator))
+           - iv.log(iv.mpf(q.denominator)) for m, q in zip(counts, K)]
+    flat = list(row)
+    while len(row) > 1:
+        row = [b - a for a, b in zip(row, row[1:])]
+        flat += row
+    return flat
 
 
 def test_log_enclosure_contains_exact_logs():
-    """Every math.log the filter uses lies within its stated budget of
-    the mpmath interval, and each float enclosure contains ln(rho_i).
-    The huge ratio takes CPython's path for ints beyond the double range."""
+    """Every math.log the float tier uses lies within its stated budget of
+    the mpmath interval, and every float enclosure of the triangle
+    contains Delta^k d(i), so each d(i) = ln(rho_i) is enclosed.  The huge
+    counts take CPython's path for ints beyond the double range."""
     from mpmath import iv
 
-    rhos = [rho_vector(K33), rho_vector(C4),
-            [F(3 ** 2000, 2 ** 1500 + 1), F(1, 10 ** 400)]]
-    rhos += [rho_vector(_sample_graph(r, n, 20250809, idx))
-             for r, n in ((3, 12), (4, 14)) for idx in range(3)]
+    cases = [(match_poly_full(g).counts, _k_table(g.n, g.r))
+             for g in [K33, C4]]
+    huge = [3 ** 2000, 10 ** 400]
+    cases.append((huge, _KTable([F(1, 2 ** 1500 + 1), F(1)], huge)))
+    cases += [(match_poly_full(g).counts, _k_table(n, r))
+              for r, n in ((3, 12), (4, 14)) for idx in range(3)
+              for g in [_sample_graph(r, n, 20250809, idx)]]
     saved, iv.prec = iv.prec, 200
     try:
-        for rho in rhos:
-            mids, rads = _log_enclosure(rho)
-            for q, mid, rad in zip(rho, mids, rads):
-                for x in (q.numerator, q.denominator):
-                    lx = math.log(x)
-                    ref = iv.log(iv.mpf(x))
-                    budget = _LOG_ERR * (abs(lx) + 1)
-                    assert ref.a - budget <= lx <= ref.b + budget, x
-                d = iv.log(iv.mpf(q.numerator)) - \
-                    iv.log(iv.mpf(q.denominator))
-                assert mid - rad <= d.a and d.b <= mid + rad, q
+        for counts, tab in cases:
+            for m in counts:
+                lm = math.log(m)
+                ref = iv.log(iv.mpf(m))
+                budget = float(_LOG_ERR) * (abs(lm) + 1)
+                assert ref.a - budget <= lm <= ref.b + budget, m
+            values = _float_triangle(counts, tab)
+            refs = _iv_triangle(counts, tab.K)
+            for cell, x, e, ref in zip(tab.cells, values, tab.rads, refs):
+                assert x - e <= ref.a and ref.b <= x + e, (counts, cell)
     finally:
         iv.prec = saved
 
 
+@pytest.mark.parametrize("n", [24, 28])
+def test_decimal_tiers_contain_2048_bit_reference(n):
+    """Every decimal enclosure, at 40, 80 and 160 digits, contains the
+    2048-bit mpmath interval of Delta^k d(i) on seeded r=3 graphs."""
+    from mpmath import iv
+
+    saved, iv.prec = iv.prec, 2048
+    try:
+        for idx in range(2):
+            g = _sample_graph(3, n, 20250809, idx)
+            counts = match_poly_full(g, cap=n).counts
+            tab = _k_table(n, 3)
+            refs = _iv_triangle(counts, tab.K)
+            for prec in (40, 80, 160):
+                rows, rads = _decimal_triangle(counts, tab, prec, n)
+                for (i, k), ref in zip(tab.cells, refs):
+                    x, e = iv.mpf(str(rows[k][i])), iv.mpf(str(rads[k][i]))
+                    assert (x - e).b <= ref.a and ref.b <= (x + e).a, \
+                        (idx, prec, i, k)
+    finally:
+        iv.prec = saved
+
+
+def _synthetic(n, p, q, j, e, sign, ms):
+    """rho_i = p^(i^2) q^i (so Delta^3 d = 0 exactly), rho_j scaled by
+    1 + sign 10^-e, split as m_i K_i with m_i from `ms`."""
+    rho = [p ** (i * i) * q ** i for i in range(n + 1)]
+    rho[j] *= 1 + sign * F(1, 10 ** e)
+    counts = [ms[i % len(ms)] for i in range(n + 1)]
+    return rho, counts, _KTable([x / m for x, m in zip(rho, counts)],
+                                counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10),
+       p=st.fractions(F(1, 30), 30, max_denominator=30),
+       q=st.fractions(F(1, 30), 30, max_denominator=30),
+       j=st.integers(0, 10), e=st.one_of(st.none(), st.integers(1, 200)),
+       sign=st.sampled_from([1, -1]),
+       ms=st.lists(st.integers(1, 10 ** 40), min_size=1, max_size=4))
+def test_cascade_equals_exact_on_near_zero_differences(n, p, q, j, e, sign,
+                                                       ms):
+    """Exact zeros (every k >= 3 cell away from j) pass every tier to
+    delta_sign; the differences of size 10^-e around rho_j are decided by
+    the 40, 80 or 160 digit tier or, past those, by delta_sign."""
+    rho, counts, tab = _synthetic(n, p, q, min(j, n), e or 0,
+                                  sign if e else 0, ms)
+    assert _sign_cascade(counts, tab, rho) == exact_signs(rho)
+
+
+def test_near_zero_differences_need_the_later_tiers(monkeypatch):
+    """A 10^-60 perturbation is too small for 40 digits and within reach
+    of 80; a 10^-300 one is left to delta_sign."""
+    calls = []
+
+    def counted(rho, i, k):
+        calls.append((i, k))
+        return delta_sign(rho, i, k)
+
+    monkeypatch.setattr(positivity, "delta_sign", counted)
+    n, j = 8, 4
+    for e, deciding in ((60, 80), (300, None)):
+        rho, counts, tab = _synthetic(n, F(7, 5), F(2, 3), j, e, 1, [1])
+        # Delta^k d(i) with i <= j <= i + k is about C(k, j - i) 10^-e
+        near = {(i, k) for k in range(3, n + 1) for i in range(n - k + 1)
+                if i <= j <= i + k}
+        for prec in (40, 80, 160):
+            rows, rads = _decimal_triangle(counts, tab, prec, n)
+            decided = {(i, k) for i, k in near
+                       if rows[k][i].copy_abs() > rads[k][i]}
+            assert decided == (near if deciding and prec >= deciding
+                               else set()), (e, prec)
+        calls.clear()
+        assert _sign_cascade(counts, tab, rho) == exact_signs(rho)
+        assert (near <= set(calls)) == (deciding is None)
+
+
+def test_simulate_n22_needs_no_exact_sign(capsys, monkeypatch):
+    """At n = 22 the floats leave cells open, and the 40-digit tier decides
+    them all: the exact test is never reached."""
+    from matchdiff.cli import main
+
+    calls, tiers = [], []
+    decimal_triangle = positivity._decimal_triangle
+
+    def counted(counts, tab, prec, k_max):
+        tiers.append(prec)
+        return decimal_triangle(counts, tab, prec, k_max)
+
+    monkeypatch.setattr(positivity, "_decimal_triangle", counted)
+    monkeypatch.setattr(positivity, "delta_sign",
+                        lambda *args: calls.append(args))
+    code = main(["simulate", "--r", "3", "--n", "22", "--samples", "2"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert tiers == [40, 40] and calls == []
+
+
 def test_grid_counts_each_sample_once(monkeypatch):
-    """Each sample is counted once and gets one rho vector."""
-    calls = {"match_poly_full": [], "rho_vector": []}
+    """Each sample is counted once, gets one rho vector and one sign table,
+    each reached through the module's globals (where a tracer wraps
+    them)."""
+    calls = {"match_poly_full": [], "rho_vector": [], "delta_table": []}
 
     def counted(name):
         fn = getattr(positivity, name)
@@ -124,7 +243,7 @@ def test_grid_counts_each_sample_once(monkeypatch):
         monkeypatch.setattr(positivity, name, counted(name))
     ensemble_grid(3, 8, 10, [(1, 1)], seed=5)
     assert {name: len(c) for name, c in calls.items()} == \
-        {"match_poly_full": 10, "rho_vector": 10}
+        {"match_poly_full": 10, "rho_vector": 10, "delta_table": 10}
 
 
 def test_alpha0_exact_fixtures():
@@ -222,6 +341,20 @@ def test_ensemble_parallel_agrees_with_serial():
     a = ensemble_grid(3, 7, 130, pairs, seed=5, jobs=1)
     b = ensemble_grid(3, 7, 130, pairs, seed=5, jobs=2)
     assert a == b
+
+
+def test_census_totals_merge_across_jobs():
+    """The census totals of the first census_samples samples are the same
+    sums whether one worker or three partials produce them."""
+    kw = dict(census_smax=8, census_samples=100)
+    a = ensemble_grid(3, 7, 130, [(0, 0), (1, 2)], seed=5, jobs=1, **kw)
+    b = ensemble_grid(3, 7, 130, [(0, 0), (1, 2)], seed=5, jobs=2, **kw)
+    assert a == b
+    totals = {4: 0, 6: 0, 8: 0}
+    for idx in range(100):
+        for s, c in cycle_census(_sample_graph(3, 7, 5, idx), 8).items():
+            totals[s] += c
+    assert all(st.cycle_totals == totals for st in a.values())
 
 
 def test_ensemble_grid_outside_domain_samples_nothing(monkeypatch):
