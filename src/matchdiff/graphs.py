@@ -15,7 +15,8 @@ from collections import deque
 
 from ._kernels_py import cycle_census_counts
 from .rng import (GOLDEN, GOLDEN_INV, MASK, MIX1, MIX2, Rng, derive_seed,
-                  range_limit, unmix64)
+                  derive_seed_lanes, draw_lanes, mul_lanes, range_limit,
+                  unmix64, unpack_lanes)
 
 
 class GraphError(ValueError):
@@ -92,6 +93,14 @@ class BipGraph:
         return f"BipGraph(n={self.n}, r={self.r})"
 
 
+# Attempts per packed batch.  The first batch is small and unfiltered: at
+# r = 3 a graph is accepted within a few dozen attempts, before a filter
+# would pay for its setup.  Past about a thousand lanes the packed ints
+# gain nothing per lane and only draw seeds the accepted graph never needs.
+_FIRST_BATCH = 32
+_MAX_BATCH = 1024
+
+
 def gen_regular_bipartite(n: int, r: int, seed: int,
                           max_tries: int = 2_000_000) -> BipGraph:
     """Superimpose r uniform permutations; reject draws with multi-edges.
@@ -102,7 +111,9 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     Stream contract: attempt a draws from `Rng(derive_seed(seed, a))`.  Its
     r permutations are successive `Rng.permutation(n)` shuffles, and left
     row u gets the right neighbour perm[u] of each; the attempt is rejected
-    when a row would get the same neighbour twice.
+    when a row would get the same neighbour twice.  The graph is that of
+    the first attempt not rejected, and GenerationBudgetError is raised when
+    attempts 0 .. max_tries-1 are all rejected.
 
     Row lockstep: position i of a Fisher-Yates shuffle is final once its
     step i has run, and the r shuffles are independent of each other, so
@@ -122,6 +133,17 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     attempt any of whose r*(n-1) draws could land on one runs the
     sequential `_simple_attempt` instead, which follows the stream draw by
     draw and is exact for every attempt.
+
+    Packed rejection: the attempts run in batches, the first of
+    `_FIRST_BATCH` attempts, then doubling up to `_MAX_BATCH`, each cut
+    short at max_tries.  A batch's stream starts come from one lane-packed
+    `derive_seed_lanes`, and so do its rows n-1 and n-2 (`_packed_filter`):
+    on the identity permutations they are the draws u % n, and u % (n-1)
+    with the value n-1 where it equals the row n-1 draw.  After the first
+    batch, an attempt whose row n-1 or n-2 repeats a neighbour is rejected
+    there, unless the guard flags it.  Every other attempt goes, in order,
+    to `_lockstep_attempt` or `_simple_attempt`, which decide it exactly;
+    the packed tier only rejects what they would reject too.
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
@@ -134,19 +156,55 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     identity = list(range(n)) * r
     hot = _hot_draws(n)
     span = r * (n - 1)
-    for attempt in range(max_tries):
-        rng = Rng(derive_seed(seed, attempt))
-        s0 = rng.state
-        c = s0 * GOLDEN_INV & MASK
-        if hot[bisect_right(hot, c)] - c <= span:
-            masks = _simple_attempt(rng, n, r, steps)
+    hot_top = _hot_tops(hot, span)
+    first, size = 0, _FIRST_BATCH
+    while first < max_tries:
+        size = min(size, max_tries - first)
+        states = derive_seed_lanes(seed, first, size)
+        c = mul_lanes(states, GOLDEN_INV, size)
+        if hot_top.isdisjoint(unpack_lanes(c >> 32, size)):
+            flagged = ()
         else:
-            masks = _lockstep_attempt(s0, n, r, rows, identity)
-        if masks is not None:
-            return BipGraph(n, r, [[v for v in range(n) if m >> v & 1]
-                                   for m in masks])
+            flagged = {a for a, ca in enumerate(unpack_lanes(c, size))
+                       if hot[bisect_right(hot, ca)] - ca <= span}
+        s0s = unpack_lanes(states, size)
+        if first and n > 2:
+            live = _packed_filter(states, size, n, r, flagged)
+        else:
+            live = range(size)
+        for a in live:
+            if a in flagged:
+                masks = _simple_attempt(s0s[a], n, r, steps)
+            else:
+                masks = _lockstep_attempt(s0s[a], n, r, rows, identity)
+            if masks is not None:
+                return BipGraph(n, r, [[v for v in range(n) if m >> v & 1]
+                                       for m in masks])
+        first += size
+        size = min(2 * size, _MAX_BATCH)
     raise GenerationBudgetError(
         f"no simple graph after {max_tries} draws (n={n}, r={r})")
+
+
+def _packed_filter(states: int, size: int, n: int, r: int,
+                   flagged) -> list[int]:
+    """The lanes of a batch (n >= 3) whose attempt rows n-1 and n-2 hold no
+    repeated neighbour, with the `flagged` lanes kept whatever their draws,
+    in lane order.  Row n-1 takes step n-1 (draw p*(n-1) + 1) of each
+    shuffle p on its identity permutation, so its neighbour is u % n; row
+    n-2 takes step n-2 (draw p*(n-1) + 2), u % (n-1), which the swap of
+    step n-1 has replaced by n-1 when it equals the row n-1 neighbour."""
+    k = n - 1
+    draws = range(1, r * k, k)
+    row1 = [[u % n for u in unpack_lanes(draw_lanes(states, size, t), size)]
+            for t in draws]
+    live = [a for a, js in enumerate(zip(*row1)) if len(set(js)) == r]
+    row2 = []
+    for t, j1 in zip(draws, row1):
+        u2 = unpack_lanes(draw_lanes(states, size, t + 1), size)
+        row2.append([k if (j := u2[a] % k) == j1[a] else j for a in live])
+    live = [a for a, js in zip(live, zip(*row2)) if len(set(js)) == r]
+    return sorted(flagged.union(live)) if flagged else live
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,6 +219,14 @@ def _hot_draws(n: int) -> tuple[int, ...]:
     low = min((range_limit(k) for k in range(2, n + 1)), default=1 << 64)
     hot = sorted(unmix64(u) * GOLDEN_INV & MASK for u in range(low, 1 << 64))
     return tuple(hot + [hot[0] + (1 << 64)] if hot else [1 << 65])
+
+
+@functools.lru_cache(maxsize=64)
+def _hot_tops(hot: tuple[int, ...], span: int) -> frozenset[int]:
+    """The top 32 bits of every c = s0 * GOLDEN^-1 that the guard flags,
+    c < h <= c + span for an entry h of `hot`, and possibly a few more."""
+    return frozenset(t for h in hot
+                     for t in range((h - span) >> 32, (h >> 32) + 1))
 
 
 def _lockstep_attempt(s0: int, n: int, r: int, rows,
@@ -196,13 +262,13 @@ def _lockstep_attempt(s0: int, n: int, r: int, rows,
     return masks
 
 
-def _simple_attempt(rng: Rng, n: int, r: int, steps) -> list[int] | None:
-    """One attempt of `gen_regular_bipartite`, one shuffle after the other:
-    each left row's right neighbours as a bitmask, or None at the first
-    repeated edge.  The draws are `rng.randrange(k)` inlined on the
-    splitmix64 state, redraws included, so this is the exact path for the
-    attempts whose draws `_lockstep_attempt` cannot address directly."""
-    s = rng.state
+def _simple_attempt(s: int, n: int, r: int, steps) -> list[int] | None:
+    """One attempt of `gen_regular_bipartite` from stream state s, one
+    shuffle after the other: each left row's right neighbours as a bitmask,
+    or None at the first repeated edge.  The draws are `Rng(s).randrange(k)`
+    inlined on the splitmix64 state, redraws included, so this is the exact
+    path for the attempts whose draws `_lockstep_attempt` cannot address
+    directly."""
     masks = [0] * n
     for _ in range(r):
         perm = list(range(n))

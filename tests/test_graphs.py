@@ -18,8 +18,8 @@ from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               cycle_census, find_circulant,
                               gen_regular_bipartite, girth, girth_search,
                               incidence_pg, parse_graph, random_lift)
-from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, splitmix64,
-                           unmix64)
+from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, derive_seed_lanes,
+                           splitmix64, unmix64, unpack_lanes)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -46,6 +46,21 @@ def test_validation_rejects_bad_graphs():
         BipGraph(3, 2, [[0, 1], [0, 1], [0, 1]])  # right side not regular
 
 
+def reference_attempt(n: int, r: int, s0: int) -> list[list[int]] | None:
+    """Oracle for one attempt: the rows of the r permutations that
+    `Rng(s0).permutation` draws in full, or None when a row repeats a
+    neighbour."""
+    rng = Rng(s0)
+    rows = [[] for _ in range(n)]
+    for _ in range(r):
+        perm = rng.permutation(n)
+        for u in range(n):
+            if perm[u] in rows[u]:
+                return None
+            rows[u].append(perm[u])
+    return rows
+
+
 def reference_gen(n: int, r: int, seed: int,
                   max_tries: int = 2_000_000) -> BipGraph:
     """Oracle: the plain permutation-model sampler, drawing every
@@ -53,19 +68,8 @@ def reference_gen(n: int, r: int, seed: int,
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
     for attempt in range(max_tries):
-        rng = Rng(derive_seed(seed, attempt))
-        rows = [[] for _ in range(n)]
-        ok = True
-        for _ in range(r):
-            perm = rng.permutation(n)
-            for u in range(n):
-                if perm[u] in rows[u]:
-                    ok = False
-                    break
-                rows[u].append(perm[u])
-            if not ok:
-                break
-        if ok:
+        rows = reference_attempt(n, r, derive_seed(seed, attempt))
+        if rows is not None:
             return BipGraph(n, r, rows)
     raise GenerationBudgetError(
         f"no simple graph after {max_tries} draws (n={n}, r={r})")
@@ -104,11 +108,12 @@ def test_unmix64_inverts_the_output_mix(x):
     assert splitmix64((unmix64(x) - GOLDEN) & MASK) == x
 
 
-def _seed_with_top_draw(t: int) -> int:
-    """The seed whose attempt 0 has 2^64 - 1 as its draw t (1-based)."""
+def _seed_with_top_draw(t: int, attempt: int = 0) -> int:
+    """The seed whose attempt `attempt` has 2^64 - 1 as its draw t
+    (1-based)."""
     s0 = (unmix64(MASK) - t * GOLDEN) & MASK
-    seed = ((unmix64(s0) - GOLDEN) & MASK) ^ splitmix64(0)
-    rng = Rng(derive_seed(seed, 0))
+    seed = ((unmix64(s0) - GOLDEN) & MASK) ^ splitmix64(attempt)
+    rng = Rng(derive_seed(seed, attempt))
     assert [rng.next_u64() for _ in range(t)][-1] == MASK
     return seed
 
@@ -136,6 +141,23 @@ def test_gen_redraw_guard_matches_reference(n, r):
             reference_gen(n, r, seed).adj, t
 
 
+# Hot attempts past the first batch, so in a packed batch: with each seed,
+# attempts 0 .. a-1 are all rejected and attempt a, whose draw t is
+# 2^64 - 1, is accepted.  Draws 2 and 10 at n = 9 and draw 5 at n = 12 are
+# randrange(8) steps, which keep 2^64 - 1.  Draw 7 at n = 9 (randrange(3))
+# is redrawn, which shifts the packed rows of shuffle 1 by one draw.
+HOT_IN_BATCH = [(9, 3, 2, 39), (9, 3, 7, 51), (9, 3, 10, 33), (12, 3, 5, 33)]
+
+
+@pytest.mark.parametrize("n,r,t,attempt", HOT_IN_BATCH)
+def test_gen_redraw_guard_in_packed_batch(n, r, t, attempt):
+    seed = _seed_with_top_draw(t, attempt)
+    with pytest.raises(GenerationBudgetError):
+        reference_gen(n, r, seed, max_tries=attempt)
+    assert gen_regular_bipartite(n, r, seed).adj == \
+        reference_gen(n, r, seed).adj
+
+
 @pytest.mark.parametrize("n,r,t", [(9, 2, 9), (9, 3, 7), (7, 2, 5)])
 def test_gen_redraw_guard_bites(n, r, t, monkeypatch):
     """With the guard's hot set emptied, the row lockstep reads draw t
@@ -144,6 +166,49 @@ def test_gen_redraw_guard_bites(n, r, t, monkeypatch):
     monkeypatch.setattr(graphs, "_hot_draws", lambda n: (1 << 65,))
     assert gen_regular_bipartite(n, r, seed).adj != \
         reference_gen(n, r, seed).adj
+
+
+def test_gen_redraw_guard_bites_in_packed_batch(monkeypatch):
+    """The packed batches read `_hot_draws(n)` on every call too: with it
+    emptied, attempt 51's shifted draws are read unguarded."""
+    n, r, t, attempt = HOT_IN_BATCH[1]
+    seed = _seed_with_top_draw(t, attempt)
+    monkeypatch.setattr(graphs, "_hot_draws", lambda n: (1 << 65,))
+    assert gen_regular_bipartite(n, r, seed).adj != \
+        reference_gen(n, r, seed).adj
+
+
+# graphs that the oracle accepts at attempt `accepted`, inside the second
+# batch, so the batch has to be cut short at max_tries
+@pytest.mark.parametrize("n,r,seed,accepted",
+                         [(9, 4, 9, 48), (10, 4, 25, 57), (8, 4, 8, 61)])
+def test_gen_budget_boundary_in_packed_batch(n, r, seed, accepted):
+    assert gen_regular_bipartite(n, r, seed, max_tries=accepted + 1).adj \
+        == reference_gen(n, r, seed, max_tries=accepted + 1).adj
+    with pytest.raises(GenerationBudgetError) as want:
+        reference_gen(n, r, seed, max_tries=accepted)
+    with pytest.raises(GenerationBudgetError) as got:
+        gen_regular_bipartite(n, r, seed, max_tries=accepted)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 14), st.integers(2, 5), st.integers(0, MASK),
+       st.integers(0, MASK))
+def test_packed_filter_only_rejects(n, r, seed, first):
+    """Every attempt the packed rows rule out is one the oracle rejects,
+    and the lanes the guard flags are kept whatever their draws."""
+    r = min(r, n)
+    size = 48
+    states = derive_seed_lanes(seed, first, size)
+    live = graphs._packed_filter(states, size, n, r, ())
+    assert live == sorted(set(live))
+    for a, s0 in enumerate(unpack_lanes(states, size)):
+        if a not in live:
+            assert reference_attempt(n, r, s0) is None
+    flagged = {0, size - 1}
+    assert graphs._packed_filter(states, size, n, r, flagged) == \
+        sorted(flagged.union(live))
 
 
 def test_gen_errors_match_reference_sampler():
