@@ -220,20 +220,17 @@ def derive_M_pointwise(r: int, j: int,
     return {h: sol[h - 1] for h in range(1, j)}
 
 
-def fit_atable(points: dict[tuple[int, int], Rat], h: int,
-               window: tuple[int, int] | None = None) -> JPoly:
+def fit_atable(points: dict[tuple[int, int], Rat], h: int) -> JPoly:
     """Fit the symbolic a_h from pointwise values.
 
     The forced roots j = 0..h are divided out first, so only the degree
-    <= h-1 quotient in j (with Laurent-in-r coefficients over `window`)
+    <= h-1 quotient in j (with Laurent-in-r coefficients over r^-h..r^0)
     remains.  The system must be overdetermined; every extra row is a
     held-out sample whose residual must be exactly zero."""
     if not points:
         raise FitError("empty sample set")
-    if window is None:
-        window = (-h, 0)
-    lo, hi = window
-    rpows = list(range(lo, hi + 1))
+    window = (-h, 0)
+    rpows = list(range(-h, 1))
     unknowns = [(t, e) for t in range(h) for e in rpows]
     if len(points) <= len(unknowns):
         raise FitError(
@@ -254,7 +251,7 @@ def fit_atable(points: dict[tuple[int, int], Rat], h: int,
     except InconsistentSystemError as exc:
         raise FitError(
             f"held-out residual nonzero for a_{h} over window {window}: "
-            f"{exc}; widen the r-window or check the girth policy") from exc
+            f"{exc}; check the girth policy") from exc
     pos = {ue: k for k, ue in enumerate(unknowns)}
     quotient = JPoly([RLaurent({e: sol[pos[(t, e)]] for e in rpows}, window)
                       for t in range(h)])

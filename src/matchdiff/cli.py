@@ -16,6 +16,7 @@ import traceback
 from . import __version__
 from .atable import ATableError, ConjectureSpec
 from .graphs import GenerationBudgetError, check_census_smax
+from .matchcount import CapExceededError
 from .rng import Rng
 
 EXIT_OK = 0
@@ -367,12 +368,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except (GenerationBudgetError, CapExceededError) as exc:
+        # CapExceededError is a ValueError, so it is caught first
+        print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, ATableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GenerationBudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except Exception as exc:
         # a crash must not read as "check failed" (exit 1)
         traceback.print_exc(file=sys.stderr)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+from math import isqrt
 
 from .atable import (ATable, QualificationError, a1_builtin,
                      derive_M_pointwise, fit_atable)
 from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
-                     girth_search, incidence_pg, is_prime, propose_swap,
-                     random_lift)
+                     girth_search, incidence_pg, is_prime, propose_swap)
 from .matchcount import match_count_upto
 from .rng import derive_seed
 from .series import Rat
@@ -26,18 +26,16 @@ DEFAULT_SEED = 20250809
 
 # girth-8 cubic graphs exist on 30 and 34+ vertices but not 32
 _SKIP_G8_CUBIC = {16}
+# valid 2-edge swaps per edge in `_swap_shuffle`
+_SWAP_SWEEPS = 10
+# graphs per family beyond the j unknowns of a fit: the held-out rows
+_EXTRA_ROWS = 1
 
 
 def min_girth_for(j: int, strict: bool = False) -> int:
     """Smallest even girth qualifying a graph to supply m_j = M_j."""
     g = 2 * j + 1 if strict else j + 1
     return g if g % 2 == 0 else g + 1
-
-
-def moore_floor(r: int, min_girth: int) -> int:
-    """Bipartite Moore bound on the side size for the given girth."""
-    d = min_girth // 2
-    return sum((r - 1) ** t for t in range(d))
 
 
 def cache_dir() -> str:
@@ -103,7 +101,7 @@ def count_mj(g: BipGraph, j: int, cache: _CountCache | None = None) -> int:
         hit = cache.get(gid, j)
         if hit is not None:
             return hit
-    mvec = match_count_upto(g, j, guard=j)
+    mvec = match_count_upto(g, j)
     mvec.validate_regular(g.n, g.r)
     m = mvec.counts[j]
     if cache is not None:
@@ -131,13 +129,14 @@ def _structured_graph(r: int, n: int, min_girth: int, seed: int) -> BipGraph:
     return girth_search(n, r, min_girth, seed)
 
 
-def _swap_shuffle(g: BipGraph, seed: int, sweeps: int = 10) -> BipGraph:
-    """Randomize a graph by valid 2-edge swaps (simplicity preserved)."""
+def _swap_shuffle(g: BipGraph, seed: int) -> BipGraph:
+    """Randomize a graph by `_SWAP_SWEEPS` valid 2-edge swaps per edge
+    (simplicity preserved)."""
     from .rng import Rng
 
     rows = [set(row) for row in g.adj]
     rng = Rng(seed)
-    wanted = sweeps * g.nedges
+    wanted = _SWAP_SWEEPS * g.nedges
     done = 0
     for _ in range(50 * wanted):
         if done >= wanted:
@@ -155,8 +154,7 @@ def _swap_shuffle(g: BipGraph, seed: int, sweeps: int = 10) -> BipGraph:
 def _random_style_graph(r: int, n: int, min_girth: int, seed: int) -> BipGraph:
     """Randomized qualified graph: permutation model when girth 4 suffices
     (swap-shuffled circulant at large r, where rejection sampling stalls),
-    random lifts of a small qualified base otherwise, annealing as a last
-    resort."""
+    annealing from permutation-model starts otherwise."""
     if min_girth <= 4:
         if r <= 5:
             return gen_regular_bipartite(n, r, seed)
@@ -164,18 +162,6 @@ def _random_style_graph(r: int, n: int, min_girth: int, seed: int) -> BipGraph:
         if base is None:
             raise GenerationBudgetError(f"no circulant base (n={n}, r={r})")
         return _swap_shuffle(base, derive_seed(seed, 0x5A))
-    floor = moore_floor(r, min_girth)
-    for bn in (d for d in range(floor, n) if n % d == 0):
-        if min_girth >= 8 and r == 3 and bn in _SKIP_G8_CUBIC:
-            continue
-        try:
-            base = _structured_graph(r, bn, min_girth, seed)
-        except GenerationBudgetError:
-            continue
-        if girth(base) >= min_girth:
-            lifted = random_lift(base, n // bn, derive_seed(seed, n))
-            if girth(lifted) >= min_girth:
-                return lifted
     return girth_search(n, r, min_girth, derive_seed(seed, 0xB))
 
 
@@ -187,7 +173,18 @@ def candidate_sizes(r: int, j: int, strict: bool = False) -> list[int]:
         return list(range(start, start + 40))
     if mg == 6:
         start = r * r - r + 1
-        return list(range(start, start + 40))
+        sizes = list(range(start, start + 40))
+        # At n = r^2 - r + 2, girth >= 6 puts r(r-1) = n - 2 other left
+        # vertices at distance 2 from each left vertex, so the biadjacency
+        # matrix N has N N^T = (r-1) I - P + J, P a fixed-point-free
+        # involution, and det(N)^2 = r^(n/2+2) (r-2)^(n/2-1) must be a
+        # square (Bose and Connor, Ann. Math. Statist. 23, 1952).  It is
+        # not at r = 5 or 7, for instance: no such graph exists there.
+        half = (start + 1) // 2
+        det2 = r ** (half + 2) * (r - 2) ** (half - 1)
+        if isqrt(det2) ** 2 != det2:
+            sizes.remove(start + 1)
+        return sizes
     if mg == 8 and r == 3:
         return [n for n in range(15, 40) if n not in _SKIP_G8_CUBIC]
     if mg == 12 and r == 3:
@@ -202,8 +199,9 @@ def qualified_family(r: int, j: int, count: int, seed: int,
     """`count` qualified graphs with distinct side sizes.
 
     style "structured": incidence constructions / circulants / annealing.
-    style "random": permutation-model graphs or random lifts (independent
-    source of graphs for the reconstruction-invariance check).
+    style "random": permutation-model graphs, swap-shuffled circulants or
+    annealing from permutation-model starts (independent source of graphs
+    for the reconstruction-invariance check).
     """
     mg = min_girth_for(j, strict)
     sizes = candidate_sizes(r, j, strict)
@@ -241,11 +239,10 @@ def derive_entry(r: int, j: int, family: list[BipGraph],
 
 def derive_with_invariance(r: int, j: int, seed: int,
                            cache: _CountCache | None = None,
-                           strict: bool = False,
-                           extra_rows: int = 1) -> dict[int, Rat]:
+                           strict: bool = False) -> dict[int, Rat]:
     """Derive a_h(r, j) from two independent families; exact agreement of
     the two reconstructions is required."""
-    count = j + extra_rows
+    count = j + _EXTRA_ROWS
     fam_a = qualified_family(r, j, count, seed, "structured", strict)
     fam_b = qualified_family(r, j, count, derive_seed(seed, 0xFA), "random",
                              strict)
@@ -322,12 +319,12 @@ def build_default_table(root: str | None = None, rs=(3, 4, 5),
     a1_points[(3, 5)] = vals[1]
     a2_points[(3, 5)] = vals[2]
 
-    a1 = fit_atable(a1_points, 1, window=(-1, 0))
+    a1 = fit_atable(a1_points, 1)
     if a1 != a1_builtin():
         raise QualificationError(
             "derived a_1 does not match the closed form j(j-1)(1/(2r) - 1)")
     table.set_sym(1, a1, f"derived from {sorted(a1_points)}")
-    a2 = fit_atable(a2_points, 2, window=(-2, 0))
+    a2 = fit_atable(a2_points, 2)
     table.set_sym(2, a2, f"derived from {sorted(a2_points)}")
 
     # pointwise a_3 at r=3 (j = 4, 5, 6) with the a_4, a_5 byproducts
@@ -364,7 +361,7 @@ def _build_strict_table(root, path, rs, table, derive, say) -> ATable:
         a1_points[(r, 2)] = vals[1]
     vals = derive(3, 3)
     a1_points[(3, 3)] = vals[1]
-    a1 = fit_atable(a1_points, 1, window=(-1, 0))
+    a1 = fit_atable(a1_points, 1)
     if a1 != a1_builtin():
         raise QualificationError(
             "strict-policy a_1 does not match the closed form")

@@ -19,6 +19,12 @@ from .rng import (GOLDEN, GOLDEN_INV, MASK, MIX1, MIX2, Rng, derive_seed,
                   unmix64, unpack_lanes)
 
 
+# Random connection sets `find_circulant` tries when it cannot enumerate
+CIRCULANT_TRIES = 20_000
+# 2-edge swap proposals of one `girth_search`, over all its restarts
+GIRTH_SEARCH_BUDGET = 200_000
+
+
 class GraphError(ValueError):
     pass
 
@@ -394,11 +400,12 @@ def circulant_bipartite(n: int, offsets) -> BipGraph:
 
 
 def find_circulant(n: int, r: int, min_girth: int,
-                   seed: int = 0, tries: int = 20_000) -> BipGraph | None:
+                   seed: int = 0) -> BipGraph | None:
     """Search for a circulant connection set achieving the girth target.
 
     Exhaustive over sets containing 0 when that is cheap (r = 3), seeded
-    random search otherwise.  Returns None when nothing is found.
+    random search of `CIRCULANT_TRIES` sets otherwise.  Returns None when
+    nothing is found.
     """
     if r > n:
         return None
@@ -410,7 +417,7 @@ def find_circulant(n: int, r: int, min_girth: int,
                     return g
         return None
     rng = Rng(derive_seed(seed, n * 1000 + r))
-    for _ in range(tries):
+    for _ in range(CIRCULANT_TRIES):
         offs = {0}
         while len(offs) < r:
             offs.add(rng.randrange(n - 1) + 1)
@@ -473,12 +480,12 @@ def _pair_cycle_score(gadj, e1, e2, s_max, weights) -> int:
     return s
 
 
-def girth_search(n: int, r: int, target_girth: int, seed: int,
-                 budget: int = 200_000) -> BipGraph:
+def girth_search(n: int, r: int, target_girth: int, seed: int) -> BipGraph:
     """Find an r-regular bipartite graph on n+n vertices with girth >=
     target_girth: circulant warm starts first, then hill climbing on 2-edge
-    swaps that minimizes a weighted short-cycle score.  The result is always
-    validated by an explicit girth computation."""
+    swaps that minimizes a weighted short-cycle score, `GIRTH_SEARCH_BUDGET`
+    proposals over all restarts.  The result is always validated by an
+    explicit girth computation."""
     if target_girth % 2:
         raise GraphError("target girth must be even for bipartite graphs")
     if target_girth <= 4:
@@ -516,7 +523,7 @@ def girth_search(n: int, r: int, target_girth: int, seed: int,
             gadj[u1].add(n + v2); gadj[n + v2].add(u1)
             gadj[u2].add(n + v1); gadj[n + v1].add(u2)
 
-        for _ in range(budget // restarts):
+        for _ in range(GIRTH_SEARCH_BUDGET // restarts):
             if cur_score == 0:
                 break
             swap = propose_swap(rows, r, rng)
@@ -538,7 +545,7 @@ def girth_search(n: int, r: int, target_girth: int, seed: int,
                 return result
     raise GenerationBudgetError(
         f"girth search failed (n={n}, r={r}, target={target_girth}, "
-        f"budget={budget})")
+        f"budget={GIRTH_SEARCH_BUDGET})")
 
 
 def parse_graph(text: str) -> BipGraph:

@@ -22,6 +22,14 @@ from .kseries import build_K
 from .rng import Rng
 from .series import JPoly, NSeries, Rat, RLaurent
 
+# The r of the pointwise checks: the default table is pointwise past a_2
+# only at r = 3
+R_POINT = 3
+# Series order of the synthetic second-identity trials
+SYNTHETIC_ORDER = 4
+# Most terms in a random conjecture spec
+SPEC_MAX_TERMS = 2
+
 
 @dataclass
 class CheckReport:
@@ -58,10 +66,10 @@ def lsplit(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lplus, lminus
 
 
-def at_r_for(table: ATable, level: int, r_point: int = 3) -> int | None:
+def at_r_for(table: ATable, level: int) -> int | None:
     """The r a check at 1/n-level `level` runs at: None (symbolic in r) when
-    a_1..a_level are all symbolic, otherwise the fixed point `r_point`."""
-    return None if level <= table.sym_max() else r_point
+    a_1..a_level are all symbolic, otherwise the fixed point `R_POINT`."""
+    return None if level <= table.sym_max() else R_POINT
 
 
 def _rparam(at_r) -> str:
@@ -265,11 +273,11 @@ def check_second_identity(table: ATable, i: int, k: int, order: int,
     return rep
 
 
-def check_second_identity_synthetic(seed: int, trials: int = 50,
-                                    order: int = 4) -> CheckReport:
+def check_second_identity_synthetic(seed: int,
+                                    trials: int = 50) -> CheckReport:
     """The identity is pure algebra, so it must hold on arbitrary proper
-    series, not just table-derived ones: random U series, random binomial
-    exponents."""
+    series, not just table-derived ones: random U series of order
+    `SYNTHETIC_ORDER`, random binomial exponents."""
     rep = CheckReport("second-identity-synthetic",
                       {"spec": f"trials={trials}"})
     rng = Rng(seed)
@@ -279,13 +287,13 @@ def check_second_identity_synthetic(seed: int, trials: int = 50,
         us = {}
         for ell in ells:
             coeffs = {}
-            for h in range(1, order + 1):
+            for h in range(1, SYNTHETIC_ORDER + 1):
                 deg = rng.randrange(3)
                 poly = [rng.rat(9, 9) for _ in range(deg + 1)]
                 coeffs[h] = JPoly(poly)
-            us[ell] = NSeries(coeffs, order)
+            us[ell] = NSeries(coeffs, SYNTHETIC_ORDER)
         exps = {ell: comb(k, ell) for ell in ells}
-        lhs, rhs = second_identity_on_series(us, exps, order)
+        lhs, rhs = second_identity_on_series(us, exps, SYNTHETIC_ORDER)
         if lhs != rhs:
             rep.witness[("trial", trial)] = f"k={k}"
     return rep
@@ -372,11 +380,11 @@ def check_extended_expansion(table: ATable, spec: ConjectureSpec, h_max: int,
     return rep, values
 
 
-def random_conjecture_spec(rng: Rng, z_max: int = 2,
-                           max_terms: int = 2) -> ConjectureSpec:
-    """Documented sampler: 1..max_terms terms, z uniform in 1..z_max,
-    c a random nonzero rational with numerator/denominator up to 99."""
-    nterms = 1 + rng.randrange(max_terms)
+def random_conjecture_spec(rng: Rng, z_max: int = 2) -> ConjectureSpec:
+    """Documented sampler: 1..`SPEC_MAX_TERMS` terms, z uniform in
+    1..z_max, c a random nonzero rational with numerator/denominator up to
+    99."""
+    nterms = 1 + rng.randrange(SPEC_MAX_TERMS)
     terms = tuple((1 + rng.randrange(z_max), rng.rat()) for _ in range(nterms))
     return ConjectureSpec(terms)
 
@@ -384,51 +392,51 @@ def random_conjecture_spec(rng: Rng, z_max: int = 2,
 # -- suites -------------------------------------------------------------------
 
 
-def core_suite(table: ATable, ks=(2, 3), i_max: int = 3,
-               r_point: int = 3) -> list[CheckReport]:
+def core_suite(table: ATable) -> list[CheckReport]:
     """The default verification sweep: symbolic in r wherever the table is
-    symbolic, order-3 checks pointwise at r_point."""
+    symbolic, order-3 checks pointwise at `R_POINT`, per-index checks at
+    i = 0..3."""
     reports: list[CheckReport] = []
     sym_max = table.sym_max()
     # point_max counts symbolic levels too, so h3 >= sym_max
-    h3 = table.point_max(r_point)
+    h3 = table.point_max(R_POINT)
     for h in range(1, h3 + 1):
         reports.append(check_log_coefficients(
-            table, h, at_r=at_r_for(table, h, r_point)))
-    for k in ks:
+            table, h, at_r=at_r_for(table, h)))
+    for k in (2, 3):
         if k - 1 <= h3:
             reports.append(check_top_coefficient(
-                table, k, at_r=at_r_for(table, k - 1, r_point)))
+                table, k, at_r=at_r_for(table, k - 1)))
     for d in range(0, 5):
         for k in range(d, 5):
             reports.append(check_fd_monomial(k, d))
-    for k in ks:
+    for k in (2, 3):
         if k - 1 > h3:
             continue
-        at_r = at_r_for(table, k - 1, r_point)
-        for i in range(i_max + 1):
+        at_r = at_r_for(table, k - 1)
+        for i in range(4):
             reports.append(check_first_identity(table, i, k, at_r=at_r))
     if h3 >= 3:
-        reports.append(check_first_identity(table, 0, 4, at_r=r_point))
+        reports.append(check_first_identity(table, 0, 4, at_r=R_POINT))
     for k in (3, 4):
         if k - 2 > h3:
             continue
-        at_r = at_r_for(table, k - 2, r_point)
-        for i in range(i_max + 1):
+        at_r = at_r_for(table, k - 2)
+        for i in range(4):
             reports.append(check_t_cancellation(table, i, k, at_r=at_r))
     for k in (0, 1, 2, 3):
         if max(k - 1, 1) <= sym_max:
             reports.append(check_alpha0_series(table, None, k))
     if h3 >= 3:
-        for i in range(i_max + 1):
-            reports.append(check_alpha0_series(table, i, 4, at_r=r_point))
+        for i in range(4):
+            reports.append(check_alpha0_series(table, i, 4, at_r=R_POINT))
     for k in (0, 1, 2, 3):
         for i in (0, 2):
             reports.append(check_second_identity(table, i, k,
                                                  order=min(3, sym_max)))
             if h3 >= 3:
                 reports.append(check_second_identity(table, i, k, order=3,
-                                                     at_r=r_point))
+                                                     at_r=R_POINT))
     reports.append(check_second_identity_synthetic(seed=0xA11CE, trials=50))
     rep, _ = check_extended_expansion(table, ConjectureSpec(()), min(sym_max, 2))
     rep.id = "extended-expansion-empty"

@@ -2,7 +2,9 @@
 
 The central quantities are the exact rational ratios
 rho_i = m_i K_i, with K_i = (v-1)^i / (mbar_i r^i) fixed by (n, r), and
-the finite differences of d(i) = ln(rho_i) = ln m_i + ln K_i.
+the finite differences of d(i) = ln(rho_i) = ln m_i + ln K_i.  The counts
+m_i are the only per-graph input: every constant lives in the per-(n, r)
+`_KTable`.
 
 `delta_table` takes the sign of every Delta^k d(i), i + k <= n, from one
 cascade (`_sign_cascade`).  Rounding never decides a sign without a proven
@@ -17,8 +19,10 @@ sign only where the interval excludes 0.
 2. `decimal` at 40, then 80, then 160 digits, for the cells the floats
    leave open: the same triangle, with a half-ulp radius per operation
    (`Context.ln` is correctly rounded).
-3. The exact `delta_sign`, integer cross-multiplication of binomially
-   exponentiated rho products, for what is still open.
+3. The exact sign, `_exact_sign`, for what is still open: Delta^k d(i) is
+   the log of prod_{L+} rho^C(k,l) / prod_{L-} rho^C(k,l), so its sign is
+   the sign of alpha_0 = prod_{L+} rho^C(k,l) - prod_{L-} rho^C(k,l), and
+   of the integer D alpha_0 (`_KTable.alpha0`, `_scaled_alpha0`).
 Every radius depends only on (n, r), not on the graph: it is computed once
 per (n, r) in exact rationals (`_KTable`) and rounded up.  The structural
 zeros Delta^0 d(0) = Delta^0 d(1) = Delta^1 d(0) = 0 (rho_0 = rho_1 = 1
@@ -27,9 +31,9 @@ does, and are never sent on to the later tiers.
 
 The Monte Carlo moments are exact too, with no rational per sample: every
 graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
-scales alpha_0 by a per-(n, r, i, k) integer D into an integer (see
-`_alpha0_constants`), sums it and its square as integers, and divides by
-D and D^2 once, after the merge.
+scales alpha_0 by a per-(n, r, i, k) integer D into an integer (the same
+`_KTable.alpha0` constants), sums it and its square as integers, and
+divides by D and D^2 once, after the merge.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ _TINY = Fraction(1, 2 ** 1074)  # below the normal range, rounding is absolute
 _DECIMAL_TIERS = (40, 80, 160)  # digits
 _CEIL = Context(prec=6, rounding=ROUND_CEILING)
 _STRUCTURAL_ZEROS = frozenset({(0, 0), (1, 0), (0, 1)})
+# Standard errors of the Wilson interval in the trend rule
+WILSON_Z = 2.0
 
 
 def _ln_upper(x: int) -> Fraction:
@@ -83,8 +89,9 @@ def _half_ulp(b: Fraction, prec: int) -> Fraction:
 
 
 class _KTable:
-    """Everything the sign cascade needs that depends only on the constants
-    K_i = rho_i / m_i and on bounds m_i <= m_max[i], never on the counts.
+    """Everything positivity needs that depends only on the constants
+    K_i = rho_i / m_i and on bounds m_i <= m_max[i], never on the counts:
+    the cascade's radii and the integer alpha_0 constants (`alpha0`).
 
     ln m_i <= LM_i, ln(num K_i) <= LN_i and ln(den K_i) <= LD_i, so
     |d(i)| <= LM_i + LN_i + LD_i + 2 =: B(i, 0) for every computed d(i),
@@ -125,10 +132,38 @@ class _KTable:
                      self._radius_rows(rad0, lambda b: _U * b) for q in row]
         self.neg_rads = [-e for e in self.rads]
         self._pairs = [(q.numerator, q.denominator) for q in self.K]
+        self._alpha0 = {}
 
     def rho(self, counts) -> list[Rat]:
         """rho_i = m_i K_i, exactly."""
         return [Fraction(a * m, b) for (a, b), m in zip(self._pairs, counts)]
+
+    def alpha0(self, i: int, k: int):
+        """Integer constants that give D alpha_0 from the counts m.
+
+        alpha_0 = x K+ - y K-, where x and y are the products of
+        m_{i+l}^C(k,l) over L+ and L-, and K+ and K- are the same products
+        of K, each one Fraction of its numerator and denominator products.
+        With D = lcm(den K+, den K-), c+ = K+ D and c- = K- D are integers
+        and D alpha_0 = x c+ - y c-.  Returns (plus, minus, c+, c-, D),
+        where plus and minus are the (index, exponent) factors of x and y;
+        computed on first use."""
+        const = self._alpha0.get((i, k))
+        if const is None:
+            sides = []
+            for ells in lsplit(k):
+                factors = tuple((i + ell, comb(k, ell)) for ell in ells)
+                num = den = 1
+                for j, e in factors:
+                    num *= self._pairs[j][0] ** e
+                    den *= self._pairs[j][1] ** e
+                sides.append((factors, Fraction(num, den)))
+            (plus, kplus), (minus, kminus) = sides
+            d = lcm(kplus.denominator, kminus.denominator)
+            const = self._alpha0[(i, k)] = (
+                plus, minus, kplus.numerator * (d // kplus.denominator),
+                kminus.numerator * (d // kminus.denominator), d)
+        return const
 
     def _decimal_lnk(self, prec: int):
         """ln K_i = ln(num) - ln(den) at `prec` digits, and the radius of
@@ -183,20 +218,22 @@ def rho_vector(g: BipGraph, mvec: MatchVector | None = None) -> list[Rat]:
     return _k_table(g.n, g.r).rho(mvec.counts)
 
 
-def delta_sign(rho: list[Rat], i: int, k: int) -> int:
-    """Exact sign of Delta^k d(i) via the parity-split product comparison."""
-    lplus, lminus = lsplit(k)
-    lhs = 1
-    rhs = 1
-    for ell in lplus:
-        q = rho[i + ell]
-        lhs *= q.numerator ** comb(k, ell)
-        rhs *= q.denominator ** comb(k, ell)
-    for ell in lminus:
-        q = rho[i + ell]
-        lhs *= q.denominator ** comb(k, ell)
-        rhs *= q.numerator ** comb(k, ell)
-    return (lhs > rhs) - (lhs < rhs)
+def _scaled_alpha0(m, const) -> int:
+    """D alpha_0 of the counts m, exactly, for one entry `const` of
+    `_KTable.alpha0`; its sign is the sign of alpha_0."""
+    plus, minus, cplus, cminus, _ = const
+    x = y = 1
+    for j, e in plus:
+        x *= m[j] ** e
+    for j, e in minus:
+        y *= m[j] ** e
+    return x * cplus - y * cminus
+
+
+def _exact_sign(counts, tab: _KTable, i: int, k: int) -> int:
+    """Exact sign of Delta^k d(i): the sign of D alpha_0."""
+    a = _scaled_alpha0(counts, tab.alpha0(i, k))
+    return (a > 0) - (a < 0)
 
 
 def _decimal_triangle(counts, tab: _KTable, prec: int, k_max: int):
@@ -225,11 +262,10 @@ def _float_triangle(counts, tab: _KTable) -> list[float]:
     return values
 
 
-def _sign_cascade(counts, tab: _KTable, rho: list[Rat]
-                  ) -> dict[tuple[int, int], int]:
-    """Sign of Delta^k d(i) on every i + k <= n, equal to `delta_sign`:
+def _sign_cascade(counts, tab: _KTable) -> dict[tuple[int, int], int]:
+    """Sign of Delta^k d(i) on every i + k <= n, equal to `_exact_sign`:
     the float triangle, then the decimal tiers on the cells it leaves
-    open, then `delta_sign` (see the module docstring)."""
+    open, then `_exact_sign` (see the module docstring)."""
     values = _float_triangle(counts, tab)
     # +-1 where |x| > rad; 0 where the interval holds 0 (left open)
     flat = list(map(sub, map(gt, values, tab.rads),
@@ -252,7 +288,7 @@ def _sign_cascade(counts, tab: _KTable, rho: list[Rat]
         if not cells:
             return signs
     for i, k in cells:
-        signs[(i, k)] = delta_sign(rho, i, k)
+        signs[(i, k)] = _exact_sign(counts, tab, i, k)
     return signs
 
 
@@ -276,8 +312,14 @@ class DProfile:
     """Exact positivity profile of one graph."""
 
     n: int
-    rho: list[Rat]
+    r: int
+    counts: tuple[int, ...]  # m_0..m_n
     signs: dict[tuple[int, int], int]  # (i, k) -> sign of Delta^k d(i)
+
+    @property
+    def rho(self) -> list[Rat]:
+        """rho_0..rho_n, exactly (computed on access)."""
+        return _k_table(self.n, self.r).rho(self.counts)
 
     def positive(self) -> bool:
         return min(self.signs.values()) >= 0
@@ -288,9 +330,8 @@ def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
     i + k <= n (d(i) is only finite for i <= n)."""
     if mvec is None:
         mvec = match_poly_full(g)
-    rho = rho_vector(g, mvec)
-    return DProfile(g.n, rho, _sign_cascade(mvec.counts, _k_table(g.n, g.r),
-                                            rho))
+    return DProfile(g.n, g.r, mvec.counts,
+                    _sign_cascade(mvec.counts, _k_table(g.n, g.r)))
 
 
 @dataclass
@@ -343,46 +384,6 @@ def _sample_graph(r: int, n: int, seed: int, index: int) -> BipGraph:
     return gen_regular_bipartite(n, r, derive_seed(seed, index))
 
 
-def _alpha0_constants(r: int, n: int, pairs) -> dict:
-    """Integer constants that give D alpha_0 from the counts of one sample.
-
-    rho_i = m_i K_i, where K_i = (v-1)^i / (mbar_i r^i) is fixed by (n, r)
-    (`_k_table`).  So alpha_0 = x K+ - y K-, where x and y are the products
-    of m_{i+l}^C(k,l) over L+ and L-, and K+ and K- are the same products
-    of K, each one Fraction of its numerator and denominator products.
-    With D = lcm(den K+, den K-), c+ = K+ D and c- = K- D are integers
-    and D alpha_0 = x c+ - y c-.  Maps each (i, k) to (plus, minus, c+, c-,
-    D), where plus and minus are the (index, exponent) factors of x and y."""
-    K = _k_table(n, r).K
-    out = {}
-    for (i, k) in pairs:
-        sides = []
-        for ells in lsplit(k):
-            factors = tuple((i + ell, comb(k, ell)) for ell in ells)
-            num = den = 1
-            for j, e in factors:
-                num *= K[j].numerator ** e
-                den *= K[j].denominator ** e
-            sides.append((factors, Fraction(num, den)))
-        (plus, kplus), (minus, kminus) = sides
-        d = lcm(kplus.denominator, kminus.denominator)
-        out[(i, k)] = (plus, minus, kplus.numerator * (d // kplus.denominator),
-                       kminus.numerator * (d // kminus.denominator), d)
-    return out
-
-
-def _scaled_alpha0(m, const) -> int:
-    """D alpha_0 of the sample with counts m, exactly, for one entry of
-    `_alpha0_constants`; its sign is the sign of alpha_0."""
-    plus, minus, cplus, cminus, _ = const
-    x = y = 1
-    for j, e in plus:
-        x *= m[j] ** e
-    for j, e in minus:
-        y *= m[j] ** e
-    return x * cplus - y * cminus
-
-
 def _grid_worker(args):
     """Integer partial sums of D alpha_0 and its square, violation and
     positive-graph counts over the samples lo..hi-1, and the s-cycle
@@ -418,17 +419,17 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
 
     Per-sample seeds come from a splittable counter scheme, so results are
     identical for any `jobs`.  Workers sum the integers D alpha_0 and
-    (D alpha_0)^2 (see `_alpha0_constants`, computed once per call); the
-    merge adds those integers, and the exact moments come from one
-    division by D and by D^2 at the end.  With census_samples > 0, the
+    (D alpha_0)^2 (constants from `_KTable.alpha0`); the merge adds those
+    integers, and the exact moments come from one division by D and by
+    D^2 at the end.  With census_samples > 0, the
     first census_samples samples also get a cycle census up to
     census_smax, and every stat carries the merged totals in
     `cycle_totals`.  Pairs outside the domain
     i + k <= n are dropped; when none is left, nothing is sampled."""
     if samples < 1:
         raise ValueError("need samples >= 1")
-    consts = _alpha0_constants(
-        r, n, dict.fromkeys(p for p in pairs if p[0] + p[1] <= n))
+    tab = _k_table(n, r)
+    consts = {p: tab.alpha0(*p) for p in pairs if p[0] + p[1] <= n}
     if not consts:
         return {}
     census = (census_smax, census_samples)
@@ -469,10 +470,11 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
     return out
 
 
-def wilson_bounds(successes: int, samples: int,
-                  z: float = 2.0) -> tuple[float, float]:
-    """Wilson score interval; unlike the plug-in standard error it stays
-    informative at p_hat in {0, 1}, which boundary proportions hit often."""
+def wilson_bounds(successes: int, samples: int) -> tuple[float, float]:
+    """Wilson score interval at z = `WILSON_Z`; unlike the plug-in standard
+    error it stays informative at p_hat in {0, 1}, which boundary
+    proportions hit often."""
+    z = WILSON_Z
     p = successes / samples
     denom = samples + z * z
     center = (successes + z * z / 2) / denom
@@ -480,12 +482,11 @@ def wilson_bounds(successes: int, samples: int,
     return center - half, center + half
 
 
-def _wilson_above(x_hi: int, n_hi: int, x_lo: int, n_lo: int,
-                  z: float) -> bool:
+def _wilson_above(x_hi: int, n_hi: int, x_lo: int, n_lo: int) -> bool:
     """The trend rule: the Wilson interval of x_hi/n_hi lies strictly above
     that of x_lo/n_lo, so the two proportions differ beyond noise."""
-    lo, _ = wilson_bounds(x_hi, n_hi, z)
-    _, hi = wilson_bounds(x_lo, n_lo, z)
+    lo, _ = wilson_bounds(x_hi, n_hi)
+    _, hi = wilson_bounds(x_lo, n_lo)
     return lo > hi
 
 
@@ -502,19 +503,19 @@ class TrendReport:
     seed: int
     rows: list[TrendRow]
 
-    def monotone_violation(self, i: int, k: int, z: float = 2.0) -> bool:
+    def monotone_violation(self, i: int, k: int) -> bool:
         """p_violation non-increasing in n within noise: fails only when a
-        later Wilson interval (z ~ 2 standard errors) lies strictly above
+        later Wilson interval (z = 2 standard errors) lies strictly above
         an earlier one."""
         seq = [row.stats[(i, k)] for row in self.rows
                if (i, k) in row.stats]
         for a, b in zip(seq, seq[1:]):
             if _wilson_above(int(b.p_violation * b.samples), b.samples,
-                             int(a.p_violation * a.samples), a.samples, z):
+                             int(a.p_violation * a.samples), a.samples):
                 return False
         return True
 
-    def positivity_drops(self, z: float = 2.0) -> list[tuple[int, int]]:
+    def positivity_drops(self) -> list[tuple[int, int]]:
         """Consecutive (n_a, n_b) rows whose positivity fraction drops
         beyond noise: the later Wilson interval lies strictly below the
         earlier one.  Rows without stats (no (i, k) in their domain) are
@@ -527,11 +528,11 @@ class TrendReport:
                             st.samples))
         return [(n_a, n_b)
                 for (n_a, xa, na), (n_b, xb, nb) in zip(seq, seq[1:])
-                if _wilson_above(xa, na, xb, nb, z)]
+                if _wilson_above(xa, na, xb, nb)]
 
-    def monotone_positivity(self, z: float = 2.0) -> bool:
+    def monotone_positivity(self) -> bool:
         """Positivity fraction non-decreasing in n within noise."""
-        return not self.positivity_drops(z)
+        return not self.positivity_drops()
 
     def csv(self, config_line: str = "") -> str:
         lines = []

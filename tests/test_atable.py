@@ -14,8 +14,8 @@ from matchdiff.atable import (ATable, ATableError, ConjectureSpec, FitError,
                               build_F_conjecture, build_H, derive_M_pointwise,
                               export_atable, fit_atable, import_atable,
                               root_product)
-from matchdiff.derive import (_CountCache, count_mj, derive_with_invariance,
-                              qualified_family)
+from matchdiff.derive import (_CountCache, candidate_sizes, count_mj,
+                              derive_with_invariance, qualified_family)
 from matchdiff.graphs import incidence_pg, random_lift
 from matchdiff.identities import build_F
 from matchdiff.matchcount import MatchVector, match_count_upto
@@ -90,7 +90,7 @@ def test_fit_reproduces_synthetic_polynomial():
     truth = root_product(2) * quotient
     points = {(r, j): truth.eval_j(j).eval(r)
               for r in (3, 4, 5) for j in (3, 4, 5)}
-    fitted = fit_atable(points, 2, window=w)
+    fitted = fit_atable(points, 2)
     assert fitted == JPoly(truth.c, bound=4)
 
 
@@ -101,12 +101,12 @@ def test_fit_rejects_corrupt_sample():
               for r in (3, 4, 5) for j in (2, 3)}
     points[(5, 3)] += 1
     with pytest.raises(FitError):
-        fit_atable(points, 1, window=w)
+        fit_atable(points, 1)
 
 
 def test_fit_requires_held_out_row():
     with pytest.raises(FitError):
-        fit_atable({(3, 2): F(-5, 3), (4, 2): F(-7, 4)}, 1, window=(-1, 0))
+        fit_atable({(3, 2): F(-5, 3), (4, 2): F(-7, 4)}, 1)
     with pytest.raises(FitError):
         fit_atable({}, 1)
 
@@ -173,8 +173,8 @@ def test_count_mj_validates_fresh_counts(tmp_path, monkeypatch):
     assert before.count("\n") == 1
     counter = derive.match_count_upto
 
-    def bad_m2(g, j, guard):
-        counts = list(counter(g, j, guard).counts)
+    def bad_m2(g, j):
+        counts = list(counter(g, j).counts)
         counts[2] += 1
         return MatchVector(tuple(counts))
 
@@ -211,6 +211,22 @@ def test_qualified_family_enforces_girth():
     assert len(fam) == 4
     assert all(girth(g) >= 6 for g in fam)
     assert len({g.n for g in fam}) == 4
+
+
+def test_girth6_sizes_skip_the_impossible_one():
+    """At n = r^2 - r + 2 a girth-6 graph needs r^(n/2+2) (r-2)^(n/2-1) to
+    be a square (Bose-Connor).  The size stays at r = 3 (the
+    Moebius-Kantor graph) and r = 4, where circulants reach girth 6, and
+    is dropped at r = 5 and 7."""
+    from matchdiff.graphs import find_circulant, girth
+
+    for r, kept in ((3, True), (4, True), (5, False), (7, False)):
+        n = r * r - r + 2
+        sizes = candidate_sizes(r, 4)  # j = 4 needs girth 6
+        assert (n in sizes) == kept, r
+        assert sizes[0] == n - 1 and len(sizes) == 39 + kept
+        if kept:
+            assert girth(find_circulant(n, r, 6)) == 6
 
 
 def test_table_store_and_conflicts():

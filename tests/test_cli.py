@@ -190,6 +190,27 @@ def test_crash_exits_internal_not_check_failed(env_cache, capsys,
     assert "internal error: KeyError: 'boom'" in err
 
 
+def test_counting_budget_exits_budget(env_cache, capsys, monkeypatch):
+    """A count past the frontier budget is a resource failure (exit 3),
+    not a configuration error."""
+    from matchdiff import matchcount
+    from matchdiff.cli import EXIT_BUDGET
+
+    monkeypatch.setattr(matchcount, "FRONTIER_STATE_BUDGET", 0)
+    code, _, err = run(capsys, "simulate", "--n", "8", "--samples", "1")
+    assert code == EXIT_BUDGET == 3
+    assert "budget error: frontier DP exceeds its budget" in err
+
+
+def test_simulate_past_n22(env_cache, capsys):
+    """No side-size cap: n = 24 is counted and reported."""
+    code, out, _ = run(capsys, "simulate", "--r", "3", "--n", "24",
+                       "--samples", "2")
+    assert code in (0, 1)
+    rows = [ln.split(",") for ln in out.splitlines() if ln[:1].isdigit()]
+    assert rows and all(cells[:3] == ["3", "24", "2"] for cells in rows)
+
+
 def test_bad_flags_exit_config(capsys):
     code, _, _ = run(capsys, "simulate", "--n", "notanumber")
     assert code == 2

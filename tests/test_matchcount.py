@@ -113,14 +113,20 @@ def test_heawood_counts():
     assert v.counts == match_poly_full(hw).counts[:6]
 
 
-def test_caps():
+def test_caps(monkeypatch):
+    """The frontier budget is the only limit on counting: neither the side
+    size nor j is capped.  The brute force keeps its 10-vertex cap."""
+    with pytest.raises(CapExceededError):
+        match_poly_general_bruteforce(12, complete_graph_edges(12))
     big = BipGraph(23, 1, [[i] for i in range(23)])
+    assert match_poly_full(big).counts == tuple(comb(23, i)
+                                                for i in range(24))
+    assert match_count_upto(C4, 8).counts == (1, 4, 2, 0, 0, 0, 0, 0, 0)
+    monkeypatch.setattr(matchcount, "FRONTIER_STATE_BUDGET", 0)
     with pytest.raises(CapExceededError):
         match_poly_full(big)
     with pytest.raises(CapExceededError):
         match_count_upto(C4, 8)
-    with pytest.raises(CapExceededError):
-        match_poly_general_bruteforce(12, complete_graph_edges(12))
 
 
 @st.composite

@@ -15,17 +15,33 @@ from matchdiff import positivity
 from matchdiff.derive import _swap_shuffle
 from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
                               gen_regular_bipartite)
+from matchdiff.identities import lsplit
 from matchdiff.matchcount import match_poly_full
 from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
-                                  TrendRow, _alpha0_constants,
-                                  _decimal_triangle, _float_triangle,
-                                  _k_table, _KTable, _sample_graph,
-                                  _scaled_alpha0, _sign_cascade,
-                                  alpha0_exact, delta_sign,
-                                  delta_table, ensemble_grid, rho_vector,
-                                  trend_report)
+                                  TrendRow, _decimal_triangle,
+                                  _float_triangle, _k_table, _KTable,
+                                  _sample_graph, _scaled_alpha0,
+                                  _sign_cascade, alpha0_exact, delta_table,
+                                  ensemble_grid, rho_vector, trend_report)
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
+
+
+def delta_sign(rho, i, k):
+    """Reference sign of Delta^k d(i), independent of the package's
+    integer constants: cross-multiply the numerators and denominators of
+    prod_{L+} rho^C(k,l) and prod_{L-} rho^C(k,l)."""
+    lplus, lminus = lsplit(k)
+    lhs = rhs = 1
+    for ell in lplus:
+        q = rho[i + ell]
+        lhs *= q.numerator ** math.comb(k, ell)
+        rhs *= q.denominator ** math.comb(k, ell)
+    for ell in lminus:
+        q = rho[i + ell]
+        lhs *= q.denominator ** math.comb(k, ell)
+        rhs *= q.numerator ** math.comb(k, ell)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def test_rho_fixtures():
@@ -137,7 +153,7 @@ def test_decimal_tiers_contain_2048_bit_reference(n):
     try:
         for idx in range(2):
             g = _sample_graph(3, n, 20250809, idx)
-            counts = match_poly_full(g, cap=n).counts
+            counts = match_poly_full(g).counts
             tab = _k_table(n, 3)
             refs = _iv_triangle(counts, tab.K)
             for prec in (40, 80, 160):
@@ -170,23 +186,24 @@ def _synthetic(n, p, q, j, e, sign, ms):
 def test_cascade_equals_exact_on_near_zero_differences(n, p, q, j, e, sign,
                                                        ms):
     """Exact zeros (every k >= 3 cell away from j) pass every tier to
-    delta_sign; the differences of size 10^-e around rho_j are decided by
-    the 40, 80 or 160 digit tier or, past those, by delta_sign."""
+    the exact sign; the differences of size 10^-e around rho_j are decided
+    by the 40, 80 or 160 digit tier or, past those, by the exact sign."""
     rho, counts, tab = _synthetic(n, p, q, min(j, n), e or 0,
                                   sign if e else 0, ms)
-    assert _sign_cascade(counts, tab, rho) == exact_signs(rho)
+    assert _sign_cascade(counts, tab) == exact_signs(rho)
 
 
 def test_near_zero_differences_need_the_later_tiers(monkeypatch):
     """A 10^-60 perturbation is too small for 40 digits and within reach
-    of 80; a 10^-300 one is left to delta_sign."""
+    of 80; a 10^-300 one is left to the exact sign."""
     calls = []
+    exact_sign = positivity._exact_sign
 
-    def counted(rho, i, k):
+    def counted(counts, tab, i, k):
         calls.append((i, k))
-        return delta_sign(rho, i, k)
+        return exact_sign(counts, tab, i, k)
 
-    monkeypatch.setattr(positivity, "delta_sign", counted)
+    monkeypatch.setattr(positivity, "_exact_sign", counted)
     n, j = 8, 4
     for e, deciding in ((60, 80), (300, None)):
         rho, counts, tab = _synthetic(n, F(7, 5), F(2, 3), j, e, 1, [1])
@@ -200,7 +217,7 @@ def test_near_zero_differences_need_the_later_tiers(monkeypatch):
             assert decided == (near if deciding and prec >= deciding
                                else set()), (e, prec)
         calls.clear()
-        assert _sign_cascade(counts, tab, rho) == exact_signs(rho)
+        assert _sign_cascade(counts, tab) == exact_signs(rho)
         assert (near <= set(calls)) == (deciding is None)
 
 
@@ -217,7 +234,7 @@ def test_simulate_n22_needs_no_exact_sign(capsys, monkeypatch):
         return decimal_triangle(counts, tab, prec, k_max)
 
     monkeypatch.setattr(positivity, "_decimal_triangle", counted)
-    monkeypatch.setattr(positivity, "delta_sign",
+    monkeypatch.setattr(positivity, "_exact_sign",
                         lambda *args: calls.append(args))
     code = main(["simulate", "--r", "3", "--n", "22", "--samples", "2"])
     capsys.readouterr()
@@ -226,24 +243,26 @@ def test_simulate_n22_needs_no_exact_sign(capsys, monkeypatch):
 
 
 def test_grid_counts_each_sample_once(monkeypatch):
-    """Each sample is counted once, gets one rho vector and one sign table,
-    each reached through the module's globals (where a tracer wraps
-    them)."""
-    calls = {"match_poly_full": [], "rho_vector": [], "delta_table": []}
+    """Each sample is counted once and gets one sign table, each reached
+    through the module's globals (where a tracer wraps them), and no rho
+    vector: the sign table and the moments work on the counts alone."""
+    owners = {"match_poly_full": positivity, "rho_vector": positivity,
+              "delta_table": positivity, "rho": _KTable}
+    calls = {name: [] for name in owners}
 
     def counted(name):
-        fn = getattr(positivity, name)
+        fn = getattr(owners[name], name)
 
         def wrapper(g, *args):
             calls[name].append(g)
             return fn(g, *args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(positivity, name, counted(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counted(name))
     ensemble_grid(3, 8, 10, [(1, 1)], seed=5)
     assert {name: len(c) for name, c in calls.items()} == \
-        {"match_poly_full": 10, "rho_vector": 10, "delta_table": 10}
+        {"match_poly_full": 10, "rho_vector": 0, "delta_table": 10, "rho": 0}
 
 
 def test_alpha0_exact_fixtures():
@@ -372,7 +391,8 @@ def test_ensemble_grid_counts_a_repeated_pair_once():
 
 def _integer_alpha0_errors(g, consts):
     """(i, k) pairs where the integer D alpha_0 of `_scaled_alpha0`
-    disagrees with D `alpha0_exact` or its sign with `delta_sign`."""
+    disagrees with D `alpha0_exact` or its sign with the reference
+    `delta_sign`."""
     mvec = match_poly_full(g)
     rho = rho_vector(g, mvec)
     errors = []
@@ -392,14 +412,16 @@ def test_integer_alpha0_equals_exact(r, n, seed):
     # seeded 2-edge swaps of a circulant: the permutation model takes about
     # a second per graph at r=5
     g = _swap_shuffle(circulant_bipartite(n, range(r)), seed)
-    pairs = [(i, k) for k in range(n + 1) for i in range(n - k + 1)]
-    assert _integer_alpha0_errors(g, _alpha0_constants(r, n, pairs)) == []
+    tab = _k_table(n, r)
+    consts = {(i, k): tab.alpha0(i, k)
+              for k in range(n + 1) for i in range(n - k + 1)}
+    assert _integer_alpha0_errors(g, consts) == []
 
 
 def test_integer_alpha0_check_catches_swapped_constants():
     g = gen_regular_bipartite(8, 3, 4)
-    pairs = [(i, k) for k in range(9) for i in range(9 - k)]
-    consts = _alpha0_constants(3, 8, pairs)
+    tab = _k_table(8, 3)
+    consts = {(i, k): tab.alpha0(i, k) for k in range(9) for i in range(9 - k)}
     swapped = {p: (plus, minus, cminus, cplus, d)
                for p, (plus, minus, cplus, cminus, d) in consts.items()}
     assert _integer_alpha0_errors(g, swapped)
