@@ -15,6 +15,7 @@ import traceback
 
 from . import __version__
 from .atable import ATableError, ConjectureSpec
+from .derive import DEFAULT_SEED
 from .graphs import GenerationBudgetError, check_census_smax
 from .matchcount import CapExceededError
 from .rng import Rng
@@ -24,8 +25,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-DEFAULT_SEED = 20250809
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -54,17 +53,22 @@ def _cache_dir(args) -> str:
 
 
 def _load_table(args):
-    from .derive import build_default_table, default_table_path
+    """The table derived with --seed, else the one derived with
+    `DEFAULT_SEED`.  Its values do not depend on the derivation seed, and
+    `conjecture` also seeds its trials with --seed."""
+    from .atable import import_atable
+    from .derive import default_table_path
 
     root = _cache_dir(args)
-    path = default_table_path(root, tuple(_parse_ints(args.r)), args.seed,
-                              args.strict_girth)
-    if not os.path.exists(path):
-        print(f"error: no derived table at {path}; "
-              "run `matchdiff derive-atable` first", file=sys.stderr)
-        return None
-    return build_default_table(root, tuple(_parse_ints(args.r)), args.seed,
-                               args.strict_girth)
+    rs = tuple(_parse_ints(args.r))
+    paths = [default_table_path(root, rs, seed, args.strict_girth)
+             for seed in (args.seed, DEFAULT_SEED)]
+    for path in paths:
+        if os.path.exists(path):
+            return import_atable(path)
+    print(f"error: no derived table at {paths[0]}; "
+          "run `matchdiff derive-atable` first", file=sys.stderr)
+    return None
 
 
 def _write_out(args, text: str) -> None:

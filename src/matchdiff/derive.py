@@ -38,10 +38,6 @@ def min_girth_for(j: int, strict: bool = False) -> int:
     return g if g % 2 == 0 else g + 1
 
 
-def cache_dir() -> str:
-    return os.environ.get("MATCHDIFF_CACHE", "./cache")
-
-
 def _count_record(line: bytes) -> tuple[tuple[str, int], int]:
     rec = json.loads(line)
     return (rec["g"], rec["j"]), int(rec["m"])
@@ -113,19 +109,14 @@ def count_mj(g: BipGraph, j: int, cache: _CountCache | None = None) -> int:
 
 
 def _structured_graph(r: int, n: int, min_girth: int, seed: int) -> BipGraph:
-    """Deterministic qualified graph at side size n: known incidence
-    constructions first, then circulants, then annealing."""
-    if min_girth <= 4:
-        g = find_circulant(n, r, 4, seed=seed)
-        if g is not None:
-            return g
-    if min_girth <= 6 and is_prime(r - 1) and n == (r - 1) ** 2 + (r - 1) + 1:
+    """Deterministic qualified graph at side size n: a known incidence
+    construction where it fits a girth above 4, else `girth_search` (a
+    circulant, then annealing).  At girth 4 the circulant serves even where
+    an incidence graph fits, so the derived graph ids stay fixed."""
+    if 4 < min_girth <= 6 and is_prime(r - 1) and n == r * r - r + 1:
         return incidence_pg(r - 1)
-    if min_girth <= 8 and r == 3 and n == 15:
+    if 4 < min_girth <= 8 and r == 3 and n == 15:
         return builtin_graph("tutte_coxeter")
-    g = find_circulant(n, r, min_girth, seed=seed)
-    if g is not None:
-        return g
     return girth_search(n, r, min_girth, seed)
 
 
@@ -263,7 +254,7 @@ def default_table_path(root: str, rs, seed: int, strict: bool) -> str:
     return os.path.join(root, f"atable_r{tag}_seed{seed}.txt")
 
 
-def build_default_table(root: str | None = None, rs=(3, 4, 5),
+def build_default_table(root: str, rs=(3, 4, 5),
                         seed: int = DEFAULT_SEED, strict: bool = False,
                         log=None) -> ATable:
     """Derive the default table: a_1 and a_2 symbolic across `rs` (held-out
@@ -276,7 +267,6 @@ def build_default_table(root: str | None = None, rs=(3, 4, 5),
     wherever both apply."""
     from .atable import export_atable, import_atable
 
-    root = cache_dir() if root is None else root
     path = default_table_path(root, rs, seed, strict)
     if os.path.exists(path):
         return import_atable(path)

@@ -407,7 +407,9 @@ def find_circulant(n: int, r: int, min_girth: int,
     random search of `CIRCULANT_TRIES` sets otherwise.  Returns None when
     nothing is found.
     """
-    if r > n:
+    # Any three offsets a, b, c close the 6-cycle L0, R a, L a-b, R a-b+c,
+    # L c-b, R c, so no circulant of degree >= 3 has girth 8.
+    if r > n or (r >= 3 and min_girth >= 8):
         return None
     if r == 3 and n <= 80:
         for a in range(1, n):
@@ -482,18 +484,12 @@ def _pair_cycle_score(gadj, e1, e2, s_max, weights) -> int:
 
 def girth_search(n: int, r: int, target_girth: int, seed: int) -> BipGraph:
     """Find an r-regular bipartite graph on n+n vertices with girth >=
-    target_girth: circulant warm starts first, then hill climbing on 2-edge
-    swaps that minimizes a weighted short-cycle score, `GIRTH_SEARCH_BUDGET`
-    proposals over all restarts.  The result is always validated by an
-    explicit girth computation."""
+    target_girth: a circulant (`find_circulant`) first, then hill climbing
+    on 2-edge swaps that minimizes a weighted short-cycle score,
+    `GIRTH_SEARCH_BUDGET` proposals over all restarts.  The result is always
+    validated by an explicit girth computation."""
     if target_girth % 2:
         raise GraphError("target girth must be even for bipartite graphs")
-    if target_girth <= 4:
-        g = gen_regular_bipartite(n, r, seed)
-        gg = girth(g)
-        if gg < 4:
-            raise GraphError(f"permutation-model sample has girth {gg} < 4")
-        return g
     g = find_circulant(n, r, target_girth, seed=seed)
     if g is not None:
         return g

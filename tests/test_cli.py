@@ -237,6 +237,38 @@ def test_identity_commands_golden_stdout(argv, repo_cache_dir, tmp_path,
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+def test_conjecture_seed_falls_back_to_default_table(repo_cache_dir,
+                                                     tmp_path, capsys):
+    """--seed picks the table file when one is derived with it; otherwise
+    the default-seed table serves, and --seed only seeds the trials."""
+    shipped = os.path.join(repo_cache_dir, "atable_r345_seed20250809.txt")
+    shutil.copyfile(shipped, tmp_path / "atable_r345_seed20250809.txt")
+    argv = ("conjecture", "--trials", "20", "--seed", "1")
+    code, out, _ = run(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    os.remove(tmp_path / "atable_r345_seed20250809.txt")
+    code, _, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 2
+    assert "no derived table at" in err and "atable_r345_seed1.txt" in err
+
+
+def test_cold_derivation_reproduces_shipped_cache(repo_cache_dir, tmp_path,
+                                                  capsys):
+    """A cold default derivation, then a cold strict one into the same
+    cache, writes the shipped table files and counts.jsonl byte for byte."""
+    root = str(tmp_path)
+    assert main(["derive-atable", "--cache", root]) == 0
+    assert main(["derive-atable", "--cache", root, "--strict-girth"]) == 0
+    capsys.readouterr()
+    for name in ("counts.jsonl", "atable_r345_seed20250809.txt",
+                 "atable_r345s_seed20250809.txt"):
+        with open(os.path.join(root, name), "rb") as fh:
+            made = fh.read()
+        with open(os.path.join(repo_cache_dir, name), "rb") as fh:
+            assert made == fh.read(), name
+
+
 STDLIB_ONLY = """\
 import contextlib, io, pkgutil, sys
 sys.modules["mpmath"] = None

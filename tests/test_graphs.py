@@ -338,14 +338,16 @@ except graphs.GraphError as exc:
 graphs.girth = lambda g: 2
 try:
     graphs.girth_search(6, 3, 4, seed=1)
-except graphs.GraphError as exc:
+except graphs.GenerationBudgetError as exc:
     print("search:", exc)
 """
 
 
 def test_girth_checks_survive_optimize():
-    """The girth checks in random_lift and girth_search raise GraphError
-    even under `python -O`, which strips assert statements."""
+    """The girth checks in random_lift and girth_search raise even under
+    `python -O`, which strips assert statements: with girth reading 2, no
+    circulant qualifies and the hill climb's final check rejects every
+    restart."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(matchdiff.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -354,7 +356,7 @@ def test_girth_checks_survive_optimize():
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
         "lift: lift decreased girth",
-        "search: permutation-model sample has girth 2 < 4"]
+        "search: girth search failed (n=6, r=3, target=4, budget=200000)"]
 
 
 def test_circulant():
@@ -369,13 +371,48 @@ def test_find_circulant_girth6():
     assert g is not None and girth(g) >= 6
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda n: st.sets(
+    st.integers(0, n - 1), min_size=3, max_size=n).map(lambda s: (n, s))))
+def test_circulants_of_degree_3_have_girth_at_most_6(n_offs):
+    """Offsets a, b, c close the 6-cycle L0, R a, L a-b, R a-b+c, L c-b,
+    R c, which is why `find_circulant` does not search for girth 8."""
+    n, offs = n_offs
+    assert girth(circulant_bipartite(n, offs)) <= 6
+
+
+def test_find_circulant_skips_girth8(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphs, "girth", lambda g: calls.append(g) or 4)
+    for n, r, mg in ((15, 3, 8), (17, 3, 8), (40, 4, 8), (63, 3, 12)):
+        assert find_circulant(n, r, mg) is None
+    assert calls == []
+
+
+def test_structured_graph_tries_one_circulant(monkeypatch):
+    """The girth-8 ladder reaches `find_circulant` once, inside
+    `girth_search`, and the hill climb builds the graph."""
+    from matchdiff import derive
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_circulant(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "find_circulant", counted)
+    monkeypatch.setattr(derive, "find_circulant", counted)
+    g = derive._structured_graph(3, 17, 8, derive_seed(7, 120))
+    assert calls == [(17, 3, 8)]
+    assert g.n == 17 and girth(g) >= 8
+
+
 def test_girth_search_targets():
     g4 = girth_search(6, 3, 4, seed=1)
     assert girth(g4) >= 4
     g6 = girth_search(7, 3, 6, seed=1)
     assert g6.n == 7 and girth(g6) >= 6
-    # no circulant reaches girth 8 at n=15, so this runs the hill climb
-    assert find_circulant(15, 3, 8) is None
+    # no circulant reaches girth 8, so this runs the hill climb
     g8 = girth_search(15, 3, 8, seed=7)
     assert g8.n == 15 and girth(g8) >= 8
     assert g8.graph_id() == "bg-15x3-fa1450d7411c9e5f"
