@@ -2,10 +2,15 @@
 M_j = (n^j r^j / j!) (1 + H_j),  H_j = sum_h a_h(r, j) / n^h.
 
 Entries are either symbolic in j (JPoly over Laurent-in-r, degree <= 2h,
-with forced roots at j = 0..h) or pointwise values at fixed (r, j).  Tables
-are reconstructed from exact matching counts of girth-qualified graphs by
-exact linear algebra; every fit keeps held-out rows whose residuals must be
-exactly zero.
+r-exponents in [-h, 0], forced roots at j = 0..h) or pointwise values at
+fixed (r, j).  Tables are reconstructed from exact matching counts of
+girth-qualified graphs by exact linear algebra; every fit keeps held-out
+rows whose residuals must be exactly zero.
+
+`ATable.set_sym` is the one home of the degree and r-exponent rules of a
+symbolic entry.  The series built from a table need nothing declared for
+r: a_h/n^h already keeps the graded invariant of `series.NSeries`
+(r-exponents in [-h, 0] at 1/n^h), so a deeper h_max widens nothing.
 
 The series built from a table (`build_H`, the base of `build_F_conjecture`,
 and `identities.build_F`) are memoized on the ATable instance, keyed on
@@ -40,8 +45,8 @@ class FitError(ATableError):
 
 def a1_builtin() -> JPoly:
     """a_1(r, j) = j(j-1)(1/(2r) - 1), exact."""
-    top = RLaurent({0: Fraction(-1), -1: Fraction(1, 2)}, (-1, 0))
-    return JPoly([RLaurent.zero((-1, 0)), -top, top], bound=2)
+    top = RLaurent({0: Fraction(-1), -1: Fraction(1, 2)})
+    return JPoly([RLaurent.zero(), -top, top])
 
 
 def root_product(h: int) -> JPoly:
@@ -89,18 +94,17 @@ class ATable:
         """`build()`, computed once per distinct key.
 
         The key is (kind, h_max, at_r) plus the entry values a build reads:
-        for every h <= h_max, the symbolic entry (with its degree bound) and
-        the sorted pointwise values.  Entries are re-read on every call, so
-        a `set_sym`, an `add_point` or a direct assignment to `entries[h]`
-        changes the key and never serves a stale series."""
+        for every h <= h_max, the symbolic entry and the sorted pointwise
+        values.  Entries are re-read on every call, so a `set_sym`, an
+        `add_point` or a direct assignment to `entries[h]` changes the key
+        and never serves a stale series."""
         values = []
         for h in range(1, h_max + 1):
             e = self.entries.get(h)
             if e is None:
                 values.append(None)
             else:
-                values.append((e.sym, None if e.sym is None else e.sym.bound,
-                               tuple(sorted(e.points.items()))))
+                values.append((e.sym, tuple(sorted(e.points.items()))))
         key = (kind, h_max, at_r, tuple(values))
         if key not in self._series:
             self._series[key] = build()
@@ -154,12 +158,16 @@ class ATable:
         rows = [[Fraction(j) ** t for t in range(h)] for j in js]
         rhs = [e.points[(r, j)] / pi.eval_j(j).as_rat() for j in js]
         q = solve_overdetermined_exact(rows, rhs)
-        out = pi * JPoly([Fraction(x) for x in q])
-        return JPoly(out.c, bound=2 * h)
+        return pi * JPoly(q)
 
     def set_sym(self, h: int, jp: JPoly, provenance: str) -> None:
         if jp.deg > 2 * h:
             raise ATableError(f"a_{h} degree {jp.deg} exceeds 2h")
+        for x in jp.c:
+            for e in x.c:
+                if not -h <= e <= 0:
+                    raise ATableError(
+                        f"a_{h} has r-exponent {e} outside [{-h}, 0]")
         for z in range(0, h + 1):
             if not jp.eval_j(z).is_zero():
                 raise ATableError(f"a_{h} must vanish at j={z}")
@@ -229,7 +237,6 @@ def fit_atable(points: dict[tuple[int, int], Rat], h: int) -> JPoly:
     held-out sample whose residual must be exactly zero."""
     if not points:
         raise FitError("empty sample set")
-    window = (-h, 0)
     rpows = list(range(-h, 1))
     unknowns = [(t, e) for t in range(h) for e in rpows]
     if len(points) <= len(unknowns):
@@ -250,13 +257,12 @@ def fit_atable(points: dict[tuple[int, int], Rat], h: int) -> JPoly:
         sol = solve_overdetermined_exact(rows, rhs)
     except InconsistentSystemError as exc:
         raise FitError(
-            f"held-out residual nonzero for a_{h} over window {window}: "
+            f"held-out residual nonzero for a_{h} over r^{-h}..r^0: "
             f"{exc}; check the girth policy") from exc
     pos = {ue: k for k, ue in enumerate(unknowns)}
-    quotient = JPoly([RLaurent({e: sol[pos[(t, e)]] for e in rpows}, window)
+    quotient = JPoly([RLaurent({e: sol[pos[(t, e)]] for e in rpows})
                       for t in range(h)])
-    out = pi * quotient
-    return JPoly(out.c, bound=2 * h)
+    return pi * quotient
 
 
 # -- series builders ---------------------------------------------------------
@@ -273,7 +279,6 @@ def build_H(table: ATable, h_max: int, at_r: int | None = None) -> NSeries:
 
 
 def _build_H(table: ATable, h_max: int, at_r: int | None) -> NSeries:
-    window = (-h_max, 0) if at_r is None else (0, 0)
     coeffs = {}
     for h in range(1, h_max + 1):
         if at_r is None:
@@ -282,11 +287,10 @@ def _build_H(table: ATable, h_max: int, at_r: int | None) -> NSeries:
                 raise ATableError(f"symbolic a_{h} unavailable (have up to "
                                   f"h={table.sym_max()})")
             jp = e.sym
-            jp = jp.map_coeffs(lambda x: x.with_window(window))
         else:
             jp = table.jpoly_at_r(h, at_r)
         coeffs[h] = jp
-    return NSeries(coeffs, h_max, window)
+    return NSeries(coeffs, h_max)
 
 
 @dataclass(frozen=True)
@@ -329,21 +333,20 @@ def build_F_conjecture(table: ATable, spec: ConjectureSpec, h_max: int,
             raise ATableError(
                 f"z={z} exceeds truncation h_max={h_max}; the term would be "
                 "invisible at this order")
-    window = (-h_max, 0) if at_r is None else (0, 0)
     base = table._memo_series(
         "1+H", h_max, at_r,
-        lambda: NSeries.one(h_max, window) + build_H(table, h_max, at_r=at_r))
+        lambda: NSeries.one(h_max) + build_H(table, h_max, at_r=at_r))
     f = base
     for z, c in spec.terms:
         shifted = table._memo_series(
             ("1+H", z), h_max, at_r,
             lambda: base.shift_j(z).truncate(h_max - z))
         if at_r is None:
-            rfac = RLaurent.term(Fraction(c), -z, (-h_max, 0))
+            rfac = RLaurent.term(Fraction(c), -z)
         else:
             rfac = RLaurent.const(Fraction(c) / Fraction(at_r) ** z)
         coeff = falling_factorial_jpoly(z) * rfac
-        term = NSeries.term(z, coeff, EXACT_ORDER, window) * shifted
+        term = NSeries.term(z, coeff, EXACT_ORDER) * shifted
         f = f + term
     return f
 
@@ -388,6 +391,8 @@ def import_atable(path) -> ATable:
             raise ATableError(f"malformed line: {ln!r}")
         tokens = ln.split()[1:]
         fields = dict(kv.split("=") for kv in tokens if "=" in kv)
+        if "h" not in fields:
+            raise ATableError(f"entry line without h=: {ln!r}")
         h = int(fields["h"])
         if "sym" in tokens:
             triples = []
@@ -396,18 +401,21 @@ def import_atable(path) -> ATable:
                 if not nxt or nxt.startswith("#") or nxt.startswith("a "):
                     break
                 jp, rp, v = nxt.split()
+                if int(jp) < 0:
+                    raise ATableError(f"negative j-power in a_{h}: {nxt!r}")
                 triples.append((int(jp), int(rp), parse_rat(v)))
                 i += 1
             if not triples:
                 raise ATableError(f"empty symbolic block for h={h}")
             deg = max(t[0] for t in triples)
-            lo = min(min(t[1] for t in triples), -h)
             coeffs: list[dict[int, Rat]] = [{} for _ in range(deg + 1)]
             for jp, rp, v in triples:
                 coeffs[jp][rp] = v
-            jpoly = JPoly([RLaurent(c, (lo, 0)) for c in coeffs], bound=2 * h)
+            jpoly = JPoly([RLaurent(c) for c in coeffs])
             table.set_sym(h, jpoly, "imported")
         else:
+            if "r" not in fields or "j" not in fields:
+                raise ATableError(f"point line without r= or j=: {ln!r}")
             val = parse_rat(tokens[-1])
             table.add_point(h, int(fields["r"]), int(fields["j"]), val,
                             "imported")

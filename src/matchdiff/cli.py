@@ -42,6 +42,13 @@ def _parse_ints(text: str) -> list[int]:
     return out
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config_line(command: str, args: argparse.Namespace, keys) -> str:
     parts = [f"matchdiff {__version__} command={command}"]
     parts += [f"{k.replace('_', '-')}={getattr(args, k)}" for k in sorted(keys)]
@@ -79,6 +86,7 @@ def _write_out(args, text: str) -> None:
 
 def cmd_derive_atable(args) -> int:
     from .derive import build_default_table, default_table_path
+    from .identities import R_POINT
 
     config = _config_line("derive-atable", args,
                           ("r", "seed", "strict_girth"))
@@ -91,7 +99,7 @@ def cmd_derive_atable(args) -> int:
                                 log=lambda m: print(f"  {m}"))
     print(f"{'cache hit' if cached else 'derived'}: {path}")
     print(f"symbolic through h={table.sym_max()}; "
-          f"pointwise through h={table.point_max(3)} at r=3")
+          f"pointwise through h={table.point_max(R_POINT)} at r={R_POINT}")
     if args.strict_girth:
         # qualification-policy invariance: strict values must equal the
         # default-policy table wherever both are derivable
@@ -184,7 +192,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    from .identities import check_extended_expansion, random_conjecture_spec
+    from .identities import (R_POINT, check_extended_expansion,
+                             random_conjecture_spec)
 
     config = _config_line("conjecture", args,
                           ("r", "seed", "trials", "zmax", "hmax"))
@@ -193,7 +202,7 @@ def cmd_conjecture(args) -> int:
         return EXIT_CONFIG
     print(f"# {config}")
     sym_max = min(table.sym_max(), args.hmax)
-    point_max = min(table.point_max(3), args.hmax)
+    point_max = min(table.point_max(R_POINT), args.hmax)
     reports = []
 
     rep, base_vals = check_extended_expansion(table, ConjectureSpec(()), sym_max)
@@ -206,7 +215,8 @@ def cmd_conjecture(args) -> int:
         use_sym = max(z for z, _ in spec.terms) <= sym_max
         if use_sym:
             rep, _ = check_extended_expansion(table, spec, sym_max)
-        rep3, vals = check_extended_expansion(table, spec, point_max, at_r=3)
+        rep3, vals = check_extended_expansion(table, spec, point_max,
+                                              at_r=R_POINT)
         rep3.params["trial"] = trial
         reports.append(rep3)
         if use_sym:
@@ -330,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None)
     p.add_argument("--k", default=None)
     p.add_argument("--i", default=None)
-    p.add_argument("--hmax", type=int, default=None)
+    p.add_argument("--hmax", type=_positive_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("conjecture", help="randomized extended-expansion test")
@@ -339,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-girth", action="store_true")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--zmax", type=int, default=2)
-    p.add_argument("--hmax", type=int, default=3)
+    p.add_argument("--hmax", type=_positive_int, default=3)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("simulate", help="Monte Carlo moment and trend estimation")

@@ -84,10 +84,9 @@ def build_F(table: ATable, h_max: int, at_r: int | None = None) -> NSeries:
 
 
 def _build_F(table: ATable, h_max: int, at_r: int | None) -> NSeries:
-    window = (-h_max, 0) if at_r is None else (0, 0)
     h = build_H(table, h_max, at_r=at_r)
     k = build_K(h_max)
-    one = NSeries.one(h_max, window)
+    one = NSeries.one(h_max)
     return (one + h) * (one + k)
 
 
@@ -95,7 +94,7 @@ def _expected_35(h: int, at_r: int | None) -> RLaurent | Rat:
     val_const = Fraction(-2, (h + 1) * h)
     val_rh = Fraction(1, (h + 1) * h)
     if at_r is None:
-        return RLaurent({0: val_const, -h: val_rh}, (-h, 0))
+        return RLaurent({0: val_const, -h: val_rh})
     return val_const + val_rh / Fraction(at_r) ** h
 
 
@@ -135,7 +134,7 @@ def check_top_coefficient(table: ATable, k: int, at_r: int | None = None) -> Che
         if not c.is_zero():
             rep.witness[(kk, k - 1)] = repr(c)
     top = Fraction(factorial(k - 2), factorial(k))
-    expected = (RLaurent({-(k - 1): top}, (-(k - 1), 0)) if at_r is None
+    expected = (RLaurent({-(k - 1): top}) if at_r is None
                 else top / Fraction(at_r) ** (k - 1))
     got = jp.coeff(k)
     if not _coeff_matches(got, expected):
@@ -149,14 +148,13 @@ def check_top_coefficient(table: ATable, k: int, at_r: int | None = None) -> Che
 
 def _cubic_closed_form(at_r: int | None) -> JPoly:
     """-(1/12) s (3r^2 s - 3r^2 - 12 r s - 2 s^2 + 12 r + 9 s - 7)/r^2."""
-    w = (-2, 0)
     inner = JPoly([
-        RLaurent({2: Fraction(-3), 1: Fraction(12), 0: Fraction(-7)}, (0, 2)),
-        RLaurent({2: Fraction(3), 1: Fraction(-12), 0: Fraction(9)}, (0, 2)),
-        RLaurent({0: Fraction(-2)}, (0, 2)),
+        RLaurent({2: Fraction(-3), 1: Fraction(12), 0: Fraction(-7)}),
+        RLaurent({2: Fraction(3), 1: Fraction(-12), 0: Fraction(9)}),
+        RLaurent({0: Fraction(-2)}),
     ])
     s = JPoly.monomial(1)
-    scale = RLaurent({-2: Fraction(-1, 12)}, w)
+    scale = RLaurent({-2: Fraction(-1, 12)})
     poly = (s * inner) * scale
     if at_r is not None:
         poly = poly.subst_r(at_r)
@@ -195,7 +193,7 @@ def check_first_identity(table: ATable, i: int, k: int,
         inner = (_f_point(table, i + ell, order, at_r) - 1).ln1p()
         total = total + inner.coeff(0, order) * Fraction(
             comb(k, ell) * (-1) ** (ell + k))
-    expected = (RLaurent({-(k - 1): Fraction(factorial(k - 2))}, (-(k - 1), 0))
+    expected = (RLaurent({-(k - 1): Fraction(factorial(k - 2))})
                 if at_r is None
                 else RLaurent.const(
                     Fraction(factorial(k - 2)) / Fraction(at_r) ** (k - 1)))
@@ -210,8 +208,7 @@ def build_t(table: ATable, i0: int | None, k: int, sign: int, order: int,
     U = F - 1; i0=None keeps the index symbolic."""
     lplus, lminus = lsplit(k)
     ells = lplus if sign > 0 else lminus
-    window = (-order, 0) if at_r is None else (0, 0)
-    t = NSeries.zero(order, window)
+    t = NSeries.zero(order)
     for ell in ells:
         f = (_f_shifted(table, ell, order, at_r) if i0 is None
              else _f_point(table, i0 + ell, order, at_r))
@@ -244,14 +241,11 @@ def second_identity_on_series(us: dict[int, NSeries], exps: dict[int, int],
                               order: int) -> tuple[NSeries, NSeries]:
     """Both routes of the product identity: prod (1+U_l)^{e_l} versus
     exp(sum e_l ln(1+U_l)), truncated at `order`."""
-    window = (0, 0)
-    for u in us.values():
-        window = (min(window[0], u.window[0]), max(window[1], u.window[1]))
-    lhs = NSeries.one(order, window)
-    t = NSeries.zero(order, window)
+    lhs = NSeries.one(order)
+    t = NSeries.zero(order)
     for ell, u in us.items():
         e = exps[ell]
-        lhs = lhs * (NSeries.one(order, u.window) + u).pow_int(e)
+        lhs = lhs * (NSeries.one(order) + u).pow_int(e)
         t = t + u.ln1p() * Fraction(e)
     return lhs.truncate(order), t.exp().truncate(order)
 
@@ -304,10 +298,9 @@ def alpha0_series(table: ATable, i: int | None, k: int, order: int,
     """alpha_0 = prod_{L+} F^{C(k,l)} - prod_{L-} F^{C(k,l)} (empty
     products are 1)."""
     lplus, lminus = lsplit(k)
-    window = (-order, 0) if at_r is None else (0, 0)
 
     def product(ells):
-        acc = NSeries.one(order, window)
+        acc = NSeries.one(order)
         for ell in ells:
             f = (_f_shifted(table, ell, order, at_r) if i is None
                  else _f_point(table, i + ell, order, at_r))
@@ -338,14 +331,14 @@ def check_alpha0_series(table: ATable, i: int | None, k: int,
             rep.witness[("*", s)] = repr(jp)
     got = a0.jpoly(lead_level)
     if k == 1:
-        expected = (JPoly.monomial(1, RLaurent({-1: Fraction(1)}, (-1, 0)))
+        expected = (JPoly.monomial(1, RLaurent({-1: Fraction(1)}))
                     if at_r is None else
                     JPoly.monomial(1, Fraction(1, at_r)))
         if i is not None:
             expected = JPoly([expected.eval_j(i)])
     else:
         top = Fraction(factorial(k - 2))
-        expected = (JPoly([RLaurent({-(k - 1): top}, (-(k - 1), 0))])
+        expected = (JPoly([RLaurent({-(k - 1): top})])
                     if at_r is None else
                     JPoly.const(top / Fraction(at_r) ** (k - 1)))
     if got != expected:

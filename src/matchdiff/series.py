@@ -5,10 +5,19 @@ The carrier type is NSeries: a map  h -> JPoly  where h is the exponent of
 1/n (negative h means a positive power of n, allowed for intermediates) and
 each JPoly is a polynomial in the matching index j whose coefficients are
 Laurent polynomials in the degree r with exact rational coefficients.
+RLaurent and JPoly are plain sparse values with no declared r-window or
+degree bound.
 
-All arithmetic is exact; floating point never enters this module.  RLaurent
-results that provably stay in their window (sums, negation, scalar
-multiples) skip the window check; products are always checked.
+The one rule on r is the invariant of NSeries, graded by the 1/n level: the
+coefficient of 1/n^h holds only r-exponents in [-max(h, 0), 0].  a_h lies in
+r^-h..r^0 and K_i has no r; sums, ln1p, exp, shift_j, the substitutions and
+products of factors without positive powers of n all preserve the rule.
+Every NSeries construction checks it and raises WindowOverflowError naming
+the exponent and the level, so deeper levels need no widening and a stray
+exponent (a malformed table, or a positive power of n carrying r) fails
+loudly.
+
+All arithmetic is exact; floating point never enters this module.
 
 Every product of JPolys -- `JPoly * JPoly` and each 1/n coefficient of
 `NSeries.mul_capped` -- is one fused convolution (`_convolve`).  It runs
@@ -16,8 +25,7 @@ over the (1/n, j, r) exponents of every kept pair of terms, multiplies each
 pair of rational coefficients once and adds the result into a flat
 accumulator keyed by 1/n exponent, then j-power, then r-exponent.  Each
 result RLaurent and JPoly is built once, at the end, without the values
-that cancelled.  No RLaurent is built per term; the window test still
-runs on every product term, against the window of the pair it came from.
+that cancelled.  No RLaurent is built per term.
 
 Nothing here is cached.  The series built from a coefficient table (H, F
 and the extended-expansion base) are memoized by the ATable instance that
@@ -28,7 +36,6 @@ see `atable.ATable._memo_series`.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 Rat = Fraction
 
@@ -52,7 +59,8 @@ def parse_rat(s: str) -> Rat:
 
 
 class WindowOverflowError(ArithmeticError):
-    """A Laurent coefficient in r fell outside the declared exponent window."""
+    """An r-exponent of a series coefficient broke the graded rule: the
+    coefficient of 1/n^h holds only r-exponents in [-max(h, 0), 0]."""
 
 
 class TruncationError(ArithmeticError):
@@ -64,68 +72,39 @@ class ImproperSeriesError(ValueError):
 
 
 class RLaurent:
-    """Laurent polynomial in r: sparse {exponent: Fraction} within a window."""
+    """Laurent polynomial in r: sparse {exponent: Fraction}, no zero values."""
 
-    __slots__ = ("c", "lo", "hi")
+    __slots__ = ("c",)
 
-    def __init__(self, coeffs: dict[int, Rat], window: tuple[int, int]):
-        lo, hi = window
-        c = {e: v if isinstance(v, Fraction) else Fraction(v)
-             for e, v in coeffs.items() if v != 0}
-        for e in c:
-            if not lo <= e <= hi:
-                raise WindowOverflowError(
-                    f"r-exponent {e} outside window [{lo}, {hi}]")
-        self.c = c
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, coeffs: dict[int, Rat]):
+        self.c = {e: v if isinstance(v, Fraction) else Fraction(v)
+                  for e, v in coeffs.items() if v != 0}
 
     @classmethod
-    def _trusted(cls, c: dict[int, Rat], lo: int, hi: int) -> "RLaurent":
-        """Wrap `c` as is: nonzero Fraction values, exponents in [lo, hi].
-
-        Only for results that provably satisfy both (sums, negation and
-        scalar multiples of checked operands); everything else goes
-        through the checked constructor."""
+    def _trusted(cls, c: dict[int, Rat]) -> "RLaurent":
+        """Wrap `c` as is; its values must already be nonzero Fractions."""
         self = object.__new__(cls)
         self.c = c
-        self.lo = lo
-        self.hi = hi
         return self
 
     @classmethod
-    def zero(cls, window=(0, 0)) -> "RLaurent":
-        return cls({}, window)
+    def zero(cls) -> "RLaurent":
+        return cls({})
 
     @classmethod
-    def const(cls, x, window=(0, 0)) -> "RLaurent":
-        return cls({0: Fraction(x)}, window)
+    def const(cls, x) -> "RLaurent":
+        return cls({0: Fraction(x)})
 
     @classmethod
-    def term(cls, coeff, rpow: int, window=None) -> "RLaurent":
-        if window is None:
-            window = (min(rpow, 0), max(rpow, 0))
-        return cls({rpow: Fraction(coeff)}, window)
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
+    def term(cls, coeff, rpow: int) -> "RLaurent":
+        return cls({rpow: Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.c
 
-    def with_window(self, window: tuple[int, int]) -> "RLaurent":
-        """Explicit reallocation to a new window (the only sanctioned widening)."""
-        return RLaurent(self.c, window)
-
-    def _join(self, other) -> tuple["RLaurent", tuple[int, int]]:
-        if isinstance(other, (int, Fraction)):
-            other = RLaurent.const(other, self.window)
-        w = (min(self.lo, other.lo), max(self.hi, other.hi))
-        return other, w
-
     def __add__(self, other):
-        other, (lo, hi) = self._join(other)
+        if isinstance(other, (int, Fraction)):
+            other = RLaurent.const(other)
         c = dict(self.c)
         for e, v in other.c.items():
             if e in c:
@@ -134,16 +113,14 @@ class RLaurent:
                     del c[e]
                     continue
             c[e] = v
-        return RLaurent._trusted(c, lo, hi)
+        return RLaurent._trusted(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RLaurent._trusted({e: -v for e, v in self.c.items()},
-                                 self.lo, self.hi)
+        return RLaurent._trusted({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
-        other, _ = self._join(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -152,8 +129,7 @@ class RLaurent:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = {e: v * other for e, v in self.c.items()} if other else {}
-            return RLaurent._trusted(c, self.lo, self.hi)
-        w = (min(self.lo, other.lo), max(self.hi, other.hi))
+            return RLaurent._trusted(c)
         c: dict[int, Rat] = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
@@ -162,8 +138,7 @@ class RLaurent:
                     c[e] += v1 * v2
                 else:
                     c[e] = v1 * v2
-        # the product can leave the window: the checked constructor raises
-        return RLaurent(c, w)
+        return RLaurent(c)
 
     __rmul__ = __mul__
 
@@ -207,118 +182,63 @@ class RLaurent:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _as_rlaurent(x, window) -> RLaurent:
-    if isinstance(x, RLaurent):
-        return x
-    return RLaurent.const(x, window)
-
-
-def _with_zero(x: RLaurent) -> RLaurent:
-    """x + RLaurent.zero(): the same values, window joined with (0, 0)."""
-    if x.lo <= 0 <= x.hi:
-        return x
-    return RLaurent._trusted(x.c, min(x.lo, 0), max(x.hi, 0))
-
-
 def _convolve(pairs) -> dict:
     """{key: sum of p1 * p2 over the (key, p1, p2) in `pairs`} for JPolys.
 
     The one home of the JPoly product rule.  For each pair of j-powers and
     each pair of r-exponents it does one Fraction product and adds it into
-    the accumulator of its key, j-power and r-exponent.  Every product term
-    must lie in the window of its coefficient pair (the join of the two
-    windows); the first one that does not makes the checked RLaurent
-    product of that pair raise its WindowOverflowError.
+    the accumulator of its key, j-power and r-exponent; each result RLaurent
+    and JPoly is built once, at the end, without the values that cancelled.
 
-    The result is what summing the pair products in order gives, window for
-    window: a coefficient's window is (0, 0) joined with the windows of its
-    contributing coefficient pairs, a JPoly's bound is None if any pair has
-    an unbounded factor and else the largest bound sum, and after each pair
-    the top j-coefficients that cancelled to zero are dropped (so a later
-    pair reaching that j-power starts it again from window (0, 0))."""
+    No exponent is tested here.  The r-exponents of a product are those of
+    its factors added, so the type's invariant -- the coefficient of 1/n^h
+    holds only r-exponents in [-max(h, 0), 0] -- is checked once, when the
+    NSeries that holds the product is built."""
     acc: dict = {}
     for key, p1, p2 in pairs:
-        bound = p1._merge_bound(p2, add)
-        slot = acc.get(key)
-        if slot is None:
-            cols: list[dict[int, Rat]] = []
-            los: list[int] = []
-            his: list[int] = []
-            acc[key] = [cols, los, his, bound]
-        else:
-            cols, los, his, prev = slot
-            slot[3] = None if prev is None or bound is None \
-                else max(prev, bound)
+        cols = acc.get(key)
+        if cols is None:
+            cols = acc[key] = []
         b = p2.c
         for _ in range(len(cols), len(p1.c) + len(b) - 1):
             cols.append({})
-            los.append(0)
-            his.append(0)
         for i, x in enumerate(p1.c):
             xc = x.c.items()
-            xlo, xhi = x.lo, x.hi
             for m, y in enumerate(b, i):
-                lo = xlo if xlo < y.lo else y.lo
-                hi = xhi if xhi > y.hi else y.hi
-                if lo < los[m]:
-                    los[m] = lo
-                if hi > his[m]:
-                    his[m] = hi
                 col = cols[m]
                 yc = y.c.items()
                 for e1, v1 in xc:
                     for e2, v2 in yc:
                         e = e1 + e2
-                        if e < lo or e > hi:
-                            # the checked product raises first, naming its
-                            # first nonzero stray exponent as it always did
-                            x * y
-                            raise WindowOverflowError(
-                                f"r-exponent {e} outside window [{lo}, {hi}]")
                         if e in col:
                             col[e] += v1 * v2
                         else:
                             col[e] = v1 * v2
-        while cols and not any(cols[-1].values()):
-            cols.pop()
-            los.pop()
-            his.pop()
     return {key: JPoly._trusted(
-                [RLaurent._trusted({e: v for e, v in col.items() if v}, lo, hi)
-                 for col, lo, hi in zip(cols, los, his)], bound)
-            for key, (cols, los, his, bound) in acc.items()}
-
-
-class DegreeBoundError(ValueError):
-    """A JPoly exceeded its declared degree bound."""
+                [RLaurent._trusted({e: v for e, v in col.items() if v})
+                 for col in cols])
+            for key, cols in acc.items()}
 
 
 class JPoly:
     """Polynomial in j with RLaurent coefficients; index = power of j."""
 
-    __slots__ = ("c", "bound")
+    __slots__ = ("c",)
 
-    def __init__(self, coeffs, bound: int | None = None, window=(0, 0)):
-        c = [_as_rlaurent(x, window) for x in coeffs]
+    def __init__(self, coeffs):
+        c = [x if isinstance(x, RLaurent) else RLaurent.const(x)
+             for x in coeffs]
         while c and c[-1].is_zero():
             c.pop()
-        if bound is not None and len(c) - 1 > bound:
-            raise DegreeBoundError(
-                f"degree {len(c) - 1} exceeds bound {bound}")
         self.c = tuple(c)
-        self.bound = bound
 
     @classmethod
-    def _trusted(cls, c: list[RLaurent], bound: int | None) -> "JPoly":
-        """Wrap RLaurent coefficients as is, dropping trailing zeros.
-
-        Only for results whose degree provably stays within `bound` (sums,
-        negation, scalar multiples and products of checked operands)."""
+    def _trusted(cls, c: list[RLaurent]) -> "JPoly":
+        """Wrap RLaurent coefficients as is, dropping trailing zeros."""
         while c and not c[-1].c:
             c.pop()
         self = object.__new__(cls)
         self.c = tuple(c)
-        self.bound = bound
         return self
 
     @classmethod
@@ -326,13 +246,12 @@ class JPoly:
         return cls([])
 
     @classmethod
-    def const(cls, x, window=(0, 0)) -> "JPoly":
-        return cls([_as_rlaurent(x, window)])
+    def const(cls, x) -> "JPoly":
+        return cls([x])
 
     @classmethod
-    def monomial(cls, jpow: int, coeff=1, window=(0, 0)) -> "JPoly":
-        return cls([RLaurent.zero(window)] * jpow
-                   + [_as_rlaurent(coeff, window)])
+    def monomial(cls, jpow: int, coeff=1) -> "JPoly":
+        return cls([RLaurent.zero()] * jpow + [coeff])
 
     @property
     def deg(self) -> int:
@@ -346,23 +265,18 @@ class JPoly:
             return self.c[jpow]
         return RLaurent.zero()
 
-    def _merge_bound(self, other, combine):
-        if self.bound is None or other.bound is None:
-            return None
-        return combine(self.bound, other.bound)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
             other = JPoly.const(other)
         c = [x + y for x, y in zip(self.c, other.c)]
         longer = self.c if len(self.c) > len(other.c) else other.c
-        c.extend(_with_zero(x) for x in longer[len(c):])
-        return JPoly._trusted(c, self._merge_bound(other, max))
+        c.extend(longer[len(c):])
+        return JPoly._trusted(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JPoly._trusted([-x for x in self.c], self.bound)
+        return JPoly._trusted([-x for x in self.c])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
@@ -374,7 +288,7 @@ class JPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
-            return JPoly._trusted([x * other for x in self.c], self.bound)
+            return JPoly._trusted([x * other for x in self.c])
         return _convolve(((0, self, other),))[0]
 
     __rmul__ = __mul__
@@ -391,17 +305,13 @@ class JPoly:
         if z == 0:
             return self
         acc = JPoly.zero()
-        jmz = JPoly([_as_rlaurent(Fraction(-z), (0, 0)),
-                     RLaurent.const(1)])
+        jmz = JPoly([Fraction(-z), Fraction(1)])
         for x in reversed(self.c):
             acc = acc * jmz + JPoly.const(x)
-        return JPoly(acc.c, self.bound)
+        return acc
 
     def subst_r(self, r0) -> "JPoly":
-        return JPoly([RLaurent.const(x.eval(r0)) for x in self.c], self.bound)
-
-    def map_coeffs(self, f) -> "JPoly":
-        return JPoly([f(x) for x in self.c], self.bound)
+        return JPoly([x.eval(r0) for x in self.c])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RLaurent)):
@@ -434,35 +344,47 @@ class NSeries:
     coeffs maps the 1/n exponent h to a JPoly; h < 0 encodes positive powers
     of n (bounded intermediates only).  `order` is the validity order: all
     coefficients with h <= order are exact, everything deeper is unknown.
+
+    Invariant: the coefficient of 1/n^h holds only r-exponents in
+    [-max(h, 0), 0]; construction raises WindowOverflowError otherwise.
     """
 
-    __slots__ = ("c", "order", "window")
+    __slots__ = ("c", "order")
 
-    def __init__(self, coeffs: dict[int, JPoly], order: int,
-                 window: tuple[int, int] = (0, 0)):
-        self.c = {h: p for h, p in coeffs.items()
-                  if h <= order and not p.is_zero()}
+    def __init__(self, coeffs: dict[int, JPoly], order: int):
+        c = {}
+        for h, p in coeffs.items():
+            if h > order or not p.c:
+                continue
+            lo = -h if h > 0 else 0
+            for x in p.c:
+                if x.c:
+                    e_lo, e_hi = min(x.c), max(x.c)
+                    if e_lo < lo or e_hi > 0:
+                        raise WindowOverflowError(
+                            f"r-exponent {e_lo if e_lo < lo else e_hi} "
+                            f"at 1/n^{h} outside [{lo}, 0]")
+            c[h] = p
+        self.c = c
         self.order = order
-        self.window = window
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order=DEFAULT_ORDER, window=(0, 0)) -> "NSeries":
-        return cls({}, order, window)
+    def zero(cls, order=DEFAULT_ORDER) -> "NSeries":
+        return cls({}, order)
 
     @classmethod
-    def one(cls, order=DEFAULT_ORDER, window=(0, 0)) -> "NSeries":
-        return cls({0: JPoly.const(1, window)}, order, window)
+    def one(cls, order=DEFAULT_ORDER) -> "NSeries":
+        return cls({0: JPoly.const(1)}, order)
 
     @classmethod
-    def const(cls, x, order=DEFAULT_ORDER, window=(0, 0)) -> "NSeries":
-        return cls({0: JPoly.const(x, window)}, order, window)
+    def const(cls, x, order=DEFAULT_ORDER) -> "NSeries":
+        return cls({0: JPoly.const(x)}, order)
 
     @classmethod
-    def term(cls, h: int, jpoly: JPoly, order=DEFAULT_ORDER,
-             window=(0, 0)) -> "NSeries":
-        return cls({h: jpoly}, order, window)
+    def term(cls, h: int, jpoly: JPoly, order=DEFAULT_ORDER) -> "NSeries":
+        return cls({h: jpoly}, order)
 
     # -- structure ---------------------------------------------------------
 
@@ -472,13 +394,7 @@ class NSeries:
 
     def coeff(self, jpow: int, npow: int) -> RLaurent:
         """Exact coefficient of j^jpow / n^npow."""
-        if npow > self.order:
-            raise TruncationError(
-                f"coefficient at 1/n^{npow} beyond validity order {self.order}")
-        p = self.c.get(npow)
-        if p is None:
-            return RLaurent.zero(self.window)
-        return p.coeff(jpow)
+        return self.jpoly(npow).coeff(jpow)
 
     def jpoly(self, npow: int) -> JPoly:
         if npow > self.order:
@@ -487,32 +403,26 @@ class NSeries:
         return self.c.get(npow, JPoly.zero())
 
     def truncate(self, order: int) -> "NSeries":
-        return NSeries({h: p for h, p in self.c.items() if h <= order},
-                       min(self.order, order), self.window)
+        return NSeries(self.c, min(self.order, order))
 
     # -- ring operations ---------------------------------------------------
 
-    def _join_window(self, other):
-        return (min(self.window[0], other.window[0]),
-                max(self.window[1], other.window[1]))
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent, JPoly)):
-            other = NSeries.const(other, self.order, self.window) \
-                if not isinstance(other, JPoly) \
-                else NSeries.term(0, other, self.order, self.window)
+        if isinstance(other, JPoly):
+            other = NSeries.term(0, other, self.order)
+        elif isinstance(other, (int, Fraction, RLaurent)):
+            other = NSeries.const(other, self.order)
         order = min(self.order, other.order)
         c = {h: p for h, p in self.c.items() if h <= order}
         for h, p in other.c.items():
             if h <= order:
                 c[h] = c[h] + p if h in c else p
-        return NSeries(c, order, self._join_window(other))
+        return NSeries(c, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NSeries({h: -p for h, p in self.c.items()}, self.order,
-                       self.window)
+        return NSeries({h: -p for h, p in self.c.items()}, self.order)
 
     def __sub__(self, other):
         if not isinstance(other, NSeries):
@@ -524,20 +434,16 @@ class NSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent)):
+        if isinstance(other, (int, Fraction, RLaurent, JPoly)):
             return NSeries({h: p * other for h, p in self.c.items()},
-                           self.order, self.window)
-        if isinstance(other, JPoly):
-            return NSeries({h: p * other for h, p in self.c.items()},
-                           self.order, self.window)
+                           self.order)
         return self.mul_capped(other, EXACT_ORDER)
 
     __rmul__ = __mul__
 
     def mul_capped(self, other: "NSeries", cap: int) -> "NSeries":
-        """Product with coefficients computed only through 1/n^cap (avoids
-        building coefficients beyond the working truncation, which would
-        also widen r-windows past their declared bounds)."""
+        """Product with coefficients computed only through 1/n^cap (no work
+        is spent on coefficients beyond the working truncation)."""
         # Validity: error terms of one factor meet the lowest exponent of
         # the other, so the product is exact through min(Oa+mb, Ob+ma) --
         # but never claim more than the larger operand order (a product of
@@ -551,13 +457,13 @@ class NSeries:
         c = _convolve((h1 + h2, p1, p2)
                       for h1, p1 in self.c.items()
                       for h2, p2 in other.c.items() if h1 + h2 <= order)
-        return NSeries(c, order, self._join_window(other))
+        return NSeries(c, order)
 
     def pow_int(self, e: int) -> "NSeries":
         """s**e for a non-negative integer e, by repeated squaring."""
         if e < 0:
             raise ValueError("negative exponent")
-        result = NSeries.one(self.order, self.window)
+        result = NSeries.one(self.order)
         base = self
         while e:
             if e & 1:
@@ -575,8 +481,8 @@ class NSeries:
                 "ln1p input must have zero constant term and no positive "
                 f"powers of n (min exponent {self.min_exp})")
         order = self.order
-        out = NSeries.zero(order, self.window)
-        power = NSeries.one(order, self.window)
+        out = NSeries.zero(order)
+        power = NSeries.one(order)
         for m in range(1, order + 1):
             power = power.mul_capped(self, order)
             if not power.c:
@@ -591,8 +497,8 @@ class NSeries:
                 "exp input must have zero constant term and no positive "
                 f"powers of n (min exponent {self.min_exp})")
         order = self.order
-        out = NSeries.one(order, self.window)
-        power = NSeries.one(order, self.window)
+        out = NSeries.one(order)
+        power = NSeries.one(order)
         fact = 1
         for m in range(1, order + 1):
             power = power.mul_capped(self, order)
@@ -606,24 +512,24 @@ class NSeries:
 
     def subst_j(self, j0) -> "NSeries":
         return NSeries({h: JPoly([p.eval_j(j0)]) for h, p in self.c.items()},
-                       self.order, self.window)
+                       self.order)
 
     def subst_r(self, r0) -> "NSeries":
         if Fraction(r0) == 0:
             raise ZeroDivisionError("substitution r=0")
         return NSeries({h: p.subst_r(r0) for h, p in self.c.items()},
-                       self.order, (0, 0))
+                       self.order)
 
     def shift_j(self, z: int) -> "NSeries":
-        """Substitute j -> j - z (degree bounds preserved)."""
+        """Substitute j -> j - z."""
         return NSeries({h: p.shift_j(z) for h, p in self.c.items()},
-                       self.order, self.window)
+                       self.order)
 
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = NSeries.const(other, self.order, self.window)
+            other = NSeries.const(other, self.order)
         if not isinstance(other, NSeries):
             return NotImplemented
         return self.c == other.c

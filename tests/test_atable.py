@@ -27,7 +27,7 @@ def test_a1_builtin_values():
     a1 = a1_builtin()
     assert a1.eval_j(2).eval(3) == F(-5, 3)
     assert a1.eval_j(1).is_zero()
-    assert a1.coeff(2) == RLaurent({-1: F(1, 2), 0: F(-1)}, (-1, 0))
+    assert a1.coeff(2) == RLaurent({-1: F(1, 2), 0: F(-1)})
 
 
 def test_root_product():
@@ -83,20 +83,18 @@ def test_derive_pointwise_flags_unqualified_family():
 
 
 def test_fit_reproduces_synthetic_polynomial():
-    # a synthetic level-2 entry with the forced roots and window [-2, 0]
-    w = (-2, 0)
-    quotient = JPoly([RLaurent({0: F(1, 3), -2: F(-2, 7)}, w),
-                      RLaurent({-1: F(5, 2)}, w)])
+    # a synthetic level-2 entry with the forced roots and r^-2..r^0
+    quotient = JPoly([RLaurent({0: F(1, 3), -2: F(-2, 7)}),
+                      RLaurent({-1: F(5, 2)})])
     truth = root_product(2) * quotient
     points = {(r, j): truth.eval_j(j).eval(r)
               for r in (3, 4, 5) for j in (3, 4, 5)}
     fitted = fit_atable(points, 2)
-    assert fitted == JPoly(truth.c, bound=4)
+    assert fitted == truth
 
 
 def test_fit_rejects_corrupt_sample():
-    w = (-1, 0)
-    truth = root_product(1) * JPoly([RLaurent({0: F(1), -1: F(-1, 2)}, w)])
+    truth = root_product(1) * JPoly([RLaurent({0: F(1), -1: F(-1, 2)})])
     points = {(r, j): truth.eval_j(j).eval(r)
               for r in (3, 4, 5) for j in (2, 3)}
     points[(5, 3)] += 1
@@ -256,7 +254,7 @@ def test_jpoly_at_r_square_case_unchanged(table):
     the coefficients of j^1..j^6 as they were under the dedicated square
     solver."""
     jp = table.jpoly_at_r(3, 3)
-    assert jp.bound == 6
+    assert jp.deg == 6
     assert [c.as_rat() for c in jp.c] == [
         0, F(4, 27), F(-71, 648), F(557, 1296), F(-133, 144), F(715, 1296),
         F(-125, 1296)]
@@ -282,8 +280,7 @@ def test_series_memo_tracks_entry_changes(table):
     assert build_F(t, 2) is before[0]  # memo hit
 
     # direct assignment: a corrupted a_2 must not be served from the memo
-    bad = t.entries[2].sym + JPoly.monomial(4, F(1, 9))
-    t.entries[2].sym = JPoly(bad.c, bound=4)
+    t.entries[2].sym = t.entries[2].sym + JPoly.monomial(4, F(1, 9))
     after = _builds(t)
     assert after == _builds(_fresh_copy(t))
     assert after[0] != before[0] and after[2] != before[2]
@@ -324,25 +321,25 @@ def test_build_H_level1(table):
 
 def test_build_H_log_coefficients(table):
     lnh = (build_H(table, 2)).ln1p()
-    assert lnh.coeff(3, 2) == RLaurent({-2: F(1, 6), 0: F(-1, 3)}, (-2, 0))
+    assert lnh.coeff(3, 2) == RLaurent({-2: F(1, 6), 0: F(-1, 3)})
     assert lnh.coeff(4, 2).is_zero()
 
 
 def test_conjecture_series_empty_spec(table):
     f = build_F_conjecture(table, ConjectureSpec(()), 2)
-    assert f == NSeries.one(2, (-2, 0)) + build_H(table, 2)
+    assert f == NSeries.one(2) + build_H(table, 2)
 
 
 def test_conjecture_series_single_term(table):
     # z=1 term adds c j/(n r) (1 + a_1(r, j-1)/n + ...)
     c = F(5, 7)
     f = build_F_conjecture(table, ConjectureSpec(((1, c),)), 2)
-    base = NSeries.one(2, (-2, 0)) + build_H(table, 2)
+    base = NSeries.one(2) + build_H(table, 2)
     delta = f - base
-    assert delta.coeff(1, 1) == RLaurent({-1: c}, (-2, 0))
+    assert delta.coeff(1, 1) == RLaurent({-1: c})
     # level 2, j-part: c/r * j * a_1(r, j-1)
     expect = (JPoly.monomial(1) * a1_builtin().shift_j(1)) * \
-        RLaurent({-1: c}, (-2, 0))
+        RLaurent({-1: c})
     assert delta.jpoly(2) == expect
 
 

@@ -216,6 +216,38 @@ def test_bad_flags_exit_config(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "--id", "log-coeff", "--hmax", "0"),
+                                  ("verify", "--id", "log-coeff", "--hmax", "-2"),
+                                  ("conjecture", "--hmax", "0")])
+def test_hmax_below_one_exits_config(argv, env_cache, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "--hmax: must be >= 1" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\n1 -2 7/12\n", "\n1 1 7/12\n", "a_2 has r-exponent 1 outside [-2, 0]"),
+    ("\n1 -2 7/12\n", "\n1 -5 7/12\n", "a_2 has r-exponent -5 outside [-2, 0]"),
+    # -4 once indexed the list of j-coefficients from its end, as j^1
+    ("\n1 -2 7/12\n", "\n-4 -2 7/12\n", "negative j-power in a_2"),
+    ("a h=2 sym", "a x=2 sym", "entry line without h="),
+    ("a h=3 point r=3 j=4", "a h=3 point j=4", "point line without r= or j="),
+], ids=["r-exponent-above", "r-exponent-below", "j-power-negative", "no-h",
+        "point-no-r"])
+def test_malformed_table_exits_config(old, new, message, repo_cache_dir,
+                                      tmp_path, capsys):
+    """A table file edited out of shape is a configuration error (exit 2)
+    that names the fault, not an internal error."""
+    name = "atable_r345_seed20250809.txt"
+    with open(os.path.join(repo_cache_dir, name)) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    (tmp_path / name).write_text(text.replace(old, new))
+    code, out, err = run(capsys, "verify", "--cache", str(tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {message}")
+
+
 # sha256 of the stdout, captured before the series memo and the unchecked
 # RLaurent paths went in; both outputs must stay byte-identical.
 GOLDEN_STDOUT = {

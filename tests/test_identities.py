@@ -34,7 +34,7 @@ def test_build_F_small_orders(table):
     f = build_F(table, 1)
     # [1/n](F - 1) = j(j-1)/(2r)
     expect = (JPoly.monomial(2) - JPoly.monomial(1)) * \
-        RLaurent({-1: F(1, 2)}, (-1, 0))
+        RLaurent({-1: F(1, 2)})
     assert f.jpoly(1) == expect
     assert f.subst_j(0).jpoly(0) == JPoly.const(1)
     # F at j=1 is exactly 1 to all computed orders
@@ -117,10 +117,10 @@ def test_alpha0_leading_terms(table):
 def test_alpha0_explicit_values(table):
     # k=2: [1/n] alpha_0 = 1/r for every i (constant in the index)
     a0 = alpha0_series(table, None, 2, 1)
-    assert a0.jpoly(1) == JPoly([RLaurent({-1: F(1)}, (-1, 0))])
+    assert a0.jpoly(1) == JPoly([RLaurent({-1: F(1)})])
     # k=1 at i=2: [1/n] = 2/r
     a1 = alpha0_series(table, 2, 1, 1)
-    assert a1.jpoly(1) == JPoly([RLaurent({-1: F(2)}, (-1, 0))])
+    assert a1.jpoly(1) == JPoly([RLaurent({-1: F(2)})])
 
 
 def test_alpha0_leading_invariant_under_widening(table):
@@ -150,8 +150,7 @@ def test_extended_expansion_detects_corruption(table):
     import copy
 
     broken = copy.deepcopy(table)
-    bad = broken.entries[2].sym + JPoly.monomial(4, F(1, 9))
-    broken.entries[2].sym = JPoly(bad.c, bound=4)
+    broken.entries[2].sym = broken.entries[2].sym + JPoly.monomial(4, F(1, 9))
     rep, _ = check_extended_expansion(broken, ConjectureSpec(()), 2)
     assert not rep.passed
     assert any(key == (4, 2) for key in rep.witness)
