@@ -27,6 +27,16 @@ accumulator keyed by 1/n exponent, then j-power, then r-exponent.  Each
 result RLaurent and JPoly is built once, at the end, without the values
 that cancelled.  No RLaurent is built per term.
 
+`NSeries.ln1p` and `NSeries.exp` are graded recurrences in the Euler
+operator theta = -n d/dn, which multiplies the 1/n^h coefficient by h:
+
+    f = ln(1 + u):  h f_h = h u_h - sum_{m=1}^{h-1} m f_m u_{h-m}
+    g = exp(t):     h g_h = sum_{m=1}^{h} m t_m g_{h-m},  g_0 = 1
+
+Each 1/n level is one fused convolution over its pairs, and dividing by h
+is exact, so the coefficients are those of the power sums of u and t.
+`pow_int` is repeated squaring.
+
 Nothing here is cached.  The series built from a coefficient table (H, F
 and the extended-expansion base) are memoized by the ATable instance that
 holds the table, keyed on (kind, h_max, at_r) and the table entries read;
@@ -44,10 +54,6 @@ Rat = Fraction
 EXACT_ORDER = 1 << 30
 
 DEFAULT_ORDER = 6
-
-
-def rat(p, q=1) -> Rat:
-    return Fraction(p, q)
 
 
 def rat_str(x: Rat) -> str:
@@ -338,6 +344,9 @@ class JPoly:
         return " + ".join(parts)
 
 
+_JZERO = JPoly.zero()
+
+
 class NSeries:
     """Truncated formal series in 1/n.
 
@@ -472,41 +481,63 @@ class NSeries:
             e >>= 1
         return result.truncate(self.order)
 
-    # -- transcendental (terminating on proper inputs) ----------------------
+    # -- transcendental (graded recurrences, see the module docstring) -------
+
+    def _proper_levels(self, name: str) -> bool:
+        """True if there are levels to compute; raise on improper input
+        and on a nonzero input of unbounded order (an infinite series)."""
+        if self.c and min(self.c) < 1:
+            raise ImproperSeriesError(
+                f"{name} input must have zero constant term and no positive "
+                f"powers of n (min exponent {self.min_exp})")
+        if self.c and self.order >= EXACT_ORDER:
+            raise TruncationError(
+                f"{name} of a nonzero series of unbounded order is an "
+                "infinite series")
+        return bool(self.c)
 
     def ln1p(self) -> "NSeries":
-        """ln(1 + x) for x with all exponents >= 1; exact to the order."""
-        if self.c and min(self.c) < 1:
-            raise ImproperSeriesError(
-                "ln1p input must have zero constant term and no positive "
-                f"powers of n (min exponent {self.min_exp})")
+        """ln(1 + u) for u with all exponents >= 1; exact to the order.
+
+        f = ln(1 + u) solves (1 + u) theta f = theta u, so level by level
+        h f_h = h u_h - sum_{m=1}^{h-1} m f_m u_{h-m}: one convolution of
+        the pairs (f_m, -(m/h) u_{h-m}) per level, added to u_h."""
         order = self.order
-        out = NSeries.zero(order)
-        power = NSeries.one(order)
-        for m in range(1, order + 1):
-            power = power.mul_capped(self, order)
-            if not power.c:
-                break
-            out = out + power * Fraction((-1) ** (m + 1), m)
-        return out
+        if not self._proper_levels("ln1p"):
+            return NSeries.zero(order)
+        u = self.c
+        f: dict[int, JPoly] = {}
+        for h in range(1, order + 1):
+            fh = u.get(h, _JZERO)
+            pairs = [(h, fm, u[h - m] * Fraction(-m, h))
+                     for m, fm in f.items() if h - m in u]
+            if pairs:
+                fh = fh + _convolve(pairs)[h]
+            if fh.c:
+                f[h] = fh
+        return NSeries(f, order)
 
     def exp(self) -> "NSeries":
-        """exp(x) for x with all exponents >= 1; exact to the order."""
-        if self.c and min(self.c) < 1:
-            raise ImproperSeriesError(
-                "exp input must have zero constant term and no positive "
-                f"powers of n (min exponent {self.min_exp})")
+        """exp(t) for t with all exponents >= 1; exact to the order.
+
+        g = exp(t) solves theta g = g theta t, so level by level
+        h g_h = sum_{m=1}^{h} m t_m g_{h-m} with g_0 = 1.  The m = h term
+        is t_h itself; the others are one convolution of the pairs
+        ((m/h) t_m, g_{h-m}) per level, added to t_h."""
         order = self.order
-        out = NSeries.one(order)
-        power = NSeries.one(order)
-        fact = 1
-        for m in range(1, order + 1):
-            power = power.mul_capped(self, order)
-            fact *= m
-            if not power.c:
-                break
-            out = out + power * Fraction(1, fact)
-        return out
+        if not self._proper_levels("exp"):
+            return NSeries.one(order)
+        t = self.c
+        g = {0: JPoly.const(1)}
+        for h in range(1, order + 1):
+            gh = t.get(h, _JZERO)
+            pairs = [(h, t[m] * Fraction(m, h), g[h - m])
+                     for m in t if m < h and h - m in g]
+            if pairs:
+                gh = gh + _convolve(pairs)[h]
+            if gh.c:
+                g[h] = gh
+        return NSeries(g, order)
 
     # -- substitutions -----------------------------------------------------
 

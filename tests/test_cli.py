@@ -255,6 +255,12 @@ GOLDEN_STDOUT = {
         "f9d9e9fd6ab336e7c66422bd8867c1054acc1e0398f0f60fe6fdfea0bb0bfaec",
     ("conjecture", "--trials", "20", "--seed", "1"):
         "c8e3f6425ff4c2a9ed221ccd77074c817e58ab94e37d15914d02764843449682",
+    # the extended-expansion route at h = 3, captured from the power-sum
+    # ln1p and exp before they became graded recurrences
+    ("conjecture",):
+        "b3586986b5181248abae3295fe2392cd271a7127b1666e4ce668559ee9c0b251",
+    ("conjecture", "--hmax", "3", "--zmax", "3", "--trials", "30"):
+        "52ac097e19d130c67e647b7e5bc0ca88ca4153d5b84da7429362c07a2566f4d1",
 }
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchdiff import series
 from matchdiff.atable import a1_builtin
 from matchdiff.series import (EXACT_ORDER, ImproperSeriesError, JPoly,
                               NSeries, RLaurent, TruncationError,
@@ -144,6 +145,25 @@ def test_ln1p_rejects_constant_term():
 
 def test_exp_zero():
     assert NSeries.zero(4).exp() == NSeries.one(4)
+
+
+def test_ln1p_exp_of_unbounded_order(monkeypatch):
+    """A nonzero input of order EXACT_ORDER has an infinite ln1p and exp,
+    so both raise; the zero series gives zero and one without a level
+    computed."""
+    x = NSeries({1: JPoly.const(1)}, EXACT_ORDER)
+    with pytest.raises(TruncationError, match="ln1p of a nonzero series"):
+        x.ln1p()
+    with pytest.raises(TruncationError, match="exp of a nonzero series"):
+        x.exp()
+
+    def refuse(pairs):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(series, "_convolve", refuse)
+    zero = NSeries.zero(EXACT_ORDER)
+    for got, want in ((zero.ln1p(), zero), (zero.exp(), NSeries.one())):
+        assert got == want and got.order == EXACT_ORDER
 
 
 @settings(max_examples=15, deadline=None)
@@ -373,6 +393,47 @@ def reference_mul_capped(a, b, cap):
     return NSeries(c, order)
 
 
+# `reference_ln1p` and `reference_exp` are NSeries.ln1p and NSeries.exp as
+# they were before they became graded recurrences: sums of the powers
+# u, u^2, ..., each power one more mul_capped.
+
+
+def reference_ln1p(x):
+    """ln(1 + x) for x with all exponents >= 1; exact to the order."""
+    if x.c and min(x.c) < 1:
+        raise ImproperSeriesError(
+            "ln1p input must have zero constant term and no positive "
+            f"powers of n (min exponent {x.min_exp})")
+    order = x.order
+    out = NSeries.zero(order)
+    power = NSeries.one(order)
+    for m in range(1, order + 1):
+        power = power.mul_capped(x, order)
+        if not power.c:
+            break
+        out = out + power * F((-1) ** (m + 1), m)
+    return out
+
+
+def reference_exp(x):
+    """exp(x) for x with all exponents >= 1; exact to the order."""
+    if x.c and min(x.c) < 1:
+        raise ImproperSeriesError(
+            "exp input must have zero constant term and no positive "
+            f"powers of n (min exponent {x.min_exp})")
+    order = x.order
+    out = NSeries.one(order)
+    power = NSeries.one(order)
+    fact = 1
+    for m in range(1, order + 1):
+        power = power.mul_capped(x, order)
+        fact *= m
+        if not power.c:
+            break
+        out = out + power * F(1, fact)
+    return out
+
+
 def outcome(f, *args):
     """('ok', value) or ('overflow', message)."""
     try:
@@ -492,3 +553,69 @@ def test_fused_product_builds_no_rlaurent_per_term(monkeypatch):
     monkeypatch.setattr(RLaurent, "__init__", refuse)
     assert_same_nseries(a.mul_capped(b, 4), want)
     assert_same_jpoly(a.c[1] * b.c[2], want_jpoly)
+
+
+# -- ln1p and exp by graded recurrences against the power sums ------------------
+
+
+@st.composite
+def ln_exp_inputs(draw):
+    """Orders 0..6 with sparse levels within the graded rule (no level at
+    all is the zero series, a level past the order is truncated), few
+    distinct values so that coefficients cancel, and now and then a level
+    below 1/n, which ln1p and exp reject."""
+    order = draw(st.integers(0, 6))
+    min_h = draw(st.sampled_from([1, 1, 1, 1, 0, -1]))
+    hs = draw(st.lists(st.integers(min_h, max(order, 1)), max_size=4,
+                       unique=True))
+    return NSeries({h: draw(nonzero_jpolys(-max(h, 0), 0)) for h in hs},
+                   order)
+
+
+def improper_or(f, x):
+    """('ok', value) or ('improper', message)."""
+    try:
+        return "ok", f(x)
+    except ImproperSeriesError as exc:
+        return "improper", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ln_exp_inputs())
+def test_recurrences_equal_power_sums(x):
+    for method, reference in ((NSeries.ln1p, reference_ln1p),
+                              (NSeries.exp, reference_exp)):
+        got, want = improper_or(method, x), improper_or(reference, x)
+        assert got[0] == want[0]
+        if want[0] == "improper":
+            assert got[1] == want[1]
+            continue
+        got, want = got[1], want[1]
+        assert got.order == want.order
+        assert sorted(got.c) == sorted(want.c)
+        for h in want.c:
+            assert_same_jpoly(got.c[h], want.c[h])
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6])
+def test_recurrences_convolve_once_per_pair(order, monkeypatch):
+    """For a dense order-H proper series, ln1p passes H(H-1)/2 pairs to
+    _convolve and exp at most H(H+1)/2; the power sums passed 14 each at
+    H = 4."""
+    x = NSeries({h: JPoly([1, RLaurent({-h: F(1, 2), 0: F(-1)})])
+                 for h in range(1, order + 1)}, order)
+    want_ln, want_exp = reference_ln1p(x), reference_exp(x)
+    counts = []
+    convolve = series._convolve
+
+    def counting(pairs):
+        pairs = list(pairs)
+        counts.append(len(pairs))
+        return convolve(pairs)
+
+    monkeypatch.setattr(series, "_convolve", counting)
+    assert_same_nseries(x.ln1p(), want_ln)
+    assert sum(counts) == order * (order - 1) // 2
+    counts.clear()
+    assert_same_nseries(x.exp(), want_exp)
+    assert sum(counts) <= order * (order + 1) // 2
