@@ -21,10 +21,10 @@ or cached process-wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
+from ._records import FrozenRecord, Record
 from .series import (EXACT_ORDER, InconsistentSystemError, JPoly, NSeries,
                      Rat, RLaurent, parse_rat, rat_str,
                      solve_overdetermined_exact)
@@ -57,12 +57,19 @@ def root_product(h: int) -> JPoly:
     return p
 
 
-@dataclass
-class AEntry:
-    h: int
-    sym: JPoly | None = None
-    points: dict[tuple[int, int], Rat] = field(default_factory=dict)
-    provenance: list[str] = field(default_factory=list)
+class AEntry(Record):
+    """The entry a_h: symbolic in j, pointwise at (r, j), or both, with
+    where each value came from (a fresh dict and list unless given)."""
+
+    __slots__ = __match_args__ = ("h", "sym", "points", "provenance")
+
+    def __init__(self, h: int, sym: JPoly | None = None,
+                 points: dict[tuple[int, int], Rat] | None = None,
+                 provenance: list[str] | None = None):
+        self.h = h
+        self.sym = sym
+        self.points = {} if points is None else points
+        self.provenance = [] if provenance is None else provenance
 
 
 class ATable:
@@ -293,16 +300,16 @@ def _build_H(table: ATable, h_max: int, at_r: int | None) -> NSeries:
     return NSeries(coeffs, h_max)
 
 
-@dataclass(frozen=True)
-class ConjectureSpec:
+class ConjectureSpec(FrozenRecord):
     """Formal-constant terms of the extended expansion: list of (z_i, c_i)."""
 
-    terms: tuple[tuple[int, Rat], ...]
+    __slots__ = __match_args__ = ("terms",)
 
-    def __post_init__(self):
-        for z, _ in self.terms:
+    def __init__(self, terms: tuple[tuple[int, Rat], ...]):
+        for z, _ in terms:
             if z < 1:
                 raise ValueError("z_i must be positive integers")
+        object.__setattr__(self, "terms", terms)
 
     def describe(self) -> str:
         if not self.terms:

@@ -11,14 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from . import __version__
-from .atable import ATableError, ConjectureSpec
-from .derive import DEFAULT_SEED
 from .graphs import GenerationBudgetError, check_census_smax
 from .matchcount import CapExceededError
-from .rng import Rng
+from .rng import DEFAULT_SEED, Rng
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -192,6 +189,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .atable import ConjectureSpec
     from .identities import (R_POINT, check_extended_expansion,
                              random_conjecture_spec)
 
@@ -386,11 +384,12 @@ def main(argv=None) -> int:
         # CapExceededError is a ValueError, so it is caught first
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ATableError) as exc:
+    except ValueError as exc:  # ATableError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
         # a crash must not read as "check failed" (exit 1)
+        import traceback
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

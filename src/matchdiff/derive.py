@@ -19,10 +19,8 @@ from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
                      girth_search, incidence_pg, is_prime, propose_swap)
 from .matchcount import match_count_upto
-from .rng import derive_seed
+from .rng import DEFAULT_SEED, derive_seed
 from .series import Rat
-
-DEFAULT_SEED = 20250809
 
 # girth-8 cubic graphs exist on 30 and 34+ vertices but not 32
 _SKIP_G8_CUBIC = {16}

@@ -184,8 +184,7 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
             else:
                 masks = _lockstep_attempt(s0s[a], n, r, rows, identity)
             if masks is not None:
-                return BipGraph(n, r, [[v for v in range(n) if m >> v & 1]
-                                       for m in masks])
+                return BipGraph(n, r, [_set_bits(m) for m in masks])
         first += size
         size = min(2 * size, _MAX_BATCH)
     raise GenerationBudgetError(
@@ -233,6 +232,17 @@ def _hot_tops(hot: tuple[int, ...], span: int) -> frozenset[int]:
     c < h <= c + span for an entry h of `hot`, and possibly a few more."""
     return frozenset(t for h in hot
                      for t in range((h - span) >> 32, (h >> 32) + 1))
+
+
+def _set_bits(m: int) -> list[int]:
+    """The positions of the set bits of m, lowest first: one step per
+    neighbour, not per vertex."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def _lockstep_attempt(s0: int, n: int, r: int, rows,

@@ -13,12 +13,13 @@ reuses it, and a table whose entries change gets a fresh build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
+from ._records import Record
 from .atable import ATable, ConjectureSpec, build_F_conjecture, build_H
 from .kseries import build_K
+from .positivity import lsplit
 from .rng import Rng
 from .series import JPoly, NSeries, Rat, RLaurent
 
@@ -31,12 +32,18 @@ SYNTHETIC_ORDER = 4
 SPEC_MAX_TERMS = 2
 
 
-@dataclass
-class CheckReport:
-    id: str
-    params: dict = field(default_factory=dict)
-    witness: dict = field(default_factory=dict)
-    note: str = ""
+class CheckReport(Record):
+    """One check's result: its id, parameters and witness map (each a
+    fresh dict unless given), and a note."""
+
+    __slots__ = __match_args__ = ("id", "params", "witness", "note")
+
+    def __init__(self, id: str, params: dict | None = None,
+                 witness: dict | None = None, note: str = ""):
+        self.id = id
+        self.params = {} if params is None else params
+        self.witness = {} if witness is None else witness
+        self.note = note
 
     @property
     def passed(self) -> bool:
@@ -54,16 +61,6 @@ class CheckReport:
         if self.note:
             parts.append(f"({self.note})")
         return " ".join(str(p) for p in parts)
-
-
-def lsplit(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Parity split of {0..k}: L+ holds the indices with the parity of k,
-    L- the others."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lplus = tuple(l for l in range(k + 1) if l % 2 == k % 2)
-    lminus = tuple(l for l in range(k + 1) if l % 2 != k % 2)
-    return lplus, lminus
 
 
 def at_r_for(table: ATable, level: int) -> int | None:

@@ -18,9 +18,9 @@ few seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
+from ._records import FrozenRecord
 from .graphs import BipGraph
 
 # Most DP states `frontier_counts` may hold after any left vertex.  The
@@ -32,11 +32,13 @@ class CapExceededError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MatchVector:
+class MatchVector(FrozenRecord):
     """Exact matching counts m_0..m_J."""
 
-    counts: tuple[int, ...]
+    __slots__ = __match_args__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]):
+        object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, i: int) -> int:
         return self.counts[i]

@@ -34,19 +34,24 @@ graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
 scales alpha_0 by a per-(n, r, i, k) integer D into an integer (the same
 `_KTable.alpha0` constants), sums it and its square as integers, and
 divides by D and D^2 once, after the merge.
+
+Layering: the Monte Carlo layer is this module and what it imports
+(graphs, matchcount, rng, _kernels_py, series).  It imports nothing from
+the identity checks (atable, kseries, identities); they import from it,
+as identities takes `lsplit` from here.  So `simulate` and `census` never
+load the checks, and a test pins that import closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf, lcm, log, nextafter
 from operator import gt, lt, sub
 
+from ._records import Record
 from .graphs import BipGraph, cycle_census, gen_regular_bipartite
-from .identities import lsplit
 from .matchcount import MatchVector, match_poly_full, mbar_vector
 from .rng import derive_seed
 from .series import Rat, rat_str
@@ -68,6 +73,16 @@ _CEIL = Context(prec=6, rounding=ROUND_CEILING)
 _STRUCTURAL_ZEROS = frozenset({(0, 0), (1, 0), (0, 1)})
 # Standard errors of the Wilson interval in the trend rule
 WILSON_Z = 2.0
+
+
+def lsplit(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Parity split of {0..k}: L+ holds the indices with the parity of k,
+    L- the others."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    lplus = tuple(l for l in range(k + 1) if l % 2 == k % 2)
+    lminus = tuple(l for l in range(k + 1) if l % 2 != k % 2)
+    return lplus, lminus
 
 
 def _ln_upper(x: int) -> Fraction:
@@ -307,14 +322,18 @@ def alpha0_exact(g_or_rho, i: int, k: int) -> Rat:
     return p - q
 
 
-@dataclass
-class DProfile:
-    """Exact positivity profile of one graph."""
+class DProfile(Record):
+    """Exact positivity profile of one graph: the counts m_0..m_n and the
+    sign of Delta^k d(i) per (i, k)."""
 
-    n: int
-    r: int
-    counts: tuple[int, ...]  # m_0..m_n
-    signs: dict[tuple[int, int], int]  # (i, k) -> sign of Delta^k d(i)
+    __slots__ = __match_args__ = ("n", "r", "counts", "signs")
+
+    def __init__(self, n: int, r: int, counts: tuple[int, ...],
+                 signs: dict[tuple[int, int], int]):
+        self.n = n
+        self.r = r
+        self.counts = counts
+        self.signs = signs
 
     @property
     def rho(self) -> list[Rat]:
@@ -334,22 +353,30 @@ def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
                     _sign_cascade(mvec.counts, _k_table(g.n, g.r)))
 
 
-@dataclass
-class EnsembleStats:
-    """Per-(r, n, i, k) Monte Carlo summary with exact rational moments."""
+class EnsembleStats(Record):
+    """Per-(r, n, i, k) Monte Carlo summary with exact rational moments.
+    `cycle_totals` maps s to the s-cycles summed over the first census
+    samples (census only)."""
 
-    r: int
-    n: int
-    i: int
-    k: int
-    samples: int
-    seed: int
-    alpha_hat: Rat
-    beta_hat: Rat
-    p_violation: Rat
-    p_graph_positive: Rat
-    # s -> s-cycles summed over the first census samples (census only)
-    cycle_totals: dict[int, int] | None = None
+    __slots__ = __match_args__ = (
+        "r", "n", "i", "k", "samples", "seed", "alpha_hat", "beta_hat",
+        "p_violation", "p_graph_positive", "cycle_totals")
+
+    def __init__(self, r: int, n: int, i: int, k: int, samples: int,
+                 seed: int, alpha_hat: Rat, beta_hat: Rat, p_violation: Rat,
+                 p_graph_positive: Rat,
+                 cycle_totals: dict[int, int] | None = None):
+        self.r = r
+        self.n = n
+        self.i = i
+        self.k = k
+        self.samples = samples
+        self.seed = seed
+        self.alpha_hat = alpha_hat
+        self.beta_hat = beta_hat
+        self.p_violation = p_violation
+        self.p_graph_positive = p_graph_positive
+        self.cycle_totals = cycle_totals
 
     @property
     def cheb_bound(self) -> Rat | None:
@@ -490,18 +517,27 @@ def _wilson_above(x_hi: int, n_hi: int, x_lo: int, n_lo: int) -> bool:
     return lo > hi
 
 
-@dataclass
-class TrendRow:
-    n: int
-    stats: dict[tuple[int, int], EnsembleStats]
+class TrendRow(Record):
+    __slots__ = __match_args__ = ("n", "stats")
+
+    def __init__(self, n: int, stats: dict[tuple[int, int], EnsembleStats]):
+        self.n = n
+        self.stats = stats
 
 
-@dataclass
-class TrendReport:
-    r: int
-    samples: int
-    seed: int
-    rows: list[TrendRow]
+class TrendReport(Record):
+    """One `ensemble_grid` row per n.  Its instances also take other
+    attributes (one report per run, so no slots): callers attach run data
+    such as the elapsed time."""
+
+    __match_args__ = ("r", "samples", "seed", "rows")
+
+    def __init__(self, r: int, samples: int, seed: int,
+                 rows: list[TrendRow]):
+        self.r = r
+        self.samples = samples
+        self.seed = seed
+        self.rows = rows
 
     def monotone_violation(self, i: int, k: int) -> bool:
         """p_violation non-increasing in n within noise: fails only when a

@@ -14,6 +14,9 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 GOLDEN_INV = pow(GOLDEN, -1, 1 << 64)
 
+# Every command's default --seed, and the master seed of the shipped table
+DEFAULT_SEED = 20250809
+
 
 def splitmix64(x: int) -> int:
     x = (x + GOLDEN) & MASK

@@ -337,3 +337,48 @@ def test_runs_on_the_standard_library_alone(repo_cache_dir):
                          env=env, check=True, capture_output=True,
                          text=True).stdout
     assert out == "[]\n"
+
+
+# What the Monte Carlo path and the command line's own import leave out:
+# the standard library's record generator with the inspect chain it loads,
+# and the identity checks
+NOT_ON_THE_MC_PATH = ("dataclasses", "inspect", "matchdiff.atable",
+                      "matchdiff.identities", "matchdiff.kseries")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Which of `NOT_ON_THE_MC_PATH` a fresh interpreter holds after
+    running `code`."""
+    src = os.path.dirname(os.path.dirname(matchdiff.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = (code + "\nimport sys\n"
+             f"print(*sorted(set({NOT_ON_THE_MC_PATH!r}) & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_monte_carlo_path_imports_no_identity_checks():
+    """A trend report, the command line module, and simulate and census
+    runs load neither the identity checks nor the inspect chain; with every
+    package module imported the record generator is still absent (pkgutil
+    itself loads inspect)."""
+    assert _loaded_after(
+        "from matchdiff.positivity import trend_report\n"
+        "trend_report(3, [6, 8], 5, [(1, 1), (2, 2)], seed=1).csv()") == []
+    assert _loaded_after("import matchdiff.cli") == []
+    assert _loaded_after(
+        "import contextlib, io\n"
+        "from matchdiff import cli\n"
+        "for argv in (['simulate', '--n', '6', '--samples', '3'],\n"
+        "             ['census', '--n', '6', '--samples', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv") == []
+    everything = _loaded_after(
+        "import pkgutil, matchdiff\n"
+        "for info in pkgutil.iter_modules(matchdiff.__path__):\n"
+        "    __import__('matchdiff.' + info.name)")
+    assert "matchdiff.identities" in everything
+    assert "dataclasses" not in everything

@@ -234,6 +234,8 @@ def test_gen_graph_ids_pinned():
         # search restart of a cold derive-atable
         (8, 5, 14989779772074328663): "bg-8x5-19318006f29a8497",
         (22, 5, 720701715770117513): "bg-22x5-ddda65baa4e9d939",
+        # a large draw: each row is decoded from its set bits
+        (1000, 3, 1): "bg-1000x3-769b9aff4e711218",
     }
     for (n, r, seed), gid in pinned.items():
         assert gen_regular_bipartite(n, r, seed).graph_id() == gid

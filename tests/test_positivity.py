@@ -15,14 +15,14 @@ from matchdiff import positivity
 from matchdiff.derive import _swap_shuffle
 from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
                               gen_regular_bipartite)
-from matchdiff.identities import lsplit
 from matchdiff.matchcount import match_poly_full
 from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
                                   TrendRow, _decimal_triangle,
                                   _float_triangle, _k_table, _KTable,
                                   _sample_graph, _scaled_alpha0,
                                   _sign_cascade, alpha0_exact, delta_table,
-                                  ensemble_grid, rho_vector, trend_report)
+                                  ensemble_grid, lsplit, rho_vector,
+                                  trend_report)
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
 
@@ -85,7 +85,7 @@ def exact_signs(rho):
             for k in range(n + 1) for i in range(n - k + 1)}
 
 
-def test_filtered_signs_equal_exact():
+def test_sign_cascade_equals_exact():
     """The sign cascade gives delta_sign's answer on every (i, k): the
     first 100 samples per n of the acceptance grid (r=3, n=6..12), 25 per
     n at r=4 for n=6..14, and K33 and C4."""
