@@ -26,7 +26,7 @@ from math import factorial
 
 from ._records import FrozenRecord, Record
 from .series import (EXACT_ORDER, InconsistentSystemError, JPoly, NSeries,
-                     Rat, RLaurent, parse_rat, rat_str,
+                     Rat, RLaurent, at_point, parse_rat, rat_str,
                      solve_overdetermined_exact)
 
 
@@ -317,14 +317,6 @@ class ConjectureSpec(FrozenRecord):
         return ",".join(f"(z={z},c={rat_str(c)})" for z, c in self.terms)
 
 
-def falling_factorial_jpoly(z: int) -> JPoly:
-    """j(j-1)...(j-z+1) as a JPoly."""
-    p = JPoly.const(1)
-    for t in range(z):
-        p = p * JPoly([Fraction(-t), Fraction(1)])
-    return p
-
-
 def build_F_conjecture(table: ATable, spec: ConjectureSpec, h_max: int,
                        at_r: int | None = None) -> NSeries:
     """F of the extended expansion:
@@ -348,11 +340,8 @@ def build_F_conjecture(table: ATable, spec: ConjectureSpec, h_max: int,
         shifted = table._memo_series(
             ("1+H", z), h_max, at_r,
             lambda: base.shift_j(z).truncate(h_max - z))
-        if at_r is None:
-            rfac = RLaurent.term(Fraction(c), -z)
-        else:
-            rfac = RLaurent.const(Fraction(c) / Fraction(at_r) ** z)
-        coeff = falling_factorial_jpoly(z) * rfac
+        # j(j-1)..(j-z+1) c / r^z
+        coeff = root_product(z - 1) * at_point(RLaurent.term(c, -z), at_r)
         term = NSeries.term(z, coeff, EXACT_ORDER) * shifted
         f = f + term
     return f

@@ -39,11 +39,15 @@ def _parse_ints(text: str) -> list[int]:
     return out
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`.  argparse names
+    the flag in the error, and `main` exits 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _config_line(command: str, args: argparse.Namespace, keys) -> str:
@@ -338,16 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None)
     p.add_argument("--k", default=None)
     p.add_argument("--i", default=None)
-    p.add_argument("--hmax", type=_positive_int, default=None)
+    p.add_argument("--hmax", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("conjecture", help="randomized extended-expansion test")
     common(p)
     p.add_argument("--r", default="3,4,5")
     p.add_argument("--strict-girth", action="store_true")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--zmax", type=int, default=2)
-    p.add_argument("--hmax", type=_positive_int, default=3)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--zmax", type=_int_at_least(1), default=2)
+    p.add_argument("--hmax", type=_int_at_least(1), default=3)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("simulate", help="Monte Carlo moment and trend estimation")
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", default="0..3")
     p.add_argument("--k", default="0..3")
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("census", help="graph positivity and cycle census")
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="6,8,10,12")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--smax", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_census)
 
     return ap

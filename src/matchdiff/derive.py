@@ -17,7 +17,8 @@ from .atable import (ATable, QualificationError, a1_builtin,
                      derive_M_pointwise, fit_atable)
 from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
-                     girth_search, incidence_pg, is_prime, propose_swap)
+                     girth_search, incidence_pg, is_prime, propose_swap,
+                     swap_edges)
 from .matchcount import match_count_upto
 from .rng import DEFAULT_SEED, derive_seed
 from .series import Rat
@@ -123,7 +124,8 @@ def _swap_shuffle(g: BipGraph, seed: int) -> BipGraph:
     (simplicity preserved)."""
     from .rng import Rng
 
-    rows = [set(row) for row in g.adj]
+    adj = [set(row) for row in g.global_adj()]
+    rows = adj[:g.n]  # the left rows, which hold right vertex v as n + v
     rng = Rng(seed)
     wanted = _SWAP_SWEEPS * g.nedges
     done = 0
@@ -133,11 +135,9 @@ def _swap_shuffle(g: BipGraph, seed: int) -> BipGraph:
         swap = propose_swap(rows, g.r, rng)
         if swap is None:
             continue
-        u1, v1, u2, v2 = swap
-        rows[u1].discard(v1); rows[u2].discard(v2)
-        rows[u1].add(v2); rows[u2].add(v1)
+        swap_edges(adj, *swap)
         done += 1
-    return BipGraph(g.n, g.r, [sorted(row) for row in rows])
+    return BipGraph(g.n, g.r, [[v - g.n for v in row] for row in rows])
 
 
 def _random_style_graph(r: int, n: int, min_girth: int, seed: int) -> BipGraph:

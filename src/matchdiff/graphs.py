@@ -136,9 +136,11 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     shuffle p is draw p*(n-1) + n-i and is computed directly from s0.  A
     redraw needs a draw at or above `range_limit(k)` for some k <= n;
     `_hot_draws(n)` lists the few states whose draw is that high, and an
-    attempt any of whose r*(n-1) draws could land on one runs the
-    sequential `_simple_attempt` instead, which follows the stream draw by
-    draw and is exact for every attempt.
+    attempt any of whose r*(n-1) draws could land on one is drawn from the
+    `Rng` stream itself (`_stream_attempt`), redraws included, which is
+    exact for every attempt.  Fewer than n states are hot, so that happens
+    with probability below r n^2 / 2^64 per attempt, and its speed does not
+    matter.
 
     Packed rejection: the attempts run in batches, the first of
     `_FIRST_BATCH` attempts, then doubling up to `_MAX_BATCH`, each cut
@@ -148,13 +150,11 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     with the value n-1 where it equals the row n-1 draw.  After the first
     batch, an attempt whose row n-1 or n-2 repeats a neighbour is rejected
     there, unless the guard flags it.  Every other attempt goes, in order,
-    to `_lockstep_attempt` or `_simple_attempt`, which decide it exactly;
+    to `_lockstep_attempt` or `_stream_attempt`, which decide it exactly;
     the packed tier only rejects what they would reject too.
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
-    # Fisher-Yates step at position i draws randrange(i + 1)
-    steps = [(i, i + 1, range_limit(i + 1)) for i in range(n - 1, 0, -1)]
     # shuffle p's permutation lives at perms[p*n : p*n + n]
     rows = [(i, i + 1, [((p * (n - 1) + n - i) * GOLDEN & MASK, p * n)
                         for p in range(r)])
@@ -180,7 +180,7 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
             live = range(size)
         for a in live:
             if a in flagged:
-                masks = _simple_attempt(s0s[a], n, r, steps)
+                masks = _stream_attempt(s0s[a], n, r)
             else:
                 masks = _lockstep_attempt(s0s[a], n, r, rows, identity)
             if masks is not None:
@@ -278,34 +278,19 @@ def _lockstep_attempt(s0: int, n: int, r: int, rows,
     return masks
 
 
-def _simple_attempt(s: int, n: int, r: int, steps) -> list[int] | None:
-    """One attempt of `gen_regular_bipartite` from stream state s, one
-    shuffle after the other: each left row's right neighbours as a bitmask,
-    or None at the first repeated edge.  The draws are `Rng(s).randrange(k)`
-    inlined on the splitmix64 state, redraws included, so this is the exact
+def _stream_attempt(s0: int, n: int, r: int) -> list[int] | None:
+    """One attempt of `gen_regular_bipartite` walked from `Rng(s0)`: its r
+    permutations in full, redraws included, each left row's right
+    neighbours as a bitmask, or None when a row repeats one.  The exact
     path for the attempts whose draws `_lockstep_attempt` cannot address
     directly."""
+    rng = Rng(s0)
     masks = [0] * n
     for _ in range(r):
-        perm = list(range(n))
-        for i, k, lim in steps:
-            while True:
-                s = (s + GOLDEN) & MASK
-                u = ((s ^ (s >> 30)) * MIX1) & MASK
-                u = ((u ^ (u >> 27)) * MIX2) & MASK
-                u ^= u >> 31
-                if u < lim:
-                    break
-            j = u % k
-            bit = 1 << perm[j]
-            perm[j] = perm[i]
-            if masks[i] & bit:
+        for u, v in enumerate(rng.permutation(n)):
+            if masks[u] >> v & 1:
                 return None
-            masks[i] |= bit
-        bit = 1 << perm[0]
-        if masks[0] & bit:
-            return None
-        masks[0] |= bit
+            masks[u] |= 1 << v
     return masks
 
 
@@ -441,11 +426,11 @@ def find_circulant(n: int, r: int, min_girth: int,
 
 def propose_swap(rows: list[set[int]], r: int,
                  rng: Rng) -> tuple[int, int, int, int] | None:
-    """One 2-edge swap proposal on the left rows `rows` (sets of r right
-    neighbours): draw u1, then u2, then a neighbour of each from its sorted
-    row.  Returns (u1, v1, u2, v2) when trading the edges (u1, v1), (u2, v2)
-    for (u1, v2), (u2, v1) keeps the graph simple, else None; rows are not
-    changed."""
+    """One 2-edge swap proposal on the left rows `rows` (the sets of r
+    neighbours of the left vertices): draw u1, then u2, then a neighbour of
+    each from its sorted row.  Returns (u1, v1, u2, v2) when trading the
+    edges (u1, v1), (u2, v2) for (u1, v2), (u2, v1) keeps the graph simple,
+    else None; rows are not changed."""
     n = len(rows)
     u1 = rng.randrange(n)
     u2 = rng.randrange(n)
@@ -456,6 +441,16 @@ def propose_swap(rows: list[set[int]], r: int,
     if v1 == v2 or v2 in rows[u1] or v1 in rows[u2]:
         return None
     return u1, v1, u2, v2
+
+
+def swap_edges(adj: list[set[int]], u1: int, v1: int, u2: int,
+               v2: int) -> None:
+    """The 2-edge swap on the global adjacency sets `adj`: the edges
+    (u1, v1) and (u2, v2) become (u1, v2) and (u2, v1)."""
+    adj[u1].remove(v1); adj[v1].remove(u1)
+    adj[u2].remove(v2); adj[v2].remove(u2)
+    adj[u1].add(v2); adj[v2].add(u1)
+    adj[u2].add(v1); adj[v1].add(u2)
 
 
 def _edge_cycle_score(gadj, a, b, s_max, weights, skip=None) -> int:
@@ -511,24 +506,12 @@ def girth_search(n: int, r: int, target_girth: int, seed: int) -> BipGraph:
     restarts = 8
     for restart in range(restarts):
         cur = gen_regular_bipartite(n, r, derive_seed(seed, restart))
-        rows = [set(row) for row in cur.adj]
-        gadj = [set() for _ in range(2 * n)]
-        for u in range(n):
-            for v in rows[u]:
-                gadj[u].add(n + v)
-                gadj[n + v].add(u)
+        gadj = [set(row) for row in cur.global_adj()]
+        # the left rows, which hold right vertex v as n + v
+        rows = gadj[:n]
         cen = cycle_census(cur, s_max)
         cur_score = sum(weights[s] * c for s, c in cen.items() if s in weights)
         rng = Rng(derive_seed(seed, 1_000 + restart))
-
-        def apply_swap(u1, v1, u2, v2):
-            rows[u1].discard(v1); rows[u2].discard(v2)
-            rows[u1].add(v2); rows[u2].add(v1)
-            gadj[u1].discard(n + v1); gadj[n + v1].discard(u1)
-            gadj[u2].discard(n + v2); gadj[n + v2].discard(u2)
-            gadj[u1].add(n + v2); gadj[n + v2].add(u1)
-            gadj[u2].add(n + v1); gadj[n + v1].add(u2)
-
         for _ in range(GIRTH_SEARCH_BUDGET // restarts):
             if cur_score == 0:
                 break
@@ -536,17 +519,15 @@ def girth_search(n: int, r: int, target_girth: int, seed: int) -> BipGraph:
             if swap is None:
                 continue
             u1, v1, u2, v2 = swap
-            old = _pair_cycle_score(gadj, (u1, n + v1), (u2, n + v2),
-                                    s_max, weights)
-            apply_swap(u1, v1, u2, v2)
-            new = _pair_cycle_score(gadj, (u1, n + v2), (u2, n + v1),
-                                    s_max, weights)
+            old = _pair_cycle_score(gadj, (u1, v1), (u2, v2), s_max, weights)
+            swap_edges(gadj, u1, v1, u2, v2)
+            new = _pair_cycle_score(gadj, (u1, v2), (u2, v1), s_max, weights)
             if new <= old:
                 cur_score += new - old
             else:
-                apply_swap(u1, v2, u2, v1)
+                swap_edges(gadj, u1, v2, u2, v1)
         if cur_score == 0:
-            result = BipGraph(n, r, [sorted(row) for row in rows])
+            result = BipGraph(n, r, [[v - n for v in row] for row in rows])
             if girth(result) >= target_girth:
                 return result
     raise GenerationBudgetError(

@@ -4,7 +4,8 @@ Every check is exact (no tolerances); a report passes iff its witness map
 is empty, and each witness pins the offending coefficient by (j-power,
 n-power).  Checks run symbolically in r where the table allows, otherwise
 pointwise at a fixed r (recorded in the report parameters); `at_r_for` is
-the one home of that choice.
+the one home of that choice.  Each expected value is written once,
+symbolic in r, and `series.at_point` gives its pointwise form.
 
 F = (1 + H)(1 + K) is built once per table instance and key (kind, h_max,
 at_r, the entries a_1..a_{h_max} read): every check on the same table
@@ -21,7 +22,7 @@ from .atable import ATable, ConjectureSpec, build_F_conjecture, build_H
 from .kseries import build_K
 from .positivity import lsplit
 from .rng import Rng
-from .series import JPoly, NSeries, Rat, RLaurent
+from .series import JPoly, NSeries, RLaurent, at_point
 
 # The r of the pointwise checks: the default table is pointwise past a_2
 # only at r = 3
@@ -87,18 +88,25 @@ def _build_F(table: ATable, h_max: int, at_r: int | None) -> NSeries:
     return (one + h) * (one + k)
 
 
-def _expected_35(h: int, at_r: int | None) -> RLaurent | Rat:
-    val_const = Fraction(-2, (h + 1) * h)
-    val_rh = Fraction(1, (h + 1) * h)
-    if at_r is None:
-        return RLaurent({0: val_const, -h: val_rh})
-    return val_const + val_rh / Fraction(at_r) ** h
+def _expected_35(h: int, at_r: int | None) -> RLaurent:
+    """(1/((h+1)h))(1/r^h - 2)."""
+    return at_point(RLaurent({0: Fraction(-2, (h + 1) * h),
+                              -h: Fraction(1, (h + 1) * h)}), at_r)
 
 
-def _coeff_matches(got: RLaurent, expected) -> bool:
-    if isinstance(expected, RLaurent):
-        return got == expected
-    return got == RLaurent.const(expected)
+def _check_top(rep: CheckReport, jp: JPoly, h: int,
+               expected: RLaurent) -> RLaurent:
+    """[j^d n^-h] of the level `jp` vanishes for d >= h+2 and equals
+    `expected` at d = h+1; each coefficient that does not goes into the
+    witness map of `rep`.  Returns the d = h+1 coefficient."""
+    for d in range(h + 2, jp.deg + 1):
+        c = jp.coeff(d)
+        if not c.is_zero():
+            rep.witness[(d, h)] = repr(c)
+    got = jp.coeff(h + 1)
+    if got != expected:
+        rep.witness[(h + 1, h)] = f"{got!r} != {expected!r}"
+    return got
 
 
 def check_log_coefficients(table: ATable, h: int, at_r: int | None = None) -> CheckReport:
@@ -106,14 +114,7 @@ def check_log_coefficients(table: ATable, h: int, at_r: int | None = None) -> Ch
     (1/((h+1)h))(1/r^h - 2) at k = h+1."""
     rep = CheckReport("log-coeff", {"r": _rparam(at_r), "h": h})
     lnh = build_H(table, h, at_r=at_r).ln1p()
-    jp = lnh.jpoly(h)
-    for k in range(h + 2, jp.deg + 1):
-        c = jp.coeff(k)
-        if not c.is_zero():
-            rep.witness[(k, h)] = repr(c)
-    got = jp.coeff(h + 1)
-    if not _coeff_matches(got, _expected_35(h, at_r)):
-        rep.witness[(h + 1, h)] = f"{got!r} != {_expected_35(h, at_r)!r}"
+    _check_top(rep, lnh.jpoly(h), h, _expected_35(h, at_r))
     return rep
 
 
@@ -126,16 +127,8 @@ def check_top_coefficient(table: ATable, k: int, at_r: int | None = None) -> Che
     rep = CheckReport("top-coeff", {"r": _rparam(at_r), "k": k})
     lnf = (build_F(table, k - 1, at_r=at_r) - 1).ln1p()
     jp = lnf.jpoly(k - 1)
-    for kk in range(k + 1, jp.deg + 1):
-        c = jp.coeff(kk)
-        if not c.is_zero():
-            rep.witness[(kk, k - 1)] = repr(c)
     top = Fraction(factorial(k - 2), factorial(k))
-    expected = (RLaurent({-(k - 1): top}) if at_r is None
-                else top / Fraction(at_r) ** (k - 1))
-    got = jp.coeff(k)
-    if not _coeff_matches(got, expected):
-        rep.witness[(k, k - 1)] = f"{got!r} != {expected!r}"
+    _check_top(rep, jp, k - 1, at_point(RLaurent({-(k - 1): top}), at_r))
     if k == 3:
         expect_poly = _cubic_closed_form(at_r)
         if jp != expect_poly:
@@ -152,10 +145,7 @@ def _cubic_closed_form(at_r: int | None) -> JPoly:
     ])
     s = JPoly.monomial(1)
     scale = RLaurent({-2: Fraction(-1, 12)})
-    poly = (s * inner) * scale
-    if at_r is not None:
-        poly = poly.subst_r(at_r)
-    return poly
+    return at_point((s * inner) * scale, at_r)
 
 
 def check_fd_monomial(k: int, d: int) -> CheckReport:
@@ -168,13 +158,10 @@ def check_fd_monomial(k: int, d: int) -> CheckReport:
     return rep
 
 
-def _f_shifted(table: ATable, ell: int, order: int, at_r) -> NSeries:
-    """F_{i+ell} as a series symbolic in the index (j -> j + ell)."""
-    return build_F(table, order, at_r=at_r).shift_j(-ell)
-
-
-def _f_point(table: ATable, j0: int, order: int, at_r) -> NSeries:
-    return build_F(table, order, at_r=at_r).subst_j(j0)
+def _at_index(x, i: int | None, ell: int):
+    """x, an NSeries or JPoly in the index j, at the index i + ell, or
+    symbolic in the index (j -> j + ell) when i is None: F_{i+ell} from F."""
+    return x.shift_j(-ell) if i is None else x.subst_j(i + ell)
 
 
 def check_first_identity(table: ATable, i: int, k: int,
@@ -185,15 +172,14 @@ def check_first_identity(table: ATable, i: int, k: int,
         raise ValueError("k must be >= 2")
     rep = CheckReport("first-identity", {"r": _rparam(at_r), "i": i, "k": k})
     order = k - 1
+    f = build_F(table, order, at_r=at_r)
     total = RLaurent.zero()
     for ell in range(k + 1):
-        inner = (_f_point(table, i + ell, order, at_r) - 1).ln1p()
+        inner = (_at_index(f, i, ell) - 1).ln1p()
         total = total + inner.coeff(0, order) * Fraction(
             comb(k, ell) * (-1) ** (ell + k))
-    expected = (RLaurent({-(k - 1): Fraction(factorial(k - 2))})
-                if at_r is None
-                else RLaurent.const(
-                    Fraction(factorial(k - 2)) / Fraction(at_r) ** (k - 1)))
+    expected = at_point(RLaurent({-(k - 1): Fraction(factorial(k - 2))}),
+                        at_r)
     if total != expected:
         rep.witness[(0, k - 1)] = f"{total!r} != {expected!r}"
     return rep
@@ -205,11 +191,10 @@ def build_t(table: ATable, i0: int | None, k: int, sign: int, order: int,
     U = F - 1; i0=None keeps the index symbolic."""
     lplus, lminus = lsplit(k)
     ells = lplus if sign > 0 else lminus
+    f = build_F(table, order, at_r=at_r)
     t = NSeries.zero(order)
     for ell in ells:
-        f = (_f_shifted(table, ell, order, at_r) if i0 is None
-             else _f_point(table, i0 + ell, order, at_r))
-        t = t + (f - 1).ln1p() * Fraction(comb(k, ell))
+        t = t + (_at_index(f, i0, ell) - 1).ln1p() * Fraction(comb(k, ell))
     return t
 
 
@@ -252,8 +237,9 @@ def check_second_identity(table: ATable, i: int, k: int, order: int,
     """Product form vs t-expansion, on both parity classes."""
     rep = CheckReport("second-identity",
                       {"r": _rparam(at_r), "i": i, "k": k})
+    f = build_F(table, order, at_r=at_r)
     for sign, ells in zip(("+", "-"), lsplit(k)):
-        us = {ell: _f_point(table, i + ell, order, at_r) - 1 for ell in ells}
+        us = {ell: _at_index(f, i, ell) - 1 for ell in ells}
         exps = {ell: comb(k, ell) for ell in ells}
         lhs, rhs = second_identity_on_series(us, exps, order)
         if lhs != rhs:
@@ -295,13 +281,12 @@ def alpha0_series(table: ATable, i: int | None, k: int, order: int,
     """alpha_0 = prod_{L+} F^{C(k,l)} - prod_{L-} F^{C(k,l)} (empty
     products are 1)."""
     lplus, lminus = lsplit(k)
+    f = build_F(table, order, at_r=at_r)
 
     def product(ells):
         acc = NSeries.one(order)
         for ell in ells:
-            f = (_f_shifted(table, ell, order, at_r) if i is None
-                 else _f_point(table, i + ell, order, at_r))
-            acc = acc * f.pow_int(comb(k, ell))
+            acc = acc * _at_index(f, i, ell).pow_int(comb(k, ell))
         return acc.truncate(order)
 
     return product(lplus) - product(lminus)
@@ -327,17 +312,9 @@ def check_alpha0_series(table: ATable, i: int | None, k: int,
         if not jp.is_zero():
             rep.witness[("*", s)] = repr(jp)
     got = a0.jpoly(lead_level)
-    if k == 1:
-        expected = (JPoly.monomial(1, RLaurent({-1: Fraction(1)}))
-                    if at_r is None else
-                    JPoly.monomial(1, Fraction(1, at_r)))
-        if i is not None:
-            expected = JPoly([expected.eval_j(i)])
-    else:
-        top = Fraction(factorial(k - 2))
-        expected = (JPoly([RLaurent({-(k - 1): top})])
-                    if at_r is None else
-                    JPoly.const(top / Fraction(at_r) ** (k - 1)))
+    top = (JPoly.monomial(1, RLaurent({-1: Fraction(1)})) if k == 1
+           else JPoly([RLaurent({-(k - 1): Fraction(factorial(k - 2))})]))
+    expected = _at_index(at_point(top, at_r), i, 0)
     if got != expected:
         rep.witness[("lead", k - 1)] = f"{got!r} != {expected!r}"
     return rep
@@ -358,15 +335,7 @@ def check_extended_expansion(table: ATable, spec: ConjectureSpec, h_max: int,
     lnf = (f - 1).ln1p()
     values: dict[int, object] = {}
     for h in range(1, h_max + 1):
-        jp = lnf.jpoly(h)
-        for k in range(h + 2, jp.deg + 1):
-            c = jp.coeff(k)
-            if not c.is_zero():
-                rep.witness[(k, h)] = repr(c)
-        got = jp.coeff(h + 1)
-        values[h] = got
-        if not _coeff_matches(got, _expected_35(h, at_r)):
-            rep.witness[(h + 1, h)] = f"{got!r} != {_expected_35(h, at_r)!r}"
+        values[h] = _check_top(rep, lnf.jpoly(h), h, _expected_35(h, at_r))
     return rep, values
 
 

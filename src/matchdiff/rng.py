@@ -19,11 +19,10 @@ DEFAULT_SEED = 20250809
 
 
 def splitmix64(x: int) -> int:
-    x = (x + GOLDEN) & MASK
-    z = x
+    z = (x + GOLDEN) & MASK
     z = ((z ^ (z >> 30)) * MIX1) & MASK
     z = ((z ^ (z >> 27)) * MIX2) & MASK
-    return (z ^ (z >> 31)) & MASK
+    return z ^ (z >> 31)  # below 2^64 already
 
 
 def unmix64(z: int) -> int:
@@ -113,11 +112,9 @@ class Rng:
         self.state = seed & MASK
 
     def next_u64(self) -> int:
+        u = splitmix64(self.state)
         self.state = (self.state + GOLDEN) & MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * MIX1) & MASK
-        z = ((z ^ (z >> 27)) * MIX2) & MASK
-        return (z ^ (z >> 31)) & MASK
+        return u
 
     def randrange(self, k: int) -> int:
         """Uniform integer in [0, k) by rejection (no modulo bias)."""

@@ -19,8 +19,9 @@ loudly.
 
 All arithmetic is exact; floating point never enters this module.
 
-Every product of JPolys -- `JPoly * JPoly` and each 1/n coefficient of
-`NSeries.mul_capped` -- is one fused convolution (`_convolve`).  It runs
+Every product -- `RLaurent * RLaurent` (as two constant JPolys),
+`JPoly * JPoly` and each 1/n coefficient of `NSeries.mul_capped` -- is one
+fused convolution (`_convolve`), the one home of the product rule.  It runs
 over the (1/n, j, r) exponents of every kept pair of terms, multiplies each
 pair of rational coefficients once and adds the result into a flat
 accumulator keyed by 1/n exponent, then j-power, then r-exponent.  Each
@@ -136,15 +137,7 @@ class RLaurent:
         if isinstance(other, (int, Fraction)):
             c = {e: v * other for e, v in self.c.items()} if other else {}
             return RLaurent._trusted(c)
-        c: dict[int, Rat] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                if e in c:
-                    c[e] += v1 * v2
-                else:
-                    c[e] = v1 * v2
-        return RLaurent(c)
+        return _convolve(((0, JPoly((self,)), JPoly((other,))),))[0].coeff(0)
 
     __rmul__ = __mul__
 
@@ -191,10 +184,11 @@ class RLaurent:
 def _convolve(pairs) -> dict:
     """{key: sum of p1 * p2 over the (key, p1, p2) in `pairs`} for JPolys.
 
-    The one home of the JPoly product rule.  For each pair of j-powers and
-    each pair of r-exponents it does one Fraction product and adds it into
-    the accumulator of its key, j-power and r-exponent; each result RLaurent
-    and JPoly is built once, at the end, without the values that cancelled.
+    The one home of the product rule, RLaurent's included.  For each pair
+    of j-powers and each pair of r-exponents it does one Fraction product
+    and adds it into the accumulator of its key, j-power and r-exponent;
+    each result RLaurent and JPoly is built once, at the end, without the
+    values that cancelled.
 
     No exponent is tested here.  The r-exponents of a product are those of
     its factors added, so the type's invariant -- the coefficient of 1/n^h
@@ -305,6 +299,9 @@ class JPoly:
         for x in reversed(self.c):
             acc = acc * Fraction(j0) + x
         return acc
+
+    def subst_j(self, j0) -> "JPoly":
+        return JPoly([self.eval_j(j0)])
 
     def shift_j(self, z: int) -> "JPoly":
         """Substitute j -> j - z."""
@@ -542,7 +539,7 @@ class NSeries:
     # -- substitutions -----------------------------------------------------
 
     def subst_j(self, j0) -> "NSeries":
-        return NSeries({h: JPoly([p.eval_j(j0)]) for h, p in self.c.items()},
+        return NSeries({h: p.subst_j(j0) for h, p in self.c.items()},
                        self.order)
 
     def subst_r(self, r0) -> "NSeries":
@@ -576,6 +573,17 @@ class NSeries:
                        else f"({self.c[h]!r})*n^{-h}")
                  for h in sorted(self.c)]
         return " + ".join(parts) + f" + O(n^-{self.order + 1})"
+
+
+def at_point(x, at_r: int | None):
+    """x, an RLaurent or JPoly written symbolic in r, as it is when at_r is
+    None and at r = at_r otherwise: the one home of the pointwise form of a
+    value that is written once, symbolic in r."""
+    if at_r is None:
+        return x
+    if isinstance(x, RLaurent):
+        return RLaurent.const(x.eval(at_r))
+    return x.subst_r(at_r)
 
 
 class InconsistentSystemError(ValueError):

@@ -225,6 +225,22 @@ def test_hmax_below_one_exits_config(argv, env_cache, capsys):
     assert out == "" and "--hmax: must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("conjecture", "--trials", "-1"), "--trials: must be >= 0, got -1"),
+    (("conjecture", "--zmax", "0"), "--zmax: must be >= 1, got 0"),
+    (("simulate", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
+    (("simulate", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
+    (("census", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
+    (("census", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
+])
+def test_out_of_range_counts_exit_config(argv, message, env_cache, capsys):
+    """A count below its least meaningful value is rejected at parse time,
+    before any config line is printed, with a message naming the flag."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("\n1 -2 7/12\n", "\n1 1 7/12\n", "a_2 has r-exponent 1 outside [-2, 0]"),
     ("\n1 -2 7/12\n", "\n1 -5 7/12\n", "a_2 has r-exponent -5 outside [-2, 0]"),
@@ -261,6 +277,23 @@ GOLDEN_STDOUT = {
         "b3586986b5181248abae3295fe2392cd271a7127b1666e4ce668559ee9c0b251",
     ("conjecture", "--hmax", "3", "--zmax", "3", "--trials", "30"):
         "52ac097e19d130c67e647b7e5bc0ca88ca4153d5b84da7429362c07a2566f4d1",
+    # single checks through k = 4 and h = 3, where each runs pointwise at
+    # r = 3: captured while the expected values were still written twice,
+    # once symbolic in r and once as rationals at r = 3
+    ("verify", "--id", "first-identity", "--k", "2,3,4"):
+        "cfc6ecced4b4eb26c2c1d8215f4f689954f1943073b444679edf14c06d118906",
+    ("verify", "--id", "top-coeff", "--k", "2,3,4"):
+        "90ff18a578751584f7ed65cbbade5a00f00ba11d0fa298cc46f3b2bc6a03f328",
+    ("verify", "--id", "alpha0", "--k", "2,3,4"):
+        "6455c0afc9232ec1480c44ba9461a369d310fdb6ed93045aa6ca375c840df1d0",
+    ("verify", "--id", "second-identity", "--k", "2,3,4"):
+        "194e3752075db5c974079490fffc4b03a650bedd0f79008b52898ea321633253",
+    ("verify", "--id", "t-cancellation", "--k", "2,3,4"):
+        "0fb56aa3aca0ca56ecea91045233762074d208a99d9b11546ae07c404e0e2ffe",
+    ("verify", "--id", "fd-monomial", "--k", "2,3,4"):
+        "8cc3ab9b9cd4a6bf4464809f77861f45ebe54cc7bdbec559963b0fb8bfec38d0",
+    ("verify", "--id", "log-coeff", "--hmax", "3"):
+        "86d7479884ec1b09a5d3e6a433ca1ab1d12e3df37f7eedbcee35ac006dcb0c41",
 }
 
 
@@ -324,6 +357,23 @@ for argv in runs:
 loaded = {name.split(".")[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names) - {"matchdiff"}))
 """
+
+
+def test_no_check_is_an_assert_statement():
+    """`python -O` strips assert statements, so no check in the package may
+    live in one: every module of `src/matchdiff` parses with none."""
+    import ast
+
+    root = os.path.dirname(matchdiff.__file__)
+    names = sorted(name for name in os.listdir(root) if name.endswith(".py"))
+    assert "cli.py" in names and "series.py" in names
+    found = []
+    for name in names:
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_runs_on_the_standard_library_alone(repo_cache_dir):

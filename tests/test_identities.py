@@ -156,6 +156,32 @@ def test_extended_expansion_detects_corruption(table):
     assert any(key == (4, 2) for key in rep.witness)
 
 
+def test_pointwise_checks_detect_corruption(table):
+    """Fault injection at r = 3: a_3(3, 4) off by 1/7 fails every check
+    that reads a_3 pointwise, each with a witness, and every witness of the
+    form `got != expected` prints both sides as series values."""
+    import copy
+
+    broken = copy.deepcopy(table)
+    broken.entries[3].points[(3, 4)] += F(1, 7)
+    reports = [
+        check_log_coefficients(broken, 3, at_r=3),
+        check_top_coefficient(broken, 4, at_r=3),
+        check_first_identity(broken, 0, 4, at_r=3),
+        check_alpha0_series(broken, 0, 4, at_r=3),
+        check_extended_expansion(broken, ConjectureSpec(()), 3, at_r=3)[0],
+    ]
+    for rep in reports:
+        assert not rep.passed and rep.witness, rep.line()
+    sides = [side for rep in reports for text in rep.witness.values()
+             if " != " in text for side in text.split(" != ")]
+    assert sides
+    assert not [side for side in sides if "Fraction" in side]
+    # the clean table passes the same checks
+    assert check_log_coefficients(table, 3, at_r=3).passed
+    assert check_top_coefficient(table, 4, at_r=3).passed
+
+
 def test_random_spec_sampler_documented_ranges():
     rng = Rng(7)
     for _ in range(50):

@@ -15,7 +15,7 @@ from matchdiff import positivity
 from matchdiff.derive import _swap_shuffle
 from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
                               gen_regular_bipartite)
-from matchdiff.matchcount import match_poly_full
+from matchdiff.matchcount import match_poly_full, mbar_vector
 from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
                                   TrendRow, _decimal_triangle,
                                   _float_triangle, _k_table, _KTable,
@@ -85,18 +85,44 @@ def exact_signs(rho):
             for k in range(n + 1) for i in range(n - k + 1)}
 
 
+def interval_signs(counts, n, r):
+    """Reference signs of Delta^k d(i) on every i + k <= n, without
+    `_KTable`: K_i = (v-1)^i / (mbar_i r^i) from its definition, a 512-bit
+    mpmath interval triangle for each cell whose interval excludes 0, and
+    `delta_sign` for the rest (the exact zeros among them)."""
+    from mpmath import iv
+
+    v = 2 * n
+    mbar = mbar_vector(v).counts
+    K = [F((v - 1) ** i, mbar[i] * r ** i) for i in range(n + 1)]
+    rho = [m * q for m, q in zip(counts, K)]
+    saved, iv.prec = iv.prec, 512
+    try:
+        refs = _iv_triangle(counts, K)
+    finally:
+        iv.prec = saved
+    cells = [(i, k) for k in range(n + 1) for i in range(n - k + 1)]
+    return {(i, k): 1 if x.a > 0 else -1 if x.b < 0 else delta_sign(rho, i, k)
+            for (i, k), x in zip(cells, refs)}
+
+
 def test_sign_cascade_equals_exact():
-    """The sign cascade gives delta_sign's answer on every (i, k): the
-    first 100 samples per n of the acceptance grid (r=3, n=6..12), 25 per
-    n at r=4 for n=6..14, and K33 and C4."""
+    """The sign cascade gives the exact answer on every (i, k): the first
+    100 samples per n of the acceptance grid (r=3, n=6..12), 25 per n at
+    r=4 for n=6..14, and K33 and C4.  Signs depend on (n, r) and the
+    counts alone, so each distinct count vector is decided once."""
     graphs = [K33, C4]
     graphs += [_sample_graph(3, n, 20250809, idx)
                for n in range(6, 13) for idx in range(100)]
     graphs += [_sample_graph(4, n, 20250809, idx)
                for n in range(6, 15) for idx in range(25)]
+    distinct = {}
     for g in graphs:
-        prof = delta_table(g)
-        assert prof.signs == exact_signs(prof.rho), prof.rho
+        mvec = match_poly_full(g)
+        distinct.setdefault((g.n, g.r, mvec.counts), (g, mvec))
+    for (n, r, counts), (g, mvec) in distinct.items():
+        prof = delta_table(g, mvec)
+        assert prof.signs == interval_signs(counts, n, r), counts
 
 
 def _iv_triangle(counts, K):
