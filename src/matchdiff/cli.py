@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="6,8,10,12")
     p.add_argument("--i", default="0..3")
     p.add_argument("--k", default="0..3")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_int_at_least(1), default=2000)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_simulate)
 
@@ -368,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--r", default="3")
     p.add_argument("--n", default="6,8,10,12")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--smax", type=int, default=6)
+    p.add_argument("--samples", type=_int_at_least(1), default=2000)
+    p.add_argument("--smax", type=_int_at_least(4), default=6)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_census)
 

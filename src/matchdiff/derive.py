@@ -176,8 +176,6 @@ def candidate_sizes(r: int, j: int, strict: bool = False) -> list[int]:
         return sizes
     if mg == 8 and r == 3:
         return [n for n in range(15, 40) if n not in _SKIP_G8_CUBIC]
-    if mg == 12 and r == 3:
-        return [63]
     # no cheap construction known; let the caller's budget decide
     return []
 

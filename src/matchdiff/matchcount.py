@@ -179,16 +179,12 @@ def match_count_upto(g: BipGraph, j_max: int) -> MatchVector:
     return MatchVector(tuple(frontier_counts(g.adj, j_max)))
 
 
-def mbar_vector(v: int, j_max: int | None = None) -> MatchVector:
+def mbar_vector(v: int) -> MatchVector:
     """i-matching counts of the complete graph K_v: v!/((v-2i)! i! 2^i)."""
     if v % 2:
         raise ValueError("v must be even")
-    if j_max is None:
-        j_max = v // 2
-    if j_max > v // 2:
-        raise ValueError(f"j_max={j_max} exceeds v/2")
     counts = [factorial(v) // (factorial(v - 2 * i) * factorial(i) * 2 ** i)
-              for i in range(j_max + 1)]
+              for i in range(v // 2 + 1)]
     return MatchVector(tuple(counts))
 
 

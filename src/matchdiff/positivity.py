@@ -8,26 +8,26 @@ m_i are the only per-graph input: every constant lives in the per-(n, r)
 
 `delta_table` takes the sign of every Delta^k d(i), i + k <= n, from one
 cascade (`_sign_cascade`).  Rounding never decides a sign without a proven
-bound: each tier encloses every difference in an interval and takes the
-sign only where the interval excludes 0.
-1. Floats.  d(i) = log(m_i) + ln K_i, then the difference triangle
-   Delta^k(i) = Delta^(k-1)(i+1) - Delta^(k-1)(i).  The radius of d(i) is
-   the log budget `_LOG_ERR` (ln C(nr, i) + 1) (an i-matching is a set of
-   i edges, so m_i <= C(nr, i)), plus the error of the float ln K_i, plus
-   one rounding; each difference adds the radii of its two operands and
-   one rounding, u times a bound on its magnitude.
+bound.  Each tier holds d(i) as an integer leaf, in units of 1/scale,
+within E units of scale d(i).  Integer subtraction is exact, so the one
+difference triangle `_triangle`, Delta^k(i) = Delta^(k-1)(i+1) -
+Delta^(k-1)(i), adds no error: Delta^k d(i) sums the leaves i..i+k with
+weights +-C(k, l), so it lies within E 2^k units.  A tier takes the sign
+only where |Delta^k(i)| > E 2^k.
+1. Floats, unit 2^-40: leaf = int(log(m_i) 2^40) + round(2^40 ln K_i),
+   E = ceil(LM) + 3 with LM an upper bound on every ln m_i.
 2. `decimal` at 40, then 80, then 160 digits, for the cells the floats
-   leave open: the same triangle, with a half-ulp radius per operation
-   (`Context.ln` is correctly rounded).
+   leave open, unit 10^-q: leaf = int(10^q ln m_i) + round(10^q ln K_i),
+   E = 3 (`Context.ln` is correctly rounded).
 3. The exact sign, `_exact_sign`, for what is still open: Delta^k d(i) is
    the log of prod_{L+} rho^C(k,l) / prod_{L-} rho^C(k,l), so its sign is
    the sign of alpha_0 = prod_{L+} rho^C(k,l) - prod_{L-} rho^C(k,l), and
    of the integer D alpha_0 (`_KTable.alpha0`, `_scaled_alpha0`).
-Every radius depends only on (n, r), not on the graph: it is computed once
-per (n, r) in exact rationals (`_KTable`) and rounded up.  The structural
-zeros Delta^0 d(0) = Delta^0 d(1) = Delta^1 d(0) = 0 (rho_0 = rho_1 = 1
-on every regular graph) read 0 from the float tier, as every true zero
-does, and are never sent on to the later tiers.
+Every E and every leaf constant round(scale ln K_i) depends only on
+(n, r), not on the graph: `_KTable` holds them once per (n, r) and derives
+each E.  The structural zeros Delta^0 d(0) = Delta^0 d(1) = Delta^1 d(0)
+= 0 (rho_0 = rho_1 = 1 on every regular graph) read 0 from the float
+tier, as every true zero does, and are never sent on to the later tiers.
 
 The Monte Carlo moments are exact too, with no rational per sample: every
 graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
@@ -44,10 +44,11 @@ load the checks, and a test pins that import closure.
 
 from __future__ import annotations
 
-from decimal import ROUND_CEILING, Context
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, lcm, log, nextafter
+from itertools import chain
+from math import ceil, comb, lcm, log
 from operator import gt, lt, sub
 
 from ._records import Record
@@ -63,13 +64,9 @@ from .series import Rat, rat_str
 # Together the error stays below 2^-51 (|ln x| + 1); the cascade assumes
 # 2^-40 (|ln x| + 1), a margin of 2^11.
 _LOG_ERR = Fraction(1, 2 ** 40)
-_U = Fraction(1, 2 ** 53)  # unit roundoff of a double
-# A computed result is at most _GROW times the bound on the exact one
-# (which needs 1 + u for a double, 1 + 5 * 10^-prec at prec digits).
-_GROW = 1 + Fraction(1, 2 ** 20)
-_TINY = Fraction(1, 2 ** 1074)  # below the normal range, rounding is absolute
+_FLOAT_SCALE = 2.0 ** 40  # the float tier's leaves count units of 2^-40
 _DECIMAL_TIERS = (40, 80, 160)  # digits
-_CEIL = Context(prec=6, rounding=ROUND_CEILING)
+_DECIMAL_ERR = 3  # E of every decimal tier (see `_KTable`)
 _STRUCTURAL_ZEROS = frozenset({(0, 0), (1, 0), (0, 1)})
 # Standard errors of the Wilson interval in the trend rule
 WILSON_Z = 2.0
@@ -91,33 +88,40 @@ def _ln_upper(x: int) -> Fraction:
     return lx + _LOG_ERR * (lx + 1)
 
 
-def _float_up(q: Fraction) -> float:
-    """The least double >= q."""
-    f = float(q)
-    return f if Fraction(f) >= q else nextafter(f, inf)
-
-
-def _half_ulp(b: Fraction, prec: int) -> Fraction:
-    """At least half an ulp, at `prec` digits, of any value of magnitude
-    at most b: 5 * 10^(e - prec), where e >= 0 and 10^(e+1) > b."""
-    return Fraction(5, 10 ** prec) * 10 ** max(0, len(str(int(b))) - 1)
+def _scaled_lnk(pairs, prec: int, scale: Decimal) -> list[int]:
+    """round(scale ln K) for each K = num/den in `pairs`, from ln K taken
+    at `prec` digits."""
+    ctx = Context(prec=prec)
+    return [round(ctx.multiply(ctx.subtract(ctx.ln(a), ctx.ln(b)), scale))
+            for a, b in pairs]
 
 
 class _KTable:
     """Everything positivity needs that depends only on the constants
     K_i = rho_i / m_i and on bounds m_i <= m_max[i], never on the counts:
-    the cascade's radii and the integer alpha_0 constants (`alpha0`).
+    the cascade's leaf constants and radii, and the integer alpha_0
+    constants (`alpha0`).
 
-    ln m_i <= LM_i, ln(num K_i) <= LN_i and ln(den K_i) <= LD_i, so
-    |d(i)| <= LM_i + LN_i + LD_i + 2 =: B(i, 0) for every computed d(i),
-    and the exact difference of two computed cells is at most
-    B_a + B_b, its computed value at most B(i, k) = (B_a + B_b) _GROW.
-    An operation whose exact result is at most B in magnitude errs by at
-    most err(B) = u B as a double and `_half_ulp`(B, prec) in decimal.  So
-        rad(i, 0) = (error of ln m_i) + (error of ln K_i) + err(B(i, 0)),
-        rad(i, k) = rad(i, k-1) + rad(i+1, k-1) + err(B_a + B_b),
-    computed in exact rationals and rounded up once per cell.  The first
-    two terms of rad(i, 0) are stated where each tier builds it."""
+    A tier's leaf is d(i) = ln m_i + ln K_i as an integer in units of
+    1/scale, within E units of scale d(i); Delta^k d(i) is then within
+    E 2^k units, the radius of row k.
+    Float tier, scale 2^40: leaf = int(log(m_i) 2^40) + lnk[i], with
+    lnk[i] = round(2^40 ln K_i) from ln K_i at 60 digits.
+    - log(m_i) is within `_LOG_ERR` (ln m_i + 1) of ln m_i, at most LM + 1
+      units, where LM = max_i `_ln_upper`(m_max[i]);
+    - the product with 2^40 is exact, and int truncates by under 1 unit;
+    - lnk[i] is within 1 unit: half a unit of rounding, plus under
+      10^(D - 47) units for the four 60-digit roundings behind it (D as
+      below).
+    So E = ceil(LM) + 3, and `rads` holds E 2^k per cell of `cells`.
+    Decimal tier at p digits (`decimal`), scale 10^q with q = p - D, where
+    10^D exceeds every ln m_max[i], ln(num K_i) and ln(den K_i):
+    leaf = int(scaleb(ln m_i, q)) + L_i, with L_i = round(10^q ln K_i) from
+    ln K_i at p + 20 digits.
+    - `Context.ln` is correctly rounded, within half an ulp, at most
+      10^(D - p): half a unit, and scaleb is exact;
+    - int truncates by under 1 unit, and L_i is within 1 unit.
+    So E = 3 (`_DECIMAL_ERR`)."""
 
     def __init__(self, K, m_max, zeros=frozenset()):
         self.K = tuple(K)
@@ -125,28 +129,13 @@ class _KTable:
         self.zeros = zeros
         n = len(self.K) - 1
         self.cells = [(i, k) for k in range(n + 1) for i in range(n - k + 1)]
-        self._lm = [_ln_upper(m) for m in self.m_max]
-        self._lk = [(_ln_upper(q.numerator), _ln_upper(q.denominator))
-                    for q in self.K]
-        self._bounds = [[lm + ln + ld + 2 for lm, (ln, ld)
-                         in zip(self._lm, self._lk)]]
-        for _ in range(n):
-            b = self._bounds[-1]
-            self._bounds.append([(x + y) * _GROW for x, y in zip(b, b[1:])])
-        self._decimal = {}
-        # float tier: log(m_i) is within _LOG_ERR (LM_i + 1) of ln m_i, and
-        # ln K_i is the 40-digit decimal value (itself within e of ln K_i)
-        # rounded to the nearest double, within u (LN_i + LD_i + 1) + _TINY
-        lnk, krad = self._decimal_lnk(_DECIMAL_TIERS[0])
-        self.mid = [float(x) for x in lnk]
-        rad0 = [_LOG_ERR * (lm + 1) + _U * (ln + ld + 1) + _TINY + e + _U * b
-                for lm, (ln, ld), e, b
-                in zip(self._lm, self._lk, krad, self._bounds[0])]
-        # one flat list in the order of `cells`, and its negation
-        self.rads = [_float_up(q) for row in
-                     self._radius_rows(rad0, lambda b: _U * b) for q in row]
-        self.neg_rads = [-e for e in self.rads]
         self._pairs = [(q.numerator, q.denominator) for q in self.K]
+        self.lnk = _scaled_lnk(self._pairs, 60, Decimal(_FLOAT_SCALE))
+        e = ceil(max(map(_ln_upper, self.m_max))) + 3
+        # one flat list in the order of `cells`, and its negation
+        self.rads = [e << k for _, k in self.cells]
+        self.neg_rads = [-e for e in self.rads]
+        self._decimal = {}
         self._alpha0 = {}
 
     def rho(self, counts) -> list[Rat]:
@@ -180,36 +169,14 @@ class _KTable:
                 kminus.numerator * (d // kminus.denominator), d)
         return const
 
-    def _decimal_lnk(self, prec: int):
-        """ln K_i = ln(num) - ln(den) at `prec` digits, and the radius of
-        its three roundings."""
-        ctx = Context(prec=prec)
-        lnk = [ctx.subtract(ctx.ln(q.numerator), ctx.ln(q.denominator))
-               for q in self.K]
-        rad = [_half_ulp(ln, prec) + _half_ulp(ld, prec)
-               + _half_ulp(ln + ld, prec) for ln, ld in self._lk]
-        return lnk, rad
-
-    def _radius_rows(self, rad0, err):
-        rows = [rad0]
-        for b in self._bounds[:-1]:
-            rad = rows[-1]
-            rows.append([ra + rb + err(x + y) for ra, rb, x, y
-                         in zip(rad, rad[1:], b, b[1:])])
-        return rows
-
-    def decimal(self, prec: int):
-        """ln K_i at `prec` digits and the tier's radius rows, as Decimals
-        rounded up (computed on first use)."""
+    def decimal(self, prec: int) -> tuple[int, list[int]]:
+        """The decimal tier at `prec` digits: q and the leaf constants
+        round(10^q ln K_i) (computed on first use)."""
         if prec not in self._decimal:
-            lnk, krad = self._decimal_lnk(prec)
-            # Context.ln is correctly rounded: ln m_i within half an ulp
-            rad0 = [_half_ulp(lm, prec) + e + _half_ulp(b, prec)
-                    for lm, e, b in zip(self._lm, krad, self._bounds[0])]
-            rows = self._radius_rows(rad0, lambda b: _half_ulp(b, prec))
-            self._decimal[prec] = (lnk, [
-                [_CEIL.divide(q.numerator, q.denominator) for q in row]
-                for row in rows])
+            top = max(map(_ln_upper, chain(self.m_max, *self._pairs)))
+            q = prec - len(str(int(top)))
+            self._decimal[prec] = q, _scaled_lnk(self._pairs, prec + 20,
+                                                 Decimal(f"1e{q}"))
         return self._decimal[prec]
 
 
@@ -251,26 +218,26 @@ def _exact_sign(counts, tab: _KTable, i: int, k: int) -> int:
     return (a > 0) - (a < 0)
 
 
-def _decimal_triangle(counts, tab: _KTable, prec: int, k_max: int):
-    """Rows k = 0..k_max of Delta^k d(i) at `prec` digits, and the radius
-    rows that enclose them (`_KTable.decimal`)."""
-    lnk, rads = tab.decimal(prec)
-    ctx = Context(prec=prec)
-    row = [ctx.add(ctx.ln(m), c) for m, c in zip(counts, lnk)]
-    rows = [row]
-    for _ in range(k_max):
-        row = [ctx.subtract(b, a) for a, b in zip(row, row[1:])]
-        rows.append(row)
-    return rows, rads
-
-
-def _float_triangle(counts, tab: _KTable) -> list[float]:
-    """Delta^k d(i) in doubles, flat in the order of `tab.cells`; each is
-    within `tab.rads` of the exact value."""
+def _float_leaves(counts, tab: _KTable) -> list[int]:
+    """The float tier's leaves: d(i) in units of 2^-40, each within E of
+    2^40 d(i) (`_KTable`)."""
     if len(counts) != len(tab.K) or any(map(gt, counts, tab.m_max)):
         raise ValueError("counts outside the bounds of their constants")
-    row = [log(m) + c for m, c in zip(counts, tab.mid)]
-    values = row
+    return [int(log(m) * _FLOAT_SCALE) + c for m, c in zip(counts, tab.lnk)]
+
+
+def _decimal_leaves(counts, tab: _KTable, prec: int) -> list[int]:
+    """The `prec`-digit tier's leaves: d(i) in units of 10^-q, each within
+    `_DECIMAL_ERR` of 10^q d(i) (`_KTable.decimal`)."""
+    q, lnk = tab.decimal(prec)
+    ctx = Context(prec=prec)
+    return [int(ctx.scaleb(ctx.ln(m), q)) + c for m, c in zip(counts, lnk)]
+
+
+def _triangle(leaves: list[int]) -> list[int]:
+    """Delta^k of the leaves, exactly, flat in the order of
+    `_KTable.cells`."""
+    row = values = list(leaves)
     for _ in range(len(row) - 1):
         row = list(map(sub, row[1:], row))
         values += row
@@ -281,7 +248,7 @@ def _sign_cascade(counts, tab: _KTable) -> dict[tuple[int, int], int]:
     """Sign of Delta^k d(i) on every i + k <= n, equal to `_exact_sign`:
     the float triangle, then the decimal tiers on the cells it leaves
     open, then `_exact_sign` (see the module docstring)."""
-    values = _float_triangle(counts, tab)
+    values = _triangle(_float_leaves(counts, tab))
     # +-1 where |x| > rad; 0 where the interval holds 0 (left open)
     flat = list(map(sub, map(gt, values, tab.rads),
                     map(lt, values, tab.neg_rads)))
@@ -290,13 +257,13 @@ def _sign_cascade(counts, tab: _KTable) -> dict[tuple[int, int], int]:
         return signs  # a true zero is never decided, so these are the zeros
     cells = [c for c in tab.cells if signs[c] == 0 and c not in tab.zeros]
     for prec in _DECIMAL_TIERS:
-        rows, rads = _decimal_triangle(counts, tab, prec,
-                                       max(k for _, k in cells))
+        values = dict(zip(tab.cells,
+                          _triangle(_decimal_leaves(counts, tab, prec))))
         left = []
         for i, k in cells:
-            x = rows[k][i]
-            if x.copy_abs() > rads[k][i]:
-                signs[(i, k)] = -1 if x.is_signed() else 1
+            x = values[(i, k)]
+            if abs(x) > _DECIMAL_ERR << k:
+                signs[(i, k)] = 1 if x > 0 else -1
             else:
                 left.append((i, k))
         cells = left
@@ -310,8 +277,9 @@ def _sign_cascade(counts, tab: _KTable) -> dict[tuple[int, int], int]:
 def alpha0_exact(g_or_rho, i: int, k: int) -> Rat:
     """alpha_0 = prod_{L+} rho^{C(k,l)} - prod_{L-} rho^{C(k,l)}, exact."""
     rho = g_or_rho if isinstance(g_or_rho, list) else rho_vector(g_or_rho)
-    if i + k > len(rho) - 1:
-        raise ValueError(f"need i + k <= n, got i={i}, k={k}, n={len(rho)-1}")
+    if i < 0 or i + k > len(rho) - 1:
+        raise ValueError(
+            f"need 0 <= i, i + k <= n, got i={i}, k={k}, n={len(rho)-1}")
     lplus, lminus = lsplit(k)
     p = Fraction(1)
     for ell in lplus:
@@ -451,10 +419,15 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
     D^2 at the end.  With census_samples > 0, the
     first census_samples samples also get a cycle census up to
     census_smax, and every stat carries the merged totals in
-    `cycle_totals`.  Pairs outside the domain
+    `cycle_totals`.  r < 1 or a pair with i < 0 raises ValueError before
+    any sampling.  Pairs outside the domain
     i + k <= n are dropped; when none is left, nothing is sampled."""
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    if any(i < 0 for i, _ in pairs):
+        raise ValueError("need i >= 0 in every (i, k) pair")
     tab = _k_table(n, r)
     consts = {p: tab.alpha0(*p) for p in pairs if p[0] + p[1] <= n}
     if not consts:

@@ -232,11 +232,31 @@ def test_hmax_below_one_exits_config(argv, env_cache, capsys):
     (("simulate", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
     (("census", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
     (("census", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
+    (("simulate", "--samples", "0"), "--samples: must be >= 1, got 0"),
+    (("census", "--samples", "0"), "--samples: must be >= 1, got 0"),
+    # below 4 the header named more cycle columns than the rows held
+    (("census", "--smax", "2"), "--smax: must be >= 4, got 2"),
 ])
 def test_out_of_range_counts_exit_config(argv, message, env_cache, capsys):
     """A count below its least meaningful value is rejected at parse time,
     before any config line is printed, with a message naming the flag."""
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--r", "0"), "error: need r >= 1, got r=0"),
+    (("simulate", "--r", "-1"), "error: need r >= 1, got r=-1"),
+    (("census", "--r", "0"), "error: need r >= 1, got r=0"),
+    # i = -1 once read m_n as m_{-1}
+    (("simulate", "--i", "-1", "--k", "2"),
+     "error: need i >= 0 in every (i, k) pair"),
+])
+def test_out_of_domain_grid_exits_config(argv, message, env_cache, capsys):
+    """r < 1 or a negative i is a configuration error, raised before any
+    sampling and any stdout, not a crash or a silent wrong value."""
+    code, out, err = run(capsys, *argv, "--n", "6", "--samples", "2")
     assert code == 2
     assert out == "" and message in err
 

@@ -16,13 +16,13 @@ from matchdiff.derive import _swap_shuffle
 from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
                               gen_regular_bipartite)
 from matchdiff.matchcount import match_poly_full, mbar_vector
-from matchdiff.positivity import (_LOG_ERR, EnsembleStats, TrendReport,
-                                  TrendRow, _decimal_triangle,
-                                  _float_triangle, _k_table, _KTable,
-                                  _sample_graph, _scaled_alpha0,
-                                  _sign_cascade, alpha0_exact, delta_table,
-                                  ensemble_grid, lsplit, rho_vector,
-                                  trend_report)
+from matchdiff.positivity import (_DECIMAL_ERR, _FLOAT_SCALE, _LOG_ERR,
+                                  EnsembleStats, TrendReport, TrendRow,
+                                  _decimal_leaves, _float_leaves, _k_table,
+                                  _KTable, _sample_graph, _scaled_alpha0,
+                                  _sign_cascade, _triangle, alpha0_exact,
+                                  delta_table, ensemble_grid, lsplit,
+                                  rho_vector, trend_report)
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
 
@@ -139,6 +139,17 @@ def _iv_triangle(counts, K):
     return flat
 
 
+def _unenclosed(cells, values, rads, scale, refs):
+    """Cells whose integer enclosure [x - e, x + e], in units of 1/scale,
+    misses the mpmath interval of Delta^k d(i)."""
+    missed = []
+    for cell, x, e, ref in zip(cells, values, rads, refs):
+        ref = ref * scale
+        if not (x - e <= ref.a and ref.b <= x + e):
+            missed.append(cell)
+    return missed
+
+
 def test_log_enclosure_contains_exact_logs():
     """Every math.log the float tier uses lies within its stated budget of
     the mpmath interval, and every float enclosure of the triangle
@@ -161,18 +172,20 @@ def test_log_enclosure_contains_exact_logs():
                 ref = iv.log(iv.mpf(m))
                 budget = float(_LOG_ERR) * (abs(lm) + 1)
                 assert ref.a - budget <= lm <= ref.b + budget, m
-            values = _float_triangle(counts, tab)
+            values = _triangle(_float_leaves(counts, tab))
             refs = _iv_triangle(counts, tab.K)
-            for cell, x, e, ref in zip(tab.cells, values, tab.rads, refs):
-                assert x - e <= ref.a and ref.b <= x + e, (counts, cell)
+            assert _unenclosed(tab.cells, values, tab.rads, _FLOAT_SCALE,
+                               refs) == [], counts
     finally:
         iv.prec = saved
 
 
 @pytest.mark.parametrize("n", [24, 28])
 def test_decimal_tiers_contain_2048_bit_reference(n):
-    """Every decimal enclosure, at 40, 80 and 160 digits, contains the
-    2048-bit mpmath interval of Delta^k d(i) on seeded r=3 graphs."""
+    """Every float enclosure, and every decimal one at 40, 80 and 160
+    digits, contains the 2048-bit mpmath interval of Delta^k d(i) on seeded
+    r=3 graphs.  At these n the float radius E 2^k is near its limit: one
+    without the 2^k misses hundreds of cells."""
     from mpmath import iv
 
     saved, iv.prec = iv.prec, 2048
@@ -182,12 +195,14 @@ def test_decimal_tiers_contain_2048_bit_reference(n):
             counts = match_poly_full(g).counts
             tab = _k_table(n, 3)
             refs = _iv_triangle(counts, tab.K)
+            tiers = [(_float_leaves(counts, tab), _FLOAT_SCALE, tab.rads)]
             for prec in (40, 80, 160):
-                rows, rads = _decimal_triangle(counts, tab, prec, n)
-                for (i, k), ref in zip(tab.cells, refs):
-                    x, e = iv.mpf(str(rows[k][i])), iv.mpf(str(rads[k][i]))
-                    assert (x - e).b <= ref.a and ref.b <= (x + e).a, \
-                        (idx, prec, i, k)
+                q, _ = tab.decimal(prec)
+                tiers.append((_decimal_leaves(counts, tab, prec), 10 ** q,
+                              [_DECIMAL_ERR << k for _, k in tab.cells]))
+            for leaves, scale, rads in tiers:
+                assert _unenclosed(tab.cells, _triangle(leaves), rads, scale,
+                                   refs) == [], (idx, scale)
     finally:
         iv.prec = saved
 
@@ -237,9 +252,10 @@ def test_near_zero_differences_need_the_later_tiers(monkeypatch):
         near = {(i, k) for k in range(3, n + 1) for i in range(n - k + 1)
                 if i <= j <= i + k}
         for prec in (40, 80, 160):
-            rows, rads = _decimal_triangle(counts, tab, prec, n)
+            values = dict(zip(tab.cells, _triangle(
+                _decimal_leaves(counts, tab, prec))))
             decided = {(i, k) for i, k in near
-                       if rows[k][i].copy_abs() > rads[k][i]}
+                       if abs(values[(i, k)]) > _DECIMAL_ERR << k}
             assert decided == (near if deciding and prec >= deciding
                                else set()), (e, prec)
         calls.clear()
@@ -253,13 +269,13 @@ def test_simulate_n22_needs_no_exact_sign(capsys, monkeypatch):
     from matchdiff.cli import main
 
     calls, tiers = [], []
-    decimal_triangle = positivity._decimal_triangle
+    decimal_leaves = positivity._decimal_leaves
 
-    def counted(counts, tab, prec, k_max):
+    def counted(counts, tab, prec):
         tiers.append(prec)
-        return decimal_triangle(counts, tab, prec, k_max)
+        return decimal_leaves(counts, tab, prec)
 
-    monkeypatch.setattr(positivity, "_decimal_triangle", counted)
+    monkeypatch.setattr(positivity, "_decimal_leaves", counted)
     monkeypatch.setattr(positivity, "_exact_sign",
                         lambda *args: calls.append(args))
     code = main(["simulate", "--r", "3", "--n", "22", "--samples", "2"])
@@ -296,6 +312,8 @@ def test_alpha0_exact_fixtures():
     assert alpha0_exact(K33, 1, 1) == F(1, 9)
     with pytest.raises(ValueError):
         alpha0_exact(K33, 2, 2)
+    with pytest.raises(ValueError):
+        alpha0_exact(K33, -1, 2)  # not m_n read as m_{-1}
 
 
 def test_alpha0_sign_equals_delta_sign():
