@@ -8,9 +8,11 @@ girth-qualified graphs by exact linear algebra; every fit keeps held-out
 rows whose residuals must be exactly zero.
 
 `ATable.set_sym` is the one home of the degree and r-exponent rules of a
-symbolic entry.  The series built from a table need nothing declared for
-r: a_h/n^h already keeps the graded invariant of `series.NSeries`
-(r-exponents in [-h, 0] at 1/n^h), so a deeper h_max widens nothing.
+symbolic entry; it and `ATable.add_point` are the one home of a_1's closed
+form j(j-1)(1/(2r) - 1).  The series built from a table need nothing
+declared for r: a_h/n^h already keeps the graded invariant of
+`series.NSeries` (r-exponents in [-h, 0] at 1/n^h), so a deeper h_max
+widens nothing.
 
 The series built from a table (`build_H`, the base of `build_F_conjecture`,
 and `identities.build_F`) are memoized on the ATable instance, keyed on
@@ -178,6 +180,8 @@ class ATable:
         for z in range(0, h + 1):
             if not jp.eval_j(z).is_zero():
                 raise ATableError(f"a_{h} must vanish at j={z}")
+        if h == 1 and jp != a1_builtin():
+            raise ATableError("a_1 conflicts with the closed form")
         e = self.entry(h)
         if e.sym is not None and e.sym != jp:
             raise ATableError(f"conflicting symbolic a_{h}")
@@ -190,6 +194,9 @@ class ATable:
 
     def add_point(self, h: int, r: int, j: int, val: Rat,
                   provenance: str) -> None:
+        if h == 1 and a1_builtin().eval_j(j).eval(r) != val:
+            raise ATableError(f"a_1({r}, {j}) = {val} conflicts with the "
+                              "closed form")
         e = self.entry(h)
         if e.sym is not None and e.sym.eval_j(j).eval(r) != val:
             raise ATableError(
@@ -370,8 +377,8 @@ def export_atable(table: ATable, path) -> None:
 
 
 def import_atable(path) -> ATable:
-    """Load a table file; imported entries are cross-validated (a_1 must
-    match the closed form, overlaps must agree exactly)."""
+    """Load a table file; `ATable.set_sym` and `add_point` cross-validate
+    each entry (a_1 against its closed form, overlaps exactly)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "atable version=1":
@@ -415,13 +422,4 @@ def import_atable(path) -> ATable:
             val = parse_rat(tokens[-1])
             table.add_point(h, int(fields["r"]), int(fields["j"]), val,
                             "imported")
-    if 1 in table.entries:
-        e = table.entries[1]
-        builtin = a1_builtin()
-        if e.sym is not None and e.sym != builtin:
-            raise ATableError("imported a_1 conflicts with the closed form")
-        for (r, j), v in e.points.items():
-            if builtin.eval_j(j).eval(r) != v:
-                raise ATableError(
-                    f"imported a_1({r}, {j}) conflicts with the closed form")
     return table

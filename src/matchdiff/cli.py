@@ -202,9 +202,14 @@ def cmd_conjecture(args) -> int:
     table = _load_table(args)
     if table is None:
         return EXIT_CONFIG
+    point_max = min(table.point_max(R_POINT), args.hmax)
+    if args.zmax > point_max:
+        print(f"error: --zmax {args.zmax} exceeds the pointwise order "
+              f"{point_max} (the table's order at r={R_POINT}, capped by "
+              "--hmax)", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"# {config}")
     sym_max = min(table.sym_max(), args.hmax)
-    point_max = min(table.point_max(R_POINT), args.hmax)
     reports = []
 
     rep, base_vals = check_extended_expansion(table, ConjectureSpec(()), sym_max)

@@ -1,10 +1,15 @@
 """Batch reconstruction of the coefficient table from graph data.
 
 Qualification policy: a graph can supply m_j = M_j when girth > j (the
-strict mode demands girth > 2j).  Every entry is derived from two
-structurally different qualified families and the results must agree
-exactly; that reconstruction invariance is the principal guard against a
-wrong qualification policy.
+strict mode demands girth > 2j).  Every entry is derived from two qualified
+families, "structured" and "random", and the results must agree exactly;
+that reconstruction invariance is the principal guard against a wrong
+qualification policy.  The families are not independent everywhere: at
+r = 3, j = 4 and 5 (girth 6) both reach `find_circulant`, which is
+exhaustive there and ignores its seed, so the random family shares 4 of
+its 5 graphs (5 of 6 at j = 5) with the structured one on the default
+seeds.  The graphs stay as they are, since `counts.jsonl` is a frozen
+output.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import json
 import os
 from math import isqrt
 
-from .atable import (ATable, QualificationError, a1_builtin,
-                     derive_M_pointwise, fit_atable)
+from .atable import (ATable, QualificationError, derive_M_pointwise,
+                     fit_atable)
 from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
                      girth_search, incidence_pg, is_prime, propose_swap,
@@ -250,17 +255,29 @@ def default_table_path(root: str, rs, seed: int, strict: bool) -> str:
     return os.path.join(root, f"atable_r{tag}_seed{seed}.txt")
 
 
+# Per girth policy: the levels a_h fitted symbolically; the j values derived
+# at each r in `rs`, then the further (r, j) entries, that the fits read; the
+# j values at r = 3 whose deeper levels are stored as points; the provenance
+# label.  Default (girth > j): a_1 and a_2 with held-out rows at r = 7 and
+# j = 5, a_3 pointwise through j = 6 (a_4, a_5 as byproducts).  Strict
+# (girth > 2j): j = 2 needs girth >= 6 and j = 3 girth >= 8 (cubic only at
+# desk scale); deeper entries are out of reach, so the strict table exists to
+# cross-validate the default policy on overlap.
+_POLICIES = {
+    False: ((1, 2), (2, 3, 4), ((7, 2), (7, 3), (3, 5)), (4, 5, 6), "derived"),
+    True: ((1,), (2,), ((3, 3),), (3,), "derived (strict girth)"),
+}
+
+
 def build_default_table(root: str, rs=(3, 4, 5),
                         seed: int = DEFAULT_SEED, strict: bool = False,
                         log=None) -> ATable:
-    """Derive the default table: a_1 and a_2 symbolic across `rs` (held-out
-    validation at r=7 and j=5), a_3 pointwise at r=3 through j=6 (plus the
-    a_4, a_5 byproducts).  Results are cached; a cached file is returned
-    as-is.
-
-    Strict mode (girth > 2j) restricts the feasible scope to j <= 2 across
-    `rs` plus j = 3 at r = 3; its values must agree with the default policy
-    wherever both apply."""
+    """Derive the table of the girth policy `strict` (see `_POLICIES`):
+    symbolic fits across `rs` plus held-out entries, then pointwise deeper
+    levels at r = 3.  The fitted entries must reproduce every derived
+    value they cover.  Results are cached; a cached file is returned as-is.
+    The strict values must agree with the default policy wherever both
+    apply."""
     from .atable import export_atable, import_atable
 
     path = default_table_path(root, rs, seed, strict)
@@ -282,78 +299,26 @@ def build_default_table(root: str, rs=(3, 4, 5),
                 r, j, derive_seed(seed, 1000 * r + j), cache, strict)
         return derived[(r, j)]
 
-    if strict:
-        return _build_strict_table(root, path, rs, table, derive, say)
-
-    # pointwise data for the symbolic fits and their held-out rows
-    a1_points: dict[tuple[int, int], Rat] = {}
-    a2_points: dict[tuple[int, int], Rat] = {}
-    for r in rs:
-        for j in (2, 3, 4):
-            vals = derive(r, j)
-            if 1 in vals:
-                a1_points[(r, j)] = vals[1]
-            if 2 in vals:
-                a2_points[(r, j)] = vals[2]
-    for j in (2, 3):
-        vals = derive(7, j)  # held-out degree for the r-window
-        if 1 in vals:
-            a1_points[(7, j)] = vals[1]
-        if 2 in vals:
-            a2_points[(7, j)] = vals[2]
-    vals = derive(3, 5)  # held-out j for the degree bound
-    a1_points[(3, 5)] = vals[1]
-    a2_points[(3, 5)] = vals[2]
-
-    a1 = fit_atable(a1_points, 1)
-    if a1 != a1_builtin():
-        raise QualificationError(
-            "derived a_1 does not match the closed form j(j-1)(1/(2r) - 1)")
-    table.set_sym(1, a1, f"derived from {sorted(a1_points)}")
-    a2 = fit_atable(a2_points, 2)
-    table.set_sym(2, a2, f"derived from {sorted(a2_points)}")
-
-    # pointwise a_3 at r=3 (j = 4, 5, 6) with the a_4, a_5 byproducts
-    r3 = 3
-    for j in (4, 5, 6):
-        vals = derive(r3, j)
-        for h, v in vals.items():
-            if h >= 3:
-                table.add_point(h, r3, j, v, "derived")
-    # consistency: the fitted symbolic entries must reproduce every derived
-    # pointwise value they cover
+    levels, fit_js, fit_extra, point_js, label = _POLICIES[strict]
+    fit_from = [(r, j) for r in rs for j in fit_js] + list(fit_extra)
+    for r, j in fit_from:
+        derive(r, j)
+    for h in levels:
+        points = {rj: derived[rj][h] for rj in fit_from if h in derived[rj]}
+        table.set_sym(h, fit_atable(points, h),
+                      f"{label} from {sorted(points)}")
+    for j in point_js:
+        for h, v in derive(3, j).items():
+            if h > levels[-1]:
+                table.add_point(h, 3, j, v, label)
     for (r, j), vals in derived.items():
         for h, v in vals.items():
-            if h <= 2 and table.value(h, r, j) != v:
+            if h <= levels[-1] and table.value(h, r, j) != v:
                 raise QualificationError(
                     f"symbolic a_{h} disagrees with derived point (r={r}, "
                     f"j={j})")
 
     os.makedirs(root, exist_ok=True)
     export_atable(table, path)
-    say(f"table written to {path}")
-    return table
-
-
-def _build_strict_table(root, path, rs, table, derive, say) -> ATable:
-    """The girth > 2j policy: j = 2 needs girth >= 6, j = 3 girth >= 8
-    (cubic only at desk scale); deeper entries are out of reach, so the
-    strict table exists to cross-validate the default policy on overlap."""
-    from .atable import export_atable
-
-    a1_points: dict[tuple[int, int], Rat] = {}
-    for r in rs:
-        vals = derive(r, 2)
-        a1_points[(r, 2)] = vals[1]
-    vals = derive(3, 3)
-    a1_points[(3, 3)] = vals[1]
-    a1 = fit_atable(a1_points, 1)
-    if a1 != a1_builtin():
-        raise QualificationError(
-            "strict-policy a_1 does not match the closed form")
-    table.set_sym(1, a1, f"derived (strict girth) from {sorted(a1_points)}")
-    table.add_point(2, 3, 3, vals[2], "derived (strict girth)")
-    os.makedirs(root, exist_ok=True)
-    export_atable(table, path)
-    say(f"strict table written to {path}")
+    say(f"{'strict ' if strict else ''}table written to {path}")
     return table

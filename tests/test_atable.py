@@ -237,8 +237,26 @@ def test_table_store_and_conflicts():
         t.add_point(2, 3, 3, F(1), "conflict")
     with pytest.raises(ATableError):
         t.add_point(1, 3, 2, F(0), "conflicts with symbolic")
-    with pytest.raises(ATableError):
+    with pytest.raises(ATableError, match="must vanish at j=1"):
         t.set_sym(1, JPoly.monomial(1), "no roots")
+    # an a_1 point meets the closed-form rule first, so the conflict with a
+    # symbolic entry is checked at h = 2
+    t = ATable()
+    t.set_sym(2, root_product(2), "arbitrary but well-formed")
+    with pytest.raises(ATableError, match="conflicts with symbolic entry"):
+        t.add_point(2, 3, 3, F(0), "conflicts with symbolic")
+
+
+def test_a1_closed_form_enforced_on_every_entry():
+    """j(j-1) keeps the degree, r-exponent and root rules of a_1 but is
+    not its closed form; neither it nor a wrong point may enter a table."""
+    t = ATable()
+    with pytest.raises(ATableError, match="closed form"):
+        t.set_sym(1, root_product(1), "roots only")
+    with pytest.raises(ATableError, match="closed form"):
+        t.add_point(1, 3, 2, F(-1), "wrong point")
+    t.add_point(1, 3, 2, F(-5, 3), "closed form")
+    assert 1 in t.entries and t.entries[1].sym is None
 
 
 def test_jpoly_at_r_interpolates_points(table):

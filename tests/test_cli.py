@@ -245,18 +245,30 @@ def test_out_of_range_counts_exit_config(argv, message, env_cache, capsys):
     assert out == "" and message in err
 
 
+GRID = ("--n", "6", "--samples", "2")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (("simulate", "--r", "0"), "error: need r >= 1, got r=0"),
-    (("simulate", "--r", "-1"), "error: need r >= 1, got r=-1"),
-    (("census", "--r", "0"), "error: need r >= 1, got r=0"),
+    (("simulate", "--r", "0", *GRID), "error: need r >= 1, got r=0"),
+    (("simulate", "--r", "-1", *GRID), "error: need r >= 1, got r=-1"),
+    (("census", "--r", "0", *GRID), "error: need r >= 1, got r=0"),
     # i = -1 once read m_n as m_{-1}
-    (("simulate", "--i", "-1", "--k", "2"),
+    (("simulate", "--i", "-1", "--k", "2", *GRID),
      "error: need i >= 0 in every (i, k) pair"),
+    # a z above the pointwise order once failed only in the trials that
+    # drew it, after the config line was printed
+    (("conjecture", "--zmax", "4", "--trials", "5"),
+     "error: --zmax 4 exceeds the pointwise order 3"),
+    (("conjecture", "--zmax", "4", "--trials", "100"),
+     "error: --zmax 4 exceeds the pointwise order 3"),
+    (("conjecture", "--hmax", "1", "--trials", "5"),
+     "error: --zmax 2 exceeds the pointwise order 1"),
 ])
 def test_out_of_domain_grid_exits_config(argv, message, env_cache, capsys):
-    """r < 1 or a negative i is a configuration error, raised before any
-    sampling and any stdout, not a crash or a silent wrong value."""
-    code, out, err = run(capsys, *argv, "--n", "6", "--samples", "2")
+    """r < 1, a negative i or a conjecture --zmax above the run's pointwise
+    order is a configuration error, raised before any sampling and any
+    stdout, not a crash or a silent wrong value."""
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and message in err
 
@@ -347,11 +359,15 @@ def test_conjecture_seed_falls_back_to_default_table(repo_cache_dir,
 def test_cold_derivation_reproduces_shipped_cache(repo_cache_dir, tmp_path,
                                                   capsys):
     """A cold default derivation, then a cold strict one into the same
-    cache, writes the shipped table files and counts.jsonl byte for byte."""
+    cache, writes the shipped table files and counts.jsonl byte for byte,
+    and logs the derivations in their fixed order."""
     root = str(tmp_path)
     assert main(["derive-atable", "--cache", root]) == 0
     assert main(["derive-atable", "--cache", root, "--strict-girth"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out.replace(root, "<root>")
+    assert len(out.splitlines()) == 26
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f7f4631a8d79cc9c3e2a2b0338350b85b2dae12c2970ce6273ec273502289006")
     for name in ("counts.jsonl", "atable_r345_seed20250809.txt",
                  "atable_r345s_seed20250809.txt"):
         with open(os.path.join(root, name), "rb") as fh:

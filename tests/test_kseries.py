@@ -1,12 +1,12 @@
 """Complete-graph correction factor: coefficients, the exact finite-n
 closed form, and the truncation-error envelope."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from matchdiff.kseries import (bernoulli_numbers, build_G, build_K, k_exact,
-                               stirling_constants)
+from matchdiff.kseries import bernoulli_numbers, build_G, build_K, k_exact
 from matchdiff.series import JPoly, NSeries
 
 
@@ -16,30 +16,17 @@ def eval_at(series: NSeries, i0: int, n0: int) -> F:
                 for h, p in series.c.items()), F(0))
 
 
-def test_c1_is_minus_one_24th():
-    assert stirling_constants(5) == {1: F(-1, 24), 3: F(1, 2880),
-                                     5: F(-1, 40320)}
-
-
-def test_c1_check_raises_without_assert(monkeypatch):
-    """The c_1 = -1/24 check is an explicit raise, so `python -O` keeps it."""
-    import matchdiff.kseries as ks
-
-    real = ks.bernoulli_numbers
-
-    def skewed(m_max):
-        b = real(m_max)
-        b[2] += 1
-        return b
-
-    monkeypatch.setattr(ks, "bernoulli_numbers", skewed)
-    with pytest.raises(ArithmeticError, match="-1/24"):
-        stirling_constants(5)
-
-
 def test_bernoulli_prefix():
     assert bernoulli_numbers(6) == [F(1), F(-1, 2), F(1, 6), 0, F(-1, 30),
                                     0, F(1, 42)]
+
+
+def test_g_and_k_reprs_pinned():
+    """G through 1/n^10 and K through 1/n^8, exact to the printed digit."""
+    text = "\n".join([repr(build_G(h)) for h in range(1, 11)]
+                     + [repr(build_K(h)) for h in range(1, 9)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "05c403f29f7baab1391eb55f6730d84b06c9f771fac766e878e91f16eaeb62a2")
 
 
 def test_g_vanishes_at_zero():
