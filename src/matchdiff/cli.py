@@ -25,13 +25,16 @@ EXIT_INTERNAL = 4
 
 
 def _parse_ints(text: str) -> list[int]:
-    """Accept '3', '3,4,5' and '0..3'."""
+    """Accept '3', '3,4,5' and '0..3'; a reversed range such as '12..8'
+    is an error, not an empty one."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split(".."))
+            if lo > hi:
+                raise ValueError(f"reversed range {part!r} in {text!r}")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
     if not out:

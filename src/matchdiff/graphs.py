@@ -12,11 +12,13 @@ import functools
 import math
 from bisect import bisect_right
 from collections import deque
+from itertools import compress, repeat
 
 from ._kernels_py import cycle_census_counts
 from .rng import (GOLDEN, GOLDEN_INV, MASK, MIX1, MIX2, Rng, derive_seed,
-                  derive_seed_lanes, draw_lanes, mul_lanes, range_limit,
-                  unmix64, unpack_lanes)
+                  derive_seed_lanes, distinct_lanes, draws_lanes, fill_lanes,
+                  gather_lanes, mod_lanes, mul_lanes, range_limit,
+                  select_lanes, unmix64, unpack_lanes)
 
 
 # Random connection sets `find_circulant` tries when it cannot enumerate
@@ -145,13 +147,20 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     Packed rejection: the attempts run in batches, the first of
     `_FIRST_BATCH` attempts, then doubling up to `_MAX_BATCH`, each cut
     short at max_tries.  A batch's stream starts come from one lane-packed
-    `derive_seed_lanes`, and so do its rows n-1 and n-2 (`_packed_filter`):
-    on the identity permutations they are the draws u % n, and u % (n-1)
-    with the value n-1 where it equals the row n-1 draw.  After the first
-    batch, an attempt whose row n-1 or n-2 repeats a neighbour is rejected
-    there, unless the guard flags it.  Every other attempt goes, in order,
-    to `_lockstep_attempt` or `_stream_attempt`, which decide it exactly;
-    the packed tier only rejects what they would reject too.
+    `derive_seed_lanes`.  After the first batch, `_packed_filter` draws
+    rows n-1 and n-2 of every attempt in lane-packed integer arithmetic,
+    with no Python loop over the lanes: on the identity permutations they
+    are u % n (`mod_lanes`), and u % (n-1) with the value n-1 where it
+    equals the row n-1 draw (`select_lanes`).  Row n-1 is tested on the
+    whole batch (`distinct_lanes`).  Only the attempts it keeps are
+    gathered into a shorter batch (`gather_lanes`), their row n-1 values
+    riding in the spare upper halves of the slots, and row n-2 is drawn and
+    tested for them alone.  An attempt whose row n-1 or n-2 repeats a
+    neighbour is rejected there, unless the guard flags it.  Every other
+    attempt goes, in order, to `_stream_attempt` when flagged, or else with
+    its two rows to `_lockstep_attempt`, which replays their swaps and
+    resumes at row n-3.  Both decide the attempt exactly, so the packed
+    tier only rejects what they would reject too.
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
@@ -173,16 +182,15 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
         else:
             flagged = {a for a, ca in enumerate(unpack_lanes(c, size))
                        if hot[bisect_right(hot, ca)] - ca <= span}
-        s0s = unpack_lanes(states, size)
         if first and n > 2:
             live = _packed_filter(states, size, n, r, flagged)
         else:
-            live = range(size)
-        for a in live:
+            live = zip(range(size), unpack_lanes(states, size), repeat(None))
+        for a, s0, drawn in live:
             if a in flagged:
-                masks = _stream_attempt(s0s[a], n, r)
+                masks = _stream_attempt(s0, n, r)
             else:
-                masks = _lockstep_attempt(s0s[a], n, r, rows, identity)
+                masks = _lockstep_attempt(s0, n, r, rows, identity, drawn)
             if masks is not None:
                 return BipGraph(n, r, [_set_bits(m) for m in masks])
         first += size
@@ -191,25 +199,54 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
         f"no simple graph after {max_tries} draws (n={n}, r={r})")
 
 
-def _packed_filter(states: int, size: int, n: int, r: int,
-                   flagged) -> list[int]:
-    """The lanes of a batch (n >= 3) whose attempt rows n-1 and n-2 hold no
+def _packed_filter(states: int, size: int, n: int, r: int, flagged):
+    """The attempts of a batch (n >= 3) whose rows n-1 and n-2 hold no
     repeated neighbour, with the `flagged` lanes kept whatever their draws,
-    in lane order.  Row n-1 takes step n-1 (draw p*(n-1) + 1) of each
-    shuffle p on its identity permutation, so its neighbour is u % n; row
-    n-2 takes step n-2 (draw p*(n-1) + 2), u % (n-1), which the swap of
-    step n-1 has replaced by n-1 when it equals the row n-1 neighbour."""
+    in lane order, as (lane, stream start, (row n-1, row n-2)), each row
+    the neighbours it gets from shuffles 0 .. r-1.
+
+    Row n-1 takes step n-1 (draw p*(n-1) + 1) of each shuffle p on its
+    identity permutation, so its neighbour is u % n; row n-2 takes step n-2
+    (draw p*(n-1) + 2), u % (n-1), which the swap of step n-1 has replaced
+    by n-1 when it equals the row n-1 neighbour.  Row n-1 is decided on the
+    whole batch.  The lanes it keeps are gathered into a shorter batch, with
+    their row n-1 values carried along in the upper halves of the slots,
+    w = bits(n-1) bits each and as many to a slot as fit in 62 bits, and
+    row n-2 is drawn on that batch alone."""
     k = n - 1
-    draws = range(1, r * k, k)
-    row1 = [[u % n for u in unpack_lanes(draw_lanes(states, size, t), size)]
-            for t in draws]
-    live = [a for a, js in enumerate(zip(*row1)) if len(set(js)) == r]
-    row2 = []
-    for t, j1 in zip(draws, row1):
-        u2 = unpack_lanes(draw_lanes(states, size, t + 1), size)
-        row2.append([k if (j := u2[a] % k) == j1[a] else j for a in live])
-    live = [a for a, js in zip(live, zip(*row2)) if len(set(js)) == r]
-    return sorted(flagged.union(live)) if flagged else live
+    row1 = [mod_lanes(u, n, size) for u in draws_lanes(states, size, 1, k, r)]
+    keep = _keep_flagged(distinct_lanes(row1, size), range(size), flagged)
+    live = list(compress(range(size), keep))
+    if not live:
+        return []
+    w = k.bit_length()
+    per = 62 // w
+    slots = [states] + [0] * ((r - 1) // per)
+    for p, j in enumerate(row1):
+        slots[p // per] |= j << 64 + w * (p % per)
+    slots = [gather_lanes(x, size, live) for x in slots]
+    m = len(live)
+    field = fill_lanes((1 << w) - 1, m)
+    row1 = [slots[p // per] >> 64 + w * (p % per) & field for p in range(r)]
+    row2 = [select_lanes(mod_lanes(u, k, m), j1, k, m)
+            for u, j1 in zip(draws_lanes(slots[0], m, 2, k, r), row1)]
+    keep = _keep_flagged(distinct_lanes(row2, m), live, flagged)
+    s0s, *rows = [compress(unpack_lanes(x, m), keep)
+                  for x in (slots[0], *row1, *row2)]
+    return list(zip(compress(live, keep), s0s,
+                    zip(zip(*rows[:r]), zip(*rows[r:]))))
+
+
+def _keep_flagged(keep: bytes, lanes, flagged) -> bytes:
+    """The lane flags `keep` (one byte per lane, lane i holding attempt
+    lanes[i] of the batch) with the flagged attempts' bytes set."""
+    if not flagged:
+        return keep
+    keep = bytearray(keep)
+    for i, a in enumerate(lanes):
+        if a in flagged:
+            keep[i] = 1
+    return keep
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,16 +282,29 @@ def _set_bits(m: int) -> list[int]:
     return out
 
 
-def _lockstep_attempt(s0: int, n: int, r: int, rows,
-                      identity: list[int]) -> list[int] | None:
+def _lockstep_attempt(s0: int, n: int, r: int, rows, identity: list[int],
+                      drawn=None) -> list[int] | None:
     """One attempt of `gen_regular_bipartite` in row lockstep, for a stream
     start s0 none of whose r*(n-1) draws is redrawn: each left row's right
     neighbours as a bitmask, or None at the first repeated edge.  `rows`
     holds, per position i, the draw offset t*GOLDEN of step i of each
     shuffle and where that shuffle starts in the one list `identity`
-    (r identity permutations back to back) that the attempt copies."""
+    (r identity permutations back to back) that the attempt copies.
+
+    `drawn`, when given, holds the neighbours of rows n-1 and n-2 of each
+    shuffle (from `_packed_filter`, distinct within each row), and the
+    lockstep resumes at row n-3 after replaying their two swaps."""
     perms = identity[:]
     masks = [0] * n
+    if drawn is not None:
+        top = n - 1
+        for base, j1, j2 in zip(range(0, n * r, n), *drawn):
+            perms[base + j1] = top
+            # row n-2 drew position j1 when it got the neighbour n-1
+            perms[base + (j1 if j2 == top else j2)] = perms[base + top - 1]
+            masks[top] |= 1 << j1
+            masks[top - 1] |= 1 << j2
+        rows = rows[2:]
     for i, k, draws in rows:
         seen = 0
         for off, base in draws:

@@ -438,7 +438,7 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
         chunks = [(r, n, seed, lo, min(lo + step, samples), consts, *census)
                   for lo in range(0, samples, step)]
         import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(min(jobs, len(chunks))) as pool:
             parts = pool.map(_grid_worker, chunks)
     else:
         parts = [_grid_worker((r, n, seed, 0, samples, consts, *census))]

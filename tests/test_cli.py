@@ -216,6 +216,16 @@ def test_bad_flags_exit_config(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "census"])
+def test_reversed_range_exits_config(command, env_cache, capsys):
+    """'12..8' once parsed as an empty range, so `--n 6,12..8` ran n = 6
+    alone under a config line that echoed the whole list."""
+    code, out, err = run(capsys, command, "--r", "3", "--n", "6,12..8",
+                         "--samples", "5")
+    assert code == 2
+    assert out == "" and "reversed range '12..8'" in err
+
+
 @pytest.mark.parametrize("argv", [("verify", "--id", "log-coeff", "--hmax", "0"),
                                   ("verify", "--id", "log-coeff", "--hmax", "-2"),
                                   ("conjecture", "--hmax", "0")])

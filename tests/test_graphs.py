@@ -19,7 +19,7 @@ from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               gen_regular_bipartite, girth, girth_search,
                               incidence_pg, parse_graph, random_lift)
 from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, derive_seed_lanes,
-                           splitmix64, unmix64, unpack_lanes)
+                           draws_lanes, splitmix64, unmix64, unpack_lanes)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -201,14 +201,114 @@ def test_packed_filter_only_rejects(n, r, seed, first):
     r = min(r, n)
     size = 48
     states = derive_seed_lanes(seed, first, size)
-    live = graphs._packed_filter(states, size, n, r, ())
+    live = [a for a, _, _ in graphs._packed_filter(states, size, n, r, ())]
     assert live == sorted(set(live))
     for a, s0 in enumerate(unpack_lanes(states, size)):
         if a not in live:
             assert reference_attempt(n, r, s0) is None
     flagged = {0, size - 1}
-    assert graphs._packed_filter(states, size, n, r, flagged) == \
+    assert [a for a, _, _ in graphs._packed_filter(states, size, n, r,
+                                                   flagged)] == \
         sorted(flagged.union(live))
+
+
+def draw_lanes(states: int, size: int, t: int) -> int:
+    """Draw t (1-based) of each lane's stream, for the filter below."""
+    return next(draws_lanes(states, size, t, 1, 1))
+
+
+def reference_packed_filter(states: int, size: int, n: int, r: int,
+                            flagged) -> list[int]:
+    """The lanes of a batch (n >= 3) whose attempt rows n-1 and n-2 hold no
+    repeated neighbour, with the `flagged` lanes kept whatever their draws,
+    in lane order.  Row n-1 takes step n-1 (draw p*(n-1) + 1) of each
+    shuffle p on its identity permutation, so its neighbour is u % n; row
+    n-2 takes step n-2 (draw p*(n-1) + 2), u % (n-1), which the swap of
+    step n-1 has replaced by n-1 when it equals the row n-1 neighbour."""
+    k = n - 1
+    draws = range(1, r * k, k)
+    row1 = [[u % n for u in unpack_lanes(draw_lanes(states, size, t), size)]
+            for t in draws]
+    live = [a for a, js in enumerate(zip(*row1)) if len(set(js)) == r]
+    row2 = []
+    for t, j1 in zip(draws, row1):
+        u2 = unpack_lanes(draw_lanes(states, size, t + 1), size)
+        row2.append([k if (j := u2[a] % k) == j1[a] else j for a in live])
+    live = [a for a, js in zip(live, zip(*row2)) if len(set(js)) == r]
+    return sorted(flagged.union(live)) if flagged else live
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(3, 14), st.sampled_from([3, 40, 1000])),
+       st.integers(1, 6), st.integers(0, MASK), st.integers(0, MASK),
+       st.one_of(st.sampled_from([1, 2, 3, 31, 100, 1024]),
+                 st.integers(1, 300)),
+       st.sets(st.integers(0, 1023), max_size=4))
+def test_packed_filter_keeps_the_lanes_of_the_list_filter(n, r, seed, first,
+                                                          size, flagged):
+    """The lane-packed filter keeps exactly the lanes of the list-based one
+    it replaced (above, as it was), flagged lanes included, and hands on
+    each kept attempt's stream start and its rows n-1 and n-2 as the full
+    shuffles draw them (checked on the first 20)."""
+    r = min(r, n)
+    flagged = {a for a in flagged if a < size}
+    states = derive_seed_lanes(seed, first, size)
+    got = graphs._packed_filter(states, size, n, r, flagged)
+    assert [a for a, _, _ in got] == \
+        reference_packed_filter(states, size, n, r, flagged)
+    s0s = unpack_lanes(states, size)
+    for a, s0, (row1, row2) in got[:20]:
+        assert s0 == s0s[a]
+        if a not in flagged:
+            rng = Rng(s0)
+            perms = [rng.permutation(n) for _ in range(r)]
+            assert list(row1) == [perm[n - 1] for perm in perms]
+            assert list(row2) == [perm[n - 2] for perm in perms]
+
+
+def test_packed_filter_carries_rows_past_one_slot():
+    """r * bits(n - 1) > 62 spreads the row n-1 values over two slots."""
+    n, r, size = 1000, 7, 100
+    states = derive_seed_lanes(3, 0, size)
+    got = graphs._packed_filter(states, size, n, r, ())
+    assert [a for a, _, _ in got] == \
+        reference_packed_filter(states, size, n, r, set())
+    for a, s0, (row1, _) in got[:20]:
+        rng = Rng(s0)
+        assert list(row1) == [rng.permutation(n)[n - 1] for _ in range(r)]
+
+
+# (n, seed, first simple attempt) at r = 5, for budgets on either side
+R5_ACCEPTED = [(7, 208, 563), (9, 2, 150), (12, 15, 878), (20, 45, 1465)]
+
+
+@st.composite
+def r5_sampler_inputs(draw):
+    if draw(st.booleans()):
+        n, seed, attempt = draw(st.sampled_from(R5_ACCEPTED))
+        return n, 5, seed, draw(st.integers(attempt - 2, attempt + 300))
+    n = draw(st.integers(5, 12))
+    r = draw(st.sampled_from([5, 6]))
+    return (n, min(r, n), draw(st.integers(-(2 ** 70), 2 ** 70)),
+            draw(st.integers(33, 1200)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r5_sampler_inputs())
+def test_gen_matches_reference_sampler_r5_budget(args):
+    """At r = 5 and 6 a small budget mostly runs out, and the seeds of
+    `R5_ACCEPTED` reach a graph near it: the packed sampler gives the
+    oracle's graph, or raises its message."""
+    n, r, seed, max_tries = args
+    try:
+        want = reference_gen(n, r, seed, max_tries=max_tries).adj
+    except GenerationBudgetError as exc:
+        with pytest.raises(GenerationBudgetError) as got:
+            gen_regular_bipartite(n, r, seed, max_tries=max_tries)
+        assert str(got.value) == str(exc)
+    else:
+        assert gen_regular_bipartite(n, r, seed, max_tries=max_tries).adj \
+            == want
 
 
 def test_gen_errors_match_reference_sampler():

@@ -406,6 +406,39 @@ def test_ensemble_parallel_agrees_with_serial():
     assert a == b
 
 
+class _SerialPool:
+    """A stand-in for `multiprocessing.Pool` that maps in this process and
+    records the size it was opened with."""
+    sizes: list[int] = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("samples, jobs, size", [(100, 8, 2), (130, 2, 2),
+                                                 (300, 3, 3), (64, 4, 1)])
+def test_ensemble_pool_no_larger_than_its_chunks(samples, jobs, size,
+                                                 monkeypatch):
+    """samples=100, jobs=8 makes two chunks of at most 64, so two processes
+    suffice; the results are the serial ones for any jobs."""
+    import multiprocessing
+    _SerialPool.sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    pairs = [(1, 1), (2, 2)]
+    got = ensemble_grid(3, 7, samples, pairs, seed=9, jobs=jobs)
+    assert _SerialPool.sizes == [size]
+    assert got == ensemble_grid(3, 7, samples, pairs, seed=9, jobs=1)
+
+
 def test_census_totals_merge_across_jobs():
     """The census totals of the first census_samples samples are the same
     sums whether one worker or three partials produce them."""
