@@ -172,11 +172,10 @@ class ATable:
     def set_sym(self, h: int, jp: JPoly, provenance: str) -> None:
         if jp.deg > 2 * h:
             raise ATableError(f"a_{h} degree {jp.deg} exceeds 2h")
-        for x in jp.c:
-            for e in x.c:
-                if not -h <= e <= 0:
-                    raise ATableError(
-                        f"a_{h} has r-exponent {e} outside [{-h}, 0]")
+        for _, e in jp.terms():
+            if not -h <= e <= 0:
+                raise ATableError(
+                    f"a_{h} has r-exponent {e} outside [{-h}, 0]")
         for z in range(0, h + 1):
             if not jp.eval_j(z).is_zero():
                 raise ATableError(f"a_{h} must vanish at j={z}")
@@ -365,10 +364,8 @@ def export_atable(table: ATable, path) -> None:
             lines.append(f"# {p}")
         if e.sym is not None:
             lines.append(f"a h={h} sym")
-            for jpow in range(e.sym.deg + 1):
-                rl = e.sym.coeff(jpow)
-                for rpow in sorted(rl.c):
-                    lines.append(f"{jpow} {rpow} {rat_str(rl.c[rpow])}")
+            for (jpow, rpow), v in e.sym.terms().items():
+                lines.append(f"{jpow} {rpow} {rat_str(v)}")
         for (r, j) in sorted(e.points):
             lines.append(f"a h={h} point r={r} j={j} "
                          f"{rat_str(e.points[(r, j)])}")
@@ -413,6 +410,10 @@ def import_atable(path) -> ATable:
             deg = max(t[0] for t in triples)
             coeffs: list[dict[int, Rat]] = [{} for _ in range(deg + 1)]
             for jp, rp, v in triples:
+                if rp in coeffs[jp]:
+                    raise ATableError(
+                        f"a_{h} gives (j-power {jp}, r-exponent {rp}) two "
+                        f"values: {rat_str(coeffs[jp][rp])} and {rat_str(v)}")
                 coeffs[jp][rp] = v
             jpoly = JPoly([RLaurent(c) for c in coeffs])
             table.set_sym(h, jpoly, "imported")

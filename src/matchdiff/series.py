@@ -8,6 +8,24 @@ Laurent polynomials in the degree r with exact rational coefficients.
 RLaurent and JPoly are plain sparse values with no declared r-window or
 degree bound.
 
+Storage is fraction-free.  An RLaurent is one positive integer denominator
+d and integer numerators keyed by r-exponent; a JPoly is one denominator
+and integer numerators keyed by (j-power, r-exponent), standing for
+sum num * j^jpow r^rexp / d; each NSeries level is one JPoly.  Every value
+is kept in normal form: gcd(d, numerators) = 1 and no zero numerator, with
+zero stored as d = 1 and no numerators.  A rational value has exactly one
+normal form, so equality and hashing compare the stored integers.
+
+All arithmetic is exact and runs on Python ints; floating point never
+enters this module, and constructors, scalars and evaluation points take
+only int and Fraction (anything else raises TypeError).  A sum scales both
+operands to the lcm of their denominators, a product's denominator is the
+product of its factors', an evaluation point p/q is cleared by
+multiplying through by powers of q (and of p, for negative r-exponents),
+and each result is brought to normal form once, by one gcd.  Fractions
+appear only where a coefficient leaves the types: `RLaurent.eval`,
+`as_rat`, the read-only `terms` accessors and `repr`.
+
 The one rule on r is the invariant of NSeries, graded by the 1/n level: the
 coefficient of 1/n^h holds only r-exponents in [-max(h, 0), 0].  a_h lies in
 r^-h..r^0 and K_i has no r; sums, ln1p, exp, shift_j, the substitutions and
@@ -17,16 +35,13 @@ the exponent and the level, so deeper levels need no widening and a stray
 exponent (a malformed table, or a positive power of n carrying r) fails
 loudly.
 
-All arithmetic is exact; floating point never enters this module.
-
 Every product -- `RLaurent * RLaurent` (as two constant JPolys),
 `JPoly * JPoly` and each 1/n coefficient of `NSeries.mul_capped` -- is one
-fused convolution (`_convolve`), the one home of the product rule.  It runs
-over the (1/n, j, r) exponents of every kept pair of terms, multiplies each
-pair of rational coefficients once and adds the result into a flat
-accumulator keyed by 1/n exponent, then j-power, then r-exponent.  Each
-result RLaurent and JPoly is built once, at the end, without the values
-that cancelled.  No RLaurent is built per term.
+fused convolution (`_convolve`), the one home of the product rule.  It
+multiplies the integer numerators of every kept pair of terms once and
+adds them into one integer accumulator per 1/n exponent, keyed by
+(j-power, r-exponent), over one common denominator; each result is
+normalised once, at the end.  No coefficient object is built per term.
 
 `NSeries.ln1p` and `NSeries.exp` are graded recurrences in the Euler
 operator theta = -n d/dn, which multiplies the 1/n^h coefficient by h:
@@ -34,9 +49,10 @@ operator theta = -n d/dn, which multiplies the 1/n^h coefficient by h:
     f = ln(1 + u):  h f_h = h u_h - sum_{m=1}^{h-1} m f_m u_{h-m}
     g = exp(t):     h g_h = sum_{m=1}^{h} m t_m g_{h-m},  g_0 = 1
 
-Each 1/n level is one fused convolution over its pairs, and dividing by h
-is exact, so the coefficients are those of the power sums of u and t.
-`pow_int` is repeated squaring.
+Each 1/n level is one fused convolution over its pairs, with each m an
+integer weight of its pair, and dividing by h multiplies the denominator,
+so the coefficients are those of the power sums of u and t.  `pow_int` is
+repeated squaring.
 
 Nothing here is cached.  The series built from a coefficient table (H, F
 and the extended-expansion base) are memoized by the ATable instance that
@@ -47,6 +63,7 @@ see `atable.ATable._memo_series`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 Rat = Fraction
 
@@ -78,21 +95,154 @@ class ImproperSeriesError(ValueError):
     """ln/exp input had a nonzero constant term or positive powers of n."""
 
 
-class RLaurent:
-    """Laurent polynomial in r: sparse {exponent: Fraction}, no zero values."""
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(
+        f"exact series values are int or Fraction, not {type(x).__name__}")
 
-    __slots__ = ("c",)
 
-    def __init__(self, coeffs: dict[int, Rat]):
-        self.c = {e: v if isinstance(v, Fraction) else Fraction(v)
-                  for e, v in coeffs.items() if v != 0}
+def _r_weights(exps, r0) -> tuple[dict[int, int], int]:
+    """({e: w_e}, m) with r0^e = w_e / m for every e in `exps`: integer
+    weights over one positive integer m."""
+    p, q = _ratio(r0)
+    lo = min(min(exps, default=0), 0)
+    hi = max(max(exps, default=0), 0)
+    if p == 0:
+        if lo < 0:
+            raise ZeroDivisionError("Laurent evaluation at r=0")
+        return {e: int(e == 0) for e in exps}, 1
+    sign = -1 if p < 0 and lo % 2 else 1
+    return ({e: sign * p ** (e - lo) * q ** (hi - e) for e in exps},
+            sign * p ** -lo * q ** hi)
+
+
+def _over_lcm(terms) -> tuple[int, dict]:
+    """(d, n) in normal form for the sum of p/q x^key over the (key, p, q)
+    in `terms`, each key once.  The terms must come in groups that share q
+    and have gcd(q, p of the group) = 1, as a fraction in lowest terms or
+    the terms of a normal-form value do; then no prime divides both the
+    lcm d of the q and every numerator, so no gcd is needed."""
+    terms = [t for t in terms if t[1]]
+    d = lcm(*[q for _, _, q in terms])
+    return d, {k: p * (d // q) for k, p, q in terms}
+
+
+class _Exact:
+    """sum n[key] x^key / d in normal form: the storage and arithmetic that
+    RLaurent (keys r-exponents) and JPoly (keys (j-power, r-exponent))
+    share.  `_coerce` is each subclass's rule for mixed operands."""
+
+    __slots__ = ("_d", "_n")
 
     @classmethod
-    def _trusted(cls, c: dict[int, Rat]) -> "RLaurent":
-        """Wrap `c` as is; its values must already be nonzero Fractions."""
+    def _new(cls, d: int, n: dict) -> "_Exact":
+        """Wrap (d, n) as is; it must already be in normal form."""
         self = object.__new__(cls)
-        self.c = c
+        self._d = d
+        self._n = n
         return self
+
+    @classmethod
+    def _make(cls, d: int, n: dict) -> "_Exact":
+        """(d, n), d > 0 and no zero in n, divided by gcd(d, n)."""
+        if d != 1:
+            g = gcd(d, *n.values())
+            if g != 1:
+                d //= g
+                n = {k: v // g for k, v in n.items()}
+        return cls._new(d, n)
+
+    def _scaled(self, p: int, q: int) -> "_Exact":
+        """self * p/q for integers p and q > 0."""
+        if not p:
+            return self._new(1, {})
+        return self._make(self._d * q, {k: v * p for k, v in self._n.items()})
+
+    def _plus(self, other: "_Exact") -> "_Exact":
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            d, n, s2 = d1, dict(self._n), 1
+        else:
+            d = lcm(d1, d2)
+            s1, s2 = d // d1, d // d2
+            n = {k: v * s1 for k, v in self._n.items()}
+        for k, v in other._n.items():
+            v *= s2
+            if k in n:
+                v += n[k]
+                if not v:
+                    del n[k]
+                    continue
+            n[k] = v
+        return self._make(d, n)
+
+    def is_zero(self) -> bool:
+        return not self._n
+
+    def __bool__(self):
+        return bool(self._n)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._plus(other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(self._d, {k: -v for k, v in self._n.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._plus(-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return (-self)._plus(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(*_ratio(other))
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._d == other._d and self._n == other._n
+
+    def __hash__(self):
+        return hash((self._d, frozenset(self._n.items())))
+
+
+class RLaurent(_Exact):
+    """Laurent polynomial in r: integer numerators keyed by r-exponent over
+    one denominator, in normal form (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: dict[int, Rat]):
+        self._d, self._n = _over_lcm(
+            [(e, *_ratio(v)) for e, v in coeffs.items()])
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, RLaurent):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return RLaurent.const(x)
+        return None
 
     @classmethod
     def zero(cls) -> "RLaurent":
@@ -100,78 +250,38 @@ class RLaurent:
 
     @classmethod
     def const(cls, x) -> "RLaurent":
-        return cls({0: Fraction(x)})
+        return cls({0: x})
 
     @classmethod
     def term(cls, coeff, rpow: int) -> "RLaurent":
-        return cls({rpow: Fraction(coeff)})
+        return cls({rpow: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.c
+    def _product(self, other):
+        if not isinstance(other, RLaurent):
+            return NotImplemented
+        prod = _convolve(((0, JPoly._of(self), JPoly._of(other), 1),))
+        return prod[0].coeff(0)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RLaurent.const(other)
-        c = dict(self.c)
-        for e, v in other.c.items():
-            if e in c:
-                v = c[e] + v
-                if not v:
-                    del c[e]
-                    continue
-            c[e] = v
-        return RLaurent._trusted(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RLaurent._trusted({e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = {e: v * other for e, v in self.c.items()} if other else {}
-            return RLaurent._trusted(c)
-        return _convolve(((0, JPoly((self,)), JPoly((other,))),))[0].coeff(0)
-
-    __rmul__ = __mul__
+    def terms(self) -> dict[int, Rat]:
+        """Read-only view: {r-exponent: nonzero coefficient}, by exponent."""
+        return {e: Fraction(self._n[e], self._d) for e in sorted(self._n)}
 
     def eval(self, r0) -> Rat:
-        r0 = Fraction(r0)
-        if r0 == 0 and any(e < 0 for e in self.c):
-            raise ZeroDivisionError("Laurent evaluation at r=0")
-        return sum((v * r0 ** e for e, v in self.c.items()), Fraction(0))
+        w, m = _r_weights(self._n, r0)
+        return Fraction(sum(v * w[e] for e, v in self._n.items()),
+                        self._d * m)
 
     def as_rat(self) -> Rat:
         """Value of a constant-in-r element."""
-        if any(e != 0 for e in self.c):
+        if any(e != 0 for e in self._n):
             raise ValueError(f"not constant in r: {self!r}")
-        return self.c.get(0, Fraction(0))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.c == ({0: Fraction(other)} if other != 0 else {})
-        if not isinstance(other, RLaurent):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self):
-        return bool(self.c)
+        return Fraction(self._n.get(0, 0), self._d)
 
     def __repr__(self):
-        if not self.c:
+        if not self._n:
             return "0"
         parts = []
-        for e in sorted(self.c, reverse=True):
-            v = self.c[e]
+        for e, v in sorted(self.terms().items(), reverse=True):
             mono = "" if e == 0 else ("r" if e == 1 else f"r^{e}")
             if mono and abs(v) == 1:
                 coef = "-" if v < 0 else ""
@@ -182,64 +292,78 @@ class RLaurent:
 
 
 def _convolve(pairs) -> dict:
-    """{key: sum of p1 * p2 over the (key, p1, p2) in `pairs`} for JPolys.
+    """{key: sum of w * p1 * p2 over the (key, p1, p2, w) in `pairs`} for
+    JPolys p1, p2 and integer weights w.
 
-    The one home of the product rule, RLaurent's included.  For each pair
-    of j-powers and each pair of r-exponents it does one Fraction product
-    and adds it into the accumulator of its key, j-power and r-exponent;
-    each result RLaurent and JPoly is built once, at the end, without the
-    values that cancelled.
+    The one home of the product rule, RLaurent's included.  The pairs of a
+    key share one denominator, the lcm of their denominator products
+    p1.d * p2.d; each pair's factor w * lcm / (p1.d * p2.d) scales the
+    numerators of p1 once.  Then every pair of terms is one int product
+    added into the key's accumulator at (j-power, r-exponent), so the sum
+    is exact without a Fraction, and each result JPoly is normalised once,
+    at the end, without the values that cancelled.
 
     No exponent is tested here.  The r-exponents of a product are those of
     its factors added, so the type's invariant -- the coefficient of 1/n^h
     holds only r-exponents in [-max(h, 0), 0] -- is checked once, when the
     NSeries that holds the product is built."""
-    acc: dict = {}
-    for key, p1, p2 in pairs:
-        cols = acc.get(key)
-        if cols is None:
-            cols = acc[key] = []
-        b = p2.c
-        for _ in range(len(cols), len(p1.c) + len(b) - 1):
-            cols.append({})
-        for i, x in enumerate(p1.c):
-            xc = x.c.items()
-            for m, y in enumerate(b, i):
-                col = cols[m]
-                yc = y.c.items()
-                for e1, v1 in xc:
-                    for e2, v2 in yc:
-                        e = e1 + e2
-                        if e in col:
-                            col[e] += v1 * v2
-                        else:
-                            col[e] = v1 * v2
-    return {key: JPoly._trusted(
-                [RLaurent._trusted({e: v for e, v in col.items() if v})
-                 for col in cols])
-            for key, cols in acc.items()}
+    groups: dict = {}
+    for key, p1, p2, w in pairs:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [(p1, p2, w)]
+        else:
+            group.append((p1, p2, w))
+    out = {}
+    for key, group in groups.items():
+        d = lcm(*[p1._d * p2._d for p1, p2, _ in group])
+        acc: dict = {}
+        get = acc.get
+        for p1, p2, w in group:
+            s = w * (d // (p1._d * p2._d))
+            b = p2._n.items()
+            for (j1, e1), v1 in p1._n.items():
+                v1 *= s
+                for (j2, e2), v2 in b:
+                    k = (j1 + j2, e1 + e2)
+                    acc[k] = get(k, 0) + v1 * v2
+        out[key] = JPoly._make(d, {k: v for k, v in acc.items() if v})
+    return out
 
 
-class JPoly:
-    """Polynomial in j with RLaurent coefficients; index = power of j."""
+class JPoly(_Exact):
+    """Polynomial in j with Laurent-in-r coefficients: integer numerators
+    keyed by (j-power, r-exponent) over one denominator, in normal form
+    (see the module docstring)."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
-        c = [x if isinstance(x, RLaurent) else RLaurent.const(x)
-             for x in coeffs]
-        while c and c[-1].is_zero():
-            c.pop()
-        self.c = tuple(c)
+        """`coeffs[i]` (an RLaurent, int or Fraction) is the coefficient
+        of j^i."""
+        terms = []
+        for j, x in enumerate(coeffs):
+            if isinstance(x, RLaurent):
+                terms += [((j, e), v, x._d) for e, v in x._n.items()]
+            else:
+                terms.append(((j, 0), *_ratio(x)))
+        self._d, self._n = _over_lcm(terms)
 
     @classmethod
-    def _trusted(cls, c: list[RLaurent]) -> "JPoly":
-        """Wrap RLaurent coefficients as is, dropping trailing zeros."""
-        while c and not c[-1].c:
-            c.pop()
-        self = object.__new__(cls)
-        self.c = tuple(c)
-        return self
+    def _of(cls, x: RLaurent) -> "JPoly":
+        """x as a constant JPoly."""
+        return cls._new(x._d, {(0, e): v for e, v in x._n.items()})
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, JPoly):
+            return x
+        if isinstance(x, RLaurent):
+            return JPoly._of(x)
+        if isinstance(x, (int, Fraction)):
+            p, q = _ratio(x)
+            return JPoly._new(q, {(0, 0): p}) if p else _JZERO
+        return None
 
     @classmethod
     def zero(cls) -> "JPoly":
@@ -255,123 +379,117 @@ class JPoly:
 
     @property
     def deg(self) -> int:
-        return len(self.c) - 1
-
-    def is_zero(self) -> bool:
-        return not self.c
+        return max((j for j, _ in self._n), default=-1)
 
     def coeff(self, jpow: int) -> RLaurent:
-        if 0 <= jpow < len(self.c):
-            return self.c[jpow]
-        return RLaurent.zero()
+        return RLaurent._make(self._d, {e: v for (j, e), v in self._n.items()
+                                        if j == jpow})
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent)):
-            other = JPoly.const(other)
-        c = [x + y for x, y in zip(self.c, other.c)]
-        longer = self.c if len(self.c) > len(other.c) else other.c
-        c.extend(longer[len(c):])
-        return JPoly._trusted(c)
+    def terms(self) -> dict[tuple[int, int], Rat]:
+        """Read-only view: {(j-power, r-exponent): nonzero coefficient},
+        by j-power, then r-exponent."""
+        return {k: Fraction(self._n[k], self._d) for k in sorted(self._n)}
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JPoly._trusted([-x for x in self.c])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent)):
-            other = JPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent)):
-            return JPoly._trusted([x * other for x in self.c])
-        return _convolve(((0, self, other),))[0]
-
-    __rmul__ = __mul__
+    def _product(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return _convolve(((0, self, other, 1),))[0]
 
     def eval_j(self, j0) -> RLaurent:
-        """Exact evaluation at a number j0 (Horner)."""
-        acc = RLaurent.zero()
-        for x in reversed(self.c):
-            acc = acc * Fraction(j0) + x
-        return acc
+        """Exact evaluation at a number j0 = p/q: sum v p^j q^(deg-j) over
+        the denominator times q^deg."""
+        p, q = _ratio(j0)
+        deg = self.deg
+        if deg < 0:
+            return RLaurent.zero()
+        w = [p ** j * q ** (deg - j) for j in range(deg + 1)]
+        n: dict = {}
+        for (j, e), v in self._n.items():
+            n[e] = n.get(e, 0) + v * w[j]
+        return RLaurent._make(self._d * q ** deg,
+                              {e: v for e, v in n.items() if v})
 
     def subst_j(self, j0) -> "JPoly":
-        return JPoly([self.eval_j(j0)])
+        return JPoly._of(self.eval_j(j0))
 
     def shift_j(self, z: int) -> "JPoly":
-        """Substitute j -> j - z."""
+        """Substitute j -> j - z for an integer z, by the binomial expansion
+        of (j - z)^k.  The map is invertible over the integers (its inverse
+        is the shift by -z), so the denominator and the normal form stay."""
+        if not isinstance(z, int):
+            raise TypeError(f"shift_j takes an int, not {type(z).__name__}")
         if z == 0:
             return self
-        acc = JPoly.zero()
-        jmz = JPoly([Fraction(-z), Fraction(1)])
-        for x in reversed(self.c):
-            acc = acc * jmz + JPoly.const(x)
-        return acc
+        rows = [[comb(k, i) * (-z) ** (k - i) for i in range(k + 1)]
+                for k in range(self.deg + 1)]
+        n: dict = {}
+        for (k, e), v in self._n.items():
+            for i, c in enumerate(rows[k]):
+                n[i, e] = n.get((i, e), 0) + v * c
+        return JPoly._new(self._d, {k: v for k, v in n.items() if v})
 
     def subst_r(self, r0) -> "JPoly":
-        return JPoly([x.eval(r0) for x in self.c])
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent)):
-            other = JPoly.const(other)
-        if not isinstance(other, JPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __bool__(self):
-        return bool(self.c)
+        w, m = _r_weights({e for _, e in self._n}, r0)
+        n: dict = {}
+        for (j, e), v in self._n.items():
+            n[j, 0] = n.get((j, 0), 0) + v * w[e]
+        return JPoly._make(self._d * m, {k: v for k, v in n.items() if v})
 
     def __repr__(self):
-        if not self.c:
+        if not self._n:
             return "0"
         parts = []
-        for i in range(len(self.c) - 1, -1, -1):
-            if self.c[i].is_zero():
-                continue
+        for i in sorted({j for j, _ in self._n}, reverse=True):
             mono = "" if i == 0 else ("j" if i == 1 else f"j^{i}")
-            parts.append(f"({self.c[i]!r}){mono}" if mono else repr(self.c[i]))
+            x = self.coeff(i)
+            parts.append(f"({x!r}){mono}" if mono else repr(x))
         return " + ".join(parts)
 
 
 _JZERO = JPoly.zero()
+_JONE = JPoly.const(1)
+
+
+def _window_error(p: JPoly, h: int, lo: int) -> WindowOverflowError:
+    """The error for the first j-coefficient of `p`, by j-power, with an
+    r-exponent outside [lo, 0] at 1/n^h: its lowest exponent if that is
+    below lo, else its highest."""
+    for jpow in sorted({j for j, _ in p._n}):
+        es = [e for j, e in p._n if j == jpow]
+        e_lo, e_hi = min(es), max(es)
+        if e_lo < lo or e_hi > 0:
+            return WindowOverflowError(
+                f"r-exponent {e_lo if e_lo < lo else e_hi} "
+                f"at 1/n^{h} outside [{lo}, 0]")
+    raise AssertionError("no exponent outside the window")
 
 
 class NSeries:
     """Truncated formal series in 1/n.
 
-    coeffs maps the 1/n exponent h to a JPoly; h < 0 encodes positive powers
-    of n (bounded intermediates only).  `order` is the validity order: all
-    coefficients with h <= order are exact, everything deeper is unknown.
+    The levels map the 1/n exponent h to a nonzero JPoly; h < 0 encodes
+    positive powers of n (bounded intermediates only).  `order` is the
+    validity order: all coefficients with h <= order are exact, everything
+    deeper is unknown.
 
     Invariant: the coefficient of 1/n^h holds only r-exponents in
     [-max(h, 0), 0]; construction raises WindowOverflowError otherwise.
     """
 
-    __slots__ = ("c", "order")
+    __slots__ = ("_c", "order")
 
     def __init__(self, coeffs: dict[int, JPoly], order: int):
         c = {}
         for h, p in coeffs.items():
-            if h > order or not p.c:
+            if h > order or not p._n:
                 continue
             lo = -h if h > 0 else 0
-            for x in p.c:
-                if x.c:
-                    e_lo, e_hi = min(x.c), max(x.c)
-                    if e_lo < lo or e_hi > 0:
-                        raise WindowOverflowError(
-                            f"r-exponent {e_lo if e_lo < lo else e_hi} "
-                            f"at 1/n^{h} outside [{lo}, 0]")
+            es = [e for _, e in p._n]
+            if min(es) < lo or max(es) > 0:
+                raise _window_error(p, h, lo)
             c[h] = p
-        self.c = c
+        self._c = c
         self.order = order
 
     # -- constructors ------------------------------------------------------
@@ -382,7 +500,7 @@ class NSeries:
 
     @classmethod
     def one(cls, order=DEFAULT_ORDER) -> "NSeries":
-        return cls({0: JPoly.const(1)}, order)
+        return cls({0: _JONE}, order)
 
     @classmethod
     def const(cls, x, order=DEFAULT_ORDER) -> "NSeries":
@@ -396,7 +514,12 @@ class NSeries:
 
     @property
     def min_exp(self) -> int | None:
-        return min(self.c) if self.c else None
+        return min(self._c) if self._c else None
+
+    def terms(self) -> dict[int, JPoly]:
+        """Read-only view: {1/n exponent: nonzero JPoly}, in the order the
+        levels were built (the order a WindowOverflowError searches)."""
+        return dict(self._c)
 
     def coeff(self, jpow: int, npow: int) -> RLaurent:
         """Exact coefficient of j^jpow / n^npow."""
@@ -406,21 +529,22 @@ class NSeries:
         if npow > self.order:
             raise TruncationError(
                 f"coefficient at 1/n^{npow} beyond validity order {self.order}")
-        return self.c.get(npow, JPoly.zero())
+        return self._c.get(npow, _JZERO)
 
     def truncate(self, order: int) -> "NSeries":
-        return NSeries(self.c, min(self.order, order))
+        return NSeries(self._c, min(self.order, order))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, JPoly):
+        if not isinstance(other, NSeries):
+            other = JPoly._coerce(other)
+            if other is None:
+                return NotImplemented
             other = NSeries.term(0, other, self.order)
-        elif isinstance(other, (int, Fraction, RLaurent)):
-            other = NSeries.const(other, self.order)
         order = min(self.order, other.order)
-        c = {h: p for h, p in self.c.items() if h <= order}
-        for h, p in other.c.items():
+        c = {h: p for h, p in self._c.items() if h <= order}
+        for h, p in other._c.items():
             if h <= order:
                 c[h] = c[h] + p if h in c else p
         return NSeries(c, order)
@@ -428,22 +552,26 @@ class NSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return NSeries({h: -p for h, p in self.c.items()}, self.order)
+        return NSeries({h: -p for h, p in self._c.items()}, self.order)
 
     def __sub__(self, other):
-        if not isinstance(other, NSeries):
-            return self + (-Fraction(other) if isinstance(other, (int, Fraction))
-                           else -other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RLaurent, JPoly)):
-            return NSeries({h: p * other for h, p in self.c.items()},
+        if isinstance(other, NSeries):
+            return self.mul_capped(other, EXACT_ORDER)
+        if isinstance(other, (int, Fraction)):
+            p, q = _ratio(other)
+            return NSeries({h: x._scaled(p, q) for h, x in self._c.items()},
                            self.order)
-        return self.mul_capped(other, EXACT_ORDER)
+        other = JPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        return NSeries(_convolve((h, x, other, 1)
+                                 for h, x in self._c.items()), self.order)
 
     __rmul__ = __mul__
 
@@ -455,14 +583,14 @@ class NSeries:
         # but never claim more than the larger operand order (a product of
         # two order-H series is an order-H series).
         cands = [max(self.order, other.order)]
-        if other.c:
-            cands.append(self.order + min(other.c))
-        if self.c:
-            cands.append(other.order + min(self.c))
+        if other._c:
+            cands.append(self.order + min(other._c))
+        if self._c:
+            cands.append(other.order + min(self._c))
         order = min(min(cands), cap, EXACT_ORDER)
-        c = _convolve((h1 + h2, p1, p2)
-                      for h1, p1 in self.c.items()
-                      for h2, p2 in other.c.items() if h1 + h2 <= order)
+        c = _convolve((h1 + h2, p1, p2, 1)
+                      for h1, p1 in self._c.items()
+                      for h2, p2 in other._c.items() if h1 + h2 <= order)
         return NSeries(c, order)
 
     def pow_int(self, e: int) -> "NSeries":
@@ -483,34 +611,35 @@ class NSeries:
     def _proper_levels(self, name: str) -> bool:
         """True if there are levels to compute; raise on improper input
         and on a nonzero input of unbounded order (an infinite series)."""
-        if self.c and min(self.c) < 1:
+        if self._c and min(self._c) < 1:
             raise ImproperSeriesError(
                 f"{name} input must have zero constant term and no positive "
                 f"powers of n (min exponent {self.min_exp})")
-        if self.c and self.order >= EXACT_ORDER:
+        if self._c and self.order >= EXACT_ORDER:
             raise TruncationError(
                 f"{name} of a nonzero series of unbounded order is an "
                 "infinite series")
-        return bool(self.c)
+        return bool(self._c)
 
     def ln1p(self) -> "NSeries":
         """ln(1 + u) for u with all exponents >= 1; exact to the order.
 
         f = ln(1 + u) solves (1 + u) theta f = theta u, so level by level
-        h f_h = h u_h - sum_{m=1}^{h-1} m f_m u_{h-m}: one convolution of
-        the pairs (f_m, -(m/h) u_{h-m}) per level, added to u_h."""
+        f_h = u_h - (1/h) sum_{m=1}^{h-1} m f_m u_{h-m}: one convolution of
+        the pairs (f_m, u_{h-m}) with weights -m per level, divided by h
+        and added to u_h."""
         order = self.order
         if not self._proper_levels("ln1p"):
             return NSeries.zero(order)
-        u = self.c
+        u = self._c
         f: dict[int, JPoly] = {}
         for h in range(1, order + 1):
             fh = u.get(h, _JZERO)
-            pairs = [(h, fm, u[h - m] * Fraction(-m, h))
+            pairs = [(h, fm, u[h - m], -m)
                      for m, fm in f.items() if h - m in u]
             if pairs:
-                fh = fh + _convolve(pairs)[h]
-            if fh.c:
+                fh = fh._plus(_convolve(pairs)[h]._scaled(1, h))
+            if fh._n:
                 f[h] = fh
         return NSeries(f, order)
 
@@ -520,37 +649,38 @@ class NSeries:
         g = exp(t) solves theta g = g theta t, so level by level
         h g_h = sum_{m=1}^{h} m t_m g_{h-m} with g_0 = 1.  The m = h term
         is t_h itself; the others are one convolution of the pairs
-        ((m/h) t_m, g_{h-m}) per level, added to t_h."""
+        (t_m, g_{h-m}) with weights m per level, divided by h and added to
+        t_h."""
         order = self.order
         if not self._proper_levels("exp"):
             return NSeries.one(order)
-        t = self.c
-        g = {0: JPoly.const(1)}
+        t = self._c
+        g = {0: _JONE}
         for h in range(1, order + 1):
             gh = t.get(h, _JZERO)
-            pairs = [(h, t[m] * Fraction(m, h), g[h - m])
+            pairs = [(h, t[m], g[h - m], m)
                      for m in t if m < h and h - m in g]
             if pairs:
-                gh = gh + _convolve(pairs)[h]
-            if gh.c:
+                gh = gh._plus(_convolve(pairs)[h]._scaled(1, h))
+            if gh._n:
                 g[h] = gh
         return NSeries(g, order)
 
     # -- substitutions -----------------------------------------------------
 
     def subst_j(self, j0) -> "NSeries":
-        return NSeries({h: p.subst_j(j0) for h, p in self.c.items()},
+        return NSeries({h: p.subst_j(j0) for h, p in self._c.items()},
                        self.order)
 
     def subst_r(self, r0) -> "NSeries":
-        if Fraction(r0) == 0:
+        if _ratio(r0)[0] == 0:
             raise ZeroDivisionError("substitution r=0")
-        return NSeries({h: p.subst_r(r0) for h, p in self.c.items()},
+        return NSeries({h: p.subst_r(r0) for h, p in self._c.items()},
                        self.order)
 
     def shift_j(self, z: int) -> "NSeries":
         """Substitute j -> j - z."""
-        return NSeries({h: p.shift_j(z) for h, p in self.c.items()},
+        return NSeries({h: p.shift_j(z) for h, p in self._c.items()},
                        self.order)
 
     # -- misc ----------------------------------------------------------------
@@ -560,18 +690,18 @@ class NSeries:
             other = NSeries.const(other, self.order)
         if not isinstance(other, NSeries):
             return NotImplemented
-        return self.c == other.c
+        return self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        return hash(frozenset(self._c.items()))
 
     def __repr__(self):
-        if not self.c:
+        if not self._c:
             return f"NSeries(0; order={self.order})"
-        parts = [f"({self.c[h]!r})/n^{h}" if h > 0
-                 else (f"({self.c[h]!r})" if h == 0
-                       else f"({self.c[h]!r})*n^{-h}")
-                 for h in sorted(self.c)]
+        parts = [f"({self._c[h]!r})/n^{h}" if h > 0
+                 else (f"({self._c[h]!r})" if h == 0
+                       else f"({self._c[h]!r})*n^{-h}")
+                 for h in sorted(self._c)]
         return " + ".join(parts) + f" + O(n^-{self.order + 1})"
 
 

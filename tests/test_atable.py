@@ -273,7 +273,7 @@ def test_jpoly_at_r_square_case_unchanged(table):
     solver."""
     jp = table.jpoly_at_r(3, 3)
     assert jp.deg == 6
-    assert [c.as_rat() for c in jp.c] == [
+    assert [jp.coeff(i).as_rat() for i in range(jp.deg + 1)] == [
         0, F(4, 27), F(-71, 648), F(557, 1296), F(-133, 144), F(715, 1296),
         F(-125, 1296)]
 

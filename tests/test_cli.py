@@ -290,8 +290,11 @@ def test_out_of_domain_grid_exits_config(argv, message, env_cache, capsys):
     ("\n1 -2 7/12\n", "\n-4 -2 7/12\n", "negative j-power in a_2"),
     ("a h=2 sym", "a x=2 sym", "entry line without h="),
     ("a h=3 point r=3 j=4", "a h=3 point j=4", "point line without r= or j="),
+    # a repeated (j-power, r-exponent) line once kept the last value read
+    ("\n1 -2 7/12\n", "\n1 -2 5/12\n1 -2 7/12\n",
+     "a_2 gives (j-power 1, r-exponent -2) two values: 5/12 and 7/12"),
 ], ids=["r-exponent-above", "r-exponent-below", "j-power-negative", "no-h",
-        "point-no-r"])
+        "point-no-r", "pair-repeated"])
 def test_malformed_table_exits_config(old, new, message, repo_cache_dir,
                                       tmp_path, capsys):
     """A table file edited out of shape is a configuration error (exit 2)

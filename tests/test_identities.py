@@ -2,8 +2,10 @@
 extractions, the two product identities, cancellation, and the extended
 expansion."""
 
+import hashlib
 from fractions import Fraction as F
 
+from matchdiff import identities
 from matchdiff.atable import ConjectureSpec
 from matchdiff.identities import (CheckReport, alpha0_series, build_F,
                                   check_log_coefficients, check_alpha0_series,
@@ -12,6 +14,7 @@ from matchdiff.identities import (CheckReport, alpha0_series, build_F,
                                   check_second_identity_synthetic,
                                   check_t_cancellation, check_top_coefficient,
                                   core_suite, lsplit, random_conjecture_spec)
+from matchdiff.kseries import build_K
 from matchdiff.rng import Rng
 from matchdiff.series import JPoly, RLaurent
 
@@ -103,6 +106,40 @@ def test_second_identity_table_and_synthetic(table):
             assert check_second_identity(table, i, k, order=2).passed
     rep = check_second_identity_synthetic(seed=421, trials=10)
     assert rep.passed
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_synthetic_second_identity_sides_pinned(monkeypatch):
+    """The synthetic check only compares its two sides, so a fault shared
+    by both would pass it: the reprs of lhs and rhs in all 50 trials of
+    the core suite's run, captured from the Fraction-stored series."""
+    sides = []
+    both = identities.second_identity_on_series
+
+    def record(us, exps, order):
+        lhs, rhs = both(us, exps, order)
+        sides.append(f"{lhs!r}\n{rhs!r}")
+        return lhs, rhs
+
+    monkeypatch.setattr(identities, "second_identity_on_series", record)
+    assert check_second_identity_synthetic(seed=0xA11CE).passed
+    assert len(sides) == 50
+    assert sha256("\n".join(sides)) == (
+        "a188692911767cc3aba4bbbfec1e86daa905e1b194eba61c96c789874c4e627b")
+
+
+def test_table_series_reprs_pinned(table):
+    """F symbolic at h = 2, F at r = 3 through h = 3 and K through h = 6,
+    captured from the Fraction-stored series."""
+    assert sha256(repr(build_F(table, 2))) == (
+        "261865f62edac6027f3f92c85bf810d4a45812cccede79f30e040fd1ef47a013")
+    assert sha256(repr(build_F(table, 3, at_r=3))) == (
+        "41156da1132cf8326cb20993d5e6160f3130dc6e3d3da1ae39002f307968afdb")
+    assert sha256(repr(build_K(6))) == (
+        "2b51e1d18e1f680545eeaa34e5be60594cd0e13de51ba93e1be06526877e45da")
 
 
 def test_alpha0_leading_terms(table):

@@ -13,7 +13,7 @@ from matchdiff.series import JPoly, NSeries
 def eval_at(series: NSeries, i0: int, n0: int) -> F:
     """Exact rational value of the truncated series at integer i, n."""
     return sum((p.eval_j(i0).as_rat() * F(1, n0) ** h
-                for h, p in series.c.items()), F(0))
+                for h, p in series.terms().items()), F(0))
 
 
 def test_bernoulli_prefix():
@@ -37,7 +37,7 @@ def test_g_vanishes_at_zero():
 def test_g_is_proper_zero():
     g = build_G(6)
     # no constant term and no positive powers of n
-    assert min(g.c) >= 1
+    assert g.min_exp >= 1
 
 
 def test_k_first_order_coefficient():

@@ -2,6 +2,7 @@
 randomized ring/inverse properties."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,7 +267,7 @@ def test_graded_rule_rejects_stray_exponents():
         NSeries({0: JPoly([1, RLaurent({0: 1, -1: 2})])}, 4)
     # the edges of the rule are admitted; a truncated term is not checked
     edge = NSeries({2: JPoly.const(RLaurent({-2: 1, 0: 1})), 5: r_pow(-9)}, 4)
-    assert list(edge.c) == [2]
+    assert list(edge.terms()) == [2]
 
 
 def test_window_overflow_fails_loudly():
@@ -301,14 +302,29 @@ def laurent_jpolys(draw):
     return JPoly([draw(laurents()) for _ in range(draw(st.integers(0, 2)))])
 
 
+def jpoly_of_terms(terms) -> JPoly:
+    """The JPoly with the {(j-power, r-exponent): coefficient} `terms`."""
+    cols = [{} for _ in range(max((j for j, _ in terms), default=-1) + 1)]
+    for (j, e), v in terms.items():
+        cols[j][e] = v
+    return JPoly([RLaurent(col) for col in cols])
+
+
 def assert_well_formed(x: RLaurent):
-    assert all(isinstance(v, F) and v != 0 for v in x.c.values())
+    """Nonzero Fraction terms, and the normal form: rebuilt from its own
+    terms, x is the same value by == and by hash, whatever built it."""
+    terms = x.terms()
+    assert all(isinstance(v, F) and v != 0 for v in terms.values())
+    fresh = RLaurent(terms)
+    assert x == fresh and hash(x) == hash(fresh)
 
 
 def assert_jpoly_well_formed(p: JPoly):
-    assert not p.c or not p.c[-1].is_zero()
-    for x in p.c:
-        assert_well_formed(x)
+    assert p.deg == -1 or not p.coeff(p.deg).is_zero()
+    for i in range(p.deg + 1):
+        assert_well_formed(p.coeff(i))
+    fresh = jpoly_of_terms(p.terms())
+    assert p == fresh and hash(p) == hash(fresh)
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,7 +342,7 @@ def test_rlaurent_ops_match_evaluation(a, b, r0, s):
     for got, want in results:
         assert_well_formed(got)
         assert got.eval(r0) == want
-    assert (a - a).c == {}
+    assert (a - a).terms() == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,33 +374,36 @@ def test_singular_square_system_raises():
 # j-coefficients, summed through RLaurent and JPoly additions.
 
 
+def coeffs(p):
+    """The RLaurent coefficients of p, j^0 first."""
+    return [p.coeff(i) for i in range(p.deg + 1)]
+
+
 def reference_jpoly_add(p, q):
-    n = max(len(p.c), len(q.c))
-    c = [(p.c[i] if i < len(p.c) else RLaurent.zero())
-         + (q.c[i] if i < len(q.c) else RLaurent.zero())
-         for i in range(n)]
+    n = max(p.deg, q.deg) + 1
+    c = [p.coeff(i) + q.coeff(i) for i in range(n)]
     return JPoly(c)
 
 
 def reference_jpoly_mul(p, q):
-    c = [RLaurent.zero() for _ in range(len(p.c) + len(q.c) - 1)] \
-        if p.c and q.c else []
-    for i, a in enumerate(p.c):
-        for k, b in enumerate(q.c):
+    c = [RLaurent.zero() for _ in range(p.deg + q.deg + 1)] \
+        if p and q else []
+    for i, a in enumerate(coeffs(p)):
+        for k, b in enumerate(coeffs(q)):
             c[i + k] = c[i + k] + a * b
     return JPoly(c)
 
 
 def reference_mul_capped(a, b, cap):
     cands = [max(a.order, b.order)]
-    if b.c:
-        cands.append(a.order + min(b.c))
-    if a.c:
-        cands.append(b.order + min(a.c))
+    if b.terms():
+        cands.append(a.order + b.min_exp)
+    if a.terms():
+        cands.append(b.order + a.min_exp)
     order = min(min(cands), cap, EXACT_ORDER)
     c = {}
-    for h1, p1 in a.c.items():
-        for h2, p2 in b.c.items():
+    for h1, p1 in a.terms().items():
+        for h2, p2 in b.terms().items():
             h = h1 + h2
             if h > order:
                 continue
@@ -400,7 +419,7 @@ def reference_mul_capped(a, b, cap):
 
 def reference_ln1p(x):
     """ln(1 + x) for x with all exponents >= 1; exact to the order."""
-    if x.c and min(x.c) < 1:
+    if x.terms() and x.min_exp < 1:
         raise ImproperSeriesError(
             "ln1p input must have zero constant term and no positive "
             f"powers of n (min exponent {x.min_exp})")
@@ -409,7 +428,7 @@ def reference_ln1p(x):
     power = NSeries.one(order)
     for m in range(1, order + 1):
         power = power.mul_capped(x, order)
-        if not power.c:
+        if not power.terms():
             break
         out = out + power * F((-1) ** (m + 1), m)
     return out
@@ -417,7 +436,7 @@ def reference_ln1p(x):
 
 def reference_exp(x):
     """exp(x) for x with all exponents >= 1; exact to the order."""
-    if x.c and min(x.c) < 1:
+    if x.terms() and x.min_exp < 1:
         raise ImproperSeriesError(
             "exp input must have zero constant term and no positive "
             f"powers of n (min exponent {x.min_exp})")
@@ -428,7 +447,7 @@ def reference_exp(x):
     for m in range(1, order + 1):
         power = power.mul_capped(x, order)
         fact *= m
-        if not power.c:
+        if not power.terms():
             break
         out = out + power * F(1, fact)
     return out
@@ -443,18 +462,19 @@ def outcome(f, *args):
 
 
 def assert_same_jpoly(got, want):
-    assert len(got.c) == len(want.c)
-    for x, y in zip(got.c, want.c):
-        assert x.c == y.c
+    assert got.deg == want.deg
+    for x, y in zip(coeffs(got), coeffs(want)):
+        assert x.terms() == y.terms()
         assert_well_formed(x)
-    assert not got.c or got.c[-1].c
+    assert got.deg == -1 or got.coeff(got.deg)
+    assert got == want and hash(got) == hash(want)
 
 
 def assert_same_nseries(got, want):
     assert got.order == want.order
-    assert list(got.c) == list(want.c)
-    for h in want.c:
-        assert_same_jpoly(got.c[h], want.c[h])
+    assert list(got.terms()) == list(want.terms())
+    for h in want.terms():
+        assert_same_jpoly(got.jpoly(h), want.jpoly(h))
 
 
 # few distinct values, so that sums of products cancel now and then
@@ -526,7 +546,7 @@ def test_fused_product_fixed_cases():
                 3)
     got, want = a.mul_capped(b, 3), reference_mul_capped(a, b, 3)
     assert_same_nseries(got, want)
-    assert got.c[1] == JPoly([F(3), F(1)])
+    assert got.jpoly(1) == JPoly([F(3), F(1)])
 
 
 def _symbolic_series(order=4):
@@ -539,20 +559,26 @@ def _symbolic_series(order=4):
 
 
 def test_fused_product_builds_no_rlaurent_per_term(monkeypatch):
-    """No RLaurent product and no checked RLaurent is built on the way:
-    the per-pair path must not come back."""
+    """No RLaurent product, no checked RLaurent and no Fraction is built or
+    multiplied on the way: the per-pair path must not come back, and the
+    terms of a product are multiplied and summed as ints."""
     a = _symbolic_series()
     b = a.shift_j(1)
     want = reference_mul_capped(a, b, 4)
-    want_jpoly = reference_jpoly_mul(a.c[1], b.c[2])
+    want_jpoly = reference_jpoly_mul(a.jpoly(1), b.jpoly(2))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("per-term RLaurent built")
+        raise AssertionError("per-term coefficient object built")
 
-    monkeypatch.setattr(RLaurent, "__mul__", refuse)
-    monkeypatch.setattr(RLaurent, "__init__", refuse)
-    assert_same_nseries(a.mul_capped(b, 4), want)
-    assert_same_jpoly(a.c[1] * b.c[2], want_jpoly)
+    with monkeypatch.context() as patch:
+        patch.setattr(RLaurent, "__mul__", refuse)
+        patch.setattr(RLaurent, "__init__", refuse)
+        for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__"):
+            patch.setattr(F, name, refuse)
+        got = a.mul_capped(b, 4)
+        got_jpoly = a.jpoly(1) * b.jpoly(2)
+    assert_same_nseries(got, want)
+    assert_same_jpoly(got_jpoly, want_jpoly)
 
 
 # -- ln1p and exp by graded recurrences against the power sums ------------------
@@ -592,16 +618,16 @@ def test_recurrences_equal_power_sums(x):
             continue
         got, want = got[1], want[1]
         assert got.order == want.order
-        assert sorted(got.c) == sorted(want.c)
-        for h in want.c:
-            assert_same_jpoly(got.c[h], want.c[h])
+        assert sorted(got.terms()) == sorted(want.terms())
+        for h in want.terms():
+            assert_same_jpoly(got.jpoly(h), want.jpoly(h))
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6])
 def test_recurrences_convolve_once_per_pair(order, monkeypatch):
     """For a dense order-H proper series, ln1p passes H(H-1)/2 pairs to
-    _convolve and exp at most H(H+1)/2; the power sums passed 14 each at
-    H = 4."""
+    _convolve and exp at most H(H+1)/2, in one call per level from 1/n^2
+    on; the power sums passed 14 each at H = 4."""
     x = NSeries({h: JPoly([1, RLaurent({-h: F(1, 2), 0: F(-1)})])
                  for h in range(1, order + 1)}, order)
     want_ln, want_exp = reference_ln1p(x), reference_exp(x)
@@ -616,6 +642,163 @@ def test_recurrences_convolve_once_per_pair(order, monkeypatch):
     monkeypatch.setattr(series, "_convolve", counting)
     assert_same_nseries(x.ln1p(), want_ln)
     assert sum(counts) == order * (order - 1) // 2
+    assert len(counts) == order - 1
     counts.clear()
     assert_same_nseries(x.exp(), want_exp)
     assert sum(counts) <= order * (order + 1) // 2
+    assert len(counts) == order - 1
+
+
+# -- only int and Fraction enter the exact algebra ----------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RLaurent({0: 0.1}),
+    lambda: RLaurent.const(0.5),
+    lambda: JPoly([0.5, 0.1]),
+    lambda: JPoly.monomial(2, 0.5),
+    lambda: NSeries.const(0.1, 2),
+    lambda: RLaurent.const(1) * 0.5,
+    lambda: JPoly.const(1) + 0.5,
+    lambda: NSeries.one(2) * 0.5,
+    lambda: NSeries.one(2) - 0.5,
+    lambda: RLaurent.const(1).eval(0.5),
+    lambda: JPoly.monomial(1).eval_j(0.5),
+    lambda: JPoly.monomial(1).subst_j(0.5),
+    lambda: NSeries.one(2).subst_j(0.5),
+    lambda: JPoly.monomial(1).subst_r(0.5),
+    lambda: NSeries.one(2).subst_r(0.5),
+    lambda: JPoly.monomial(1).shift_j(F(1, 2)),
+], ids=["RLaurent", "RLaurent.const", "JPoly", "JPoly.monomial",
+        "NSeries.const", "RLaurent-scalar", "JPoly-scalar", "NSeries-scalar",
+        "NSeries-minus-scalar", "eval", "eval_j", "JPoly.subst_j",
+        "NSeries.subst_j", "JPoly.subst_r", "NSeries.subst_r", "shift_j"])
+def test_floats_are_refused(call):
+    """A float once entered as its binary value (0.1 stored as
+    3602879701896397/36028797018963968); every entry point raises."""
+    with pytest.raises(TypeError):
+        call()
+
+
+# -- the fraction-free storage against a Fraction reference --------------------
+#
+# `Ref` holds a series as {(1/n exponent, j-power, r-exponent): Fraction} and
+# does every operation term by term in Fractions, with no common
+# denominator and no normal form to keep.
+
+
+class Ref:
+    def __init__(self, terms: dict, order: int):
+        self.t = {k: v for k, v in terms.items() if v and k[0] <= order}
+        self.order = order
+
+    @classmethod
+    def of(cls, s: NSeries) -> "Ref":
+        return cls({(h, j, e): v for h, p in s.terms().items()
+                    for (j, e), v in p.terms().items()}, s.order)
+
+    def nseries(self) -> NSeries:
+        levels: dict = {}
+        for (h, j, e), v in self.t.items():
+            levels.setdefault(h, {})[j, e] = v
+        return NSeries({h: jpoly_of_terms(terms)
+                        for h, terms in levels.items()}, self.order)
+
+    def map(self, f) -> "Ref":
+        """The series whose terms are the sums of f(h, j, e, v)'s
+        (key, value) pairs over the terms of self."""
+        out: dict = {}
+        for (h, j, e), v in self.t.items():
+            for k, w in f(h, j, e, v):
+                out[k] = out.get(k, 0) + w
+        return Ref(out, self.order)
+
+    def __add__(self, other: "Ref") -> "Ref":
+        out = dict(self.t)
+        for k, v in other.t.items():
+            out[k] = out.get(k, 0) + v
+        return Ref(out, min(self.order, other.order))
+
+    def scale(self, s) -> "Ref":
+        return self.map(lambda h, j, e, v: [((h, j, e), v * s)])
+
+    def __mul__(self, other: "Ref") -> "Ref":
+        hs, ho = [k[0] for k in self.t], [k[0] for k in other.t]
+        cands = [max(self.order, other.order)]
+        if ho:
+            cands.append(self.order + min(ho))
+        if hs:
+            cands.append(other.order + min(hs))
+        out: dict = {}
+        for (h1, j1, e1), v1 in self.t.items():
+            for (h2, j2, e2), v2 in other.t.items():
+                k = (h1 + h2, j1 + j2, e1 + e2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return Ref(out, min(cands))
+
+    def power_sum(self, weight) -> "Ref":
+        """sum_{m=1}^{order} weight(m) self^m."""
+        out, power = Ref({}, self.order), Ref({(0, 0, 0): F(1)}, self.order)
+        for m in range(1, self.order + 1):
+            power = power * self
+            out = out + power.scale(weight(m))
+        return out
+
+
+def fact(m):
+    return 1 if m == 0 else m * fact(m - 1)
+
+
+def assert_matches(got: NSeries, want: Ref):
+    """got holds exactly want's terms, at its order, in normal form: equal
+    values give equal objects and equal hashes."""
+    assert got.order == want.order
+    assert Ref.of(got).t == want.t
+    fresh = want.nseries()
+    assert got == fresh and hash(got) == hash(fresh)
+    for p in got.terms().values():
+        assert_jpoly_well_formed(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nseries(), nseries(), proper(), raw_values, st.integers(-3, 3),
+       rationals, nonzero_rationals, st.integers(0, 3))
+def test_fraction_free_ops_match_fraction_reference(a, b, u, s, z, j0, r0, e):
+    ra, rb, ru = Ref.of(a), Ref.of(b), Ref.of(u)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra + rb.scale(-1))
+    assert_matches(-a, ra.scale(-1))
+    assert_matches(a * b, ra * rb)
+    assert_matches(a * s, ra.scale(s))
+    assert_matches(s * a, ra.scale(s))
+    power = Ref({(0, 0, 0): F(1)}, a.order)
+    for _ in range(e):
+        power = power * ra
+    assert_matches(a.pow_int(e), Ref(power.t, a.order))
+    assert_matches(u.ln1p(), ru.power_sum(lambda m: F((-1) ** (m + 1), m)))
+    assert_matches(u.exp(), Ref({(0, 0, 0): F(1)}, u.order)
+                   + ru.power_sum(lambda m: F(1, fact(m))))
+    assert_matches(a.shift_j(z), ra.map(lambda h, j, e, v: [
+        ((h, i, e), v * comb(j, i) * (-z) ** (j - i)) for i in range(j + 1)]))
+    assert_matches(a.subst_j(j0),
+                   ra.map(lambda h, j, e, v: [((h, 0, e), v * j0 ** j)]))
+    assert_matches(a.subst_r(r0),
+                   ra.map(lambda h, j, e, v: [((h, j, 0), v * r0 ** e)]))
+
+
+def test_normal_form_is_unique():
+    """Values built by different routes, over different denominators, are
+    equal objects with equal hashes; zero has the empty normal form."""
+    half = RLaurent({-1: F(1, 2), 0: F(3, 4)})
+    assert half == RLaurent({-1: F(2, 4), 0: F(6, 8)})
+    assert half * 2 == RLaurent({-1: 1, 0: F(3, 2)})
+    assert hash(half * 2) == hash(RLaurent({-1: 1, 0: F(3, 2)}))
+    p = JPoly([F(1, 6), F(1, 3)]) + JPoly([F(1, 6), F(2, 3)])
+    assert p == JPoly([F(1, 3), 1]) and hash(p) == hash(JPoly([F(1, 3), 1]))
+    assert p * F(3, 4) == JPoly([F(1, 4), F(3, 4)])
+    zero = p - p
+    assert zero == JPoly.zero() and hash(zero) == hash(JPoly.zero())
+    assert zero.terms() == {} and zero.deg == -1
+    assert RLaurent({0: F(2, 3)}).terms() == {0: F(2, 3)}
+    assert JPoly.monomial(2, RLaurent({-1: F(3, 9)})).terms() \
+        == {(2, -1): F(1, 3)}
