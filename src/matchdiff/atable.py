@@ -28,8 +28,7 @@ from math import factorial
 
 from ._records import FrozenRecord, Record
 from .series import (EXACT_ORDER, InconsistentSystemError, JPoly, NSeries,
-                     Rat, RLaurent, at_point, parse_rat, rat_str,
-                     solve_overdetermined_exact)
+                     Rat, at_point, rat_str, solve_overdetermined_exact)
 
 
 class ATableError(ValueError):
@@ -47,8 +46,8 @@ class FitError(ATableError):
 
 def a1_builtin() -> JPoly:
     """a_1(r, j) = j(j-1)(1/(2r) - 1), exact."""
-    top = RLaurent({0: Fraction(-1), -1: Fraction(1, 2)})
-    return JPoly([RLaurent.zero(), -top, top])
+    top = JPoly.laurent({0: Fraction(-1), -1: Fraction(1, 2)})
+    return JPoly([0, -top, top])
 
 
 def root_product(h: int) -> JPoly:
@@ -141,7 +140,7 @@ class ATable:
         if e is None:
             raise ATableError(f"no entry for h={h}")
         if e.sym is not None:
-            return e.sym.eval_j(j).eval(r)
+            return e.sym.at(j, r)
         if (r, j) in e.points:
             return e.points[(r, j)]
         raise ATableError(f"no value for a_{h}({r}, {j})")
@@ -165,7 +164,7 @@ class ATable:
         pi = root_product(h)
         # quotient of degree <= h-1; extra points act as held-out rows
         rows = [[Fraction(j) ** t for t in range(h)] for j in js]
-        rhs = [e.points[(r, j)] / pi.eval_j(j).as_rat() for j in js]
+        rhs = [e.points[(r, j)] / pi.subst_j(j).as_rat() for j in js]
         q = solve_overdetermined_exact(rows, rhs)
         return pi * JPoly(q)
 
@@ -177,7 +176,7 @@ class ATable:
                 raise ATableError(
                     f"a_{h} has r-exponent {e} outside [{-h}, 0]")
         for z in range(0, h + 1):
-            if not jp.eval_j(z).is_zero():
+            if not jp.subst_j(z).is_zero():
                 raise ATableError(f"a_{h} must vanish at j={z}")
         if h == 1 and jp != a1_builtin():
             raise ATableError("a_1 conflicts with the closed form")
@@ -185,7 +184,7 @@ class ATable:
         if e.sym is not None and e.sym != jp:
             raise ATableError(f"conflicting symbolic a_{h}")
         for (r, j), v in e.points.items():
-            if jp.eval_j(j).eval(r) != v:
+            if jp.at(j, r) != v:
                 raise ATableError(
                     f"symbolic a_{h} conflicts with stored point ({r}, {j})")
         e.sym = jp
@@ -193,11 +192,11 @@ class ATable:
 
     def add_point(self, h: int, r: int, j: int, val: Rat,
                   provenance: str) -> None:
-        if h == 1 and a1_builtin().eval_j(j).eval(r) != val:
+        if h == 1 and a1_builtin().at(j, r) != val:
             raise ATableError(f"a_1({r}, {j}) = {val} conflicts with the "
                               "closed form")
         e = self.entry(h)
-        if e.sym is not None and e.sym.eval_j(j).eval(r) != val:
+        if e.sym is not None and e.sym.at(j, r) != val:
             raise ATableError(
                 f"point a_{h}({r}, {j}) = {val} conflicts with symbolic entry")
         old = e.points.get((r, j))
@@ -265,7 +264,7 @@ def fit_atable(points: dict[tuple[int, int], Rat], h: int) -> JPoly:
             continue
         rows.append([Fraction(j) ** t * Fraction(r) ** e
                      for (t, e) in unknowns])
-        rhs.append(Fraction(v) / pi.eval_j(j).as_rat())
+        rhs.append(Fraction(v) / pi.subst_j(j).as_rat())
     try:
         sol = solve_overdetermined_exact(rows, rhs)
     except InconsistentSystemError as exc:
@@ -273,7 +272,7 @@ def fit_atable(points: dict[tuple[int, int], Rat], h: int) -> JPoly:
             f"held-out residual nonzero for a_{h} over r^{-h}..r^0: "
             f"{exc}; check the girth policy") from exc
     pos = {ue: k for k, ue in enumerate(unknowns)}
-    quotient = JPoly([RLaurent({e: sol[pos[(t, e)]] for e in rpows})
+    quotient = JPoly([JPoly.laurent({e: sol[pos[(t, e)]] for e in rpows})
                       for t in range(h)])
     return pi * quotient
 
@@ -347,7 +346,7 @@ def build_F_conjecture(table: ATable, spec: ConjectureSpec, h_max: int,
             ("1+H", z), h_max, at_r,
             lambda: base.shift_j(z).truncate(h_max - z))
         # j(j-1)..(j-z+1) c / r^z
-        coeff = root_product(z - 1) * at_point(RLaurent.term(c, -z), at_r)
+        coeff = root_product(z - 1) * at_point(JPoly.laurent({-z: c}), at_r)
         term = NSeries.term(z, coeff, EXACT_ORDER) * shifted
         f = f + term
     return f
@@ -403,7 +402,7 @@ def import_atable(path) -> ATable:
                 jp, rp, v = nxt.split()
                 if int(jp) < 0:
                     raise ATableError(f"negative j-power in a_{h}: {nxt!r}")
-                triples.append((int(jp), int(rp), parse_rat(v)))
+                triples.append((int(jp), int(rp), Fraction(v)))
                 i += 1
             if not triples:
                 raise ATableError(f"empty symbolic block for h={h}")
@@ -415,12 +414,12 @@ def import_atable(path) -> ATable:
                         f"a_{h} gives (j-power {jp}, r-exponent {rp}) two "
                         f"values: {rat_str(coeffs[jp][rp])} and {rat_str(v)}")
                 coeffs[jp][rp] = v
-            jpoly = JPoly([RLaurent(c) for c in coeffs])
+            jpoly = JPoly([JPoly.laurent(c) for c in coeffs])
             table.set_sym(h, jpoly, "imported")
         else:
             if "r" not in fields or "j" not in fields:
                 raise ATableError(f"point line without r= or j=: {ln!r}")
-            val = parse_rat(tokens[-1])
+            val = Fraction(tokens[-1])
             table.add_point(h, int(fields["r"]), int(fields["j"]), val,
                             "imported")
     return table

@@ -63,7 +63,7 @@ def _cache_dir(args) -> str:
     return args.cache or os.environ.get("MATCHDIFF_CACHE", "./cache")
 
 
-def _load_table(args):
+def _load_table(args, strict_girth: bool = False):
     """The table derived with --seed, else the one derived with
     `DEFAULT_SEED`.  Its values do not depend on the derivation seed, and
     `conjecture` also seeds its trials with --seed."""
@@ -72,7 +72,7 @@ def _load_table(args):
 
     root = _cache_dir(args)
     rs = tuple(_parse_ints(args.r))
-    paths = [default_table_path(root, rs, seed, args.strict_girth)
+    paths = [default_table_path(root, rs, seed, strict_girth)
              for seed in (args.seed, DEFAULT_SEED)]
     for path in paths:
         if os.path.exists(path):
@@ -137,17 +137,35 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The flags each `verify --id` check reads; the core suite reads none.
+_VERIFY_FLAGS = {"first-identity": ("k", "i"), "log-coeff": ("hmax",),
+                "top-coeff": ("k",), "alpha0": ("k",),
+                "second-identity": ("k", "i"), "t-cancellation": ("k", "i"),
+                "fd-monomial": ("k",)}
+
+
 def cmd_verify(args) -> int:
     from . import identities as idn
 
     config = _config_line("verify", args,
                           ("r", "seed", "strict_girth", "suite", "id",
                            "hmax"))
-    table = _load_table(args)
+    if args.id is not None and args.id not in _VERIFY_FLAGS:
+        print(f"error: unknown check id {args.id!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    ignored = [f"--{flag}" for flag in ("hmax", "k", "i")
+               if getattr(args, flag) is not None
+               and flag not in _VERIFY_FLAGS.get(args.id, ())]
+    if ignored:
+        check = "the core suite" if args.id is None else f"--id {args.id}"
+        print(f"error: {check} does not read {', '.join(ignored)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    table = _load_table(args, args.strict_girth)
     if table is None:
         return EXIT_CONFIG
     reports = []
-    if args.id:
+    if args.id is not None:
         ks = _parse_ints(args.k) if args.k else [2, 3]
         iis = _parse_ints(args.i) if args.i else [0, 1, 2, 3]
         if args.id == "first-identity":
@@ -181,9 +199,6 @@ def cmd_verify(args) -> int:
             for k in ks:
                 for d in range(0, k + 1):
                     reports.append(idn.check_fd_monomial(k, d))
-        else:
-            print(f"error: unknown check id {args.id!r}", file=sys.stderr)
-            return EXIT_CONFIG
     else:
         reports = idn.core_suite(table)
     print(f"# {config}")
@@ -330,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "statistics for regular bipartite graphs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--cache", default=None,
                        help="cache directory (default $MATCHDIFF_CACHE or ./cache)")
-        p.add_argument("--out", default=None, help="machine-readable output path")
+        if out:
+            p.add_argument("--out", default=None,
+                           help="machine-readable output path")
 
     p = sub.add_parser("derive-atable", help="derive and cache the coefficient table")
-    common(p)
+    common(p, out=False)
     p.add_argument("--r", default="3,4,5")
     p.add_argument("--strict-girth", action="store_true")
     p.set_defaults(func=cmd_derive_atable)
@@ -356,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="randomized extended-expansion test")
     common(p)
     p.add_argument("--r", default="3,4,5")
-    p.add_argument("--strict-girth", action="store_true")
     p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.add_argument("--zmax", type=_int_at_least(1), default=2)
     p.add_argument("--hmax", type=_int_at_least(1), default=3)

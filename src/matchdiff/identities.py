@@ -22,7 +22,7 @@ from .atable import ATable, ConjectureSpec, build_F_conjecture, build_H
 from .kseries import build_K
 from .positivity import lsplit
 from .rng import Rng
-from .series import JPoly, NSeries, RLaurent, at_point
+from .series import JPoly, NSeries, at_point
 
 # The r of the pointwise checks: the default table is pointwise past a_2
 # only at r = 3
@@ -88,14 +88,14 @@ def _build_F(table: ATable, h_max: int, at_r: int | None) -> NSeries:
     return (one + h) * (one + k)
 
 
-def _expected_35(h: int, at_r: int | None) -> RLaurent:
+def _expected_35(h: int, at_r: int | None) -> JPoly:
     """(1/((h+1)h))(1/r^h - 2)."""
-    return at_point(RLaurent({0: Fraction(-2, (h + 1) * h),
-                              -h: Fraction(1, (h + 1) * h)}), at_r)
+    return at_point(JPoly.laurent({0: Fraction(-2, (h + 1) * h),
+                                   -h: Fraction(1, (h + 1) * h)}), at_r)
 
 
 def _check_top(rep: CheckReport, jp: JPoly, h: int,
-               expected: RLaurent) -> RLaurent:
+               expected: JPoly) -> JPoly:
     """[j^d n^-h] of the level `jp` vanishes for d >= h+2 and equals
     `expected` at d = h+1; each coefficient that does not goes into the
     witness map of `rep`.  Returns the d = h+1 coefficient."""
@@ -128,7 +128,7 @@ def check_top_coefficient(table: ATable, k: int, at_r: int | None = None) -> Che
     lnf = (build_F(table, k - 1, at_r=at_r) - 1).ln1p()
     jp = lnf.jpoly(k - 1)
     top = Fraction(factorial(k - 2), factorial(k))
-    _check_top(rep, jp, k - 1, at_point(RLaurent({-(k - 1): top}), at_r))
+    _check_top(rep, jp, k - 1, at_point(JPoly.laurent({-(k - 1): top}), at_r))
     if k == 3:
         expect_poly = _cubic_closed_form(at_r)
         if jp != expect_poly:
@@ -139,12 +139,12 @@ def check_top_coefficient(table: ATable, k: int, at_r: int | None = None) -> Che
 def _cubic_closed_form(at_r: int | None) -> JPoly:
     """-(1/12) s (3r^2 s - 3r^2 - 12 r s - 2 s^2 + 12 r + 9 s - 7)/r^2."""
     inner = JPoly([
-        RLaurent({2: Fraction(-3), 1: Fraction(12), 0: Fraction(-7)}),
-        RLaurent({2: Fraction(3), 1: Fraction(-12), 0: Fraction(9)}),
-        RLaurent({0: Fraction(-2)}),
+        JPoly.laurent({2: Fraction(-3), 1: Fraction(12), 0: Fraction(-7)}),
+        JPoly.laurent({2: Fraction(3), 1: Fraction(-12), 0: Fraction(9)}),
+        -2,
     ])
     s = JPoly.monomial(1)
-    scale = RLaurent({-2: Fraction(-1, 12)})
+    scale = JPoly.laurent({-2: Fraction(-1, 12)})
     return at_point((s * inner) * scale, at_r)
 
 
@@ -171,15 +171,12 @@ def check_first_identity(table: ATable, i: int, k: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     rep = CheckReport("first-identity", {"r": _rparam(at_r), "i": i, "k": k})
+    # (-1)^(l+k) is +1 on L+ and -1 on L-, so the sum over l is t+ - t-
     order = k - 1
-    f = build_F(table, order, at_r=at_r)
-    total = RLaurent.zero()
-    for ell in range(k + 1):
-        inner = (_at_index(f, i, ell) - 1).ln1p()
-        total = total + inner.coeff(0, order) * Fraction(
-            comb(k, ell) * (-1) ** (ell + k))
-    expected = at_point(RLaurent({-(k - 1): Fraction(factorial(k - 2))}),
-                        at_r)
+    t = (build_t(table, i, k, +1, order, at_r)
+         - build_t(table, i, k, -1, order, at_r))
+    total = t.coeff(0, order)
+    expected = at_point(JPoly.laurent({-(k - 1): factorial(k - 2)}), at_r)
     if total != expected:
         rep.witness[(0, k - 1)] = f"{total!r} != {expected!r}"
     return rep
@@ -312,8 +309,8 @@ def check_alpha0_series(table: ATable, i: int | None, k: int,
         if not jp.is_zero():
             rep.witness[("*", s)] = repr(jp)
     got = a0.jpoly(lead_level)
-    top = (JPoly.monomial(1, RLaurent({-1: Fraction(1)})) if k == 1
-           else JPoly([RLaurent({-(k - 1): Fraction(factorial(k - 2))})]))
+    top = (JPoly.monomial(1, JPoly.laurent({-1: 1})) if k == 1
+           else JPoly.laurent({-(k - 1): factorial(k - 2)}))
     expected = _at_index(at_point(top, at_r), i, 0)
     if got != expected:
         rep.witness[("lead", k - 1)] = f"{got!r} != {expected!r}"

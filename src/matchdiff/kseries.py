@@ -15,7 +15,7 @@ The series variable, the matching index i, lives on the j-slot of NSeries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .series import JPoly, NSeries, Rat
 
@@ -53,14 +53,3 @@ def build_G(h_max: int) -> NSeries:
 def build_K(h_max: int) -> NSeries:
     """K = exp(G) - 1, exact through 1/n^h_max."""
     return build_G(h_max).exp() - 1
-
-
-def k_exact(v: int, i: int) -> Rat:
-    """Finite-n value of 1 + K_i = (v-1)^i 2^i n^i (v-2i)!/v! with n = v/2."""
-    if v % 2:
-        raise ValueError("v must be even")
-    n = v // 2
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= v/2, got i={i}, v={v}")
-    return Fraction((v - 1) ** i * 2 ** i * n ** i * factorial(v - 2 * i),
-                    factorial(v))

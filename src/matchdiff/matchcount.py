@@ -3,10 +3,10 @@
 One counting kernel, `frontier_counts`, serves both the full matching
 polynomial and the fixed-size counts m_0..m_j: a path-decomposition
 ("frontier") DP over the left vertices with count vectors truncated at j.
-Besides it stand the closed form for complete graphs and a
-deletion-contraction brute force; the subset DP and the ordered-edge DFS
-in `_kernels_py` are kept as independent test oracles.  The kernel is pure
-Python on arbitrary-precision ints.
+Besides it stands the closed form for complete graphs.  The subset DP and
+the ordered-edge DFS in `_kernels_py` are independent test oracles; the
+deletion-contraction brute force lives with the tests (`tests/oracles.py`).
+The kernel is pure Python on arbitrary-precision ints.
 
 The kernel's state budget, `FRONTIER_STATE_BUDGET`, is the one limit on
 counting: neither the graph size nor j is capped.  On seeded samples the
@@ -186,33 +186,3 @@ def mbar_vector(v: int) -> MatchVector:
     counts = [factorial(v) // (factorial(v - 2 * i) * factorial(i) * 2 ** i)
               for i in range(v // 2 + 1)]
     return MatchVector(tuple(counts))
-
-
-def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
-    """Deletion-contraction matching counts for an arbitrary small graph:
-    m(G) = m(G - e) + x * m(G - endpoints).  Independent validator for the
-    complete-graph closed form."""
-    if nverts > 10:
-        raise CapExceededError("brute force capped at 10 vertices")
-    edges = [tuple(e) for e in edges]
-
-    def rec(es: tuple) -> list[int]:
-        if not es:
-            return [1]
-        u, v = es[0]
-        without = rec(es[1:])
-        using = rec(tuple(e for e in es[1:]
-                          if u not in e and v not in e))
-        out = [0] * max(len(without), len(using) + 1)
-        for i, c in enumerate(without):
-            out[i] += c
-        for i, c in enumerate(using):
-            out[i + 1] += c
-        return out
-
-    counts = rec(tuple(edges))
-    return MatchVector(tuple(counts))
-
-
-def complete_graph_edges(v: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(v) for b in range(a + 1, v)]

@@ -353,10 +353,6 @@ class EnsembleStats(Record):
             return None
         return self.beta_hat / self.alpha_hat ** 2
 
-    def p_violation_se(self) -> float:
-        p = float(self.p_violation)
-        return (p * (1 - p) / self.samples) ** 0.5
-
     def csv_row(self) -> str:
         cheb = self.cheb_bound
         cells = [self.r, self.n, self.samples, self.seed, self.i, self.k,

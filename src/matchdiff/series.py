@@ -4,12 +4,13 @@ coefficients in r.
 The carrier type is NSeries: a map  h -> JPoly  where h is the exponent of
 1/n (negative h means a positive power of n, allowed for intermediates) and
 each JPoly is a polynomial in the matching index j whose coefficients are
-Laurent polynomials in the degree r with exact rational coefficients.
-RLaurent and JPoly are plain sparse values with no declared r-window or
-degree bound.
+Laurent polynomials in the degree r with exact rational coefficients.  An
+r-Laurent polynomial is a JPoly of j-degree 0 at most: one type carries
+every coefficient, a j-coefficient (`coeff`) and a value at a number j
+(`subst_j`) included.  A JPoly is a plain sparse value with no declared
+r-window or degree bound.
 
-Storage is fraction-free.  An RLaurent is one positive integer denominator
-d and integer numerators keyed by r-exponent; a JPoly is one denominator
+Storage is fraction-free.  A JPoly is one positive integer denominator d
 and integer numerators keyed by (j-power, r-exponent), standing for
 sum num * j^jpow r^rexp / d; each NSeries level is one JPoly.  Every value
 is kept in normal form: gcd(d, numerators) = 1 and no zero numerator, with
@@ -23,8 +24,8 @@ operands to the lcm of their denominators, a product's denominator is the
 product of its factors', an evaluation point p/q is cleared by
 multiplying through by powers of q (and of p, for negative r-exponents),
 and each result is brought to normal form once, by one gcd.  Fractions
-appear only where a coefficient leaves the types: `RLaurent.eval`,
-`as_rat`, the read-only `terms` accessors and `repr`.
+appear only where a coefficient leaves the type: `at`, `as_rat`, the
+read-only `terms` accessors and `repr`.
 
 The one rule on r is the invariant of NSeries, graded by the 1/n level: the
 coefficient of 1/n^h holds only r-exponents in [-max(h, 0), 0].  a_h lies in
@@ -35,13 +36,13 @@ the exponent and the level, so deeper levels need no widening and a stray
 exponent (a malformed table, or a positive power of n carrying r) fails
 loudly.
 
-Every product -- `RLaurent * RLaurent` (as two constant JPolys),
-`JPoly * JPoly` and each 1/n coefficient of `NSeries.mul_capped` -- is one
-fused convolution (`_convolve`), the one home of the product rule.  It
-multiplies the integer numerators of every kept pair of terms once and
-adds them into one integer accumulator per 1/n exponent, keyed by
-(j-power, r-exponent), over one common denominator; each result is
-normalised once, at the end.  No coefficient object is built per term.
+Every product -- `JPoly * JPoly` and each 1/n coefficient of
+`NSeries.mul_capped` -- is one fused convolution (`_convolve`), the one
+home of the product rule.  It multiplies the integer numerators of every
+kept pair of terms once and adds them into one integer accumulator per
+1/n exponent, keyed by (j-power, r-exponent), over one common
+denominator; each result is normalised once, at the end.  No coefficient
+object is built per term.
 
 `NSeries.ln1p` and `NSeries.exp` are graded recurrences in the Euler
 operator theta = -n d/dn, which multiplies the 1/n^h coefficient by h:
@@ -76,10 +77,6 @@ DEFAULT_ORDER = 6
 
 def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def parse_rat(s: str) -> Rat:
-    return Fraction(s)
 
 
 class WindowOverflowError(ArithmeticError):
@@ -131,15 +128,84 @@ def _over_lcm(terms) -> tuple[int, dict]:
     return d, {k: p * (d // q) for k, p, q in terms}
 
 
-class _Exact:
-    """sum n[key] x^key / d in normal form: the storage and arithmetic that
-    RLaurent (keys r-exponents) and JPoly (keys (j-power, r-exponent))
-    share.  `_coerce` is each subclass's rule for mixed operands."""
+def _laurent_repr(terms: dict[int, Rat]) -> str:
+    """The r-Laurent polynomial with the nonzero {r-exponent: coefficient}
+    `terms`, highest exponent first."""
+    parts = []
+    for e, v in sorted(terms.items(), reverse=True):
+        mono = "" if e == 0 else ("r" if e == 1 else f"r^{e}")
+        if mono and abs(v) == 1:
+            coef = "-" if v < 0 else ""
+        else:
+            coef = rat_str(v) + ("*" if mono else "")
+        parts.append(coef + mono)
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _convolve(pairs) -> dict:
+    """{key: sum of w * p1 * p2 over the (key, p1, p2, w) in `pairs`} for
+    JPolys p1, p2 and integer weights w.
+
+    The one home of the product rule.  The pairs of a key share one
+    denominator, the lcm of their denominator products p1.d * p2.d; each
+    pair's factor w * lcm / (p1.d * p2.d) scales the numerators of p1
+    once.  Then every pair of terms is one int product added into the
+    key's accumulator at (j-power, r-exponent), so the sum is exact without
+    a Fraction, and each result JPoly is normalised once, at the end,
+    without the values that cancelled.
+
+    No exponent is tested here.  The r-exponents of a product are those of
+    its factors added, so the type's invariant -- the coefficient of 1/n^h
+    holds only r-exponents in [-max(h, 0), 0] -- is checked once, when the
+    NSeries that holds the product is built."""
+    groups: dict = {}
+    for key, p1, p2, w in pairs:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [(p1, p2, w)]
+        else:
+            group.append((p1, p2, w))
+    out = {}
+    for key, group in groups.items():
+        d = lcm(*[p1._d * p2._d for p1, p2, _ in group])
+        acc: dict = {}
+        get = acc.get
+        for p1, p2, w in group:
+            s = w * (d // (p1._d * p2._d))
+            b = p2._n.items()
+            for (j1, e1), v1 in p1._n.items():
+                v1 *= s
+                for (j2, e2), v2 in b:
+                    k = (j1 + j2, e1 + e2)
+                    acc[k] = get(k, 0) + v1 * v2
+        out[key] = JPoly._make(d, {k: v for k, v in acc.items() if v})
+    return out
+
+
+class JPoly:
+    """Polynomial in j with Laurent-in-r coefficients: integer numerators
+    keyed by (j-power, r-exponent) over one denominator, in normal form
+    (see the module docstring).  A JPoly of j-degree 0 at most is an
+    r-Laurent polynomial."""
 
     __slots__ = ("_d", "_n")
 
+    def __init__(self, coeffs):
+        """`coeffs[i]`, an int, a Fraction or a JPoly of j-degree 0 at
+        most, is the coefficient of j^i."""
+        terms = []
+        for j, x in enumerate(coeffs):
+            if isinstance(x, JPoly):
+                if x.deg > 0:
+                    raise ValueError(
+                        f"the coefficient of j^{j} depends on j: {x!r}")
+                terms += [((j, e), v, x._d) for (_, e), v in x._n.items()]
+            else:
+                terms.append(((j, 0), *_ratio(x)))
+        self._d, self._n = _over_lcm(terms)
+
     @classmethod
-    def _new(cls, d: int, n: dict) -> "_Exact":
+    def _new(cls, d: int, n: dict) -> "JPoly":
         """Wrap (d, n) as is; it must already be in normal form."""
         self = object.__new__(cls)
         self._d = d
@@ -147,7 +213,7 @@ class _Exact:
         return self
 
     @classmethod
-    def _make(cls, d: int, n: dict) -> "_Exact":
+    def _make(cls, d: int, n: dict) -> "JPoly":
         """(d, n), d > 0 and no zero in n, divided by gcd(d, n)."""
         if d != 1:
             g = gcd(d, *n.values())
@@ -156,13 +222,66 @@ class _Exact:
                 n = {k: v // g for k, v in n.items()}
         return cls._new(d, n)
 
-    def _scaled(self, p: int, q: int) -> "_Exact":
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, JPoly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            p, q = _ratio(x)
+            return JPoly._new(q, {(0, 0): p}) if p else _JZERO
+        return None
+
+    @classmethod
+    def zero(cls) -> "JPoly":
+        return cls([])
+
+    @classmethod
+    def const(cls, x) -> "JPoly":
+        return cls([x])
+
+    @classmethod
+    def laurent(cls, coeffs: dict[int, Rat]) -> "JPoly":
+        """The r-Laurent polynomial sum coeffs[e] r^e, constant in j."""
+        return cls._new(*_over_lcm(
+            [((0, e), *_ratio(v)) for e, v in coeffs.items()]))
+
+    @classmethod
+    def monomial(cls, jpow: int, coeff=1) -> "JPoly":
+        return cls([0] * jpow + [coeff])
+
+    @property
+    def deg(self) -> int:
+        return max((j for j, _ in self._n), default=-1)
+
+    def coeff(self, jpow: int) -> "JPoly":
+        """The coefficient of j^jpow, an r-Laurent polynomial."""
+        return JPoly._make(self._d, {(0, e): v for (j, e), v in self._n.items()
+                                     if j == jpow})
+
+    def terms(self) -> dict[tuple[int, int], Rat]:
+        """Read-only view: {(j-power, r-exponent): nonzero coefficient},
+        by j-power, then r-exponent."""
+        return {k: Fraction(self._n[k], self._d) for k in sorted(self._n)}
+
+    def as_rat(self) -> Rat:
+        """Value of an element constant in j and r."""
+        if any(k != (0, 0) for k in self._n):
+            raise ValueError(f"not constant in j and r: {self!r}")
+        return Fraction(self._n.get((0, 0), 0), self._d)
+
+    def at(self, j0, r0) -> Rat:
+        """Exact value at j = j0, r = r0."""
+        return self.subst_j(j0).subst_r(r0).as_rat()
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _scaled(self, p: int, q: int) -> "JPoly":
         """self * p/q for integers p and q > 0."""
         if not p:
-            return self._new(1, {})
+            return _JZERO
         return self._make(self._d * q, {k: v * p for k, v in self._n.items()})
 
-    def _plus(self, other: "_Exact") -> "_Exact":
+    def _plus(self, other: "JPoly") -> "JPoly":
         d1, d2 = self._d, other._d
         if d1 == d2:
             d, n, s2 = d1, dict(self._n), 1
@@ -212,7 +331,9 @@ class _Exact:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(*_ratio(other))
-        return self._product(other)
+        if not isinstance(other, JPoly):
+            return NotImplemented
+        return _convolve(((0, self, other, 1),))[0]
 
     __rmul__ = __mul__
 
@@ -225,193 +346,21 @@ class _Exact:
     def __hash__(self):
         return hash((self._d, frozenset(self._n.items())))
 
+    # -- substitutions -----------------------------------------------------
 
-class RLaurent(_Exact):
-    """Laurent polynomial in r: integer numerators keyed by r-exponent over
-    one denominator, in normal form (see the module docstring)."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: dict[int, Rat]):
-        self._d, self._n = _over_lcm(
-            [(e, *_ratio(v)) for e, v in coeffs.items()])
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RLaurent):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RLaurent.const(x)
-        return None
-
-    @classmethod
-    def zero(cls) -> "RLaurent":
-        return cls({})
-
-    @classmethod
-    def const(cls, x) -> "RLaurent":
-        return cls({0: x})
-
-    @classmethod
-    def term(cls, coeff, rpow: int) -> "RLaurent":
-        return cls({rpow: coeff})
-
-    def _product(self, other):
-        if not isinstance(other, RLaurent):
-            return NotImplemented
-        prod = _convolve(((0, JPoly._of(self), JPoly._of(other), 1),))
-        return prod[0].coeff(0)
-
-    def terms(self) -> dict[int, Rat]:
-        """Read-only view: {r-exponent: nonzero coefficient}, by exponent."""
-        return {e: Fraction(self._n[e], self._d) for e in sorted(self._n)}
-
-    def eval(self, r0) -> Rat:
-        w, m = _r_weights(self._n, r0)
-        return Fraction(sum(v * w[e] for e, v in self._n.items()),
-                        self._d * m)
-
-    def as_rat(self) -> Rat:
-        """Value of a constant-in-r element."""
-        if any(e != 0 for e in self._n):
-            raise ValueError(f"not constant in r: {self!r}")
-        return Fraction(self._n.get(0, 0), self._d)
-
-    def __repr__(self):
-        if not self._n:
-            return "0"
-        parts = []
-        for e, v in sorted(self.terms().items(), reverse=True):
-            mono = "" if e == 0 else ("r" if e == 1 else f"r^{e}")
-            if mono and abs(v) == 1:
-                coef = "-" if v < 0 else ""
-            else:
-                coef = rat_str(v) + ("*" if mono else "")
-            parts.append(coef + mono)
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def _convolve(pairs) -> dict:
-    """{key: sum of w * p1 * p2 over the (key, p1, p2, w) in `pairs`} for
-    JPolys p1, p2 and integer weights w.
-
-    The one home of the product rule, RLaurent's included.  The pairs of a
-    key share one denominator, the lcm of their denominator products
-    p1.d * p2.d; each pair's factor w * lcm / (p1.d * p2.d) scales the
-    numerators of p1 once.  Then every pair of terms is one int product
-    added into the key's accumulator at (j-power, r-exponent), so the sum
-    is exact without a Fraction, and each result JPoly is normalised once,
-    at the end, without the values that cancelled.
-
-    No exponent is tested here.  The r-exponents of a product are those of
-    its factors added, so the type's invariant -- the coefficient of 1/n^h
-    holds only r-exponents in [-max(h, 0), 0] -- is checked once, when the
-    NSeries that holds the product is built."""
-    groups: dict = {}
-    for key, p1, p2, w in pairs:
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [(p1, p2, w)]
-        else:
-            group.append((p1, p2, w))
-    out = {}
-    for key, group in groups.items():
-        d = lcm(*[p1._d * p2._d for p1, p2, _ in group])
-        acc: dict = {}
-        get = acc.get
-        for p1, p2, w in group:
-            s = w * (d // (p1._d * p2._d))
-            b = p2._n.items()
-            for (j1, e1), v1 in p1._n.items():
-                v1 *= s
-                for (j2, e2), v2 in b:
-                    k = (j1 + j2, e1 + e2)
-                    acc[k] = get(k, 0) + v1 * v2
-        out[key] = JPoly._make(d, {k: v for k, v in acc.items() if v})
-    return out
-
-
-class JPoly(_Exact):
-    """Polynomial in j with Laurent-in-r coefficients: integer numerators
-    keyed by (j-power, r-exponent) over one denominator, in normal form
-    (see the module docstring)."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs):
-        """`coeffs[i]` (an RLaurent, int or Fraction) is the coefficient
-        of j^i."""
-        terms = []
-        for j, x in enumerate(coeffs):
-            if isinstance(x, RLaurent):
-                terms += [((j, e), v, x._d) for e, v in x._n.items()]
-            else:
-                terms.append(((j, 0), *_ratio(x)))
-        self._d, self._n = _over_lcm(terms)
-
-    @classmethod
-    def _of(cls, x: RLaurent) -> "JPoly":
-        """x as a constant JPoly."""
-        return cls._new(x._d, {(0, e): v for e, v in x._n.items()})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, JPoly):
-            return x
-        if isinstance(x, RLaurent):
-            return JPoly._of(x)
-        if isinstance(x, (int, Fraction)):
-            p, q = _ratio(x)
-            return JPoly._new(q, {(0, 0): p}) if p else _JZERO
-        return None
-
-    @classmethod
-    def zero(cls) -> "JPoly":
-        return cls([])
-
-    @classmethod
-    def const(cls, x) -> "JPoly":
-        return cls([x])
-
-    @classmethod
-    def monomial(cls, jpow: int, coeff=1) -> "JPoly":
-        return cls([RLaurent.zero()] * jpow + [coeff])
-
-    @property
-    def deg(self) -> int:
-        return max((j for j, _ in self._n), default=-1)
-
-    def coeff(self, jpow: int) -> RLaurent:
-        return RLaurent._make(self._d, {e: v for (j, e), v in self._n.items()
-                                        if j == jpow})
-
-    def terms(self) -> dict[tuple[int, int], Rat]:
-        """Read-only view: {(j-power, r-exponent): nonzero coefficient},
-        by j-power, then r-exponent."""
-        return {k: Fraction(self._n[k], self._d) for k in sorted(self._n)}
-
-    def _product(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _convolve(((0, self, other, 1),))[0]
-
-    def eval_j(self, j0) -> RLaurent:
-        """Exact evaluation at a number j0 = p/q: sum v p^j q^(deg-j) over
-        the denominator times q^deg."""
+    def subst_j(self, j0) -> "JPoly":
+        """Exact value at a number j0 = p/q, constant in j: sum v p^j
+        q^(deg-j) over the denominator times q^deg."""
         p, q = _ratio(j0)
         deg = self.deg
-        if deg < 0:
-            return RLaurent.zero()
+        if deg < 1:
+            return self
         w = [p ** j * q ** (deg - j) for j in range(deg + 1)]
         n: dict = {}
         for (j, e), v in self._n.items():
-            n[e] = n.get(e, 0) + v * w[j]
-        return RLaurent._make(self._d * q ** deg,
-                              {e: v for e, v in n.items() if v})
-
-    def subst_j(self, j0) -> "JPoly":
-        return JPoly._of(self.eval_j(j0))
+            n[0, e] = n.get((0, e), 0) + v * w[j]
+        return JPoly._make(self._d * q ** deg,
+                           {k: v for k, v in n.items() if v})
 
     def shift_j(self, z: int) -> "JPoly":
         """Substitute j -> j - z for an integer z, by the binomial expansion
@@ -442,8 +391,9 @@ class JPoly(_Exact):
         parts = []
         for i in sorted({j for j, _ in self._n}, reverse=True):
             mono = "" if i == 0 else ("j" if i == 1 else f"j^{i}")
-            x = self.coeff(i)
-            parts.append(f"({x!r}){mono}" if mono else repr(x))
+            x = _laurent_repr({e: Fraction(v, self._d)
+                               for (j, e), v in self._n.items() if j == i})
+            parts.append(f"({x}){mono}" if mono else x)
         return " + ".join(parts)
 
 
@@ -521,8 +471,8 @@ class NSeries:
         levels were built (the order a WindowOverflowError searches)."""
         return dict(self._c)
 
-    def coeff(self, jpow: int, npow: int) -> RLaurent:
-        """Exact coefficient of j^jpow / n^npow."""
+    def coeff(self, jpow: int, npow: int) -> JPoly:
+        """Exact coefficient of j^jpow / n^npow, an r-Laurent polynomial."""
         return self.jpoly(npow).coeff(jpow)
 
     def jpoly(self, npow: int) -> JPoly:
@@ -705,15 +655,11 @@ class NSeries:
         return " + ".join(parts) + f" + O(n^-{self.order + 1})"
 
 
-def at_point(x, at_r: int | None):
-    """x, an RLaurent or JPoly written symbolic in r, as it is when at_r is
-    None and at r = at_r otherwise: the one home of the pointwise form of a
-    value that is written once, symbolic in r."""
-    if at_r is None:
-        return x
-    if isinstance(x, RLaurent):
-        return RLaurent.const(x.eval(at_r))
-    return x.subst_r(at_r)
+def at_point(x: JPoly, at_r: int | None) -> JPoly:
+    """x, written symbolic in r, as it is when at_r is None and at r = at_r
+    otherwise: the one home of the pointwise form of a value that is
+    written once, symbolic in r."""
+    return x if at_r is None else x.subst_r(at_r)
 
 
 class InconsistentSystemError(ValueError):

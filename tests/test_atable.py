@@ -19,21 +19,20 @@ from matchdiff.derive import (_CountCache, candidate_sizes, count_mj,
 from matchdiff.graphs import incidence_pg, random_lift
 from matchdiff.identities import build_F
 from matchdiff.matchcount import MatchVector, match_count_upto
-from matchdiff.series import (InconsistentSystemError, JPoly, NSeries,
-                              RLaurent)
+from matchdiff.series import InconsistentSystemError, JPoly, NSeries
 
 
 def test_a1_builtin_values():
     a1 = a1_builtin()
-    assert a1.eval_j(2).eval(3) == F(-5, 3)
-    assert a1.eval_j(1).is_zero()
-    assert a1.coeff(2) == RLaurent({-1: F(1, 2), 0: F(-1)})
+    assert a1.at(2, 3) == F(-5, 3)
+    assert a1.subst_j(1).is_zero()
+    assert a1.coeff(2) == JPoly.laurent({-1: F(1, 2), 0: F(-1)})
 
 
 def test_root_product():
     pi = root_product(2)
-    assert pi.eval_j(0).is_zero() and pi.eval_j(2).is_zero()
-    assert pi.eval_j(4).as_rat() == 4 * 3 * 2
+    assert pi.subst_j(0).is_zero() and pi.subst_j(2).is_zero()
+    assert pi.subst_j(4).as_rat() == 4 * 3 * 2
 
 
 def test_derive_pointwise_heawood_family():
@@ -84,18 +83,18 @@ def test_derive_pointwise_flags_unqualified_family():
 
 def test_fit_reproduces_synthetic_polynomial():
     # a synthetic level-2 entry with the forced roots and r^-2..r^0
-    quotient = JPoly([RLaurent({0: F(1, 3), -2: F(-2, 7)}),
-                      RLaurent({-1: F(5, 2)})])
+    quotient = JPoly([JPoly.laurent({0: F(1, 3), -2: F(-2, 7)}),
+                      JPoly.laurent({-1: F(5, 2)})])
     truth = root_product(2) * quotient
-    points = {(r, j): truth.eval_j(j).eval(r)
+    points = {(r, j): truth.at(j, r)
               for r in (3, 4, 5) for j in (3, 4, 5)}
     fitted = fit_atable(points, 2)
     assert fitted == truth
 
 
 def test_fit_rejects_corrupt_sample():
-    truth = root_product(1) * JPoly([RLaurent({0: F(1), -1: F(-1, 2)})])
-    points = {(r, j): truth.eval_j(j).eval(r)
+    truth = root_product(1) * JPoly.laurent({0: F(1), -1: F(-1, 2)})
+    points = {(r, j): truth.at(j, r)
               for r in (3, 4, 5) for j in (2, 3)}
     points[(5, 3)] += 1
     with pytest.raises(FitError):
@@ -263,8 +262,8 @@ def test_jpoly_at_r_interpolates_points(table):
     jp = table.jpoly_at_r(3, 3)
     assert jp.deg <= 6
     for j in range(0, 4):
-        assert jp.eval_j(j).is_zero()
-    assert jp.eval_j(4).as_rat() == table.value(3, 3, 4)
+        assert jp.subst_j(j).is_zero()
+    assert jp.subst_j(4).as_rat() == table.value(3, 3, 4)
 
 
 def test_jpoly_at_r_square_case_unchanged(table):
@@ -339,7 +338,7 @@ def test_build_H_level1(table):
 
 def test_build_H_log_coefficients(table):
     lnh = (build_H(table, 2)).ln1p()
-    assert lnh.coeff(3, 2) == RLaurent({-2: F(1, 6), 0: F(-1, 3)})
+    assert lnh.coeff(3, 2) == JPoly.laurent({-2: F(1, 6), 0: F(-1, 3)})
     assert lnh.coeff(4, 2).is_zero()
 
 
@@ -354,10 +353,10 @@ def test_conjecture_series_single_term(table):
     f = build_F_conjecture(table, ConjectureSpec(((1, c),)), 2)
     base = NSeries.one(2) + build_H(table, 2)
     delta = f - base
-    assert delta.coeff(1, 1) == RLaurent({-1: c})
+    assert delta.coeff(1, 1) == JPoly.laurent({-1: c})
     # level 2, j-part: c/r * j * a_1(r, j-1)
     expect = (JPoly.monomial(1) * a1_builtin().shift_j(1)) * \
-        RLaurent({-1: c})
+        JPoly.laurent({-1: c})
     assert delta.jpoly(2) == expect
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -77,6 +78,62 @@ def test_verify_missing_table_is_config_error(tmp_path, monkeypatch, capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert "derive-atable" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--hmax", "5"), "the core suite does not read --hmax"),
+    (("verify", "--k", "9"), "the core suite does not read --k"),
+    (("verify", "--i", "7"), "the core suite does not read --i"),
+    (("verify", "--hmax", "5", "--k", "9", "--i", "7"),
+     "the core suite does not read --hmax, --k, --i"),
+    # fd-monomial once echoed hmax=7 in its config line and ignored it
+    (("verify", "--id", "fd-monomial", "--hmax", "7"),
+     "--id fd-monomial does not read --hmax"),
+    (("verify", "--id", "log-coeff", "--k", "2"),
+     "--id log-coeff does not read --k"),
+    (("verify", "--id", "top-coeff", "--i", "1"),
+     "--id top-coeff does not read --i"),
+], ids=["core-hmax", "core-k", "core-i", "core-all", "fd-monomial-hmax",
+        "log-coeff-k", "top-coeff-i"])
+def test_verify_refuses_flags_its_check_does_not_read(argv, message,
+                                                      env_cache, capsys):
+    """A flag the selected check would drop without a word is a
+    configuration error that names it, raised before any stdout."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and f"error: {message}\n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # --out was accepted here, but no file was ever written
+    ("derive-atable", "--out", "table.csv"),
+    # the strict table ran under a config line that did not record it
+    ("conjecture", "--strict-girth", "--trials", "1"),
+], ids=["derive-atable-out", "conjecture-strict-girth"])
+def test_removed_flags_exit_config(argv, env_cache, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and f"unrecognized arguments: {argv[1]}" in err
+
+
+def test_verify_strict_girth_runs_on_the_strict_table(repo_cache_dir,
+                                                      tmp_path, capsys):
+    """verify --strict-girth loads the strict-policy table, where only
+    h = 1 is symbolic, and records the policy in its config line."""
+    shutil.copyfile(os.path.join(repo_cache_dir,
+                                 "atable_r345s_seed20250809.txt"),
+                    tmp_path / "atable_r345s_seed20250809.txt")
+    code, out, _ = run(capsys, "verify", "--strict-girth",
+                       "--cache", str(tmp_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert "strict-girth=True" in lines[0].split()
+    assert [ln for ln in lines if ln.startswith("log-coeff")] \
+        == ["log-coeff r=sym h=1 PASS"]
+    assert lines[-1] == "# 38 checks, 0 failures"
+    # the default-policy table is not there
+    code, out, err = run(capsys, "verify", "--cache", str(tmp_path))
+    assert code == 2 and out == "" and "no derived table" in err
 
 
 def test_conjecture_small(env_cache, capsys):
@@ -310,7 +367,7 @@ def test_malformed_table_exits_config(old, new, message, repo_cache_dir,
 
 
 # sha256 of the stdout, captured before the series memo and the unchecked
-# RLaurent paths went in; both outputs must stay byte-identical.
+# r-Laurent paths went in; both outputs must stay byte-identical.
 GOLDEN_STDOUT = {
     ("verify", "--suite", "core"):
         "f9d9e9fd6ab336e7c66422bd8867c1054acc1e0398f0f60fe6fdfea0bb0bfaec",
@@ -423,6 +480,63 @@ def test_no_check_is_an_assert_statement():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names_referenced(node) -> set[str]:
+    """Every name `node` reads: plain names, attributes, imported names and
+    the last part of a dotted-name string ("module.function")."""
+    import ast
+
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", sub.value):
+            out.add(sub.value.rsplit(".", 1)[-1])
+    return out
+
+
+def _names_defined(stmt) -> list[str]:
+    import ast
+
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_public_name_has_a_caller():
+    """No API that nothing calls: each public module-level def, class and
+    constant of `src/matchdiff` is read by another top-level statement of
+    the package or of `perfbench`.  Names that only the tests call live
+    in `tests/oracles.py`."""
+    import ast
+
+    src = os.path.dirname(matchdiff.__file__)
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    paths = [os.path.join(root, name) for root in (src, bench)
+             for name in sorted(os.listdir(root)) if name.endswith(".py")]
+    assert os.path.join(bench, "tracer.py") in paths
+    stmts = []
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        stmts += [(path, stmt, _names_referenced(stmt)) for stmt in tree.body]
+    unread = [f"{os.path.basename(path)}:{name}"
+              for path, stmt, _ in stmts if path.startswith(src)
+              for name in _names_defined(stmt) if not name.startswith("_")
+              and not any(name in names for _, other, names in stmts
+                          if other is not stmt)]
+    assert unread == []
 
 
 def test_runs_on_the_standard_library_alone(repo_cache_dir):

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from matchdiff import series
 from matchdiff.atable import a1_builtin
 from matchdiff.series import (EXACT_ORDER, ImproperSeriesError, JPoly,
-                              NSeries, RLaurent, TruncationError,
-                              WindowOverflowError, solve_overdetermined_exact)
+                              NSeries, TruncationError, WindowOverflowError,
+                              solve_overdetermined_exact)
 
 
 def jmono(jpow, coeff=1):
@@ -29,10 +29,11 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
 @st.composite
 def rlaurents(draw, h):
-    """r-exponents within the graded rule at 1/n^h: [-max(h, 0), 0]."""
+    """r-Laurent polynomials (JPolys constant in j) with r-exponents
+    within the graded rule at 1/n^h: [-max(h, 0), 0]."""
     coeffs = draw(st.dictionaries(st.integers(-max(h, 0), 0), rationals,
                                   max_size=2))
-    return RLaurent(coeffs)
+    return JPoly.laurent(coeffs)
 
 
 @st.composite
@@ -67,11 +68,11 @@ def test_add_a1_plus_jsq_minus_j():
     a1 = NSeries({1: a1_builtin()}, 4)
     other = nterm(1, jmono(2) - jmono(1))
     total = a1 + other
-    half_r = RLaurent({-1: F(1, 2)})
+    half_r = JPoly.laurent({-1: F(1, 2)})
     expected = nterm(1, (jmono(2) - jmono(1)) * half_r)
     assert total == expected
     for j0 in (2, 3, 4, 5):
-        got = total.subst_j(j0).coeff(0, 1).eval(3)
+        got = total.subst_j(j0).coeff(0, 1).at(0, 3)
         assert got == F(j0 * (j0 - 1), 2 * 3)
 
 
@@ -132,7 +133,7 @@ def test_ln1p_a1_coefficients():
     x = NSeries({1: a1_builtin()}, 3)
     lnx = x.ln1p()
     # [j^2/n] = 1/(2r) - 1 and [j^4/n] = 0
-    assert lnx.coeff(2, 1) == RLaurent({-1: F(1, 2), 0: F(-1)})
+    assert lnx.coeff(2, 1) == JPoly.laurent({-1: F(1, 2), 0: F(-1)})
     assert lnx.coeff(4, 1).is_zero()
 
 
@@ -178,7 +179,7 @@ def test_exp_ln_roundtrip(x):
 
 
 def test_coeff_const():
-    assert NSeries.one(3).coeff(0, 0) == RLaurent.const(1)
+    assert NSeries.one(3).coeff(0, 0) == JPoly.const(1)
 
 
 def test_coeff_beyond_order_raises():
@@ -209,9 +210,9 @@ def test_shift_j_zero_is_identity():
 
 def test_subst_r_a1():
     # a_1(3, 4) = 4*3*(1/6 - 1) = -10
-    assert a1_builtin().eval_j(4).eval(3) == F(-10)
+    assert a1_builtin().at(4, 3) == F(-10)
     a1 = NSeries({1: a1_builtin()}, 3)
-    assert a1.subst_r(3).subst_j(4).coeff(0, 1) == RLaurent.const(F(-10))
+    assert a1.subst_r(3).subst_j(4).coeff(0, 1) == JPoly.const(F(-10))
 
 
 def test_subst_r_zero_rejected():
@@ -250,7 +251,7 @@ def test_pow_int(s):
 
 
 def r_pow(e, coeff=1):
-    return JPoly.const(RLaurent.term(coeff, e))
+    return JPoly.laurent({e: coeff})
 
 
 def test_graded_rule_rejects_stray_exponents():
@@ -264,9 +265,9 @@ def test_graded_rule_rejects_stray_exponents():
                        match=r"r-exponent -3 at 1/n\^2 outside \[-2, 0\]"):
         NSeries({2: r_pow(-3)}, 4)
     with pytest.raises(WindowOverflowError, match=r"r-exponent -1 at 1/n\^0"):
-        NSeries({0: JPoly([1, RLaurent({0: 1, -1: 2})])}, 4)
+        NSeries({0: JPoly([1, JPoly.laurent({0: 1, -1: 2})])}, 4)
     # the edges of the rule are admitted; a truncated term is not checked
-    edge = NSeries({2: JPoly.const(RLaurent({-2: 1, 0: 1})), 5: r_pow(-9)}, 4)
+    edge = NSeries({2: JPoly.laurent({-2: 1, 0: 1}), 5: r_pow(-9)}, 4)
     assert list(edge.terms()) == [2]
 
 
@@ -279,10 +280,10 @@ def test_window_overflow_fails_loudly():
     with pytest.raises(WindowOverflowError, match=r"r-exponent -3 at 1/n\^2"):
         n * deep
     with pytest.raises(WindowOverflowError, match=r"r-exponent -1 at 1/n\^0"):
-        NSeries.one(3) * RLaurent.term(1, -1)
+        NSeries.one(3) * r_pow(-1)
 
 
-# -- RLaurent and JPoly arithmetic against evaluation ----------------------------
+# -- r-Laurent and JPoly arithmetic against evaluation --------------------------
 
 nonzero_rationals = rationals.filter(lambda x: x != 0)
 # ints and zeros among the stored values exercise the constructor's
@@ -294,7 +295,7 @@ raw_values = st.one_of(rationals, st.integers(-3, 3))
 def laurents(draw):
     coeffs = draw(st.dictionaries(st.integers(-3, 3), raw_values,
                                   max_size=3))
-    return RLaurent(coeffs)
+    return JPoly.laurent(coeffs)
 
 
 @st.composite
@@ -307,49 +308,70 @@ def jpoly_of_terms(terms) -> JPoly:
     cols = [{} for _ in range(max((j for j, _ in terms), default=-1) + 1)]
     for (j, e), v in terms.items():
         cols[j][e] = v
-    return JPoly([RLaurent(col) for col in cols])
+    return JPoly([JPoly.laurent(col) for col in cols])
 
 
-def assert_well_formed(x: RLaurent):
+def assert_well_formed(x: JPoly):
     """Nonzero Fraction terms, and the normal form: rebuilt from its own
     terms, x is the same value by == and by hash, whatever built it."""
     terms = x.terms()
     assert all(isinstance(v, F) and v != 0 for v in terms.values())
-    fresh = RLaurent(terms)
+    fresh = jpoly_of_terms(terms)
     assert x == fresh and hash(x) == hash(fresh)
 
 
 def assert_jpoly_well_formed(p: JPoly):
     assert p.deg == -1 or not p.coeff(p.deg).is_zero()
     for i in range(p.deg + 1):
+        assert p.coeff(i).deg <= 0
         assert_well_formed(p.coeff(i))
-    fresh = jpoly_of_terms(p.terms())
-    assert p == fresh and hash(p) == hash(fresh)
+    assert_well_formed(p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(laurents(), laurents(), nonzero_rationals, raw_values)
 def test_rlaurent_ops_match_evaluation(a, b, r0, s):
+    """The ring operations on r-Laurent polynomials, JPolys constant in
+    j, stay constant in j and agree with evaluation at r0."""
+    def ev(x):
+        return x.at(0, r0)
+
     assert_well_formed(a)
-    results = [(a + b, a.eval(r0) + b.eval(r0)),
-               (a - b, a.eval(r0) - b.eval(r0)),
-               (-a, -a.eval(r0)),
-               (a * b, a.eval(r0) * b.eval(r0)),
-               (a * s, a.eval(r0) * s),
-               (s * a, s * a.eval(r0)),
-               (a + s, a.eval(r0) + s),
-               (s - a, s - a.eval(r0))]
+    results = [(a + b, ev(a) + ev(b)),
+               (a - b, ev(a) - ev(b)),
+               (-a, -ev(a)),
+               (a * b, ev(a) * ev(b)),
+               (a * s, ev(a) * s),
+               (s * a, s * ev(a)),
+               (a + s, ev(a) + s),
+               (s - a, s - ev(a))]
     for got, want in results:
+        assert got.deg <= 0
         assert_well_formed(got)
-        assert got.eval(r0) == want
+        assert ev(got) == want
+        assert got.subst_r(r0) == JPoly.const(want)
     assert (a - a).terms() == {}
+
+
+def test_negative_r_keeps_the_sign_of_odd_exponents():
+    """At a negative r, r^e is negative for odd e, the negative odd e
+    included, whether the lowest exponent is odd or even."""
+    x = JPoly.laurent({-3: 2, -2: 1, 1: 1})
+    r0 = F(-1, 2)
+    want = 2 * r0 ** -3 + r0 ** -2 + r0
+    assert want == F(-25, 2)
+    assert x.at(0, r0) == want
+    assert x.subst_r(r0) == JPoly.const(want)
+    assert JPoly.laurent({-1: 1}).at(5, -2) == F(-1, 2)
+    assert JPoly.laurent({-2: 1, -1: 1}).at(0, -2) == F(-1, 4)
+    assert JPoly.monomial(1, JPoly.laurent({-1: 3})).at(2, -3) == -2
 
 
 @settings(max_examples=100, deadline=None)
 @given(laurent_jpolys(), laurent_jpolys(), nonzero_rationals, rationals)
 def test_jpoly_ops_match_evaluation(p, q, r0, j0):
     def ev(x):
-        return x.eval_j(j0).eval(r0)
+        return x.at(j0, r0)
 
     for got, want in ((p + q, ev(p) + ev(q)), (p - q, ev(p) - ev(q)),
                       (-p, -ev(p)), (p * q, ev(p) * ev(q))):
@@ -370,12 +392,13 @@ def test_singular_square_system_raises():
 #
 # `reference_jpoly_add`, `reference_jpoly_mul` and `reference_mul_capped` are
 # JPoly.__add__, JPoly.__mul__ and NSeries.mul_capped as they were before the
-# product became one convolution: one RLaurent product per pair of
-# j-coefficients, summed through RLaurent and JPoly additions.
+# product became one convolution: one product per pair of j-coefficients
+# (r-Laurent polynomials, JPolys constant in j), summed through JPoly
+# additions.
 
 
 def coeffs(p):
-    """The RLaurent coefficients of p, j^0 first."""
+    """The j-coefficients of p, j^0 first, each constant in j."""
     return [p.coeff(i) for i in range(p.deg + 1)]
 
 
@@ -386,7 +409,7 @@ def reference_jpoly_add(p, q):
 
 
 def reference_jpoly_mul(p, q):
-    c = [RLaurent.zero() for _ in range(p.deg + q.deg + 1)] \
+    c = [JPoly.zero() for _ in range(p.deg + q.deg + 1)] \
         if p and q else []
     for i, a in enumerate(coeffs(p)):
         for k, b in enumerate(coeffs(q)):
@@ -485,7 +508,7 @@ small_values = st.sampled_from([F(1), F(-1), F(2), F(-1, 2)])
 def symbolic_rlaurents(draw, lo, hi, min_size=0):
     coeffs = draw(st.dictionaries(st.integers(lo, hi), small_values,
                                   min_size=min_size, max_size=2))
-    return RLaurent(coeffs)
+    return JPoly.laurent(coeffs)
 
 
 @st.composite
@@ -539,8 +562,8 @@ def test_fused_product_fixed_cases():
         == ("overflow", "r-exponent -3 at 1/n^2 outside [-2, 0]")
 
     # at 1/n the pairs (0, 1), (1, 0), (2, -1) give [1, u] + [1, -u] + [1, 1]
-    u = RLaurent.const(1)
-    one = RLaurent.const(1)
+    u = JPoly.const(1)
+    one = JPoly.const(1)
     a = NSeries({0: JPoly([one]), 1: JPoly([one, -u]), 2: JPoly([one])}, 3)
     b = NSeries({1: JPoly([one, u]), 0: JPoly([one]), -1: JPoly([one, one])},
                 3)
@@ -559,24 +582,37 @@ def _symbolic_series(order=4):
 
 
 def test_fused_product_builds_no_rlaurent_per_term(monkeypatch):
-    """No RLaurent product, no checked RLaurent and no Fraction is built or
-    multiplied on the way: the per-pair path must not come back, and the
-    terms of a product are multiplied and summed as ints."""
+    """No r-Laurent coefficient, no checked JPoly and no Fraction is built
+    or multiplied on the way: the per-pair path must not come back, the
+    terms of a product are multiplied and summed as ints, and the one
+    JPoly built per 1/n level is the level's result."""
     a = _symbolic_series()
     b = a.shift_j(1)
     want = reference_mul_capped(a, b, 4)
     want_jpoly = reference_jpoly_mul(a.jpoly(1), b.jpoly(2))
+    levels = {h1 + h2 for h1 in a.terms() for h2 in b.terms()
+              if h1 + h2 <= 4}
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-term coefficient object built")
 
+    built = []
+    new = JPoly._new
+
+    def counted(d, n):
+        built.append(n)
+        return new(d, n)
+
     with monkeypatch.context() as patch:
-        patch.setattr(RLaurent, "__mul__", refuse)
-        patch.setattr(RLaurent, "__init__", refuse)
+        patch.setattr(JPoly, "_new", staticmethod(counted))
+        for name in ("__init__", "laurent", "coeff"):
+            patch.setattr(JPoly, name, refuse)
         for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__"):
             patch.setattr(F, name, refuse)
         got = a.mul_capped(b, 4)
+        assert len(built) == len(levels) == 5
         got_jpoly = a.jpoly(1) * b.jpoly(2)
+        assert len(built) == len(levels) + 1
     assert_same_nseries(got, want)
     assert_same_jpoly(got_jpoly, want_jpoly)
 
@@ -628,7 +664,7 @@ def test_recurrences_convolve_once_per_pair(order, monkeypatch):
     """For a dense order-H proper series, ln1p passes H(H-1)/2 pairs to
     _convolve and exp at most H(H+1)/2, in one call per level from 1/n^2
     on; the power sums passed 14 each at H = 4."""
-    x = NSeries({h: JPoly([1, RLaurent({-h: F(1, 2), 0: F(-1)})])
+    x = NSeries({h: JPoly([1, JPoly.laurent({-h: F(1, 2), 0: F(-1)})])
                  for h in range(1, order + 1)}, order)
     want_ln, want_exp = reference_ln1p(x), reference_exp(x)
     counts = []
@@ -653,17 +689,17 @@ def test_recurrences_convolve_once_per_pair(order, monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: RLaurent({0: 0.1}),
-    lambda: RLaurent.const(0.5),
+    lambda: JPoly.laurent({0: 0.1}),
+    lambda: JPoly.const(0.5),
     lambda: JPoly([0.5, 0.1]),
     lambda: JPoly.monomial(2, 0.5),
     lambda: NSeries.const(0.1, 2),
-    lambda: RLaurent.const(1) * 0.5,
+    lambda: JPoly.laurent({-1: 1}) * 0.5,
     lambda: JPoly.const(1) + 0.5,
     lambda: NSeries.one(2) * 0.5,
     lambda: NSeries.one(2) - 0.5,
-    lambda: RLaurent.const(1).eval(0.5),
-    lambda: JPoly.monomial(1).eval_j(0.5),
+    lambda: JPoly.laurent({-1: 1}).at(0, 0.5),
+    lambda: JPoly.monomial(1).at(0.5, 3),
     lambda: JPoly.monomial(1).subst_j(0.5),
     lambda: NSeries.one(2).subst_j(0.5),
     lambda: JPoly.monomial(1).subst_r(0.5),
@@ -675,7 +711,10 @@ def test_recurrences_convolve_once_per_pair(order, monkeypatch):
         "NSeries.subst_j", "JPoly.subst_r", "NSeries.subst_r", "shift_j"])
 def test_floats_are_refused(call):
     """A float once entered as its binary value (0.1 stored as
-    3602879701896397/36028797018963968); every entry point raises."""
+    3602879701896397/36028797018963968); every entry point raises.  The
+    ids name the entry points of the r-Laurent polynomials (JPolys
+    constant in j), "eval" and "eval_j" evaluation at a float r and at a
+    float j."""
     with pytest.raises(TypeError):
         call()
 
@@ -789,16 +828,26 @@ def test_fraction_free_ops_match_fraction_reference(a, b, u, s, z, j0, r0, e):
 def test_normal_form_is_unique():
     """Values built by different routes, over different denominators, are
     equal objects with equal hashes; zero has the empty normal form."""
-    half = RLaurent({-1: F(1, 2), 0: F(3, 4)})
-    assert half == RLaurent({-1: F(2, 4), 0: F(6, 8)})
-    assert half * 2 == RLaurent({-1: 1, 0: F(3, 2)})
-    assert hash(half * 2) == hash(RLaurent({-1: 1, 0: F(3, 2)}))
+    half = JPoly.laurent({-1: F(1, 2), 0: F(3, 4)})
+    assert half == JPoly.laurent({-1: F(2, 4), 0: F(6, 8)})
+    assert half == JPoly([JPoly.laurent({-1: F(1, 2)}), F(0)]) + F(3, 4)
+    assert half * 2 == JPoly.laurent({-1: 1, 0: F(3, 2)})
+    assert hash(half * 2) == hash(JPoly.laurent({-1: 1, 0: F(3, 2)}))
     p = JPoly([F(1, 6), F(1, 3)]) + JPoly([F(1, 6), F(2, 3)])
     assert p == JPoly([F(1, 3), 1]) and hash(p) == hash(JPoly([F(1, 3), 1]))
     assert p * F(3, 4) == JPoly([F(1, 4), F(3, 4)])
     zero = p - p
     assert zero == JPoly.zero() and hash(zero) == hash(JPoly.zero())
     assert zero.terms() == {} and zero.deg == -1
-    assert RLaurent({0: F(2, 3)}).terms() == {0: F(2, 3)}
-    assert JPoly.monomial(2, RLaurent({-1: F(3, 9)})).terms() \
+    assert JPoly.laurent({0: F(2, 3)}).terms() == {(0, 0): F(2, 3)}
+    assert JPoly.laurent({0: F(2, 3)}) == JPoly.const(F(2, 3))
+    assert JPoly.monomial(2, JPoly.laurent({-1: F(3, 9)})).terms() \
         == {(2, -1): F(1, 3)}
+
+
+def test_jpoly_coefficients_are_constant_in_j():
+    """A coefficient of j^i is an int, a Fraction or a JPoly constant in
+    j; a JPoly that depends on j is refused, not folded into j^i."""
+    assert JPoly([JPoly.const(2), JPoly.zero()]) == JPoly.const(2)
+    with pytest.raises(ValueError, match=r"coefficient of j\^1 depends on j"):
+        JPoly([1, JPoly.monomial(1)])
