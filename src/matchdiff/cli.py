@@ -137,25 +137,20 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The flags each `verify --id` check reads; the core suite reads none.
-_VERIFY_FLAGS = {"first-identity": ("k", "i"), "log-coeff": ("hmax",),
-                "top-coeff": ("k",), "alpha0": ("k",),
-                "second-identity": ("k", "i"), "t-cancellation": ("k", "i"),
-                "fd-monomial": ("k",)}
-
-
 def cmd_verify(args) -> int:
     from . import identities as idn
 
     config = _config_line("verify", args,
                           ("r", "seed", "strict_girth", "suite", "id",
                            "hmax"))
-    if args.id is not None and args.id not in _VERIFY_FLAGS:
-        print(f"error: unknown check id {args.id!r}", file=sys.stderr)
+    if args.id is not None and args.id not in idn.VERIFY_CHECKS:
+        print(f"error: unknown check id {args.id!r}; known ids: "
+              + ", ".join(idn.VERIFY_CHECKS), file=sys.stderr)
         return EXIT_CONFIG
+    flags, reports_of = (((), idn.core_suite) if args.id is None
+                         else idn.VERIFY_CHECKS[args.id])
     ignored = [f"--{flag}" for flag in ("hmax", "k", "i")
-               if getattr(args, flag) is not None
-               and flag not in _VERIFY_FLAGS.get(args.id, ())]
+               if getattr(args, flag) is not None and flag not in flags]
     if ignored:
         check = "the core suite" if args.id is None else f"--id {args.id}"
         print(f"error: {check} does not read {', '.join(ignored)}",
@@ -164,43 +159,9 @@ def cmd_verify(args) -> int:
     table = _load_table(args, args.strict_girth)
     if table is None:
         return EXIT_CONFIG
-    reports = []
-    if args.id is not None:
-        ks = _parse_ints(args.k) if args.k else [2, 3]
-        iis = _parse_ints(args.i) if args.i else [0, 1, 2, 3]
-        if args.id == "first-identity":
-            for k in ks:
-                for i in iis:
-                    reports.append(idn.check_first_identity(
-                        table, i, k, at_r=idn.at_r_for(table, k - 1)))
-        elif args.id in ("log-coeff",):
-            for h in (args.hmax and range(1, args.hmax + 1)) or (1, 2):
-                reports.append(idn.check_log_coefficients(
-                    table, h, at_r=idn.at_r_for(table, h)))
-        elif args.id in ("top-coeff",):
-            for k in ks:
-                reports.append(idn.check_top_coefficient(
-                    table, k, at_r=idn.at_r_for(table, k - 1)))
-        elif args.id == "alpha0":
-            for k in ks:
-                reports.append(idn.check_alpha0_series(
-                    table, None, k, at_r=idn.at_r_for(table, k - 1)))
-        elif args.id == "second-identity":
-            for k in ks:
-                for i in iis:
-                    reports.append(idn.check_second_identity(
-                        table, i, k, order=min(3, table.sym_max())))
-        elif args.id == "t-cancellation":
-            for k in ks:
-                for i in iis:
-                    reports.append(idn.check_t_cancellation(
-                        table, i, k, at_r=idn.at_r_for(table, k - 2)))
-        elif args.id == "fd-monomial":
-            for k in ks:
-                for d in range(0, k + 1):
-                    reports.append(idn.check_fd_monomial(k, d))
-    else:
-        reports = idn.core_suite(table)
+    given = {"k": args.k and _parse_ints(args.k),
+             "i": args.i and _parse_ints(args.i), "hmax": args.hmax}
+    reports = reports_of(table, **{f: v for f, v in given.items() if v})
     print(f"# {config}")
     for rep in reports:
         print(rep.line())
@@ -228,11 +189,7 @@ def cmd_conjecture(args) -> int:
         return EXIT_CONFIG
     print(f"# {config}")
     sym_max = min(table.sym_max(), args.hmax)
-    reports = []
-
-    rep, base_vals = check_extended_expansion(table, ConjectureSpec(()), sym_max)
-    rep.id = "extended-expansion-empty"
-    reports.append(rep)
+    reports = [check_extended_expansion(table, ConjectureSpec(()), sym_max)[0]]
     ref_values = None
     rng = Rng(args.seed)
     for trial in range(args.trials):

@@ -7,9 +7,10 @@ pointwise at a fixed r (recorded in the report parameters); `at_r_for` is
 the one home of that choice.  Each expected value is written once,
 symbolic in r, and `series.at_point` gives its pointwise form.
 
-F = (1 + H)(1 + K) is built once per table instance and key (kind, h_max,
-at_r, the entries a_1..a_{h_max} read): every check on the same table
-reuses it, and a table whose entries change gets a fresh build.
+F = (1 + H) exp(G) and ln F = ln(1 + H) + G are each built once per table
+instance and key (kind, h_max, at_r, the entries a_1..a_{h_max} read):
+every check on the same table reuses them, and a table whose entries
+change gets a fresh build.  Only the product routes read F.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb, factorial
 
 from ._records import Record
 from .atable import ATable, ConjectureSpec, build_F_conjecture, build_H
-from .kseries import build_K
+from .kseries import build_G
 from .positivity import lsplit
 from .rng import Rng
 from .series import JPoly, NSeries, at_point
@@ -75,17 +76,20 @@ def _rparam(at_r) -> str:
 
 
 def build_F(table: ATable, h_max: int, at_r: int | None = None) -> NSeries:
-    """F = (1 + H)(1 + K), the formal matching-ratio series, built once per
+    """F = (1 + H) exp(G), the formal matching-ratio series, built once per
     table and key (see `ATable._memo_series`)."""
-    return table._memo_series("F", h_max, at_r,
-                              lambda: _build_F(table, h_max, at_r))
+    return table._memo_series(
+        "F", h_max, at_r,
+        lambda: ((NSeries.one(h_max) + build_H(table, h_max, at_r=at_r))
+                 * build_G(h_max).exp()))
 
 
-def _build_F(table: ATable, h_max: int, at_r: int | None) -> NSeries:
-    h = build_H(table, h_max, at_r=at_r)
-    k = build_K(h_max)
-    one = NSeries.one(h_max)
-    return (one + h) * (one + k)
+def build_lnF(table: ATable, h_max: int, at_r: int | None = None) -> NSeries:
+    """ln F = ln(1 + H) + G, built once per table and key (see
+    `ATable._memo_series`)."""
+    return table._memo_series(
+        "lnF", h_max, at_r,
+        lambda: build_H(table, h_max, at_r=at_r).ln1p() + build_G(h_max))
 
 
 def _expected_35(h: int, at_r: int | None) -> JPoly:
@@ -125,8 +129,7 @@ def check_top_coefficient(table: ATable, k: int, at_r: int | None = None) -> Che
     if k < 2:
         raise ValueError("k must be >= 2")
     rep = CheckReport("top-coeff", {"r": _rparam(at_r), "k": k})
-    lnf = (build_F(table, k - 1, at_r=at_r) - 1).ln1p()
-    jp = lnf.jpoly(k - 1)
+    jp = build_lnF(table, k - 1, at_r=at_r).jpoly(k - 1)
     top = Fraction(factorial(k - 2), factorial(k))
     _check_top(rep, jp, k - 1, at_point(JPoly.laurent({-(k - 1): top}), at_r))
     if k == 3:
@@ -161,6 +164,8 @@ def check_fd_monomial(k: int, d: int) -> CheckReport:
 def _at_index(x, i: int | None, ell: int):
     """x, an NSeries or JPoly in the index j, at the index i + ell, or
     symbolic in the index (j -> j + ell) when i is None: F_{i+ell} from F."""
+    if i is not None and i < 0:
+        raise ValueError(f"need i >= 0, got i={i}")
     return x.shift_j(-ell) if i is None else x.subst_j(i + ell)
 
 
@@ -184,28 +189,27 @@ def check_first_identity(table: ATable, i: int, k: int,
 
 def build_t(table: ATable, i0: int | None, k: int, sign: int, order: int,
             at_r: int | None = None) -> NSeries:
-    """t+- = sum over the parity class of C(k,l) ln(1 + U_{i+l}) with
-    U = F - 1; i0=None keeps the index symbolic."""
+    """t+- = sum over the parity class of C(k,l) ln F_{i+l}; i0=None keeps
+    the index symbolic."""
     lplus, lminus = lsplit(k)
     ells = lplus if sign > 0 else lminus
-    f = build_F(table, order, at_r=at_r)
+    lnf = build_lnF(table, order, at_r=at_r)
     t = NSeries.zero(order)
     for ell in ells:
-        t = t + (_at_index(f, i0, ell) - 1).ln1p() * Fraction(comb(k, ell))
+        t = t + _at_index(lnf, i0, ell) * Fraction(comb(k, ell))
     return t
 
 
 def check_t_cancellation(table: ATable, i: int | None, k: int,
                          at_r: int | None = None) -> CheckReport:
     """[1/n^s] t+ = [1/n^s] t- for 1 <= s <= k-2 (the cancellation that
-    kills all higher powers of t in the alpha_0 expansion)."""
+    kills all higher powers of t in the alpha_0 expansion); below k = 3
+    there is no such s."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
     rep = CheckReport("t-cancellation", {"r": _rparam(at_r),
                                  "i": "sym" if i is None else i, "k": k})
-    if k < 2:
-        return rep
     order = k - 2
-    if order < 1:
-        return rep
     tp = build_t(table, i, k, +1, order, at_r)
     tm = build_t(table, i, k, -1, order, at_r)
     for s in range(1, k - 1):
@@ -324,8 +328,9 @@ def check_extended_expansion(table: ATable, spec: ConjectureSpec, h_max: int,
     adjoined, [j^k n^-h] = 0 for k >= h+2 and the k = h+1 value is the
     same closed form, independent of the constants.  Returns the extracted
     k=h+1 values so callers can verify bit-identical agreement across
-    constant choices."""
-    rep = CheckReport("extended-expansion",
+    constant choices.  The empty spec reports as extended-expansion-empty."""
+    rep = CheckReport("extended-expansion" if spec.terms
+                      else "extended-expansion-empty",
                       {"r": _rparam(at_r), "h": h_max,
                        "spec": spec.describe()})
     f = build_F_conjecture(table, spec, h_max, at_r=at_r)
@@ -394,7 +399,38 @@ def core_suite(table: ATable) -> list[CheckReport]:
                 reports.append(check_second_identity(table, i, k, order=3,
                                                      at_r=R_POINT))
     reports.append(check_second_identity_synthetic(seed=0xA11CE, trials=50))
-    rep, _ = check_extended_expansion(table, ConjectureSpec(()), min(sym_max, 2))
-    rep.id = "extended-expansion-empty"
-    reports.append(rep)
+    reports.append(check_extended_expansion(
+        table, ConjectureSpec(()), min(sym_max, 2))[0])
     return reports
+
+
+def _fd_monomial_rows(table: ATable, k=(2, 3)) -> list[CheckReport]:
+    """fd-monomial at d = 0..k for each k >= 0 (the table is not read)."""
+    if min(k) < 0:
+        raise ValueError("k must be >= 0")
+    return [check_fd_monomial(kk, d) for kk in k for d in range(kk + 1)]
+
+
+# `verify --id`: each check id -> (the flags it reads, its reports on a
+# table from those flags' values; a flag not given takes its default here)
+VERIFY_CHECKS = {
+    "first-identity": (("k", "i"), lambda table, k=(2, 3), i=range(4): [
+        check_first_identity(table, ii, kk, at_r=at_r_for(table, kk - 1))
+        for kk in k for ii in i]),
+    "log-coeff": (("hmax",), lambda table, hmax=2: [
+        check_log_coefficients(table, h, at_r=at_r_for(table, h))
+        for h in range(1, hmax + 1)]),
+    "top-coeff": (("k",), lambda table, k=(2, 3): [
+        check_top_coefficient(table, kk, at_r=at_r_for(table, kk - 1))
+        for kk in k]),
+    "alpha0": (("k",), lambda table, k=(2, 3): [
+        check_alpha0_series(table, None, kk, at_r=at_r_for(table, kk - 1))
+        for kk in k]),
+    "second-identity": (("k", "i"), lambda table, k=(2, 3), i=range(4): [
+        check_second_identity(table, ii, kk, order=min(3, table.sym_max()))
+        for kk in k for ii in i]),
+    "t-cancellation": (("k", "i"), lambda table, k=(3, 4), i=range(4): [
+        check_t_cancellation(table, ii, kk, at_r=at_r_for(table, kk - 2))
+        for kk in k for ii in i]),
+    "fd-monomial": (("k",), _fd_monomial_rows),
+}

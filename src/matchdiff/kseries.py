@@ -1,4 +1,4 @@
-"""Complete-graph correction factor 1 + K_i as an exact series in 1/n.
+"""G = ln(1 + K_i), the complete-graph correction, as an exact 1/n series.
 
 K_i compares i-matching counts of the complete graph K_{2n} against a
 leading factor.  With v = 2n, 1 + K_i = (v-1)^i 2^i n^i (v-2i)!/v! is the
@@ -6,8 +6,8 @@ finite product
 
     1 + K_i = (1 - 1/(2n))^i / prod_{s<2i} (1 - s/(2n)),
 
-so each 1/n coefficient of G = ln(1 + K_i) is a power sum over s < 2i,
-a polynomial in i by Faulhaber's formula.
+so each 1/n coefficient of G is a power sum over s < 2i, a polynomial in
+i by Faulhaber's formula; `identities` reads 1 + K only as exp(G).
 
 The series variable, the matching index i, lives on the j-slot of NSeries.
 """
@@ -49,7 +49,3 @@ def build_G(h_max: int) -> NSeries:
         coeffs[m] = JPoly([x / (m * 2 ** m) for x in c])
     return NSeries(coeffs, h_max)
 
-
-def build_K(h_max: int) -> NSeries:
-    """K = exp(G) - 1, exact through 1/n^h_max."""
-    return build_G(h_max).exp() - 1

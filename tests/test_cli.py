@@ -63,8 +63,12 @@ def test_verify_single_id_past_symbolic_levels(check, env_cache, capsys):
 
 
 def test_verify_unknown_id(env_cache, capsys):
-    code, _, err = run(capsys, "verify", "--id", "nonsense")
+    code, out, err = run(capsys, "verify", "--id", "nonsense")
     assert code == 2
+    assert out == "" and err == (
+        "error: unknown check id 'nonsense'; known ids: first-identity, "
+        "log-coeff, top-coeff, alpha0, second-identity, t-cancellation, "
+        "fd-monomial\n")
 
 
 def test_verify_unknown_suite(env_cache, capsys):
@@ -330,11 +334,25 @@ GRID = ("--n", "6", "--samples", "2")
      "error: --zmax 4 exceeds the pointwise order 3"),
     (("conjecture", "--hmax", "1", "--trials", "5"),
      "error: --zmax 2 exceeds the pointwise order 1"),
+    # each of these once printed PASS for F at an index that does not exist
+    (("verify", "--id", "first-identity", "--i", "-1", "--k", "2"),
+     "error: need i >= 0, got i=-1"),
+    (("verify", "--id", "second-identity", "--i", "-1", "--k", "2"),
+     "error: need i >= 0, got i=-1"),
+    (("verify", "--id", "t-cancellation", "--i", "-2", "--k", "3"),
+     "error: need i >= 0, got i=-2"),
+    # below k = 3 t-cancellation once passed with no level compared, and a
+    # negative k once ran no fd-monomial check and exited 0
+    (("verify", "--id", "t-cancellation", "--k", "0,1,2"),
+     "error: k must be >= 3"),
+    (("verify", "--id", "fd-monomial", "--k", "-1"),
+     "error: k must be >= 0"),
 ])
 def test_out_of_domain_grid_exits_config(argv, message, env_cache, capsys):
-    """r < 1, a negative i or a conjecture --zmax above the run's pointwise
-    order is a configuration error, raised before any sampling and any
-    stdout, not a crash or a silent wrong value."""
+    """r < 1, a negative i, a k outside a check's domain or a conjecture
+    --zmax above the run's pointwise order is a configuration error, raised
+    before any sampling and any stdout, not a crash or a silent wrong
+    value."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and message in err
@@ -390,8 +408,9 @@ GOLDEN_STDOUT = {
         "6455c0afc9232ec1480c44ba9461a369d310fdb6ed93045aa6ca375c840df1d0",
     ("verify", "--id", "second-identity", "--k", "2,3,4"):
         "194e3752075db5c974079490fffc4b03a650bedd0f79008b52898ea321633253",
-    ("verify", "--id", "t-cancellation", "--k", "2,3,4"):
-        "0fb56aa3aca0ca56ecea91045233762074d208a99d9b11546ae07c404e0e2ffe",
+    # k = 3 and 4: below k = 3 the check compares nothing and is refused
+    ("verify", "--id", "t-cancellation", "--k", "3,4"):
+        "f06246ab204f4e5fbde6751122f0e6a0938bea91162f9ec7f38a31344181970c",
     ("verify", "--id", "fd-monomial", "--k", "2,3,4"):
         "8cc3ab9b9cd4a6bf4464809f77861f45ebe54cc7bdbec559963b0fb8bfec38d0",
     ("verify", "--id", "log-coeff", "--hmax", "3"):
@@ -408,6 +427,14 @@ def test_identity_commands_golden_stdout(argv, repo_cache_dir, tmp_path,
     code, out, _ = run(capsys, *argv, "--cache", str(tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_every_verify_id_is_pinned():
+    """Each check `verify --id` can run has a golden stdout above."""
+    from matchdiff.identities import VERIFY_CHECKS
+
+    pinned = {argv[2] for argv in GOLDEN_STDOUT if argv[:2] == ("verify", "--id")}
+    assert pinned == set(VERIFY_CHECKS)
 
 
 def test_conjecture_seed_falls_back_to_default_table(repo_cache_dir,

@@ -8,13 +8,14 @@ from fractions import Fraction as F
 from matchdiff import identities
 from matchdiff.atable import ConjectureSpec
 from matchdiff.identities import (CheckReport, alpha0_series, build_F,
+                                  build_lnF,
                                   check_log_coefficients, check_alpha0_series,
                                   check_extended_expansion, check_fd_monomial,
                                   check_first_identity, check_second_identity,
                                   check_second_identity_synthetic,
                                   check_t_cancellation, check_top_coefficient,
                                   core_suite, lsplit, random_conjecture_spec)
-from matchdiff.kseries import build_K
+from matchdiff.kseries import build_G
 from matchdiff.rng import Rng
 from matchdiff.series import JPoly
 
@@ -44,6 +45,13 @@ def test_build_F_small_orders(table):
     g = build_F(table, 2).subst_j(1)
     assert g.jpoly(0) == JPoly.const(1)
     assert g.jpoly(1).is_zero() and g.jpoly(2).is_zero()
+
+
+def test_build_lnF_is_the_log_of_F(table):
+    """ln F = ln(1 + H) + G equals ln F taken from F itself, symbolic in r
+    through h = 2 and at r = 3 through h = 3."""
+    for h, at_r in ((1, None), (2, None), (1, 3), (2, 3), (3, 3)):
+        assert build_lnF(table, h, at_r) == (build_F(table, h, at_r) - 1).ln1p()
 
 
 def test_log_coefficient_identities(table):
@@ -100,6 +108,16 @@ def test_t_cancellation(table):
     assert check_t_cancellation(table, None, 3).passed
 
 
+def test_verify_checks_read_the_flags_they_name():
+    """Each `verify --id` entry names exactly the flags its function takes,
+    so the command refuses every flag the check would drop."""
+    import inspect
+
+    for flags, reports_of in identities.VERIFY_CHECKS.values():
+        params = tuple(inspect.signature(reports_of).parameters)
+        assert params == ("table", *flags)
+
+
 def test_second_identity_table_and_synthetic(table):
     for k in (0, 1, 2, 3):
         for i in (0, 1, 2):
@@ -132,13 +150,13 @@ def test_synthetic_second_identity_sides_pinned(monkeypatch):
 
 
 def test_table_series_reprs_pinned(table):
-    """F symbolic at h = 2, F at r = 3 through h = 3 and K through h = 6,
-    captured from the Fraction-stored series."""
+    """F symbolic at h = 2, F at r = 3 through h = 3 and K = exp(G) - 1
+    through h = 6, captured from the Fraction-stored series."""
     assert sha256(repr(build_F(table, 2))) == (
         "261865f62edac6027f3f92c85bf810d4a45812cccede79f30e040fd1ef47a013")
     assert sha256(repr(build_F(table, 3, at_r=3))) == (
         "41156da1132cf8326cb20993d5e6160f3130dc6e3d3da1ae39002f307968afdb")
-    assert sha256(repr(build_K(6))) == (
+    assert sha256(repr(build_G(6).exp() - 1)) == (
         "2b51e1d18e1f680545eeaa34e5be60594cd0e13de51ba93e1be06526877e45da")
 
 
