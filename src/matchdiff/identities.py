@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._records import Record
-from .atable import ATable, ConjectureSpec, build_F_conjecture, build_H
+from .atable import (ATable, ConjectureSpec, build_F_conjecture, build_H,
+                     root_product)
 from .kseries import build_G
 from .positivity import lsplit
 from .rng import Rng
@@ -295,29 +296,29 @@ def alpha0_series(table: ATable, i: int | None, k: int, order: int,
 
 def check_alpha0_series(table: ATable, i: int | None, k: int,
                         at_r: int | None = None) -> CheckReport:
-    """Leading behavior of alpha_0: i/(rn) at k=1; (k-2)!/(r^(k-1) n^(k-1))
-    with all lower orders vanishing for k >= 2; the k=0 case reports the
-    leading coefficient the literal product convention yields."""
+    """Leading behavior of alpha_0, with all lower orders vanishing:
+    j(j-1)/(2rn) at k=0, where the literal product convention leaves
+    F_i - 1, so the lead is a_1 + [1/n]G = j(j-1)(1/(2r) - 1) + j(j-1);
+    i/(rn) at k=1; (k-2)!/(r^(k-1) n^(k-1)) for k >= 2."""
     rep = CheckReport("alpha0", {"r": _rparam(at_r),
                                  "i": "sym" if i is None else i, "k": k})
     lead_level = max(k - 1, 1)
     a0 = alpha0_series(table, i, k, lead_level, at_r)
-    if k == 0:
-        lead = a0.jpoly(1)
-        rep.note = f"k=0 leading [1/n] = {lead!r} (literal product convention)"
-        return rep
-    if not a0.jpoly(0).is_zero():
-        rep.witness[("*", 0)] = repr(a0.jpoly(0))
-    for s in range(1, lead_level):
+    for s in range(lead_level):
         jp = a0.jpoly(s)
         if not jp.is_zero():
             rep.witness[("*", s)] = repr(jp)
     got = a0.jpoly(lead_level)
-    top = (JPoly.monomial(1, JPoly.laurent({-1: 1})) if k == 1
-           else JPoly.laurent({-(k - 1): factorial(k - 2)}))
+    if k == 0:
+        top = root_product(1) * JPoly.laurent({-1: Fraction(1, 2)})
+        rep.note = f"k=0 leading [1/n] = {got!r} (literal product convention)"
+    elif k == 1:
+        top = JPoly.monomial(1, JPoly.laurent({-1: 1}))
+    else:
+        top = JPoly.laurent({-(k - 1): factorial(k - 2)})
     expected = _at_index(at_point(top, at_r), i, 0)
     if got != expected:
-        rep.witness[("lead", k - 1)] = f"{got!r} != {expected!r}"
+        rep.witness[("lead", lead_level)] = f"{got!r} != {expected!r}"
     return rep
 
 

@@ -31,10 +31,14 @@ The one rule on r is the invariant of NSeries, graded by the 1/n level: the
 coefficient of 1/n^h holds only r-exponents in [-max(h, 0), 0].  a_h lies in
 r^-h..r^0 and K_i has no r; sums, ln1p, exp, shift_j, the substitutions and
 products of factors without positive powers of n all preserve the rule.
-Every NSeries construction checks it and raises WindowOverflowError naming
-the exponent and the level, so deeper levels need no widening and a stray
-exponent (a malformed table, or a positive power of n carrying r) fails
-loudly.
+Every NSeries construction checks it at every level where it places a
+coefficient and raises WindowOverflowError naming the exponent and the
+level, so deeper levels need no widening and a stray exponent (a
+malformed table, or a positive power of n carrying r) fails loudly.  A
+JPoly is immutable, so the (min, max) r-exponent of a coefficient is
+scanned once, the first time a construction checks it, and kept on the
+coefficient; a level passed on unchanged (by `truncate`, `+` or a
+product by one) costs two comparisons with the window of its level.
 
 Every product -- `JPoly * JPoly` and each 1/n coefficient of
 `NSeries.mul_capped` -- is one fused convolution (`_convolve`), the one
@@ -42,7 +46,10 @@ home of the product rule.  It multiplies the integer numerators of every
 kept pair of terms once and adds them into one integer accumulator per
 1/n exponent, keyed by (j-power, r-exponent), over one common
 denominator; each result is normalised once, at the end.  No coefficient
-object is built per term.
+object is built per term.  A product by exactly the constant 1 is the
+other factor at the product's validity order, with no convolution;
+`mul_capped` is the one home of that rule, so `pow_int` and the
+accumulators that start from `one()` get it too, and `s * 1` is s.
 
 `NSeries.ln1p` and `NSeries.exp` are graded recurrences in the Euler
 operator theta = -n d/dn, which multiplies the 1/n^h coefficient by h:
@@ -55,9 +62,10 @@ integer weight of its pair, and dividing by h multiplies the denominator,
 so the coefficients are those of the power sums of u and t.  `pow_int` is
 repeated squaring.
 
-Nothing here is cached.  The series built from a coefficient table (H, F
-and the extended-expansion base) are memoized by the ATable instance that
-holds the table, keyed on (kind, h_max, at_r) and the table entries read;
+No series is cached here; a JPoly keeps only its own r-range.
+The series built from a coefficient table (H, F and the
+extended-expansion base) are memoized by the ATable instance that holds
+the table, keyed on (kind, h_max, at_r) and the table entries read;
 see `atable.ATable._memo_series`.
 """
 
@@ -188,7 +196,9 @@ class JPoly:
     (see the module docstring).  A JPoly of j-degree 0 at most is an
     r-Laurent polynomial."""
 
-    __slots__ = ("_d", "_n")
+    # _rr: (min, max) r-exponent, None until an NSeries construction
+    # first checks the coefficient (see `NSeries.__init__`)
+    __slots__ = ("_d", "_n", "_rr")
 
     def __init__(self, coeffs):
         """`coeffs[i]`, an int, a Fraction or a JPoly of j-degree 0 at
@@ -203,6 +213,7 @@ class JPoly:
             else:
                 terms.append(((j, 0), *_ratio(x)))
         self._d, self._n = _over_lcm(terms)
+        self._rr = None
 
     @classmethod
     def _new(cls, d: int, n: dict) -> "JPoly":
@@ -210,6 +221,7 @@ class JPoly:
         self = object.__new__(cls)
         self._d = d
         self._n = n
+        self._rr = None
         return self
 
     @classmethod
@@ -399,6 +411,8 @@ class JPoly:
 
 _JZERO = JPoly.zero()
 _JONE = JPoly.const(1)
+# the levels of the constant 1
+_ONE_LEVELS = {0: _JONE}
 
 
 def _window_error(p: JPoly, h: int, lo: int) -> WindowOverflowError:
@@ -434,9 +448,12 @@ class NSeries:
         for h, p in coeffs.items():
             if h > order or not p._n:
                 continue
+            rr = p._rr
+            if rr is None:
+                es = [e for _, e in p._n]
+                rr = p._rr = (min(es), max(es))
             lo = -h if h > 0 else 0
-            es = [e for _, e in p._n]
-            if min(es) < lo or max(es) > 0:
+            if rr[0] < lo or rr[1] > 0:
                 raise _window_error(p, h, lo)
             c[h] = p
         self._c = c
@@ -450,7 +467,7 @@ class NSeries:
 
     @classmethod
     def one(cls, order=DEFAULT_ORDER) -> "NSeries":
-        return cls({0: _JONE}, order)
+        return cls(_ONE_LEVELS, order)
 
     @classmethod
     def const(cls, x, order=DEFAULT_ORDER) -> "NSeries":
@@ -515,6 +532,8 @@ class NSeries:
             return self.mul_capped(other, EXACT_ORDER)
         if isinstance(other, (int, Fraction)):
             p, q = _ratio(other)
+            if p == q:
+                return self
             return NSeries({h: x._scaled(p, q) for h, x in self._c.items()},
                            self.order)
         other = JPoly._coerce(other)
@@ -527,7 +546,9 @@ class NSeries:
 
     def mul_capped(self, other: "NSeries", cap: int) -> "NSeries":
         """Product with coefficients computed only through 1/n^cap (no work
-        is spent on coefficients beyond the working truncation)."""
+        is spent on coefficients beyond the working truncation).  A factor
+        that is exactly the constant 1 gives the other factor's levels,
+        without a convolution."""
         # Validity: error terms of one factor meet the lowest exponent of
         # the other, so the product is exact through min(Oa+mb, Ob+ma) --
         # but never claim more than the larger operand order (a product of
@@ -538,6 +559,10 @@ class NSeries:
         if self._c:
             cands.append(other.order + min(self._c))
         order = min(min(cands), cap, EXACT_ORDER)
+        if other._c == _ONE_LEVELS:
+            return NSeries(self._c, order)
+        if self._c == _ONE_LEVELS:
+            return NSeries(other._c, order)
         c = _convolve((h1 + h2, p1, p2, 1)
                       for h1, p1 in self._c.items()
                       for h2, p2 in other._c.items() if h1 + h2 <= order)

@@ -152,6 +152,46 @@ def test_conjecture_zero_trials(env_cache, capsys):
     assert "extended-expansion-empty" in out
 
 
+@pytest.mark.parametrize("trials", [0, 1, 2])
+def test_conjecture_claims_agreement_only_when_compared(trials, env_cache,
+                                                        capsys):
+    """Trial 0's k=h+1 values are the reference, so below two trials no
+    value is compared across constants and the summary says so."""
+    code, out, _ = run(capsys, "conjecture", "--trials", str(trials))
+    assert code == 0
+    summary = out.splitlines()[-1]
+    assert summary.startswith(f"# {1 + 2 * trials} checks, 0 failures; ")
+    if trials < 2:
+        assert summary.endswith("no k=h+1 values compared across constants "
+                                "(fewer than two trials)")
+    else:
+        assert summary.endswith("k=h+1 values bit-identical across constants")
+
+
+@pytest.mark.parametrize("level, witness", [(0, "('*', 0)"),
+                                            (1, "('lead', 1)")])
+def test_verify_alpha0_k0_checks_its_levels(level, witness, env_cache,
+                                            capsys, monkeypatch):
+    """At k = 0, alpha_0 = F_i - 1: its 1/n^0 level must vanish and its
+    [1/n] level equal j(j-1)/(2r).  An F wrong at either level fails the
+    check, so the passing line is no vacuous pass."""
+    from matchdiff import identities
+    from matchdiff.series import JPoly, NSeries
+
+    build_F = identities.build_F
+
+    def wrong_F(table, h_max, at_r=None):
+        return (build_F(table, h_max, at_r)
+                + NSeries.term(level, JPoly.monomial(1), h_max))
+
+    monkeypatch.setattr(identities, "build_F", wrong_F)
+    code, out, _ = run(capsys, "verify", "--id", "alpha0", "--k", "0")
+    assert code == 1
+    line = out.splitlines()[1]
+    assert line.startswith(f"alpha0 r=sym i=sym k=0 FAIL witness {witness}: ")
+    assert out.splitlines()[-1] == "# 1 checks, 1 failures"
+
+
 def test_simulate_deterministic_csv(env_cache, capsys, tmp_path):
     args = ("simulate", "--n", "6,8", "--samples", "40", "--i", "0,1",
             "--k", "0,1", "--seed", "11")
@@ -507,6 +547,29 @@ def test_no_check_is_an_assert_statement():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_core_suite_under_python_O_matches_golden(repo_cache_dir, tmp_path):
+    """With assert statements stripped (`python -O`), `verify --suite core`
+    prints the golden stdout byte for byte: no check lives only in an
+    assert."""
+    shipped = os.path.join(repo_cache_dir, "atable_r345_seed20250809.txt")
+    shutil.copyfile(shipped, tmp_path / "atable_r345_seed20250809.txt")
+    src = os.path.dirname(os.path.dirname(matchdiff.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    argv = ("verify", "--suite", "core")
+    code = ("import sys\n"
+            "from matchdiff.cli import main\n"
+            "assert False, 'asserts are not stripped'\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *argv,
+                           "--cache", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
+        == GOLDEN_STDOUT[argv]
 
 
 def _names_referenced(node) -> set[str]:

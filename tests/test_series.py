@@ -685,6 +685,106 @@ def test_recurrences_convolve_once_per_pair(order, monkeypatch):
     assert len(counts) == order - 1
 
 
+# -- no redundant work: a product by one, the r-range checked once -------------
+
+
+def reference_pow_int(s, e):
+    """NSeries.pow_int with every product a `reference_mul_capped`."""
+    result, base = NSeries.one(s.order), s
+    while e:
+        if e & 1:
+            result = reference_mul_capped(result, base, EXACT_ORDER)
+        base = reference_mul_capped(base, base, EXACT_ORDER) if e > 1 \
+            else base
+        e >>= 1
+    return result.truncate(s.order)
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    if want[0] == "overflow":
+        assert got[1] == want[1]
+    else:
+        assert_same_nseries(got[1], want[1])
+
+
+# lowest exponent < 0, = 0 and >= 1, and the zero series
+series_of_every_lowest_exponent = st.one_of(
+    symbolic_nseries(), ln_exp_inputs(), st.integers(0, 4).map(NSeries.zero))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_of_every_lowest_exponent,
+       st.one_of(st.integers(0, 6), st.just(EXACT_ORDER)), st.integers(-3, 6))
+def test_products_by_one_equal_the_full_product(s, o, cap):
+    """A product by exactly one is the other factor at the product's
+    validity order: levels and `.order` (which == ignores) as the
+    per-pair product gives them, whichever side the one is on."""
+    one = NSeries.one(o)
+    for a, b in ((one, s), (s, one)):
+        assert_same_nseries(a * b, reference_mul_capped(a, b, EXACT_ORDER))
+        assert_same_nseries(a.mul_capped(b, cap),
+                            reference_mul_capped(a, b, cap))
+    for e in (0, 1, 2):
+        assert_same_outcome(outcome(s.pow_int, e),
+                            outcome(reference_pow_int, s, e))
+    for scalar in (1, F(1)):
+        for got in (s * scalar, scalar * s):
+            assert_same_nseries(got, s)
+
+
+def test_products_by_one_convolve_nothing(monkeypatch):
+    """A product by one, `pow_int(0)`, `pow_int(1)` and `s * 1` make no
+    `_convolve` call; `pow_int(2)` and `pow_int(3)` make one and two."""
+    s = _symbolic_series()
+    want = {e: s.pow_int(e) for e in (2, 3)}
+    counts = []
+    convolve = series._convolve
+
+    def counting(pairs):
+        counts.append(1)
+        return convolve(pairs)
+
+    monkeypatch.setattr(series, "_convolve", counting)
+    one = NSeries.one(3)
+    for got in (one * s, s * one, one.mul_capped(s, 2), s.mul_capped(one, 2),
+                s.pow_int(0), s.pow_int(1), s * 1, 1 * s, s * F(1)):
+        assert got.terms()
+    assert counts == []
+    for e, n_calls in ((2, 1), (3, 2)):
+        assert_same_nseries(s.pow_int(e), want[e])
+        assert len(counts) == n_calls
+        counts.clear()
+
+
+def test_a_checked_coefficient_is_checked_again_at_each_level():
+    """The r-range of a coefficient is scanned once, but every placement
+    checks it against the window of its own level: a coefficient that
+    passed at 1/n^2, also through `truncate` and `+`, still raises with
+    the message of a coefficient never checked before."""
+    def fresh():
+        return JPoly([JPoly.laurent({-1: 1}), JPoly.laurent({-2: 3, 0: 1})])
+
+    p = fresh()
+    s = NSeries({2: p, 3: p}, 4)
+    t = s.truncate(3) + NSeries({2: p}, 3)
+    assert t.jpoly(2) == p * 2 and t.jpoly(3) is p
+    for h, message in ((1, "r-exponent -2 at 1/n^1 outside [-1, 0]"),
+                       (0, "r-exponent -1 at 1/n^0 outside [0, 0]"),
+                       (-1, "r-exponent -1 at 1/n^-1 outside [0, 0]")):
+        with pytest.raises(WindowOverflowError) as unchecked:
+            NSeries({h: fresh()}, 4)
+        assert str(unchecked.value) == message
+        with pytest.raises(WindowOverflowError) as checked:
+            NSeries({h: p}, 4)
+        assert str(checked.value) == message
+    # `+` of a bare coefficient places it at 1/n^0
+    for x in (s, t):
+        with pytest.raises(WindowOverflowError) as checked:
+            x + p
+        assert str(checked.value) == "r-exponent -1 at 1/n^0 outside [0, 0]"
+
+
 # -- only int and Fraction enter the exact algebra ----------------------------
 
 
