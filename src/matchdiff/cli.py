@@ -255,8 +255,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .positivity import TrendReport, TrendRow, ensemble_grid
-    from .series import rat_str
+    from .positivity import TrendReport, ensemble_grid, rat_cells
 
     config = _config_line("census", args,
                           ("r", "n", "samples", "seed", "smax", "jobs"))
@@ -274,18 +273,15 @@ def cmd_census(args) -> int:
     ncen = min(args.samples, 200)
     check_census_smax(args.smax)  # an s_max above its cap samples nothing
     for n in _parse_ints(args.n):
-        stats = ensemble_grid(r, n, args.samples, [(0, 0)], args.seed,
-                              jobs=args.jobs, census_smax=args.smax,
-                              census_samples=ncen)
-        st = stats[(0, 0)]
-        totals = st.cycle_totals
+        row = ensemble_grid(r, n, args.samples, (), args.seed,
+                            jobs=args.jobs, census_smax=args.smax,
+                            census_samples=ncen)
         cells = [r, n, args.samples, args.seed,
-                 rat_str(st.p_graph_positive),
-                 f"{float(st.p_graph_positive):.6g}"]
-        cells += [f"{totals[s] / ncen:.4f}"
+                 rat_cells(row.p_graph_positive)]
+        cells += [f"{row.cycle_totals[s] / ncen:.4f}"
                   for s in range(4, args.smax + 1, 2)]
         lines.append(",".join(str(c) for c in cells))
-        rows.append(TrendRow(n=n, stats=stats))
+        rows.append(row)
     text = "\n".join(lines) + "\n"
     _write_out(args, text)
     sys.stdout.write(text)

@@ -93,7 +93,7 @@ class _CountCache:
 
 def count_mj(g: BipGraph, j: int, cache: _CountCache | None = None) -> int:
     """m_j of g, from the cache or freshly counted.  A fresh count vector
-    must pass `MatchVector.validate_regular` (the m_0/m_1/m_2 closed forms
+    must pass `MatchVector.validate_regular` (the m_0..m_3 closed forms
     and, on a full vector, Newton's inequalities and Schrijver's bound)
     before m_j enters the cache; a failing one raises AssertionError."""
     gid = g.graph_id()

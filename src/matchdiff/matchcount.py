@@ -51,11 +51,13 @@ class MatchVector(FrozenRecord):
         return len(self.counts) - 1
 
     def validate_regular(self, n: int, r: int) -> None:
-        """Invariants forced for an r-regular bipartite source.  On a full
-        vector m_0..m_n this includes Newton's inequalities, which hold
-        because the matching polynomial is real-rooted (Heilmann-Lieb):
-        m_i^2 i (n-i) >= m_{i-1} m_{i+1} (i+1) (n-i+1), and for r >= 2
-        Schrijver's lower bound on perfect matchings, m_n >=
+        """Invariants forced for an r-regular bipartite source: the closed
+        forms of m_0..m_3, which depend on (n, r) alone, and m_i >= 1 for
+        i <= n.  On a full vector m_0..m_n they include Newton's
+        inequalities, which hold because the matching polynomial is
+        real-rooted (Heilmann-Lieb): m_i^2 i (n-i) >= m_{i-1} m_{i+1}
+        (i+1) (n-i+1), and for r >= 2 Schrijver's lower bound on perfect
+        matchings, m_n >=
         ((r-1)^(r-1) / r^(r-2))^n (J. Combin. Theory Ser. B 72, 1998),
         checked as m_n r^((r-2)n) >= (r-1)^((r-1)n)."""
         m = self.counts
@@ -63,11 +65,17 @@ class MatchVector(FrozenRecord):
             raise AssertionError(f"m_0 = {m[0]} != 1")
         if self.j_max >= 1 and m[1] != n * r:
             raise AssertionError(f"m_1 = {m[1]} != nr = {n * r}")
-        if self.j_max >= 2:
-            expect = comb(n * r, 2) - 2 * n * comb(r, 2)
-            if m[2] != expect:
+        # m_2 and m_3 count the 2- and 3-edge sets, less those that share
+        # a vertex: 2-stars; then 3-stars, 3-edge paths, and 2-stars with
+        # one disjoint edge (a bipartite graph has no triangles)
+        closed = {2: comb(n * r, 2) - 2 * n * comb(r, 2),
+                  3: comb(n * r, 3) - 2 * n * comb(r, 3)
+                  - n * r * (r - 1) ** 2
+                  - 2 * n * comb(r, 2) * (n * r - 3 * r + 2)}
+        for j, expect in closed.items():
+            if self.j_max >= j and m[j] != expect:
                 raise AssertionError(
-                    f"m_2 = {m[2]} violates the closed form {expect}")
+                    f"m_{j} = {m[j]} violates the closed form {expect}")
         for i, c in enumerate(m):
             if i <= n and c < 1:
                 raise AssertionError(

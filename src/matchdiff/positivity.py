@@ -32,8 +32,12 @@ tier, as every true zero does, and are never sent on to the later tiers.
 The Monte Carlo moments are exact too, with no rational per sample: every
 graph-dependent factor of rho_i is the integer m_i, so `ensemble_grid`
 scales alpha_0 by a per-(n, r, i, k) integer D into an integer (the same
-`_KTable.alpha0` constants), sums it and its square as integers, and
-divides by D and D^2 once, after the merge.
+`_KTable.alpha0` constants).  Each worker keeps one integer `Counter`,
+the tally: per (i, k) the sums of D alpha_0 and of its square and the
+violations, the positive graphs, and the census cycle totals.  Tallies
+merge by `Counter.update`, which adds and keeps negative sums, so any
+split of the samples merges to the one-worker tally.  The moments divide
+by D and D^2 once, after the merge.
 
 Layering: the Monte Carlo layer is this module and what it imports
 (graphs, matchcount, rng, _kernels_py, series).  It imports nothing from
@@ -44,6 +48,7 @@ load the checks, and a test pins that import closure.
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -321,19 +326,21 @@ def delta_table(g: BipGraph, mvec: MatchVector | None = None) -> DProfile:
                     _sign_cascade(mvec.counts, _k_table(g.n, g.r)))
 
 
+def rat_cells(x: Rat | None) -> str:
+    """Two CSV cells: x exactly and to 6 digits (NA,NA for None)."""
+    return "NA,NA" if x is None else f"{rat_str(x)},{float(x):.6g}"
+
+
 class EnsembleStats(Record):
     """Per-(r, n, i, k) Monte Carlo summary with exact rational moments.
-    `cycle_totals` maps s to the s-cycles summed over the first census
-    samples (census only)."""
+    The per-n facts are on the `TrendRow` that holds it."""
 
     __slots__ = __match_args__ = (
         "r", "n", "i", "k", "samples", "seed", "alpha_hat", "beta_hat",
-        "p_violation", "p_graph_positive", "cycle_totals")
+        "p_violation")
 
     def __init__(self, r: int, n: int, i: int, k: int, samples: int,
-                 seed: int, alpha_hat: Rat, beta_hat: Rat, p_violation: Rat,
-                 p_graph_positive: Rat,
-                 cycle_totals: dict[int, int] | None = None):
+                 seed: int, alpha_hat: Rat, beta_hat: Rat, p_violation: Rat):
         self.r = r
         self.n = n
         self.i = i
@@ -343,8 +350,6 @@ class EnsembleStats(Record):
         self.alpha_hat = alpha_hat
         self.beta_hat = beta_hat
         self.p_violation = p_violation
-        self.p_graph_positive = p_graph_positive
-        self.cycle_totals = cycle_totals
 
     @property
     def cheb_bound(self) -> Rat | None:
@@ -354,16 +359,11 @@ class EnsembleStats(Record):
         return self.beta_hat / self.alpha_hat ** 2
 
     def csv_row(self) -> str:
-        cheb = self.cheb_bound
+        """The cells of `CSV_HEADER` up to p_violation_dec."""
         cells = [self.r, self.n, self.samples, self.seed, self.i, self.k,
-                 rat_str(self.alpha_hat), f"{float(self.alpha_hat):.6g}",
-                 rat_str(self.beta_hat), f"{float(self.beta_hat):.6g}",
-                 rat_str(cheb) if cheb is not None else "NA",
-                 f"{float(cheb):.6g}" if cheb is not None else "NA",
-                 rat_str(self.p_violation), f"{float(self.p_violation):.6g}",
-                 rat_str(self.p_graph_positive),
-                 f"{float(self.p_graph_positive):.6g}"]
-        return ",".join(str(c) for c in cells)
+                 *map(rat_cells, (self.alpha_hat, self.beta_hat,
+                                  self.cheb_bound, self.p_violation))]
+        return ",".join(map(str, cells))
 
 
 CSV_HEADER = ("r,n,samples,seed,i,k,alpha_hat,alpha_hat_dec,beta_hat,"
@@ -371,63 +371,83 @@ CSV_HEADER = ("r,n,samples,seed,i,k,alpha_hat,alpha_hat_dec,beta_hat,"
               "p_violation_dec,p_graph_positive,p_graph_positive_dec")
 
 
+class TrendRow(Record):
+    """One n of a run (`ensemble_grid`): the stats of each sampled (i, k),
+    the fraction of graphs with no negative sign, and the s-cycle totals
+    of the census samples (None without a census).  A row with nothing
+    sampled has stats {} and p_graph_positive None."""
+
+    __slots__ = __match_args__ = ("n", "stats", "p_graph_positive",
+                                  "cycle_totals")
+
+    def __init__(self, n: int, stats: dict[tuple[int, int], EnsembleStats],
+                 p_graph_positive: Rat | None,
+                 cycle_totals: dict[int, int] | None = None):
+        self.n = n
+        self.stats = stats
+        self.p_graph_positive = p_graph_positive
+        self.cycle_totals = cycle_totals
+
+
 def _sample_graph(r: int, n: int, seed: int, index: int) -> BipGraph:
     return gen_regular_bipartite(n, r, derive_seed(seed, index))
 
 
-def _grid_worker(args):
-    """Integer partial sums of D alpha_0 and its square, violation and
-    positive-graph counts over the samples lo..hi-1, and the s-cycle
-    totals (even s <= census_smax) over those of them below census_samples.
-    """
+def _grid_worker(args) -> Counter:
+    """The tally of the samples lo..hi-1: per (i, k) in `consts` the sums
+    of D alpha_0 ("sum", (i, k)) and of its square ("sq", (i, k)) and the
+    violations ("viol", (i, k)); the positive graphs ("positive"); and the
+    s-cycle totals ("cycles", s), even s <= census_smax, over the samples
+    below census_samples."""
     r, n, seed, lo, hi, consts, census_smax, census_samples = args
-    sums = dict.fromkeys(consts, 0)
-    sqs = dict.fromkeys(consts, 0)
-    viol = dict.fromkeys(consts, 0)
-    cycles = dict.fromkeys(range(4, census_smax + 1, 2), 0)
-    pos = 0
+    tally = Counter()
+    counts = []
     for idx in range(lo, hi):
         g = _sample_graph(r, n, seed, idx)
         mvec = match_poly_full(g)
-        pos += delta_table(g, mvec).positive()
-        m = mvec.counts
-        for p, const in consts.items():
-            a = _scaled_alpha0(m, const)
-            sums[p] += a
-            sqs[p] += a * a
-            viol[p] += a < 0
+        tally["positive"] += delta_table(g, mvec).positive()
+        counts.append(mvec.counts)
         if idx < census_samples:
             for s, c in cycle_census(g, census_smax).items():
-                cycles[s] += c
-    return sums, sqs, viol, pos, cycles
+                tally["cycles", s] += c
+    # one update per cell and chunk: tuple-keyed `Counter` updates per
+    # sample doubled the cost of this loop
+    for p, const in consts.items():
+        alphas = [_scaled_alpha0(m, const) for m in counts]
+        tally["sum", p] += sum(alphas)
+        tally["sq", p] += sum(a * a for a in alphas)
+        tally["viol", p] += sum(a < 0 for a in alphas)
+    return tally
 
 
 def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
                   jobs: int = 1, census_smax: int = 0,
-                  census_samples: int = 0
-                  ) -> dict[tuple[int, int], EnsembleStats]:
-    """Shared-sample ensemble statistics for several (i, k) pairs at once.
+                  census_samples: int = 0) -> TrendRow:
+    """Shared-sample statistics at one n: the `TrendRow` with the stats
+    of every (i, k) of `pairs` in the domain i + k <= n.
 
     Per-sample seeds come from a splittable counter scheme, so results are
-    identical for any `jobs`.  Workers sum the integers D alpha_0 and
-    (D alpha_0)^2 (constants from `_KTable.alpha0`); the merge adds those
-    integers, and the exact moments come from one division by D and by
-    D^2 at the end.  With census_samples > 0, the
-    first census_samples samples also get a cycle census up to
-    census_smax, and every stat carries the merged totals in
-    `cycle_totals`.  r < 1 or a pair with i < 0 raises ValueError before
-    any sampling.  Pairs outside the domain
-    i + k <= n are dropped; when none is left, nothing is sampled."""
+    identical for any `jobs`.  Each worker tallies its chunk of the
+    samples (`_grid_worker`), the merge adds the tallies, and the exact
+    moments come from one division by D and by D^2 at the end (constants
+    from `_KTable.alpha0`).  With census_samples > 0, the first
+    census_samples samples also get a cycle census up to census_smax,
+    whose totals the row carries.  r < 1, n < r or a pair with i < 0
+    raises ValueError before any sampling.  Pairs outside the domain are
+    dropped; when none is left and there is no census, nothing is
+    sampled, and the row has stats {} and p_graph_positive None."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
+    if n < r:
+        raise ValueError(f"need r <= n, got r={r}, n={n}")
     if any(i < 0 for i, _ in pairs):
         raise ValueError("need i >= 0 in every (i, k) pair")
     tab = _k_table(n, r)
     consts = {p: tab.alpha0(*p) for p in pairs if p[0] + p[1] <= n}
-    if not consts:
-        return {}
+    if not consts and not census_samples:
+        return TrendRow(n=n, stats={}, p_graph_positive=None)
     census = (census_smax, census_samples)
     if jobs > 1:
         step = max(64, samples // (4 * jobs) + 1)
@@ -438,32 +458,22 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
             parts = pool.map(_grid_worker, chunks)
     else:
         parts = [_grid_worker((r, n, seed, 0, samples, consts, *census))]
-
-    sums = dict.fromkeys(consts, 0)
-    sqs = dict.fromkeys(consts, 0)
-    viol = dict.fromkeys(consts, 0)
-    cycles = dict.fromkeys(range(4, census_smax + 1, 2), 0)
-    pos = 0
-    for psums, psqs, pviol, ppos, pcycles in parts:
-        for p in consts:
-            sums[p] += psums[p]
-            sqs[p] += psqs[p]
-            viol[p] += pviol[p]
-        for s in cycles:
-            cycles[s] += pcycles[s]
-        pos += ppos
-    out = {}
+    tally = Counter()
+    for part in parts:
+        tally.update(part)  # adds; `+` would drop the entries <= 0
+    stats = {}
     for (i, k), const in consts.items():
         d = const[-1]
-        mean = Fraction(sums[(i, k)], d * samples)
-        beta = Fraction(sqs[(i, k)], d * d * samples) - mean * mean
-        out[(i, k)] = EnsembleStats(
+        mean = Fraction(tally["sum", (i, k)], d * samples)
+        beta = Fraction(tally["sq", (i, k)], d * d * samples) - mean * mean
+        stats[(i, k)] = EnsembleStats(
             r=r, n=n, i=i, k=k, samples=samples, seed=seed,
             alpha_hat=mean, beta_hat=beta,
-            p_violation=Fraction(viol[(i, k)], samples),
-            p_graph_positive=Fraction(pos, samples),
-            cycle_totals=cycles if census_samples else None)
-    return out
+            p_violation=Fraction(tally["viol", (i, k)], samples))
+    cycles = {s: tally["cycles", s] for s in range(4, census_smax + 1, 2)}
+    return TrendRow(n=n, stats=stats,
+                    p_graph_positive=Fraction(tally["positive"], samples),
+                    cycle_totals=cycles if census_samples else None)
 
 
 def wilson_bounds(successes: int, samples: int) -> tuple[float, float]:
@@ -484,14 +494,6 @@ def _wilson_above(x_hi: int, n_hi: int, x_lo: int, n_lo: int) -> bool:
     lo, _ = wilson_bounds(x_hi, n_hi)
     _, hi = wilson_bounds(x_lo, n_lo)
     return lo > hi
-
-
-class TrendRow(Record):
-    __slots__ = __match_args__ = ("n", "stats")
-
-    def __init__(self, n: int, stats: dict[tuple[int, int], EnsembleStats]):
-        self.n = n
-        self.stats = stats
 
 
 class TrendReport(Record):
@@ -523,17 +525,12 @@ class TrendReport(Record):
     def positivity_drops(self) -> list[tuple[int, int]]:
         """Consecutive (n_a, n_b) rows whose positivity fraction drops
         beyond noise: the later Wilson interval lies strictly below the
-        earlier one.  Rows without stats (no (i, k) in their domain) are
-        skipped."""
-        seq = []
-        for row in self.rows:
-            if row.stats:
-                st = next(iter(row.stats.values()))
-                seq.append((row.n, int(st.p_graph_positive * st.samples),
-                            st.samples))
-        return [(n_a, n_b)
-                for (n_a, xa, na), (n_b, xb, nb) in zip(seq, seq[1:])
-                if _wilson_above(xa, na, xb, nb)]
+        earlier one.  Rows with nothing sampled are skipped."""
+        size = self.samples
+        seq = [(row.n, int(row.p_graph_positive * size)) for row in self.rows
+               if row.p_graph_positive is not None]
+        return [(n_a, n_b) for (n_a, xa), (n_b, xb) in zip(seq, seq[1:])
+                if _wilson_above(xa, size, xb, size)]
 
     def monotone_positivity(self) -> bool:
         """Positivity fraction non-decreasing in n within noise."""
@@ -547,15 +544,21 @@ class TrendReport(Record):
                      "domain i+k<=n")
         lines.append(CSV_HEADER)
         for row in self.rows:
+            positive = rat_cells(row.p_graph_positive)
             for key in sorted(row.stats):
-                lines.append(row.stats[key].csv_row())
+                lines.append(f"{row.stats[key].csv_row()},{positive}")
         return "\n".join(lines) + "\n"
 
 
 def trend_report(r: int, n_list, samples: int, pairs, seed: int,
                  jobs: int = 1) -> TrendReport:
-    rows = []
-    for n in n_list:
-        stats = ensemble_grid(r, n, samples, pairs, seed, jobs=jobs)
-        rows.append(TrendRow(n=n, stats=stats))
+    """One `ensemble_grid` row per n of `n_list`.  A pair with i + k > n
+    at every n would get a trend with no data behind it, so it raises
+    ValueError before any sampling."""
+    for i, k in pairs:
+        if all(i + k > n for n in n_list):
+            raise ValueError(f"(i, k) = ({i}, {k}) has i + k > n at every "
+                             f"n in {list(n_list)}")
+    rows = [ensemble_grid(r, n, samples, pairs, seed, jobs=jobs)
+            for n in n_list]
     return TrendReport(r=r, samples=samples, seed=seed, rows=rows)

@@ -211,10 +211,7 @@ def test_criterion_10_monte_carlo(mc_grid):
 
 
 def test_criterion_11_positivity_census(mc_grid):
-    fracs = []
-    for row in mc_grid.rows:
-        st = next(iter(row.stats.values()))
-        fracs.append((row.n, float(st.p_graph_positive)))
+    fracs = [(row.n, float(row.p_graph_positive)) for row in mc_grid.rows]
     assert mc_grid.monotone_positivity(), fracs
     report(11, "positivity fraction trend non-decreasing (2 SE): "
                + ", ".join(f"n={n}: {p:.4f}" for n, p in fracs))

@@ -265,6 +265,31 @@ def test_census_draws_each_sample_once(env_cache, capsys, monkeypatch):
     assert sorted(drawn) == [(n, i) for n in (6, 8) for i in range(30)]
 
 
+def test_census_computes_no_alpha0(env_cache, capsys, monkeypatch):
+    """census asks for no (i, k) cell, so no sample computes a D alpha_0:
+    it reads only the sign table and the cycle census."""
+    import matchdiff.positivity
+
+    def refuse(*args):
+        raise AssertionError("census computed a D alpha_0")
+
+    monkeypatch.setattr(matchdiff.positivity, "_scaled_alpha0", refuse)
+    code, out, _ = run(capsys, "census", "--n", "6,8", "--samples", "30")
+    assert code == 0 and out.startswith(CENSUS_CSV)
+
+
+def test_census_jobs_agree(env_cache, capsys):
+    """140 samples make three worker chunks at --jobs 2, and the census
+    spans all three; the stdout is the --jobs 1 stdout."""
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "census", "--n", "5,7", "--smax", "8",
+                           "--samples", "140", "--jobs", jobs)
+        assert code == 0
+        outs.append(out.replace(f"jobs={jobs}", "jobs=J", 1))
+    assert outs[0] == outs[1]
+
+
 def test_census_smax_cap_fails_before_sampling(env_cache, capsys,
                                                monkeypatch):
     import matchdiff.positivity
@@ -387,12 +412,23 @@ GRID = ("--n", "6", "--samples", "2")
      "error: k must be >= 3"),
     (("verify", "--id", "fd-monomial", "--k", "-1"),
      "error: k must be >= 0"),
+    # a pair outside i + k <= n at every n once printed a trend with no
+    # data behind it and exited 0
+    (("simulate", "--n", "4", "--i", "9", "--k", "9"),
+     "error: (i, k) = (9, 9) has i + k > n at every n in [4]"),
+    (("simulate", "--n", "3", "--i", "0", "--k", "5"),
+     "error: (i, k) = (0, 5) has i + k > n at every n in [3]"),
+    # n < r once exited 2 only by accident, with an unrelated message
+    (("census", "--n", "-2", "--samples", "2"),
+     "error: need r <= n, got r=3, n=-2"),
+    (("simulate", "--n=-2,6", "--samples", "2"),
+     "error: need r <= n, got r=3, n=-2"),
 ])
 def test_out_of_domain_grid_exits_config(argv, message, env_cache, capsys):
-    """r < 1, a negative i, a k outside a check's domain or a conjecture
-    --zmax above the run's pointwise order is a configuration error, raised
-    before any sampling and any stdout, not a crash or a silent wrong
-    value."""
+    """r < 1, n < r, a negative i, a simulate pair outside i + k <= n at
+    every n, a k outside a check's domain or a conjecture --zmax above the
+    run's pointwise order is a configuration error, raised before any
+    sampling and any stdout, not a crash or a silent wrong value."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and message in err

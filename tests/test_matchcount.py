@@ -61,9 +61,10 @@ def test_counters_agree_on_random_graphs():
         assert list(upto.counts) == _kernels_py.match_upto_counts(
             [(u, n + v) for u, v in g.edges()], 2 * n, j)
         full.validate_regular(n, r)
-        # a vector breaking only Newton's inequality at i = 2 is rejected
+        # a vector breaking only Newton's inequality at i = 3 is rejected
+        # (m_3 has a closed form, so the corruption sits at m_4)
         bad = list(full.counts)
-        bad[3] *= 10 ** 6
+        bad[4] *= 10 ** 6
         with pytest.raises(AssertionError, match="Newton"):
             MatchVector(tuple(bad)).validate_regular(n, r)
 
@@ -89,6 +90,21 @@ def test_m2_closed_form():
         e = g.nedges
         expect = comb(e, 2) - 2 * g.n * comb(g.r, 2)
         assert match_poly_full(g).counts[2] == expect
+
+
+def test_m3_closed_form():
+    """m_3 depends on (n, r) alone; a vector wrong only at m_3 is refused
+    with the index named."""
+    for r, n in ((2, 3), (3, 6), (4, 7), (5, 6), (3, 20)):
+        for seed in range(3):
+            g = gen_regular_bipartite(n, r, seed=seed)
+            m3 = (comb(n * r, 3) - 2 * n * comb(r, 3) - n * r * (r - 1) ** 2
+                  - 2 * n * comb(r, 2) * (n * r - 3 * r + 2))
+            counts = match_count_upto(g, 3).counts
+            assert counts[3] == m3
+            bad = counts[:3] + (m3 + 1,)
+            with pytest.raises(AssertionError, match="m_3 = "):
+                MatchVector(bad).validate_regular(n, r)
 
 
 def test_relabeling_invariance():

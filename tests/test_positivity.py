@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,9 @@ from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
 from matchdiff.matchcount import match_poly_full, mbar_vector
 from matchdiff.positivity import (_DECIMAL_ERR, _FLOAT_SCALE, _LOG_ERR,
                                   EnsembleStats, TrendReport, TrendRow,
-                                  _decimal_leaves, _float_leaves, _k_table,
-                                  _KTable, _sample_graph, _scaled_alpha0,
+                                  _decimal_leaves, _float_leaves,
+                                  _grid_worker, _k_table, _KTable,
+                                  _sample_graph, _scaled_alpha0,
                                   _sign_cascade, _triangle, alpha0_exact,
                                   delta_table, ensemble_grid, lsplit,
                                   rho_vector, trend_report)
@@ -377,8 +379,8 @@ def test_alpha0_constant_for_low_index():
 
 
 def test_ensemble_reproducible_and_exact():
-    a = ensemble_grid(3, 8, 60, [(2, 1)], seed=77)[(2, 1)]
-    b = ensemble_grid(3, 8, 60, [(2, 1)], seed=77)[(2, 1)]
+    a = ensemble_grid(3, 8, 60, [(2, 1)], seed=77).stats[(2, 1)]
+    b = ensemble_grid(3, 8, 60, [(2, 1)], seed=77).stats[(2, 1)]
     assert a == b
     # exact moments equal brute-force recomputation from per-sample values
     vals = []
@@ -392,7 +394,7 @@ def test_ensemble_reproducible_and_exact():
 
 
 def test_ensemble_single_sample():
-    st = ensemble_grid(3, 8, 1, [(1, 1)], seed=3)[(1, 1)]
+    st = ensemble_grid(3, 8, 1, [(1, 1)], seed=3).stats[(1, 1)]
     assert st.beta_hat == 0
     assert st.p_violation in (F(0), F(1))
 
@@ -450,7 +452,36 @@ def test_census_totals_merge_across_jobs():
     for idx in range(100):
         for s, c in cycle_census(_sample_graph(3, 7, 5, idx), 8).items():
             totals[s] += c
-    assert all(st.cycle_totals == totals for st in a.values())
+    assert a.cycle_totals == totals
+
+
+@settings(max_examples=15, deadline=None)
+@given(samples=st.integers(1, 12),
+       cuts=st.lists(st.integers(0, 12), max_size=4))
+def test_tally_merged_from_any_split_equals_one_worker(samples, cuts):
+    """The workers' tallies merge associatively: any split of the samples
+    into chunks, merged with `Counter.update`, gives the one-worker tally,
+    zero entries included."""
+    tab = _k_table(6, 3)
+    consts = {p: tab.alpha0(*p) for p in [(0, 0), (1, 2), (2, 1), (3, 3)]}
+    census = (8, 7)  # cycle census up to s = 8 on samples 0..6
+    bounds = [0, *sorted(min(c, samples) for c in cuts), samples]
+    merged = Counter()
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged.update(_grid_worker((3, 6, 11, lo, hi, consts, *census)))
+    one = _grid_worker((3, 6, 11, 0, samples, consts, *census))
+    assert dict(merged) == dict(one)
+
+
+def test_merge_keeps_negative_sums(monkeypatch):
+    """The merge adds the tallies and keeps their entries <= 0, which a
+    `Counter` sum drops: with every D alpha_0 negated, so is the mean."""
+    mean = ensemble_grid(3, 7, 20, [(2, 1)], seed=4).stats[(2, 1)].alpha_hat
+    scaled = positivity._scaled_alpha0
+    monkeypatch.setattr(positivity, "_scaled_alpha0",
+                        lambda m, const: -scaled(m, const))
+    neg = ensemble_grid(3, 7, 20, [(2, 1)], seed=4).stats[(2, 1)]
+    assert neg.alpha_hat == -mean < 0 and neg.p_violation == 1
 
 
 def test_ensemble_grid_outside_domain_samples_nothing(monkeypatch):
@@ -458,7 +489,8 @@ def test_ensemble_grid_outside_domain_samples_nothing(monkeypatch):
         raise AssertionError("sampled with no (i, k) in the domain")
 
     monkeypatch.setattr(positivity, "_sample_graph", refuse)
-    assert ensemble_grid(3, 4, 5, [(3, 3), (0, 5)], seed=1) == {}
+    assert ensemble_grid(3, 4, 5, [(3, 3), (0, 5)], seed=1) == \
+        TrendRow(n=4, stats={}, p_graph_positive=None)
 
 
 def test_ensemble_grid_counts_a_repeated_pair_once():
@@ -543,9 +575,9 @@ def test_trend_report_structure():
 def test_positivity_drops_reported():
     def row(n, positive):
         st = EnsembleStats(r=3, n=n, i=0, k=0, samples=100, seed=1,
-                           alpha_hat=F(0), beta_hat=F(0), p_violation=F(0),
-                           p_graph_positive=F(positive, 100))
-        return TrendRow(n=n, stats={(0, 0): st})
+                           alpha_hat=F(0), beta_hat=F(0), p_violation=F(0))
+        return TrendRow(n=n, stats={(0, 0): st},
+                        p_graph_positive=F(positive, 100))
 
     rep = TrendReport(r=3, samples=100, seed=1,
                       rows=[row(6, 90), row(8, 95), row(10, 40), row(12, 45)])
@@ -553,6 +585,6 @@ def test_positivity_drops_reported():
     assert not rep.monotone_positivity()
     del rep.rows[2:]
     assert rep.positivity_drops() == [] and rep.monotone_positivity()
-    # a row with no (i, k) in its domain has no stats and is skipped
-    rep.rows += [TrendRow(n=9, stats={}), row(10, 40)]
+    # a row with nothing sampled (no (i, k) in its domain) is skipped
+    rep.rows += [TrendRow(n=9, stats={}, p_graph_positive=None), row(10, 40)]
     assert rep.positivity_drops() == [(8, 10)]

@@ -15,8 +15,7 @@ from matchdiff.positivity import EnsembleStats, TrendReport, TrendRow
 
 def _stats(**changes):
     fields = dict(r=3, n=6, i=1, k=2, samples=10, seed=1,
-                  alpha_hat=F(1, 3), beta_hat=F(2, 9), p_violation=F(0),
-                  p_graph_positive=F(1))
+                  alpha_hat=F(1, 3), beta_hat=F(2, 9), p_violation=F(0))
     fields.update(changes)
     return EnsembleStats(**fields)
 
@@ -40,7 +39,11 @@ def test_records_compare_by_value():
     assert hash(MatchVector((1, 4, 2))) == hash(MatchVector((1, 4, 2)))
     assert _stats() == _stats()
     assert _stats() != _stats(beta_hat=F(1, 9))
-    assert _stats(cycle_totals={4: 2}) != _stats()
+    row = TrendRow(n=6, stats={(1, 2): _stats()}, p_graph_positive=F(1))
+    assert row == TrendRow(n=6, stats={(1, 2): _stats()},
+                           p_graph_positive=F(1))
+    assert row != TrendRow(n=6, stats={(1, 2): _stats()},
+                           p_graph_positive=F(1), cycle_totals={4: 2})
     spec = ConjectureSpec(((1, F(5, 7)),))
     assert spec == ConjectureSpec(((1, F(5, 7)),))
     assert spec != ConjectureSpec(((2, F(5, 7)),))
@@ -70,7 +73,8 @@ def test_mutable_records_accept_assignment():
     rep.id = "extended-expansion-empty"
     assert rep.line() == "extended-expansion-empty h=2 PASS"
     report = TrendReport(r=3, samples=10, seed=1, rows=[])
-    report.rows += [TrendRow(n=6, stats={(1, 2): _stats()})]
+    report.rows += [TrendRow(n=6, stats={(1, 2): _stats()},
+                             p_graph_positive=F(1))]
     assert [row.n for row in report.rows] == [6]
     report.elapsed = 1.5  # a report also carries run data
     with pytest.raises(TypeError):
