@@ -302,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "statistics for regular bipartite graphs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, out=True, cache=True):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--cache", default=None,
-                       help="cache directory (default $MATCHDIFF_CACHE or ./cache)")
+        if cache:
+            p.add_argument("--cache", default=None, help="cache directory "
+                           "(default $MATCHDIFF_CACHE or ./cache)")
         if out:
             p.add_argument("--out", default=None,
                            help="machine-readable output path")
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("simulate", help="Monte Carlo moment and trend estimation")
-    common(p)
+    common(p, cache=False)
     p.add_argument("--r", default="3")
     p.add_argument("--n", default="6,8,10,12")
     p.add_argument("--i", default="0..3")
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("census", help="graph positivity and cycle census")
-    common(p)
+    common(p, cache=False)
     p.add_argument("--r", default="3")
     p.add_argument("--n", default="6,8,10,12")
     p.add_argument("--samples", type=_int_at_least(1), default=2000)

@@ -12,7 +12,7 @@ import functools
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 from ._kernels_py import cycle_census_counts
 from .rng import (GOLDEN, GOLDEN_INV, MASK, MIX1, MIX2, Rng, derive_seed,
@@ -101,12 +101,18 @@ class BipGraph:
         return f"BipGraph(n={self.n}, r={self.r})"
 
 
-# Attempts per packed batch.  The first batch is small and unfiltered: at
-# r = 3 a graph is accepted within a few dozen attempts, before a filter
-# would pay for its setup.  Past about a thousand lanes the packed ints
-# gain nothing per lane and only draw seeds the accepted graph never needs.
+# Attempts per packed batch, and when `_packed_filter` stops packing rows.
+# Past about a thousand lanes the packed ints gain nothing per lane and
+# only draw seeds the accepted graph never needs.  A packed row pays only
+# through the lockstep attempts it rejects, so the next row is packed only
+# while more than _FIRST_BATCH lanes are live and the row just decided
+# rejected at least _MIN_REJECTED of them (the next rejects about as many).
+# Measured in CPU time on a shared 2-vCPU machine: packing the first batch
+# made r = 3 draws 1.4 to 1.9 times slower, and with no rejection test an
+# r = 4, n = 1000 draw (rows reject under 1%) took 2.6-3.1 s, not 0.23 s.
 _FIRST_BATCH = 32
 _MAX_BATCH = 1024
+_MIN_REJECTED = 1 / 4
 
 
 def gen_regular_bipartite(n: int, r: int, seed: int,
@@ -147,20 +153,15 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     Packed rejection: the attempts run in batches, the first of
     `_FIRST_BATCH` attempts, then doubling up to `_MAX_BATCH`, each cut
     short at max_tries.  A batch's stream starts come from one lane-packed
-    `derive_seed_lanes`.  After the first batch, `_packed_filter` draws
-    rows n-1 and n-2 of every attempt in lane-packed integer arithmetic,
-    with no Python loop over the lanes: on the identity permutations they
-    are u % n (`mod_lanes`), and u % (n-1) with the value n-1 where it
-    equals the row n-1 draw (`select_lanes`).  Row n-1 is tested on the
-    whole batch (`distinct_lanes`).  Only the attempts it keeps are
-    gathered into a shorter batch (`gather_lanes`), their row n-1 values
-    riding in the spare upper halves of the slots, and row n-2 is drawn and
-    tested for them alone.  An attempt whose row n-1 or n-2 repeats a
-    neighbour is rejected there, unless the guard flags it.  Every other
-    attempt goes, in order, to `_stream_attempt` when flagged, or else with
-    its two rows to `_lockstep_attempt`, which replays their swaps and
-    resumes at row n-3.  Both decide the attempt exactly, so the packed
-    tier only rejects what they would reject too.
+    `derive_seed_lanes`, and `_packed_filter` decides rows n-1, n-2, ...
+    of every attempt in lane-packed integer arithmetic, with no Python loop
+    over the lanes, for as long as the batch says it pays (see there).  An
+    attempt that repeats a neighbour in one of those rows is rejected there,
+    unless the guard flags it.  Every other attempt goes, in order, to
+    `_stream_attempt` when flagged, or else with the positions its packed
+    steps drew to `_lockstep_attempt`, which replays their swaps and
+    resumes at the next row.  Both decide the attempt exactly, so the
+    packed tier only rejects what they would reject too.
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
@@ -182,11 +183,7 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
         else:
             flagged = {a for a, ca in enumerate(unpack_lanes(c, size))
                        if hot[bisect_right(hot, ca)] - ca <= span}
-        if first and n > 2:
-            live = _packed_filter(states, size, n, r, flagged)
-        else:
-            live = zip(range(size), unpack_lanes(states, size), repeat(None))
-        for a, s0, drawn in live:
+        for a, s0, drawn in _packed_filter(states, size, n, r, flagged):
             if a in flagged:
                 masks = _stream_attempt(s0, n, r)
             else:
@@ -200,53 +197,55 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
 
 
 def _packed_filter(states: int, size: int, n: int, r: int, flagged):
-    """The attempts of a batch (n >= 3) whose rows n-1 and n-2 hold no
-    repeated neighbour, with the `flagged` lanes kept whatever their draws,
-    in lane order, as (lane, stream start, (row n-1, row n-2)), each row
-    the neighbours it gets from shuffles 0 .. r-1.
+    """The attempts of a batch that its packed rows leave live, with the
+    `flagged` lanes kept whatever their draws, in lane order, as (lane,
+    stream start, drawn): `drawn` holds the position k that each packed
+    step drew, row n-1 first and shuffle by shuffle within a row.
 
-    Row n-1 takes step n-1 (draw p*(n-1) + 1) of each shuffle p on its
-    identity permutation, so its neighbour is u % n; row n-2 takes step n-2
-    (draw p*(n-1) + 2), u % (n-1), which the swap of step n-1 has replaced
-    by n-1 when it equals the row n-1 neighbour.  Row n-1 is decided on the
-    whole batch.  The lanes it keeps are gathered into a shorter batch, with
-    their row n-1 values carried along in the upper halves of the slots,
-    w = bits(n-1) bits each and as many to a slot as fit in 62 bits, and
-    row n-2 is drawn on that batch alone."""
-    k = n - 1
-    row1 = [mod_lanes(u, n, size) for u in draws_lanes(states, size, 1, k, r)]
-    keep = _keep_flagged(distinct_lanes(row1, size), range(size), flagged)
-    live = list(compress(range(size), keep))
-    if not live:
-        return []
-    w = k.bit_length()
+    Row i takes step i (draw p*(n-1) + n-i) of each shuffle p, which swaps
+    position i with k = u % (i+1).  Its neighbour is the value at k: walked
+    back through the earlier steps, latest first, it is t where k equals
+    the position step t drew (`select_lanes`), and k itself otherwise.
+    Each row is decided on the whole batch (`distinct_lanes`), and the next
+    row, while the rule stated at `_FIRST_BATCH` lets it and i > 1, only on
+    the live lanes (`gather_lanes`), every position drawn so far parked in
+    the upper halves of the slots, w = bits(n-1) bits each (at least 1),
+    62 // w to a slot."""
+    w = max(n - 1, 1).bit_length()
     per = 62 // w
-    slots = [states] + [0] * ((r - 1) // per)
-    for p, j in enumerate(row1):
-        slots[p // per] |= j << 64 + w * (p % per)
-    slots = [gather_lanes(x, size, live) for x in slots]
-    m = len(live)
-    field = fill_lanes((1 << w) - 1, m)
-    row1 = [slots[p // per] >> 64 + w * (p % per) & field for p in range(r)]
-    row2 = [select_lanes(mod_lanes(u, k, m), j1, k, m)
-            for u, j1 in zip(draws_lanes(slots[0], m, 2, k, r), row1)]
-    keep = _keep_flagged(distinct_lanes(row2, m), live, flagged)
-    s0s, *rows = [compress(unpack_lanes(x, m), keep)
-                  for x in (slots[0], *row1, *row2)]
-    return list(zip(compress(live, keep), s0s,
-                    zip(zip(*rows[:r]), zip(*rows[r:]))))
-
-
-def _keep_flagged(keep: bytes, lanes, flagged) -> bytes:
-    """The lane flags `keep` (one byte per lane, lane i holding attempt
-    lanes[i] of the batch) with the flagged attempts' bytes set."""
-    if not flagged:
-        return keep
-    keep = bytearray(keep)
-    for i, a in enumerate(lanes):
-        if a in flagged:
-            keep[i] = 1
-    return keep
+    lanes, slots, drawn = range(size), [states], []
+    keep = b"\1" * size
+    m = live = size
+    i = n - 1
+    while live > _FIRST_BATCH and i > 0:
+        if drawn:  # park row i+1's positions, keep only the live lanes
+            slots += [0] * ((len(drawn) - 1) // per + 1 - len(slots))
+            for x, k in enumerate(drawn[-r:], len(drawn) - r):
+                slots[x // per] |= k << 64 + w * (x % per)
+            kept = list(compress(range(m), keep))
+            slots = [gather_lanes(x, m, kept) for x in slots]
+            lanes = list(compress(lanes, keep))
+            m = live
+            field = fill_lanes((1 << w) - 1, m)
+            drawn = [slots[x // per] >> 64 + w * (x % per) & field
+                     for x in range(len(drawn))]
+        ks = [mod_lanes(u, i + 1, m)
+              for u in draws_lanes(slots[0], m, n - i, n - 1, r)]
+        js = ks
+        for x in range(len(drawn) - r, -1, -r):  # step n-1 - x/r
+            js = [select_lanes(j, k, n - 1 - x // r, m)
+                  for j, k in zip(js, drawn[x:x + r])]
+        keep = distinct_lanes(js, m)
+        if flagged:
+            keep = bytes(k or a in flagged for k, a in zip(keep, lanes))
+        drawn += ks
+        live = keep.count(1)
+        i -= 1
+        if m - live < _MIN_REJECTED * m:
+            break
+    s0s = compress(unpack_lanes(slots[0], m), keep)
+    cols = [compress(unpack_lanes(x, m), keep) for x in drawn]
+    return zip(compress(lanes, keep), s0s, zip(*cols) if cols else repeat(()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,7 +282,7 @@ def _set_bits(m: int) -> list[int]:
 
 
 def _lockstep_attempt(s0: int, n: int, r: int, rows, identity: list[int],
-                      drawn=None) -> list[int] | None:
+                      drawn=()) -> list[int] | None:
     """One attempt of `gen_regular_bipartite` in row lockstep, for a stream
     start s0 none of whose r*(n-1) draws is redrawn: each left row's right
     neighbours as a bitmask, or None at the first repeated edge.  `rows`
@@ -291,20 +290,20 @@ def _lockstep_attempt(s0: int, n: int, r: int, rows, identity: list[int],
     shuffle and where that shuffle starts in the one list `identity`
     (r identity permutations back to back) that the attempt copies.
 
-    `drawn`, when given, holds the neighbours of rows n-1 and n-2 of each
-    shuffle (from `_packed_filter`, distinct within each row), and the
-    lockstep resumes at row n-3 after replaying their two swaps."""
+    `drawn` holds the positions that the first steps of each shuffle drew,
+    in `_packed_filter`'s order, for rows it found free of repeats; the
+    lockstep replays their swaps and resumes at the next row."""
     perms = identity[:]
     masks = [0] * n
-    if drawn is not None:
-        top = n - 1
-        for base, j1, j2 in zip(range(0, n * r, n), *drawn):
-            perms[base + j1] = top
-            # row n-2 drew position j1 when it got the neighbour n-1
-            perms[base + (j1 if j2 == top else j2)] = perms[base + top - 1]
-            masks[top] |= 1 << j1
-            masks[top - 1] |= 1 << j2
-        rows = rows[2:]
+    if drawn:  # a test, not three iterators, for most attempts
+        rows, steps = iter(rows), iter(drawn)
+        for i, _, draws in islice(rows, len(drawn) // r):
+            seen = 0
+            for (_, base), k in zip(draws, steps):
+                j = base + k
+                seen |= 1 << perms[j]
+                perms[j] = perms[base + i]
+            masks[i] = seen
     for i, k, draws in rows:
         seen = 0
         for off, base in draws:

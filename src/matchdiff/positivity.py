@@ -39,6 +39,14 @@ merge by `Counter.update`, which adds and keeps negative sums, so any
 split of the samples merges to the one-worker tally.  The moments divide
 by D and D^2 once, after the merge.
 
+Newton's inequality m_i^2 i (n-i) >= m_{i-1} m_{i+1} (i+1) (n-i+1), which
+`MatchVector.validate_regular` checks, is a bound on d: in a second
+difference the (v-1)^i and r^i of K_i cancel, and K_v, v = 2n, has
+mbar_{i+1} mbar_{i-1} / mbar_i^2 = i (v-2i) (v-2i-1) / ((i+1) (v-2i+2)
+(v-2i+1)).  So it is exactly Delta^2 d(i-1) <= ln((2n-2i+1) / (2n-2i-1))
+for 1 <= i <= n-1, and positivity at k = 2 asks Delta^2 d(i-1) to stay
+in [0, ln((2n-2i+1) / (2n-2i-1))], a window of width about 1/(n-i).
+
 Layering: the Monte Carlo layer is this module and what it imports
 (graphs, matchcount, rng, _kernels_py, series).  It imports nothing from
 the identity checks (atable, kseries, identities); they import from it,

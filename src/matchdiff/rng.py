@@ -61,9 +61,8 @@ def derive_seed(master: int, index: int) -> int:
 # bit by which `distinct_lanes` and `select_lanes` compare lanes.
 # `gather_lanes` cuts a batch down to some of its lanes, whole slots, so
 # small values parked in the upper halves (the draws mask them off) stay
-# with their lanes: the graph sampler carries its row n-1 draws to the
-# attempts that survive them, and hands rows n-1 and n-2 on to the lockstep
-# that resumes each attempt at row n-3.
+# with their lanes: the graph sampler carries the positions drawn by each
+# row it packs to the attempts that survive that row.
 
 # `mod_lanes` is exact for divisors up to this bound (see there)
 MOD_LANES_MAX = 1 << 31
@@ -226,6 +225,8 @@ class Rng:
         """Uniform integer in [0, k) by rejection (no modulo bias)."""
         if k <= 0:
             raise ValueError("empty range")
+        if k > 1 << 64:  # range_limit(k) is 0: no draw would ever pass
+            raise ValueError(f"randrange needs k <= 2^64, got {k}")
         lim = range_limit(k)
         while True:
             u = self.next_u64()

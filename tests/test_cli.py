@@ -423,12 +423,18 @@ GRID = ("--n", "6", "--samples", "2")
      "error: need r <= n, got r=3, n=-2"),
     (("simulate", "--n=-2,6", "--samples", "2"),
      "error: need r <= n, got r=3, n=-2"),
+    # --cache was accepted here, but the Monte Carlo commands read no cache
+    (("simulate", "--cache", "x", "--samples", "2"),
+     "unrecognized arguments: --cache x"),
+    (("census", "--cache", "x", "--samples", "2"),
+     "unrecognized arguments: --cache x"),
 ])
 def test_out_of_domain_grid_exits_config(argv, message, env_cache, capsys):
     """r < 1, n < r, a negative i, a simulate pair outside i + k <= n at
-    every n, a k outside a check's domain or a conjecture --zmax above the
-    run's pointwise order is a configuration error, raised before any
-    sampling and any stdout, not a crash or a silent wrong value."""
+    every n, a k outside a check's domain, a conjecture --zmax above the
+    run's pointwise order or a flag the command does not read is a
+    configuration error, raised before any sampling and any stdout, not a
+    crash or a silent wrong value."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and message in err

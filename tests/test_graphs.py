@@ -19,7 +19,7 @@ from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               gen_regular_bipartite, girth, girth_search,
                               incidence_pg, parse_graph, random_lift)
 from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, derive_seed_lanes,
-                           draws_lanes, splitmix64, unmix64, unpack_lanes)
+                           splitmix64, unmix64, unpack_lanes)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -192,90 +192,153 @@ def test_gen_budget_boundary_in_packed_batch(n, r, seed, accepted):
     assert str(got.value) == str(want.value)
 
 
+def shuffle_positions(n: int, r: int, s0: int) -> list[int]:
+    """The position that each step of the r shuffles of `Rng(s0)` draws,
+    redraws included: step n-1 of shuffles 0 .. r-1, then step n-2, and so
+    on down to step 1."""
+    rng = Rng(s0)
+    ks = [[rng.randrange(i + 1) for i in range(n - 1, 0, -1)]
+          for _ in range(r)]
+    return [k for step in zip(*ks) for k in step]
+
+
+def reference_packed_filter(states: int, size: int, n: int, r: int,
+                            flagged) -> list[tuple[int, ...]]:
+    """Oracle of `_packed_filter`, on lists: the kept attempts of a batch as
+    (lane, stream start, positions drawn).  Row i takes draw p*(n-1) + n-i
+    of each shuffle p, swaps position i with k = u % (i+1) in a list that
+    starts as the identity, and gets the value at k as its neighbour.  A
+    lane whose row repeats a neighbour is dropped unless flagged.  The next
+    row is drawn while more than `_FIRST_BATCH` lanes are live, the row
+    just decided dropped at least `_MIN_REJECTED` of its lanes, and it is
+    not past row 1."""
+    s0s = unpack_lanes(states, size)
+    live = list(range(size))
+    perms = [[list(range(n)) for _ in range(r)] for _ in live]
+    drawn = [[] for _ in live]
+    for i in range(n - 1, 0, -1):
+        if len(live) <= graphs._FIRST_BATCH:
+            break
+        kept = []
+        for a in live:
+            row = []
+            for p, perm in enumerate(perms[a]):
+                t = p * (n - 1) + n - i
+                k = splitmix64((s0s[a] + (t - 1) * GOLDEN) & MASK) % (i + 1)
+                row.append(perm[k])
+                perm[i], perm[k] = perm[k], perm[i]
+                drawn[a].append(k)
+            if a in flagged or len(set(row)) == r:
+                kept.append(a)
+        entered, live = len(live), kept
+        if entered - len(live) < graphs._MIN_REJECTED * entered:
+            break
+    return [(a, s0s[a], tuple(drawn[a])) for a in live]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(3, 14), st.integers(2, 5), st.integers(0, MASK),
+@given(st.integers(2, 14), st.integers(2, 5), st.integers(0, MASK),
        st.integers(0, MASK))
 def test_packed_filter_only_rejects(n, r, seed, first):
     """Every attempt the packed rows rule out is one the oracle rejects,
     and the lanes the guard flags are kept whatever their draws."""
     r = min(r, n)
-    size = 48
+    size = 96
     states = derive_seed_lanes(seed, first, size)
-    live = [a for a, _, _ in graphs._packed_filter(states, size, n, r, ())]
-    assert live == sorted(set(live))
-    for a, s0 in enumerate(unpack_lanes(states, size)):
-        if a not in live:
-            assert reference_attempt(n, r, s0) is None
     flagged = {0, size - 1}
-    assert [a for a, _, _ in graphs._packed_filter(states, size, n, r,
-                                                   flagged)] == \
-        sorted(flagged.union(live))
-
-
-def draw_lanes(states: int, size: int, t: int) -> int:
-    """Draw t (1-based) of each lane's stream, for the filter below."""
-    return next(draws_lanes(states, size, t, 1, 1))
-
-
-def reference_packed_filter(states: int, size: int, n: int, r: int,
-                            flagged) -> list[int]:
-    """The lanes of a batch (n >= 3) whose attempt rows n-1 and n-2 hold no
-    repeated neighbour, with the `flagged` lanes kept whatever their draws,
-    in lane order.  Row n-1 takes step n-1 (draw p*(n-1) + 1) of each
-    shuffle p on its identity permutation, so its neighbour is u % n; row
-    n-2 takes step n-2 (draw p*(n-1) + 2), u % (n-1), which the swap of
-    step n-1 has replaced by n-1 when it equals the row n-1 neighbour."""
-    k = n - 1
-    draws = range(1, r * k, k)
-    row1 = [[u % n for u in unpack_lanes(draw_lanes(states, size, t), size)]
-            for t in draws]
-    live = [a for a, js in enumerate(zip(*row1)) if len(set(js)) == r]
-    row2 = []
-    for t, j1 in zip(draws, row1):
-        u2 = unpack_lanes(draw_lanes(states, size, t + 1), size)
-        row2.append([k if (j := u2[a] % k) == j1[a] else j for a in live])
-    live = [a for a, js in zip(live, zip(*row2)) if len(set(js)) == r]
-    return sorted(flagged.union(live)) if flagged else live
+    for marked in (set(), flagged):
+        live = [a for a, _, _ in graphs._packed_filter(states, size, n, r,
+                                                       marked)]
+        assert live == sorted(set(live)) and marked <= set(live)
+        for a, s0 in enumerate(unpack_lanes(states, size)):
+            if a not in live:
+                assert reference_attempt(n, r, s0) is None
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.integers(3, 14), st.sampled_from([3, 40, 1000])),
+@given(st.one_of(st.integers(1, 14), st.sampled_from([3, 40, 1000])),
        st.integers(1, 6), st.integers(0, MASK), st.integers(0, MASK),
-       st.one_of(st.sampled_from([1, 2, 3, 31, 100, 1024]),
+       st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33, 100, 1024]),
                  st.integers(1, 300)),
        st.sets(st.integers(0, 1023), max_size=4))
 def test_packed_filter_keeps_the_lanes_of_the_list_filter(n, r, seed, first,
                                                           size, flagged):
-    """The lane-packed filter keeps exactly the lanes of the list-based one
-    it replaced (above, as it was), flagged lanes included, and hands on
-    each kept attempt's stream start and its rows n-1 and n-2 as the full
-    shuffles draw them (checked on the first 20)."""
+    """The lane-packed filter keeps exactly the lanes of the list-based
+    oracle above, flagged lanes included, and hands on each kept attempt's
+    stream start and the positions its packed steps drew, which are those
+    the full shuffles draw (checked on the first 20)."""
     r = min(r, n)
     flagged = {a for a in flagged if a < size}
     states = derive_seed_lanes(seed, first, size)
-    got = graphs._packed_filter(states, size, n, r, flagged)
-    assert [a for a, _, _ in got] == \
-        reference_packed_filter(states, size, n, r, flagged)
-    s0s = unpack_lanes(states, size)
-    for a, s0, (row1, row2) in got[:20]:
-        assert s0 == s0s[a]
-        if a not in flagged:
-            rng = Rng(s0)
-            perms = [rng.permutation(n) for _ in range(r)]
-            assert list(row1) == [perm[n - 1] for perm in perms]
-            assert list(row2) == [perm[n - 2] for perm in perms]
+    got = list(graphs._packed_filter(states, size, n, r, flagged))
+    assert got == reference_packed_filter(states, size, n, r, flagged)
+    for a, s0, drawn in got[:20]:
+        assert list(drawn) == shuffle_positions(n, r, s0)[:len(drawn)]
+
+
+def packed_rows(n: int, r: int, size: int, seed: int = 3) -> set[int]:
+    """How many rows `_packed_filter` packs on one batch, per kept lane
+    (a batch that keeps no lane reads as the empty set)."""
+    states = derive_seed_lanes(seed, 0, size)
+    got = list(graphs._packed_filter(states, size, n, r, ()))
+    assert got == reference_packed_filter(states, size, n, r, set())
+    for a, s0, drawn in got[:20]:
+        assert list(drawn) == shuffle_positions(n, r, s0)[:len(drawn)]
+    return {len(drawn) // r for _, _, drawn in got}
 
 
 def test_packed_filter_carries_rows_past_one_slot():
-    """r * bits(n - 1) > 62 spreads the row n-1 values over two slots."""
-    n, r, size = 1000, 7, 100
-    states = derive_seed_lanes(3, 0, size)
-    got = graphs._packed_filter(states, size, n, r, ())
-    assert [a for a, _, _ in got] == \
-        reference_packed_filter(states, size, n, r, set())
-    for a, s0, (row1, _) in got[:20]:
-        rng = Rng(s0)
-        assert list(row1) == [rng.permutation(n)[n - 1] for _ in range(r)]
+    """At n = 40, r = 6 the parked positions take 6 bits, 10 to a slot, so
+    a third packed row reads 12 of them from two slots."""
+    assert min(packed_rows(40, 6, 1024)) >= 3
+
+
+def test_packed_filter_stop_rule():
+    """A batch of at most `_FIRST_BATCH` lanes gets no packed row; at
+    n = 22, r = 5, where a row rejects about 39% of its lanes, a full batch
+    packs past row n-2; at n = 1000, r = 4, where row n-1 rejects under 1%,
+    the loop stops after it."""
+    assert packed_rows(22, 5, graphs._FIRST_BATCH) == {0}
+    assert packed_rows(12, 3, 5) == {0}
+    assert min(packed_rows(22, 5, graphs._MAX_BATCH)) > 2
+    assert packed_rows(1000, 4, graphs._MAX_BATCH) == {1}
+
+
+def reference_attempt_rows(n: int, r: int, s0: int) -> list[list[int]]:
+    """The neighbours of rows n-1 down to 1 that the full shuffles of
+    `Rng(s0)` give, whether or not they repeat."""
+    rng = Rng(s0)
+    perms = [rng.permutation(n) for _ in range(r)]
+    return [[perm[i] for perm in perms] for i in range(n - 1, 0, -1)]
+
+
+@st.composite
+def replay_inputs(draw):
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, min(n, 5)))
+    s0 = draw(st.integers(0, MASK))
+    rows = reference_attempt_rows(n, r, s0)
+    # the rows a packed filter could have passed on: n-1, n-2, ... up to
+    # the first that repeats a neighbour
+    free = next((d for d, row in enumerate(rows) if len(set(row)) < r),
+                len(rows))
+    return n, r, s0, draw(st.integers(0, free))
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_inputs())
+def test_lockstep_resumes_after_any_packed_rows(args):
+    """On a lane the guard does not flag (a random stream start is hot
+    with probability below r n^2 / 2^64), the lockstep that replays the
+    positions of any number of repeat-free packed rows decides the attempt
+    as `_stream_attempt` does."""
+    n, r, s0, packed = args
+    rows = [(i, i + 1, [((p * (n - 1) + n - i) * GOLDEN & MASK, p * n)
+                        for p in range(r)])
+            for i in range(n - 1, 0, -1)]
+    drawn = shuffle_positions(n, r, s0)[:packed * r]
+    assert graphs._lockstep_attempt(s0, n, r, rows, list(range(n)) * r,
+                                    drawn) == graphs._stream_attempt(s0, n, r)
 
 
 # (n, seed, first simple attempt) at r = 5, for budgets on either side

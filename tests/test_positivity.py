@@ -366,6 +366,23 @@ def test_d0_d1_zero_on_random_graphs():
         assert rho[0] == 1 and rho[1] == 1
 
 
+def test_newton_is_a_window_on_the_second_difference():
+    """Newton's inequality at i is exactly
+    Delta^2 d(i-1) <= ln((2n-2i+1)/(2n-2i-1)): exp(Delta^2 d(i-1)) over
+    that window is the ratio Newton bounds by 1, on seeded r = 3 graphs."""
+    for seed in range(12):
+        n = 4 + seed
+        g = gen_regular_bipartite(n, 3, seed=seed)
+        m = match_poly_full(g).counts
+        rho = rho_vector(g)
+        for i in range(1, n):
+            window = F(2 * n - 2 * i + 1, 2 * n - 2 * i - 1)
+            newton = F(m[i - 1] * m[i + 1] * (i + 1) * (n - i + 1),
+                       m[i] ** 2 * i * (n - i))
+            assert rho[i + 1] * rho[i - 1] / rho[i] ** 2 == newton * window
+            assert newton <= 1
+
+
 def test_alpha0_constant_for_low_index():
     """m_1..m_3 depend only on (n, r), so alpha_0 with i + k <= 3 is the
     same for every simple graph at fixed (n, r)."""

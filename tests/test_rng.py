@@ -150,3 +150,14 @@ def test_gather_and_fill_lanes():
     assert gather_lanes(x, 5, [4, 0, 2]) == pack([CARRY, MASK, 1 << 127 | 5])
     assert gather_lanes(x, 5, []) == 0
     assert fill_lanes(MASK << 64 | 3, 4) == pack([MASK << 64 | 3] * 4)
+
+
+def test_randrange_domain():
+    """k = 2^64 takes every draw as it comes; above it no draw is below
+    `range_limit(k)`, so the call raises instead of redrawing forever."""
+    rng, ref = Rng(7), Rng(7)
+    assert rng.randrange(1 << 64) == ref.next_u64()
+    assert rng.randrange(1) == 0
+    for k in (0, -3, (1 << 64) + 1, 1 << 65):
+        with pytest.raises(ValueError):
+            rng.randrange(k)
