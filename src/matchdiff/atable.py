@@ -115,9 +115,10 @@ class ATable:
             else:
                 values.append((e.sym, tuple(sorted(e.points.items()))))
         key = (kind, h_max, at_r, tuple(values))
-        if key not in self._series:
-            self._series[key] = build()
-        return self._series[key]
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = build()
+        return series
 
     def point_max(self, r: int) -> int:
         """Largest h usable at fixed r (symbolic or j-interpolable)."""

@@ -413,6 +413,9 @@ def _grid_worker(args) -> Counter:
     for idx in range(lo, hi):
         g = _sample_graph(r, n, seed, idx)
         mvec = match_poly_full(g)
+        # every count that reaches a sign or a moment is checked first; a
+        # failure is an internal error, never a statistic
+        mvec.validate_regular(n, r)
         tally["positive"] += delta_table(g, mvec).positive()
         counts.append(mvec.counts)
         if idx < census_samples:

@@ -197,8 +197,9 @@ class JPoly:
     r-Laurent polynomial."""
 
     # _rr: (min, max) r-exponent, None until an NSeries construction
-    # first checks the coefficient (see `NSeries.__init__`)
-    __slots__ = ("_d", "_n", "_rr")
+    # first checks the coefficient (see `NSeries.__init__`); _h: the hash,
+    # None until first asked for (a JPoly is never changed once built)
+    __slots__ = ("_d", "_n", "_rr", "_h")
 
     def __init__(self, coeffs):
         """`coeffs[i]`, an int, a Fraction or a JPoly of j-degree 0 at
@@ -213,7 +214,7 @@ class JPoly:
             else:
                 terms.append(((j, 0), *_ratio(x)))
         self._d, self._n = _over_lcm(terms)
-        self._rr = None
+        self._rr = self._h = None
 
     @classmethod
     def _new(cls, d: int, n: dict) -> "JPoly":
@@ -221,7 +222,7 @@ class JPoly:
         self = object.__new__(cls)
         self._d = d
         self._n = n
-        self._rr = None
+        self._rr = self._h = None
         return self
 
     @classmethod
@@ -356,7 +357,10 @@ class JPoly:
         return self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash((self._d, frozenset(self._n.items())))
+        h = self._h
+        if h is None:
+            h = self._h = hash((self._d, frozenset(self._n.items())))
+        return h
 
     # -- substitutions -----------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Independent reference values that only the tests call: a brute-force
-matching count, the complete graph's edges, the exact finite-n value of
-1 + K_i and the standard error of a violation fraction."""
+matching count, the frontier DP keyed by right-vertex labels, the complete
+graph's edges, the exact finite-n value of 1 + K_i and the standard error
+of a violation fraction."""
 
 from fractions import Fraction
 from math import factorial
 
-from matchdiff.matchcount import CapExceededError, MatchVector
+from matchdiff.matchcount import CapExceededError, MatchVector, _left_order
 
 
 def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
@@ -32,6 +33,44 @@ def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
 
     counts = rec(tuple(edges))
     return MatchVector(tuple(counts))
+
+
+def frontier_by_vertex(neigh: list[list[int]],
+                       j_max: int) -> tuple[list[int], int]:
+    """Counts m_0..m_j_max by the frontier DP with states keyed by
+    right-vertex labels (no slots, no packed table), and the most states it
+    holds after any left vertex: the reference for the kernel's budget
+    decision."""
+    nright = 1 + max((v for row in neigh for v in row), default=-1)
+    order = _left_order(neigh, nright)
+    closing = dict.fromkeys(order, 0)
+    last = {v: u for u in order for v in neigh[u]}
+    for v, u in last.items():
+        closing[u] |= 1 << v
+    bound = 1
+    for row in neigh:
+        bound *= len(row) + 1
+    w = bound.bit_length()
+    top = (1 << (w * (j_max + 1))) - 1
+    states = {0: 1}
+    peak = 0
+    for u in order:
+        keep = ~closing[u]
+        nxt: dict[int, int] = {}
+        for mask, val in states.items():
+            key = mask & keep
+            nxt[key] = nxt.get(key, 0) + val
+            val = (val << w) & top
+            if val:
+                for v in neigh[u]:
+                    if not mask >> v & 1:
+                        key = (mask | 1 << v) & keep
+                        nxt[key] = nxt.get(key, 0) + val
+        states = nxt
+        peak = max(peak, len(states))
+    total = states[0]
+    return [(total >> (w * i)) & ((1 << w) - 1)
+            for i in range(j_max + 1)], peak
 
 
 def complete_graph_edges(v: int) -> list[tuple[int, int]]:

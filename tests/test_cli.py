@@ -316,6 +316,25 @@ def test_crash_exits_internal_not_check_failed(env_cache, capsys,
     assert "internal error: KeyError: 'boom'" in err
 
 
+def test_corrupt_count_exits_internal(env_cache, capsys, monkeypatch):
+    """A count vector that fails `MatchVector.validate_regular` stops the
+    Monte Carlo as an internal error before any CSV is written."""
+    from matchdiff import matchcount
+
+    exact = matchcount.frontier_counts
+
+    def one_field_shifted(neigh, j_max):
+        counts = exact(neigh, j_max)
+        counts[4] <<= 1
+        return counts
+
+    monkeypatch.setattr(matchcount, "frontier_counts", one_field_shifted)
+    code, out, err = run(capsys, "simulate", "--n", "6", "--samples", "2")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error: AssertionError: Newton's inequality" in err
+
+
 def test_counting_budget_exits_budget(env_cache, capsys, monkeypatch):
     """A count past the frontier budget is a resource failure (exit 3),
     not a configuration error."""

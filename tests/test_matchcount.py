@@ -1,6 +1,7 @@
 """Exact matching counts: fixtures, closed forms, and the frontier kernel
 against the independent oracles (subset DP, ordered-edge DFS,
-deletion-contraction brute force)."""
+deletion-contraction brute force, the frontier DP keyed by right
+vertices), in both of its table layouts."""
 
 from math import comb
 
@@ -13,7 +14,8 @@ from matchdiff.graphs import BipGraph, gen_regular_bipartite, incidence_pg
 from matchdiff.matchcount import (CapExceededError, MatchVector,
                                   frontier_counts, match_count_upto,
                                   match_poly_full, mbar_vector)
-from oracles import complete_graph_edges, match_poly_general_bruteforce
+from oracles import (complete_graph_edges, frontier_by_vertex,
+                     match_poly_general_bruteforce)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -204,3 +206,58 @@ def test_frontier_counts_ignore_labels(graph, j_max, data):
     right = data.draw(st.permutations(range(nr)))
     relabelled = [[right[v] for v in neigh[u]] for u in left]
     assert frontier_counts(relabelled, j_max) == frontier_counts(neigh, j_max)
+
+
+def _refuse(*args):
+    raise AssertionError("the other layout was expected")
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs(), st.integers(-3, 3))
+def test_layouts_agree(graph, extra):
+    """The packed and the dict layout give the oracle's counts, with j_max
+    below, at or above the number of left vertices.  (A budget of 0
+    refuses every graph with a left vertex in either layout:
+    `test_frontier_matches_oracles`.)"""
+    nl, nr, neigh, _ = graph
+    j_max = max(0, nl + extra)
+    size = max(nl, nr)
+    expect = _padded(_kernels_py.match_poly_counts(
+        neigh + [[] for _ in range(size - nl)]), j_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchcount, "DENSE_BITS", 0)
+        mp.setattr(matchcount, "_packed_table", _refuse)
+        assert frontier_counts(neigh, j_max) == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchcount, "DENSE_BITS", 1 << 40)
+        if j_max >= nl:
+            mp.setattr(matchcount, "_dict_table", _refuse)
+        assert frontier_counts(neigh, j_max) == expect
+
+
+def test_default_grid_counts_packed(monkeypatch):
+    """The full polynomials of the default Monte Carlo grid (r = 3,
+    n = 6..12) take the packed layout."""
+    monkeypatch.setattr(matchcount, "_dict_table", _refuse)
+    for n in (6, 8, 10, 12):
+        for seed in range(5):
+            g = gen_regular_bipartite(n, 3, seed=seed)
+            assert match_poly_full(g).counts == tuple(
+                frontier_by_vertex(g.adj, n)[0])
+
+
+def test_budget_decision_matches_vertex_keyed_dp(monkeypatch):
+    """Keying the states by frontier slots holds as many states as keying
+    them by right vertices: with the reference's peak P as the budget the
+    kernel counts, with P - 1 it refuses, for the full polynomial and for
+    truncated counts."""
+    for n, r, seed in ((10, 3, 1), (16, 3, 2), (9, 4, 3), (12, 4, 4)):
+        g = gen_regular_bipartite(n, r, seed=seed)
+        for j_max in (n, 3):
+            counts, peak = frontier_by_vertex(g.adj, j_max)
+            monkeypatch.setattr(matchcount, "FRONTIER_STATE_BUDGET", peak)
+            assert frontier_counts(g.adj, j_max) == counts
+            monkeypatch.setattr(matchcount, "FRONTIER_STATE_BUDGET",
+                                peak - 1)
+            with pytest.raises(CapExceededError):
+                frontier_counts(g.adj, j_max)
