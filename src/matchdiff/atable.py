@@ -15,7 +15,8 @@ declared for r: a_h/n^h already keeps the graded invariant of
 widens nothing.
 
 The series built from a table (`build_H`, the base of `build_F_conjecture`,
-`identities.build_F` and `identities.build_lnF`) are memoized on the ATable
+`identities.build_F` and `identities.build_lnF`, and F and ln F at an index,
+`identities._series_at_index`) are memoized on the ATable
 instance, keyed on (kind, h_max, at_r) plus every entry a_1..a_{h_max} as
 it reads at call time.  Each loaded table has its own memo; nothing is
 shared across tables or cached process-wide.
@@ -78,10 +79,10 @@ class ATable:
 
     The table also owns the memo of the exact series built from it
     (`_memo_series`): H, F = (1 + H) exp(G), its logarithm ln(1 + H) + G
-    (kind "lnF"), and the 1 + H base of the extended expansion with its
-    j-shifts.  A memo lives and dies with its table instance; there is no
-    process-wide cache, so every freshly loaded table builds each series
-    once."""
+    (kind "lnF"), F and ln F at each index the identity checks ask for,
+    and the 1 + H base of the extended expansion with its j-shifts.  A
+    memo lives and dies with its table instance; there is no process-wide
+    cache, so every freshly loaded table builds each series once."""
 
     def __init__(self):
         self.entries: dict[int, AEntry] = {}

@@ -101,15 +101,22 @@ class BipGraph:
         return f"BipGraph(n={self.n}, r={self.r})"
 
 
-# Attempts per packed batch, and when `_packed_filter` stops packing rows.
-# Past about a thousand lanes the packed ints gain nothing per lane and
-# only draw seeds the accepted graph never needs.  A packed row pays only
-# through the lockstep attempts it rejects, so the next row is packed only
-# while more than _FIRST_BATCH lanes are live and the row just decided
-# rejected at least _MIN_REJECTED of them (the next rejects about as many).
-# Measured in CPU time on a shared 2-vCPU machine: packing the first batch
-# made r = 3 draws 1.4 to 1.9 times slower, and with no rejection test an
-# r = 4, n = 1000 draw (rows reject under 1%) took 2.6-3.1 s, not 0.23 s.
+# Attempts per packed batch, and when `_packed_filter` packs rows.  Past
+# about a thousand lanes the packed ints gain nothing per lane and only draw
+# seeds the accepted graph never needs.  A packed row pays only through the
+# lockstep attempts it rejects, so a batch of at most 2 * _FIRST_BATCH lanes
+# packs no row, and in a larger one the next row is packed only while more
+# than _FIRST_BATCH lanes are live and the row just decided rejected at
+# least _MIN_REJECTED of them (the next rejects about as many).  Measured
+# in CPU time on a shared 2-vCPU machine: packing the first batch made
+# r = 3 draws 1.4 to 1.9 times slower.  At r = 3 an attempt is accepted
+# with probability about 1/20, so the 64-lane second batch mostly ends in
+# its first 20 lanes: packing no row in it made 120 r = 3 draws a size at
+# n = 6..12 4-6% faster, and r = 5 draws (n = 7..9 and 22) moved within
+# their 4% noise.  Asking for more than 64 live lanes before every row
+# instead would also stop the deep r = 5 packs of full batches early,
+# where the packed rows pay most.  With no rejection test an r = 4,
+# n = 1000 draw (rows reject under 1%) took 2.6-3.1 s, not 0.23 s.
 _FIRST_BATCH = 32
 _MAX_BATCH = 1024
 _MIN_REJECTED = 1 / 4
@@ -165,14 +172,7 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     """
     if r > n:
         raise GraphError(f"need r <= n, got r={r}, n={n}")
-    # shuffle p's permutation lives at perms[p*n : p*n + n]
-    rows = [(i, i + 1, [((p * (n - 1) + n - i) * GOLDEN & MASK, p * n)
-                        for p in range(r)])
-            for i in range(n - 1, 0, -1)]
-    identity = list(range(n)) * r
-    hot = _hot_draws(n)
-    span = r * (n - 1)
-    hot_top = _hot_tops(hot, span)
+    rows, identity, hot, span, hot_top = _attempt_tables(n, r)
     first, size = 0, _FIRST_BATCH
     while first < max_tries:
         size = min(size, max_tries - first)
@@ -206,18 +206,19 @@ def _packed_filter(states: int, size: int, n: int, r: int, flagged):
     position i with k = u % (i+1).  Its neighbour is the value at k: walked
     back through the earlier steps, latest first, it is t where k equals
     the position step t drew (`select_lanes`), and k itself otherwise.
-    Each row is decided on the whole batch (`distinct_lanes`), and the next
-    row, while the rule stated at `_FIRST_BATCH` lets it and i > 1, only on
-    the live lanes (`gather_lanes`), every position drawn so far parked in
-    the upper halves of the slots, w = bits(n-1) bits each (at least 1),
-    62 // w to a slot."""
+    A batch of at most 2 * _FIRST_BATCH lanes packs no row.  In a larger
+    one each row is decided on the whole batch (`distinct_lanes`), and the
+    next row, while the rule stated at `_FIRST_BATCH` lets it and i > 1,
+    only on the live lanes (`gather_lanes`), every position drawn so far
+    parked in the upper halves of the slots, w = bits(n-1) bits each (at
+    least 1), 62 // w to a slot."""
     w = max(n - 1, 1).bit_length()
     per = 62 // w
     lanes, slots, drawn = range(size), [states], []
     keep = b"\1" * size
     m = live = size
     i = n - 1
-    while live > _FIRST_BATCH and i > 0:
+    while size > 2 * _FIRST_BATCH and live > _FIRST_BATCH and i > 0:
         if drawn:  # park row i+1's positions, keep only the live lanes
             slots += [0] * ((len(drawn) - 1) // per + 1 - len(slots))
             for x, k in enumerate(drawn[-r:], len(drawn) - r):
@@ -263,11 +264,21 @@ def _hot_draws(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _hot_tops(hot: tuple[int, ...], span: int) -> frozenset[int]:
-    """The top 32 bits of every c = s0 * GOLDEN^-1 that the guard flags,
-    c < h <= c + span for an entry h of `hot`, and possibly a few more."""
-    return frozenset(t for h in hot
-                     for t in range((h - span) >> 32, (h >> 32) + 1))
+def _attempt_tables(n: int, r: int) -> tuple:
+    """What every attempt at (n, r) reads, built once: the lockstep's
+    `rows` and `identity` (see `_lockstep_attempt`), the redraw guard's
+    `_hot_draws(n)`, the span r*(n-1) of draws it covers, and the top 32
+    bits of every c = s0 * GOLDEN^-1 that the guard flags, c < h <= c + span
+    for an entry h of the hot list, and possibly a few more."""
+    # shuffle p's permutation lives at perms[p*n : p*n + n]
+    rows = tuple((i, i + 1, tuple(((p * (n - 1) + n - i) * GOLDEN & MASK,
+                                   p * n) for p in range(r)))
+                 for i in range(n - 1, 0, -1))
+    hot = _hot_draws(n)
+    span = r * (n - 1)
+    hot_top = frozenset(t for h in hot
+                        for t in range((h - span) >> 32, (h >> 32) + 1))
+    return rows, tuple(range(n)) * r, hot, span, hot_top
 
 
 def _set_bits(m: int) -> list[int]:
@@ -281,19 +292,19 @@ def _set_bits(m: int) -> list[int]:
     return out
 
 
-def _lockstep_attempt(s0: int, n: int, r: int, rows, identity: list[int],
+def _lockstep_attempt(s0: int, n: int, r: int, rows, identity,
                       drawn=()) -> list[int] | None:
     """One attempt of `gen_regular_bipartite` in row lockstep, for a stream
     start s0 none of whose r*(n-1) draws is redrawn: each left row's right
     neighbours as a bitmask, or None at the first repeated edge.  `rows`
     holds, per position i, the draw offset t*GOLDEN of step i of each
-    shuffle and where that shuffle starts in the one list `identity`
-    (r identity permutations back to back) that the attempt copies.
+    shuffle and where that shuffle starts in `identity` (r identity
+    permutations back to back), which the attempt copies.
 
     `drawn` holds the positions that the first steps of each shuffle drew,
     in `_packed_filter`'s order, for rows it found free of repeats; the
     lockstep replays their swaps and resumes at the next row."""
-    perms = identity[:]
+    perms = list(identity)
     masks = [0] * n
     if drawn:  # a test, not three iterators, for most attempts
         rows, steps = iter(rows), iter(drawn)

@@ -164,10 +164,24 @@ def check_fd_monomial(k: int, d: int) -> CheckReport:
 
 def _at_index(x, i: int | None, ell: int):
     """x, an NSeries or JPoly in the index j, at the index i + ell, or
-    symbolic in the index (j -> j + ell) when i is None: F_{i+ell} from F."""
+    symbolic in the index (j -> j + ell) when i is None: F_{i+ell} from F.
+    i >= 0 is checked by `_series_at_index`, which every check calls
+    first."""
+    return x.shift_j(-ell) if i is None else x.subst_j(i + ell)
+
+
+def _series_at_index(table: ATable, kind: str, order: int,
+                     at_r: int | None, i: int | None, ell: int) -> NSeries:
+    """F (kind "F", `build_F`) or ln F (kind "lnF", `build_lnF`) of order
+    `order` at the index i + ell (`_at_index`), built once per table and
+    key: the checks of one sweep ask for each index several times."""
     if i is not None and i < 0:
         raise ValueError(f"need i >= 0, got i={i}")
-    return x.shift_j(-ell) if i is None else x.subst_j(i + ell)
+    build = build_F if kind == "F" else build_lnF
+    index = ("j+", ell) if i is None else i + ell
+    return table._memo_series(
+        (kind, index), order, at_r,
+        lambda: _at_index(build(table, order, at_r=at_r), i, ell))
 
 
 def check_first_identity(table: ATable, i: int, k: int,
@@ -194,10 +208,10 @@ def build_t(table: ATable, i0: int | None, k: int, sign: int, order: int,
     the index symbolic."""
     lplus, lminus = lsplit(k)
     ells = lplus if sign > 0 else lminus
-    lnf = build_lnF(table, order, at_r=at_r)
     t = NSeries.zero(order)
     for ell in ells:
-        t = t + _at_index(lnf, i0, ell) * Fraction(comb(k, ell))
+        t = t + (_series_at_index(table, "lnF", order, at_r, i0, ell)
+                 * Fraction(comb(k, ell)))
     return t
 
 
@@ -239,9 +253,9 @@ def check_second_identity(table: ATable, i: int, k: int, order: int,
     """Product form vs t-expansion, on both parity classes."""
     rep = CheckReport("second-identity",
                       {"r": _rparam(at_r), "i": i, "k": k})
-    f = build_F(table, order, at_r=at_r)
     for sign, ells in zip(("+", "-"), lsplit(k)):
-        us = {ell: _at_index(f, i, ell) - 1 for ell in ells}
+        us = {ell: _series_at_index(table, "F", order, at_r, i, ell) - 1
+              for ell in ells}
         exps = {ell: comb(k, ell) for ell in ells}
         lhs, rhs = second_identity_on_series(us, exps, order)
         if lhs != rhs:
@@ -283,12 +297,12 @@ def alpha0_series(table: ATable, i: int | None, k: int, order: int,
     """alpha_0 = prod_{L+} F^{C(k,l)} - prod_{L-} F^{C(k,l)} (empty
     products are 1)."""
     lplus, lminus = lsplit(k)
-    f = build_F(table, order, at_r=at_r)
 
     def product(ells):
         acc = NSeries.one(order)
         for ell in ells:
-            acc = acc * _at_index(f, i, ell).pow_int(comb(k, ell))
+            f = _series_at_index(table, "F", order, at_r, i, ell)
+            acc = acc * f.pow_int(comb(k, ell))
         return acc.truncate(order)
 
     return product(lplus) - product(lminus)

@@ -9,9 +9,15 @@ deletion-contraction brute force and the DP keyed by right-vertex labels
 live with the tests (`tests/oracles.py`).  The kernel is pure Python on
 arbitrary-precision ints.
 
-The kernel runs one plan (`_plan`): the greedy `_left_order`, and a
+The kernel runs one plan (`_plan`), made in one pass over right-vertex
+bitmasks: the left vertices in greedy minimum-frontier order, and a
 frontier slot for each right vertex, the lowest one free when the vertex
-is first seen, freed after its last neighbour.  Its table of count vectors,
+is first seen, freed after its last neighbour.  The same pass picks each
+vertex, assigns its slots and finds the slots it closes.  On seeded
+r = 3 graphs (best of 40 passes over 25 graphs, shared 2-vCPU machine) it
+takes 11 us a graph at n = 6 and 27-28 us at n = 12, against 18-20 and
+44-47 us for a list-based order followed by a slot pass (the reference
+kept in `tests/oracles.py`).  Its table of count vectors,
 one per set of matched slots, has two layouts.  The packed one holds all
 2^F entries of the F slots in a single int and updates it with a few
 whole-int mask, shift and add operations per left vertex; the dict one
@@ -120,56 +126,48 @@ class MatchVector(FrozenRecord):
                     f"m_{n} = {m[n]} is below Schrijver's lower bound")
 
 
-def _left_order(neigh: list[list[int]], nright: int) -> list[int]:
-    """Left vertices in greedy minimum-frontier order.
+def _plan(neigh: list[list[int]]) -> tuple[list, int]:
+    """The DP plan: the left vertices in greedy minimum-frontier order,
+    each with the frontier slots of its neighbours and the slots it closes;
+    and the number of slots used.
 
     The frontier is the set of right vertices seen so far that still have
     unprocessed neighbours.  Each step takes the vertex that grows it least
     (new right vertices minus the ones it closes), then the one adding the
-    fewest new right vertices, then the lowest index."""
+    fewest new right vertices, then the lowest index.  Rows are right-vertex
+    bitmasks: a row's new vertices are its bits in `unseen`, the ones it
+    closes its bits in `one` (a single unprocessed neighbour left), and the
+    key (new - closed) * (nright + 1) + new orders as the pair does, since
+    new <= nright.  A right vertex takes the lowest free slot when it is
+    first seen and frees it after its last neighbour, found as its count of
+    unprocessed neighbours drops to zero."""
+    nright = 1 + max((v for row in neigh for v in row), default=-1)
     remaining = [0] * nright
-    for row in neigh:
+    todo = {}
+    for u, row in enumerate(neigh):
+        m = 0
         for v in row:
             remaining[v] += 1
-    seen = [False] * nright
-    todo = list(range(len(neigh)))
-    order = []
-    while todo:
-        best = None
-        for u in todo:
-            new = closed = 0
-            for v in neigh[u]:
-                new += not seen[v]
-                closed += remaining[v] == 1
-            key = (new - closed, new)
-            if best is None or key < best[0]:
-                best = (key, u)
-        u = best[1]
-        todo.remove(u)
-        order.append(u)
-        for v in neigh[u]:
-            seen[v] = True
-            remaining[v] -= 1
-    return order
-
-
-def _plan(neigh: list[list[int]]) -> tuple[list, int]:
-    """The DP plan: for each left vertex in `_left_order`, the frontier
-    slots of its neighbours and the slots it closes; and the number of
-    slots used.  A right vertex takes the lowest free slot when it is first
-    seen and frees it after its last neighbour."""
-    nright = 1 + max((v for row in neigh for v in row), default=-1)
-    order = _left_order(neigh, nright)
-    last = [0] * nright
-    for u in order:
-        for v in neigh[u]:
-            last[v] = u
+            m |= 1 << v
+        todo[u] = m
+    one = sum(1 << v for v, c in enumerate(remaining) if c == 1)
+    k0 = nright + 1
+    k1 = k0 + 1
+    above = k0 * k1  # above every key
+    unseen = (1 << nright) - 1
     slot = [-1] * nright
     free: list[int] = []
     nslots = 0
     steps = []
-    for u in order:
+    while todo:
+        best = above
+        for x, m in todo.items():  # ascending index: ties keep the lowest
+            key = (m & unseen).bit_count() * k1 - (m & one).bit_count() * k0
+            if key < best:
+                best, u = key, x
+        unseen &= ~todo.pop(u)
         slots = []
+        closes = []
         for v in neigh[u]:
             p = slot[v]
             if p < 0:
@@ -180,7 +178,11 @@ def _plan(neigh: list[list[int]]) -> tuple[list, int]:
                     nslots += 1
                 slot[v] = p
             slots.append(p)
-        closes = [slot[v] for v in dict.fromkeys(neigh[u]) if last[v] == u]
+            c = remaining[v] = remaining[v] - 1
+            if c == 1:
+                one |= 1 << v
+            elif not c:
+                closes.append(p)
         for p in closes:
             heappush(free, p)
         steps.append((slots, closes))
@@ -254,14 +256,15 @@ def frontier_counts(neigh: list[list[int]], j_max: int) -> list[int]:
     """Exact matching counts m_0..m_j_max of a bipartite graph given as
     right-neighbour lists of its left vertices (any sizes, any degrees).
 
-    Left vertices are processed in `_left_order`, and `_plan` gives each
-    right vertex a frontier slot.  A DP state is the set of slots of the
-    matched right vertices that still have unprocessed neighbours; a slot
-    leaves every state once its vertex's last neighbour is processed.  Each
-    state holds its count vector m_0..m_j_max packed into one int, field i
-    at bit w*i.  Every coefficient is at most the number of matchings,
-    which is below prod(deg_u + 1) < 2^w, so fields never carry into each
-    other.  Matching one more edge shifts the vector up by one field.
+    `_plan` orders the left vertices greedily and gives each right vertex
+    a frontier slot, in one pass over right-vertex bitmasks.  A DP state is
+    the set of slots of the matched right vertices that still have
+    unprocessed neighbours; a slot leaves every state once its vertex's
+    last neighbour is processed.  Each state holds its count vector
+    m_0..m_j_max packed into one int, field i at bit w*i.  Every
+    coefficient is at most the number of matchings, which is below
+    prod(deg_u + 1) < 2^w, so fields never carry into each other.
+    Matching one more edge shifts the vector up by one field.
 
     Two layouts hold the same table.  The packed one (`_packed_table`)
     keeps all 2^F entries of the F slots in one int; it is used when no

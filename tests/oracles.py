@@ -1,12 +1,13 @@
 """Independent reference values that only the tests call: a brute-force
-matching count, the frontier DP keyed by right-vertex labels, the complete
-graph's edges, the exact finite-n value of 1 + K_i and the standard error
-of a violation fraction."""
+matching count, the list-based frontier plan and the frontier DP keyed by
+right-vertex labels, the complete graph's edges, the exact finite-n value
+of 1 + K_i and the standard error of a violation fraction."""
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import factorial
 
-from matchdiff.matchcount import CapExceededError, MatchVector, _left_order
+from matchdiff.matchcount import CapExceededError, MatchVector
 
 
 def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
@@ -35,6 +36,73 @@ def match_poly_general_bruteforce(nverts: int, edges) -> MatchVector:
     return MatchVector(tuple(counts))
 
 
+def left_order(neigh: list[list[int]], nright: int) -> list[int]:
+    """Left vertices in greedy minimum-frontier order.
+
+    The frontier is the set of right vertices seen so far that still have
+    unprocessed neighbours.  Each step takes the vertex that grows it least
+    (new right vertices minus the ones it closes), then the one adding the
+    fewest new right vertices, then the lowest index."""
+    remaining = [0] * nright
+    for row in neigh:
+        for v in row:
+            remaining[v] += 1
+    seen = [False] * nright
+    todo = list(range(len(neigh)))
+    order = []
+    while todo:
+        best = None
+        for u in todo:
+            new = closed = 0
+            for v in neigh[u]:
+                new += not seen[v]
+                closed += remaining[v] == 1
+            key = (new - closed, new)
+            if best is None or key < best[0]:
+                best = (key, u)
+        u = best[1]
+        todo.remove(u)
+        order.append(u)
+        for v in neigh[u]:
+            seen[v] = True
+            remaining[v] -= 1
+    return order
+
+
+def reference_plan(neigh: list[list[int]]) -> tuple[list, int]:
+    """The kernel's DP plan on lists: for each left vertex in `left_order`,
+    the frontier slots of its neighbours and the slots it closes; and the
+    number of slots used.  A right vertex takes the lowest free slot when it
+    is first seen and frees it after its last neighbour."""
+    nright = 1 + max((v for row in neigh for v in row), default=-1)
+    order = left_order(neigh, nright)
+    last = [0] * nright
+    for u in order:
+        for v in neigh[u]:
+            last[v] = u
+    slot = [-1] * nright
+    free: list[int] = []
+    nslots = 0
+    steps = []
+    for u in order:
+        slots = []
+        for v in neigh[u]:
+            p = slot[v]
+            if p < 0:
+                if free:
+                    p = heappop(free)
+                else:
+                    p = nslots
+                    nslots += 1
+                slot[v] = p
+            slots.append(p)
+        closes = [slot[v] for v in dict.fromkeys(neigh[u]) if last[v] == u]
+        for p in closes:
+            heappush(free, p)
+        steps.append((slots, closes))
+    return steps, nslots
+
+
 def frontier_by_vertex(neigh: list[list[int]],
                        j_max: int) -> tuple[list[int], int]:
     """Counts m_0..m_j_max by the frontier DP with states keyed by
@@ -42,7 +110,7 @@ def frontier_by_vertex(neigh: list[list[int]],
     holds after any left vertex: the reference for the kernel's budget
     decision."""
     nright = 1 + max((v for row in neigh for v in row), default=-1)
-    order = _left_order(neigh, nright)
+    order = left_order(neigh, nright)
     closing = dict.fromkeys(order, 0)
     last = {v: u for u in order for v in neigh[u]}
     for v, u in last.items():

@@ -158,22 +158,31 @@ def test_gen_redraw_guard_in_packed_batch(n, r, t, attempt):
         reference_gen(n, r, seed).adj
 
 
+@pytest.fixture
+def unguarded(monkeypatch):
+    """The redraw guard's hot set emptied: `_hot_draws` patched, and the
+    per-(n, r) tables that hold it rebuilt from the patch, then dropped on
+    teardown so no later test reads an emptied guard."""
+    graphs._attempt_tables.cache_clear()
+    monkeypatch.setattr(graphs, "_hot_draws", lambda n: (1 << 65,))
+    yield
+    graphs._attempt_tables.cache_clear()
+
+
 @pytest.mark.parametrize("n,r,t", [(9, 2, 9), (9, 3, 7), (7, 2, 5)])
-def test_gen_redraw_guard_bites(n, r, t, monkeypatch):
+def test_gen_redraw_guard_bites(n, r, t, unguarded):
     """With the guard's hot set emptied, the row lockstep reads draw t
     where the stream redraws it, and attempt 0 comes out different."""
     seed = _seed_with_top_draw(t)
-    monkeypatch.setattr(graphs, "_hot_draws", lambda n: (1 << 65,))
     assert gen_regular_bipartite(n, r, seed).adj != \
         reference_gen(n, r, seed).adj
 
 
-def test_gen_redraw_guard_bites_in_packed_batch(monkeypatch):
-    """The packed batches read `_hot_draws(n)` on every call too: with it
-    emptied, attempt 51's shifted draws are read unguarded."""
+def test_gen_redraw_guard_bites_in_packed_batch(unguarded):
+    """The packed batches read the guard from the same per-(n, r) tables:
+    with it emptied, attempt 51's shifted draws are read unguarded."""
     n, r, t, attempt = HOT_IN_BATCH[1]
     seed = _seed_with_top_draw(t, attempt)
-    monkeypatch.setattr(graphs, "_hot_draws", lambda n: (1 << 65,))
     assert gen_regular_bipartite(n, r, seed).adj != \
         reference_gen(n, r, seed).adj
 
@@ -208,16 +217,18 @@ def reference_packed_filter(states: int, size: int, n: int, r: int,
     (lane, stream start, positions drawn).  Row i takes draw p*(n-1) + n-i
     of each shuffle p, swaps position i with k = u % (i+1) in a list that
     starts as the identity, and gets the value at k as its neighbour.  A
-    lane whose row repeats a neighbour is dropped unless flagged.  The next
-    row is drawn while more than `_FIRST_BATCH` lanes are live, the row
-    just decided dropped at least `_MIN_REJECTED` of its lanes, and it is
-    not past row 1."""
+    lane whose row repeats a neighbour is dropped unless flagged.  A batch
+    of at most 2 * `_FIRST_BATCH` lanes draws no row; in a larger one the
+    next row is drawn while more than `_FIRST_BATCH` lanes are live, the
+    row just decided dropped at least `_MIN_REJECTED` of its lanes, and it
+    is not past row 1."""
     s0s = unpack_lanes(states, size)
     live = list(range(size))
     perms = [[list(range(n)) for _ in range(r)] for _ in live]
     drawn = [[] for _ in live]
     for i in range(n - 1, 0, -1):
-        if len(live) <= graphs._FIRST_BATCH:
+        if size <= 2 * graphs._FIRST_BATCH or \
+                len(live) <= graphs._FIRST_BATCH:
             break
         kept = []
         for a in live:
@@ -294,12 +305,15 @@ def test_packed_filter_carries_rows_past_one_slot():
 
 
 def test_packed_filter_stop_rule():
-    """A batch of at most `_FIRST_BATCH` lanes gets no packed row; at
-    n = 22, r = 5, where a row rejects about 39% of its lanes, a full batch
-    packs past row n-2; at n = 1000, r = 4, where row n-1 rejects under 1%,
-    the loop stops after it."""
-    assert packed_rows(22, 5, graphs._FIRST_BATCH) == {0}
+    """A batch of at most 2 * `_FIRST_BATCH` lanes gets no packed row, the
+    64-lane second batch included; at n = 22, r = 5, where a row rejects
+    about 39% of its lanes, a 128-lane batch packs row n-1 and a full batch
+    packs past row n-2; at n = 1000, r = 4, where row n-1 rejects under
+    1%, the loop stops after it."""
+    for size in (5, graphs._FIRST_BATCH, 33, 2 * graphs._FIRST_BATCH):
+        assert packed_rows(22, 5, size) == {0}, size
     assert packed_rows(12, 3, 5) == {0}
+    assert min(packed_rows(22, 5, 4 * graphs._FIRST_BATCH)) >= 1
     assert min(packed_rows(22, 5, graphs._MAX_BATCH)) > 2
     assert packed_rows(1000, 4, graphs._MAX_BATCH) == {1}
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchdiff import _kernels_py, matchcount
-from matchdiff.graphs import BipGraph, gen_regular_bipartite, incidence_pg
-from matchdiff.matchcount import (CapExceededError, MatchVector,
+from matchdiff.graphs import (BipGraph, builtin_graph, gen_regular_bipartite,
+                              incidence_pg)
+from matchdiff.matchcount import (CapExceededError, MatchVector, _plan,
                                   frontier_counts, match_count_upto,
                                   match_poly_full, mbar_vector)
 from oracles import (complete_graph_edges, frontier_by_vertex,
-                     match_poly_general_bruteforce)
+                     match_poly_general_bruteforce, reference_plan)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -261,3 +262,42 @@ def test_budget_decision_matches_vertex_keyed_dp(monkeypatch):
                                 peak - 1)
             with pytest.raises(CapExceededError):
                 frontier_counts(g.adj, j_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs(max_side=8))
+def test_plan_matches_list_reference(graph):
+    """The one-pass bitmask plan takes the list-based reference's order,
+    slots and closes, and as many slots."""
+    assert _plan(graph[2]) == reference_plan(graph[2])
+
+
+def test_plan_matches_list_reference_on_regular_graphs():
+    """The same on seeded regular graphs up to n = 48 per side and on the
+    shipped cages, so every budget decision stays as it was."""
+    graphs = [gen_regular_bipartite(n, r, seed=1)
+              for r, sizes in ((3, (6, 9, 12, 16, 24, 32, 48)),
+                               (4, (6, 9, 12, 16, 24, 32, 48)),
+                               (5, (6, 9, 12, 24, 48)))
+              for n in sizes]
+    graphs += [builtin_graph(name)
+               for name in ("heawood", "tutte_coxeter", "tutte_12cage")]
+    for g in graphs:
+        assert _plan(g.adj) == reference_plan(g.adj), g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda nr: st.lists(
+    st.lists(st.integers(0, nr - 1), max_size=4), max_size=5)),
+       st.integers(0, 6), st.booleans())
+def test_repeated_neighbours_count_as_parallel_edges(neigh, j_max, packed):
+    """A row may name a right vertex twice, as two parallel edges.  The
+    plan may then order it differently from the reference, but the counts,
+    in either layout, are those of deletion-contraction on the edge list."""
+    edges = [(u, len(neigh) + v) for u, row in enumerate(neigh) for v in row]
+    expect = _padded(match_poly_general_bruteforce(
+        len(neigh) + 5, edges).counts, j_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchcount, "DENSE_BITS", 1 << 40 if packed else 0)
+        assert frontier_counts(neigh, j_max) == expect
+    assert frontier_by_vertex(neigh, j_max)[0] == expect
