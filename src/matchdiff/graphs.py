@@ -101,24 +101,37 @@ class BipGraph:
         return f"BipGraph(n={self.n}, r={self.r})"
 
 
-# Attempts per packed batch, and when `_packed_filter` packs rows.  Past
-# about a thousand lanes the packed ints gain nothing per lane and only draw
-# seeds the accepted graph never needs.  A packed row pays only through the
-# lockstep attempts it rejects, so a batch of at most 2 * _FIRST_BATCH lanes
-# packs no row, and in a larger one the next row is packed only while more
-# than _FIRST_BATCH lanes are live and the row just decided rejected at
-# least _MIN_REJECTED of them (the next rejects about as many).  Measured
-# in CPU time on a shared 2-vCPU machine: packing the first batch made
-# r = 3 draws 1.4 to 1.9 times slower.  At r = 3 an attempt is accepted
-# with probability about 1/20, so the 64-lane second batch mostly ends in
-# its first 20 lanes: packing no row in it made 120 r = 3 draws a size at
+# Attempts per round, seeds per group, and when `_packed_filter` packs rows.
+# A round draws _FIRST_BATCH attempts of each seed, then twice as many, up
+# to _MAX_BATCH: past about a thousand lanes the packed ints gain nothing
+# per lane and only draw seeds the accepted graph never needs.  A packed
+# row pays only through the lockstep attempts it rejects, so a batch of at
+# most _MAX_UNPACKED lanes packs no row, and in a larger one the next row
+# is packed only while more than _MIN_LIVE lanes are live and the row just
+# decided rejected at least _MIN_REJECTED of them (the next rejects about
+# as many).  Measured in CPU time on a shared 2-vCPU machine: packing one
+# seed's 32-lane first batch made r = 3 draws 1.4 to 1.9 times slower, as
+# the fixed cost of a packed op was shared by too few lanes.  So a round
+# packs the attempts of many seeds into one batch, up to _GROUP seeds (one
+# full batch of first attempts): at r = 3, n = 6..12, drawing 12 seeds a
+# size together took 0.90-0.92 of the CPU time of drawing them one by one
+# with 32-attempt first batches, and 100 seeds 0.80.  A first round of 16
+# attempts read 0.90 there against 0.92 for 12 and 0.96 for 32, and
+# one-seed draws 0.998 against 1.005 for 32, so one rule serves both.
+# Packing fewer rows (_MIN_REJECTED = 0.4) read 0.88 at 12 seeds but 0.83
+# at 100, so the rule is kept.  At r = 3 an attempt is accepted with
+# probability about 1/20, so a one-seed 64-lane round mostly ends in its
+# first 20 lanes: packing no row in it made 120 r = 3 draws a size at
 # n = 6..12 4-6% faster, and r = 5 draws (n = 7..9 and 22) moved within
 # their 4% noise.  Asking for more than 64 live lanes before every row
 # instead would also stop the deep r = 5 packs of full batches early,
 # where the packed rows pay most.  With no rejection test an r = 4,
 # n = 1000 draw (rows reject under 1%) took 2.6-3.1 s, not 0.23 s.
-_FIRST_BATCH = 32
+_FIRST_BATCH = 16
 _MAX_BATCH = 1024
+_GROUP = _MAX_BATCH // _FIRST_BATCH
+_MAX_UNPACKED = 64
+_MIN_LIVE = 32
 _MIN_REJECTED = 1 / 4
 
 
@@ -157,9 +170,11 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     with probability below r n^2 / 2^64 per attempt, and its speed does not
     matter.
 
-    Packed rejection: the attempts run in batches, the first of
+    Packed rejection: the attempts run in rounds, the first of
     `_FIRST_BATCH` attempts, then doubling up to `_MAX_BATCH`, each cut
-    short at max_tries.  A batch's stream starts come from one lane-packed
+    short at max_tries; this is the one-seed case of
+    `gen_regular_bipartites`, which packs the same round of many seeds into
+    one batch.  A batch's stream starts come from one lane-packed
     `derive_seed_lanes`, and `_packed_filter` decides rows n-1, n-2, ...
     of every attempt in lane-packed integer arithmetic, with no Python loop
     over the lanes, for as long as the batch says it pays (see there).  An
@@ -168,32 +183,85 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     `_stream_attempt` when flagged, or else with the positions its packed
     steps drew to `_lockstep_attempt`, which replays their swaps and
     resumes at the next row.  Both decide the attempt exactly, so the
-    packed tier only rejects what they would reject too.
+    packed tier only rejects what they would reject too.  An r outside
+    0..n raises GraphError before any draw, and n = 0 (so r = 0) has one
+    graph, the empty one, which attempt 0 draws.
     """
-    if r > n:
-        raise GraphError(f"need r <= n, got r={r}, n={n}")
-    rows, identity, hot, span, hot_top = _attempt_tables(n, r)
+    return _draw_group(n, r, (seed,), max_tries)[0]
+
+
+def gen_regular_bipartites(n: int, r: int, seeds, max_tries: int = 2_000_000):
+    """`gen_regular_bipartite(n, r, seed, max_tries)` of each of `seeds`, in
+    order, drawn `_GROUP` seeds at a time (`_draw_group`): the same graphs,
+    and the same errors.  A seed with no graph raises GenerationBudgetError
+    in place of its group's graphs."""
+    seeds = iter(seeds)
+    while group := list(islice(seeds, _GROUP)):
+        yield from _draw_group(n, r, group, max_tries)
+
+
+def _draw_group(n: int, r: int, seeds, max_tries: int) -> list[BipGraph]:
+    """The graph of each of `seeds`, drawn together.  Round b covers the
+    same attempt range of every seed that has no graph yet, several seeds
+    to a batch of up to `_MAX_BATCH` lanes (`_draw_batch`), so the first
+    rounds, where most seeds find their graph, reach the packed rows too.
+    Each seed stops at its first accepted attempt, and
+    GenerationBudgetError is raised when a seed's attempts
+    0 .. max_tries-1 are all rejected."""
+    if not 0 <= r <= n:
+        raise GraphError(f"need 0 <= r <= n, got r={r}, n={n}")
+    if n == 0 and max_tries > 0:  # no row to draw
+        return [BipGraph(0, 0, ())] * len(seeds)
+    tables = _attempt_tables(n, r)
+    found = [None] * len(seeds)
+    pending = range(len(seeds))
     first, size = 0, _FIRST_BATCH
-    while first < max_tries:
+    while pending and first < max_tries:
         size = min(size, max_tries - first)
-        states = derive_seed_lanes(seed, first, size)
-        c = mul_lanes(states, GOLDEN_INV, size)
-        if hot_top.isdisjoint(unpack_lanes(c >> 32, size)):
-            flagged = ()
-        else:
-            flagged = {a for a, ca in enumerate(unpack_lanes(c, size))
-                       if hot[bisect_right(hot, ca)] - ca <= span}
-        for a, s0, drawn in _packed_filter(states, size, n, r, flagged):
-            if a in flagged:
-                masks = _stream_attempt(s0, n, r)
-            else:
-                masks = _lockstep_attempt(s0, n, r, rows, identity, drawn)
-            if masks is not None:
-                return BipGraph(n, r, [_set_bits(m) for m in masks])
+        per = _MAX_BATCH // size
+        for b in range(0, len(pending), per):
+            _draw_batch(n, r, tables, seeds, pending[b:b + per], first, size,
+                        found)
+        pending = [j for j in pending if found[j] is None]
         first += size
         size = min(2 * size, _MAX_BATCH)
-    raise GenerationBudgetError(
-        f"no simple graph after {max_tries} draws (n={n}, r={r})")
+    if pending:
+        raise GenerationBudgetError(
+            f"no simple graph after {max_tries} draws (n={n}, r={r})")
+    return found
+
+
+def _draw_batch(n: int, r: int, tables, seeds, batch, first: int, size: int,
+                found: list) -> None:
+    """Attempts first .. first+size-1 of seeds[j] for each j of `batch`,
+    lane-packed as one batch (the k-th seed of the batch in lanes
+    k*size ..): found[j] becomes the graph of the seed's first accepted
+    attempt.  Stops at the accept of the batch's last seed, whose lanes
+    are the last."""
+    rows, identity, hot, span, hot_top = tables
+    total = len(batch) * size
+    states = derive_seed_lanes(list(map(seeds.__getitem__, batch)), first,
+                               size)
+    c = mul_lanes(states, GOLDEN_INV, total)
+    if hot_top.isdisjoint(unpack_lanes(c >> 32, total)):
+        flagged = ()
+    else:
+        flagged = {a for a, ca in enumerate(unpack_lanes(c, total))
+                   if hot[bisect_right(hot, ca)] - ca <= span}
+    skip = 0  # the lanes below skip belong to seeds with a graph
+    for a, s0, drawn in _packed_filter(states, total, n, r, flagged):
+        if a < skip:
+            continue
+        if a in flagged:
+            masks = _stream_attempt(s0, n, r)
+        else:
+            masks = _lockstep_attempt(s0, n, r, rows, identity, drawn)
+        if masks is not None:
+            k = a // size
+            found[batch[k]] = BipGraph(n, r, map(_set_bits, masks))
+            skip = (k + 1) * size
+            if skip == total:
+                return
 
 
 def _packed_filter(states: int, size: int, n: int, r: int, flagged):
@@ -206,9 +274,9 @@ def _packed_filter(states: int, size: int, n: int, r: int, flagged):
     position i with k = u % (i+1).  Its neighbour is the value at k: walked
     back through the earlier steps, latest first, it is t where k equals
     the position step t drew (`select_lanes`), and k itself otherwise.
-    A batch of at most 2 * _FIRST_BATCH lanes packs no row.  In a larger
-    one each row is decided on the whole batch (`distinct_lanes`), and the
-    next row, while the rule stated at `_FIRST_BATCH` lets it and i > 1,
+    A batch of at most _MAX_UNPACKED lanes packs no row.  In a larger one
+    each row is decided on the whole batch (`distinct_lanes`), and the
+    next row, while the rule stated above `_FIRST_BATCH` lets it and i > 1,
     only on the live lanes (`gather_lanes`), every position drawn so far
     parked in the upper halves of the slots, w = bits(n-1) bits each (at
     least 1), 62 // w to a slot."""
@@ -218,7 +286,7 @@ def _packed_filter(states: int, size: int, n: int, r: int, flagged):
     keep = b"\1" * size
     m = live = size
     i = n - 1
-    while size > 2 * _FIRST_BATCH and live > _FIRST_BATCH and i > 0:
+    while size > _MAX_UNPACKED and live > _MIN_LIVE and i > 0:
         if drawn:  # park row i+1's positions, keep only the live lanes
             slots += [0] * ((len(drawn) - 1) // per + 1 - len(slots))
             for x, k in enumerate(drawn[-r:], len(drawn) - r):

@@ -65,7 +65,7 @@ from math import ceil, comb, lcm, log
 from operator import gt, lt, sub
 
 from ._records import Record
-from .graphs import BipGraph, cycle_census, gen_regular_bipartite
+from .graphs import BipGraph, cycle_census, gen_regular_bipartites
 from .matchcount import MatchVector, match_poly_full, mbar_vector
 from .rng import derive_seed
 from .series import Rat, rat_str
@@ -397,8 +397,12 @@ class TrendRow(Record):
         self.cycle_totals = cycle_totals
 
 
-def _sample_graph(r: int, n: int, seed: int, index: int) -> BipGraph:
-    return gen_regular_bipartite(n, r, derive_seed(seed, index))
+def _sample_graphs(r: int, n: int, seed: int, lo: int, hi: int):
+    """Samples lo..hi-1 of a run seeded with `seed`, in order: sample idx is
+    drawn from derive_seed(seed, idx), so any split of a run into chunks
+    draws the same graphs."""
+    return gen_regular_bipartites(
+        n, r, (derive_seed(seed, idx) for idx in range(lo, hi)))
 
 
 def _grid_worker(args) -> Counter:
@@ -406,12 +410,13 @@ def _grid_worker(args) -> Counter:
     of D alpha_0 ("sum", (i, k)) and of its square ("sq", (i, k)) and the
     violations ("viol", (i, k)); the positive graphs ("positive"); and the
     s-cycle totals ("cycles", s), even s <= census_smax, over the samples
-    below census_samples."""
+    below census_samples.  The chunk's graphs are drawn together
+    (`_sample_graphs`), which packs the same attempts of many samples into
+    one batch, and are tallied as they come, a group at a time."""
     r, n, seed, lo, hi, consts, census_smax, census_samples = args
     tally = Counter()
     counts = []
-    for idx in range(lo, hi):
-        g = _sample_graph(r, n, seed, idx)
+    for idx, g in enumerate(_sample_graphs(r, n, seed, lo, hi), lo):
         mvec = match_poly_full(g)
         # every count that reaches a sign or a moment is checked first; a
         # failure is an internal error, never a statistic

@@ -115,11 +115,30 @@ def splitmix64_lanes(x: int, size: int) -> int:
     return _mix_lanes((x + g) & m, m)
 
 
-def derive_seed_lanes(master: int, first: int, size: int) -> int:
-    """`derive_seed(master, first + a)` in lane a, for a < size."""
+@functools.lru_cache(maxsize=32)
+def _index_lanes(first: int, size: int) -> int:
+    """splitmix64(first + a) in lane a, for a < size: the half of
+    `derive_seed` that does not depend on the master.  Every draw starts
+    with the same few attempt ranges, so they are kept."""
     ones = _lane_consts(size)[0]
-    index = splitmix64_lanes((first & MASK) * ones + _lane_ramp(size), size)
-    return splitmix64_lanes(index ^ (master & MASK) * ones, size)
+    return splitmix64_lanes((first & MASK) * ones + _lane_ramp(size), size)
+
+
+def derive_seed_lanes(masters, first: int, size: int) -> int:
+    """`derive_seed(masters[m], first + a)` in lane m*size + a, for a < size:
+    `size` attempts of each master, back to back.  The index half is
+    replicated across the masters by bytes, and each lane is then XORed with
+    its own master.  One master needs no replication, and skipping the
+    bytes round trip saves about 30 us of a 1024-lane batch."""
+    index = _index_lanes(first, size)
+    if len(masters) == 1:
+        own = (masters[0] & MASK) * _lane_consts(size)[0]
+    else:
+        index = int.from_bytes(index.to_bytes(16 * size, "little")
+                               * len(masters), "little")
+        own = int.from_bytes(b"".join([(m & MASK).to_bytes(16, "little") * size
+                                       for m in masters]), "little")
+    return splitmix64_lanes(index ^ own, len(masters) * size)
 
 
 def draws_lanes(states: int, size: int, t: int, step: int,

@@ -253,13 +253,14 @@ def test_census_draws_each_sample_once(env_cache, capsys, monkeypatch):
     import matchdiff.positivity
 
     drawn = []
-    draw = matchdiff.positivity._sample_graph
+    draw = matchdiff.positivity._sample_graphs
 
-    def counted(r, n, seed, index):
-        drawn.append((n, index))
-        return draw(r, n, seed, index)
+    def counted(r, n, seed, lo, hi):
+        for index, g in zip(range(lo, hi), draw(r, n, seed, lo, hi)):
+            drawn.append((n, index))
+            yield g
 
-    monkeypatch.setattr(matchdiff.positivity, "_sample_graph", counted)
+    monkeypatch.setattr(matchdiff.positivity, "_sample_graphs", counted)
     code, out, _ = run(capsys, "census", "--n", "6,8", "--samples", "30")
     assert code == 0 and out.startswith(CENSUS_CSV)
     assert sorted(drawn) == [(n, i) for n in (6, 8) for i in range(30)]

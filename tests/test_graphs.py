@@ -7,7 +7,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matchdiff
@@ -16,7 +16,8 @@ from matchdiff.derive import _swap_shuffle
 from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               builtin_graph, circulant_bipartite,
                               cycle_census, find_circulant,
-                              gen_regular_bipartite, girth, girth_search,
+                              gen_regular_bipartite, gen_regular_bipartites,
+                              girth, girth_search,
                               incidence_pg, parse_graph, random_lift)
 from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, derive_seed_lanes,
                            splitmix64, unmix64, unpack_lanes)
@@ -65,8 +66,8 @@ def reference_gen(n: int, r: int, seed: int,
                   max_tries: int = 2_000_000) -> BipGraph:
     """Oracle: the plain permutation-model sampler, drawing every
     permutation in full with `Rng.permutation` before checking it."""
-    if r > n:
-        raise GraphError(f"need r <= n, got r={r}, n={n}")
+    if not 0 <= r <= n:
+        raise GraphError(f"need 0 <= r <= n, got r={r}, n={n}")
     for attempt in range(max_tries):
         rows = reference_attempt(n, r, derive_seed(seed, attempt))
         if rows is not None:
@@ -75,21 +76,78 @@ def reference_gen(n: int, r: int, seed: int,
         f"no simple graph after {max_tries} draws (n={n}, r={r})")
 
 
+SEEDS = st.one_of(st.sampled_from([0, -1, -(2 ** 63), 2 ** 64 - 1, 2 ** 64,
+                                   2 ** 64 + 7, 3 * 2 ** 70 + 1]),
+                  st.integers(-(2 ** 80), 2 ** 80))
+
+
 @st.composite
 def sampler_inputs(draw):
     n = draw(st.integers(1, 14))
     r = draw(st.integers(1, min(n, 4)))
-    seed = draw(st.one_of(
-        st.sampled_from([0, -1, -(2 ** 63), 2 ** 64 - 1, 2 ** 64,
-                         2 ** 64 + 7, 3 * 2 ** 70 + 1]),
-        st.integers(-(2 ** 80), 2 ** 80)))
-    return n, r, seed
+    return n, r, draw(SEEDS)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sampler_inputs())
 def test_gen_matches_reference_sampler(args):
     assert gen_regular_bipartite(*args).adj == reference_gen(*args).adj
+
+
+@st.composite
+def seed_list_inputs(draw):
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, min(n, 4)))
+    seeds = draw(st.lists(SEEDS, max_size=60))
+    if seeds:
+        seeds += draw(st.lists(st.sampled_from(seeds), max_size=10))
+    return n, r, draw(st.permutations(seeds))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed_list_inputs())
+@example((9, 3, list(range(-5, 65))))  # past one group of seeds
+def test_gen_many_seeds_matches_one_at_a_time(args):
+    """Drawn together, every seed gets the graph it gets alone, duplicates
+    and seeds equal mod 2^64 included, and the oracle's graph (checked on
+    the first four)."""
+    n, r, seeds = args
+    got = list(gen_regular_bipartites(n, r, seeds))
+    assert got == [gen_regular_bipartite(n, r, s) for s in seeds]
+    for g, s in zip(got, seeds[:4]):
+        assert g == reference_gen(n, r, s)
+
+
+@pytest.mark.parametrize("n,r", [(-1, -2), (3, -1), (0, -1), (2, 3),
+                                 (-2, 0)])
+def test_gen_outside_the_degree_range_raises_before_drawing(n, r,
+                                                           monkeypatch):
+    """r < 0 or n < r raises GraphError in both samplers, one seed or
+    many, before any stream start is derived."""
+    def refuse(*args):
+        raise AssertionError("drew attempts")
+
+    monkeypatch.setattr(graphs, "derive_seed_lanes", refuse)
+    for draw in (gen_regular_bipartite, reference_gen,
+                 lambda n, r, seed: list(gen_regular_bipartites(
+                     n, r, [seed, seed + 1]))):
+        with pytest.raises(GraphError):
+            draw(n, r, seed=3)
+
+
+def test_gen_empty_graph():
+    """n = r = 0 has one graph, the empty one, which attempt 0 draws."""
+    empty = BipGraph(0, 0, ())
+    for seed in (0, -1, 2 ** 64 + 7):
+        assert gen_regular_bipartite(0, 0, seed) == reference_gen(0, 0, seed) \
+            == empty
+    assert list(gen_regular_bipartites(0, 0, range(70))) == [empty] * 70
+    assert list(gen_regular_bipartites(0, 0, [])) == []
+    for draw in (gen_regular_bipartite, reference_gen,
+                 lambda n, r, seed, max_tries: list(gen_regular_bipartites(
+                     n, r, [seed], max_tries))):
+        with pytest.raises(GenerationBudgetError):
+            draw(0, 0, 5, max_tries=0)
 
 
 # the r=5 draws of derive_with_invariance(5, 2) at the default derivation seed
@@ -201,6 +259,103 @@ def test_gen_budget_boundary_in_packed_batch(n, r, seed, accepted):
     assert str(got.value) == str(want.value)
 
 
+def drawn_batches(monkeypatch) -> list[tuple[int, int, list[int]]]:
+    """The (first attempt, attempts per seed, seeds) of every batch the
+    sampler draws from here on, in order."""
+    seen = []
+    draw = graphs._draw_batch
+
+    def spy(n, r, tables, seeds, batch, first, size, found):
+        seen.append((first, size, [seeds[j] for j in batch]))
+        draw(n, r, tables, seeds, batch, first, size, found)
+
+    monkeypatch.setattr(graphs, "_draw_batch", spy)
+    return seen
+
+
+def batch_holding(batches, seed: int, attempt: int) -> list[int]:
+    """The seeds of the batch that drew `attempt` of `seed`."""
+    return next(seeds for first, size, seeds in batches
+                if seed in seeds and first <= attempt < first + size)
+
+
+def hot_among_ordinary(n: int) -> list[tuple[int, int]]:
+    """(seed, hot attempt) of each `HOT_IN_BATCH` case at n, and of a seed
+    whose attempt 0 starts with the draw 2^64 - 1."""
+    return [(_seed_with_top_draw(t, a), a)
+            for m, _, t, a in HOT_IN_BATCH if m == n] + \
+        [(_seed_with_top_draw(1), 0)]
+
+
+def test_gen_redraw_guard_in_cross_sample_batch(monkeypatch):
+    """Hot attempts among the attempts of 30 ordinary seeds: the rounds
+    that reach them pack them with other seeds' attempts, more than
+    `_MAX_UNPACKED` lanes, and the guard still sends them down the stream
+    path, so every seed gets the oracle's graph."""
+    n, r = 9, 3
+    hot = hot_among_ordinary(n)
+    seeds = list(range(30))
+    for k, (seed, _) in enumerate(hot):
+        seeds.insert(4 + 9 * k, seed)
+    batches = drawn_batches(monkeypatch)
+    assert list(gen_regular_bipartites(n, r, seeds)) == \
+        [reference_gen(n, r, s) for s in seeds]
+    for seed, attempt in hot:
+        held = batch_holding(batches, seed, attempt)
+        size = next(size for first, size, _ in batches
+                    if first <= attempt < first + size)
+        assert len(held) > 1 and len(held) * size > graphs._MAX_UNPACKED
+
+
+def test_gen_redraw_guard_bites_in_cross_sample_batch(unguarded,
+                                                      monkeypatch):
+    """With the guard emptied, attempt 51's shifted draws are read
+    unguarded in a batch shared with other seeds, and only that seed's
+    graph comes out different."""
+    n, r, t, attempt = HOT_IN_BATCH[1]
+    seed = _seed_with_top_draw(t, attempt)
+    seeds = list(range(20))
+    seeds.insert(7, seed)
+    batches = drawn_batches(monkeypatch)
+    got = list(gen_regular_bipartites(n, r, seeds))
+    assert len(batch_holding(batches, seed, attempt)) > 1
+    assert got[7] != reference_gen(n, r, seed)
+    assert got[:7] + got[8:] == [reference_gen(n, r, s) for s in range(20)]
+
+
+# Seeds that the oracle first accepts in the same round as the cases of
+# the test above, before `accepted`, so max_tries = accepted + 1 cuts a
+# round that several seeds share.  None was found for the first case,
+# whose window is one attempt, among seeds 0 .. 299.
+BUDGET_NEIGHBOURS = {(9, 4, 9, 48): [], (10, 4, 25, 57): [51, 125],
+                     (8, 4, 8, 61): [263, 276]}
+
+
+@pytest.mark.parametrize("case", BUDGET_NEIGHBOURS)
+def test_gen_budget_boundary_among_other_seeds(case, monkeypatch):
+    """The budget cases above drawn with other seeds: with max_tries
+    cutting the round short they give the graphs they give one at a time,
+    and one budget short the same error text."""
+    n, r, seed, accepted = case
+    first, size = 0, graphs._FIRST_BATCH
+    while first + size <= accepted:
+        first, size = first + size, min(2 * size, graphs._MAX_BATCH)
+    for other in BUDGET_NEIGHBOURS[case]:
+        with pytest.raises(GenerationBudgetError):
+            gen_regular_bipartite(n, r, other, max_tries=first)
+    seeds = [seed, *BUDGET_NEIGHBOURS[case]]
+    batches = drawn_batches(monkeypatch)
+    assert list(gen_regular_bipartites(n, r, seeds, accepted + 1)) == \
+        [gen_regular_bipartite(n, r, s, accepted + 1) for s in seeds]
+    assert (first, accepted + 1 - first, seeds) in batches
+    with pytest.raises(GenerationBudgetError) as want:
+        reference_gen(n, r, seed, max_tries=accepted)
+    for order in (seeds, seeds[::-1]):
+        with pytest.raises(GenerationBudgetError) as got:
+            list(gen_regular_bipartites(n, r, order, accepted))
+        assert str(got.value) == str(want.value)
+
+
 def shuffle_positions(n: int, r: int, s0: int) -> list[int]:
     """The position that each step of the r shuffles of `Rng(s0)` draws,
     redraws included: step n-1 of shuffles 0 .. r-1, then step n-2, and so
@@ -218,8 +373,8 @@ def reference_packed_filter(states: int, size: int, n: int, r: int,
     of each shuffle p, swaps position i with k = u % (i+1) in a list that
     starts as the identity, and gets the value at k as its neighbour.  A
     lane whose row repeats a neighbour is dropped unless flagged.  A batch
-    of at most 2 * `_FIRST_BATCH` lanes draws no row; in a larger one the
-    next row is drawn while more than `_FIRST_BATCH` lanes are live, the
+    of at most `_MAX_UNPACKED` lanes draws no row; in a larger one the
+    next row is drawn while more than `_MIN_LIVE` lanes are live, the
     row just decided dropped at least `_MIN_REJECTED` of its lanes, and it
     is not past row 1."""
     s0s = unpack_lanes(states, size)
@@ -227,8 +382,7 @@ def reference_packed_filter(states: int, size: int, n: int, r: int,
     perms = [[list(range(n)) for _ in range(r)] for _ in live]
     drawn = [[] for _ in live]
     for i in range(n - 1, 0, -1):
-        if size <= 2 * graphs._FIRST_BATCH or \
-                len(live) <= graphs._FIRST_BATCH:
+        if size <= graphs._MAX_UNPACKED or len(live) <= graphs._MIN_LIVE:
             break
         kept = []
         for a in live:
@@ -255,7 +409,7 @@ def test_packed_filter_only_rejects(n, r, seed, first):
     and the lanes the guard flags are kept whatever their draws."""
     r = min(r, n)
     size = 96
-    states = derive_seed_lanes(seed, first, size)
+    states = derive_seed_lanes([seed], first, size)
     flagged = {0, size - 1}
     for marked in (set(), flagged):
         live = [a for a, _, _ in graphs._packed_filter(states, size, n, r,
@@ -280,7 +434,7 @@ def test_packed_filter_keeps_the_lanes_of_the_list_filter(n, r, seed, first,
     the full shuffles draw (checked on the first 20)."""
     r = min(r, n)
     flagged = {a for a in flagged if a < size}
-    states = derive_seed_lanes(seed, first, size)
+    states = derive_seed_lanes([seed], first, size)
     got = list(graphs._packed_filter(states, size, n, r, flagged))
     assert got == reference_packed_filter(states, size, n, r, flagged)
     for a, s0, drawn in got[:20]:
@@ -290,7 +444,7 @@ def test_packed_filter_keeps_the_lanes_of_the_list_filter(n, r, seed, first,
 def packed_rows(n: int, r: int, size: int, seed: int = 3) -> set[int]:
     """How many rows `_packed_filter` packs on one batch, per kept lane
     (a batch that keeps no lane reads as the empty set)."""
-    states = derive_seed_lanes(seed, 0, size)
+    states = derive_seed_lanes([seed], 0, size)
     got = list(graphs._packed_filter(states, size, n, r, ()))
     assert got == reference_packed_filter(states, size, n, r, set())
     for a, s0, drawn in got[:20]:
@@ -305,15 +459,15 @@ def test_packed_filter_carries_rows_past_one_slot():
 
 
 def test_packed_filter_stop_rule():
-    """A batch of at most 2 * `_FIRST_BATCH` lanes gets no packed row, the
-    64-lane second batch included; at n = 22, r = 5, where a row rejects
-    about 39% of its lanes, a 128-lane batch packs row n-1 and a full batch
-    packs past row n-2; at n = 1000, r = 4, where row n-1 rejects under
-    1%, the loop stops after it."""
-    for size in (5, graphs._FIRST_BATCH, 33, 2 * graphs._FIRST_BATCH):
+    """A batch of at most `_MAX_UNPACKED` = 64 lanes gets no packed row;
+    at n = 22, r = 5, where a row rejects about 39% of its lanes, a
+    128-lane batch packs row n-1 and a full batch packs past row n-2; at
+    n = 1000, r = 4, where row n-1 rejects under 1%, the loop stops after
+    it."""
+    for size in (5, graphs._MIN_LIVE, 33, graphs._MAX_UNPACKED):
         assert packed_rows(22, 5, size) == {0}, size
     assert packed_rows(12, 3, 5) == {0}
-    assert min(packed_rows(22, 5, 4 * graphs._FIRST_BATCH)) >= 1
+    assert min(packed_rows(22, 5, 2 * graphs._MAX_UNPACKED)) >= 1
     assert min(packed_rows(22, 5, graphs._MAX_BATCH)) > 2
     assert packed_rows(1000, 4, graphs._MAX_BATCH) == {1}
 

@@ -21,7 +21,7 @@ from matchdiff.positivity import (_DECIMAL_ERR, _FLOAT_SCALE, _LOG_ERR,
                                   EnsembleStats, TrendReport, TrendRow,
                                   _decimal_leaves, _float_leaves,
                                   _grid_worker, _k_table, _KTable,
-                                  _sample_graph, _scaled_alpha0,
+                                  _sample_graphs, _scaled_alpha0,
                                   _sign_cascade, _triangle, alpha0_exact,
                                   delta_table, ensemble_grid, lsplit,
                                   rho_vector, trend_report)
@@ -114,10 +114,10 @@ def test_sign_cascade_equals_exact():
     r=4 for n=6..14, and K33 and C4.  Signs depend on (n, r) and the
     counts alone, so each distinct count vector is decided once."""
     graphs = [K33, C4]
-    graphs += [_sample_graph(3, n, 20250809, idx)
-               for n in range(6, 13) for idx in range(100)]
-    graphs += [_sample_graph(4, n, 20250809, idx)
-               for n in range(6, 15) for idx in range(25)]
+    graphs += [g for n in range(6, 13)
+               for g in _sample_graphs(3, n, 20250809, 0, 100)]
+    graphs += [g for n in range(6, 15)
+               for g in _sample_graphs(4, n, 20250809, 0, 25)]
     distinct = {}
     for g in graphs:
         mvec = match_poly_full(g)
@@ -164,8 +164,8 @@ def test_log_enclosure_contains_exact_logs():
     huge = [3 ** 2000, 10 ** 400]
     cases.append((huge, _KTable([F(1, 2 ** 1500 + 1), F(1)], huge)))
     cases += [(match_poly_full(g).counts, _k_table(n, r))
-              for r, n in ((3, 12), (4, 14)) for idx in range(3)
-              for g in [_sample_graph(r, n, 20250809, idx)]]
+              for r, n in ((3, 12), (4, 14))
+              for g in _sample_graphs(r, n, 20250809, 0, 3)]
     saved, iv.prec = iv.prec, 200
     try:
         for counts, tab in cases:
@@ -192,8 +192,7 @@ def test_decimal_tiers_contain_2048_bit_reference(n):
 
     saved, iv.prec = iv.prec, 2048
     try:
-        for idx in range(2):
-            g = _sample_graph(3, n, 20250809, idx)
+        for g in _sample_graphs(3, n, 20250809, 0, 2):
             counts = match_poly_full(g).counts
             tab = _k_table(n, 3)
             refs = _iv_triangle(counts, tab.K)
@@ -401,8 +400,8 @@ def test_ensemble_reproducible_and_exact():
     assert a == b
     # exact moments equal brute-force recomputation from per-sample values
     vals = []
-    for idx in range(60):
-        rho = rho_vector(_sample_graph(3, 8, 77, idx))
+    for g in _sample_graphs(3, 8, 77, 0, 60):
+        rho = rho_vector(g)
         vals.append(alpha0_exact(rho, 2, 1))
     mean = sum(vals, F(0)) / 60
     beta = sum((v * v for v in vals), F(0)) / 60 - mean * mean
@@ -466,8 +465,8 @@ def test_census_totals_merge_across_jobs():
     b = ensemble_grid(3, 7, 130, [(0, 0), (1, 2)], seed=5, jobs=2, **kw)
     assert a == b
     totals = {4: 0, 6: 0, 8: 0}
-    for idx in range(100):
-        for s, c in cycle_census(_sample_graph(3, 7, 5, idx), 8).items():
+    for g in _sample_graphs(3, 7, 5, 0, 100):
+        for s, c in cycle_census(g, 8).items():
             totals[s] += c
     assert a.cycle_totals == totals
 
@@ -505,7 +504,7 @@ def test_ensemble_grid_outside_domain_samples_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled with no (i, k) in the domain")
 
-    monkeypatch.setattr(positivity, "_sample_graph", refuse)
+    monkeypatch.setattr(positivity, "_sample_graphs", refuse)
     assert ensemble_grid(3, 4, 5, [(3, 3), (0, 5)], seed=1) == \
         TrendRow(n=4, stats={}, p_graph_positive=None)
 

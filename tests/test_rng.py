@@ -36,13 +36,18 @@ def test_splitmix64_lanes_is_splitmix64_in_every_lane(values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-(2 ** 80), 2 ** 80),
+@given(st.lists(st.integers(-(2 ** 80), 2 ** 80), min_size=1, max_size=5),
        st.one_of(st.sampled_from([0, MASK, MASK - 2, 2 ** 64, -1]),
                  st.integers(-(2 ** 70), 2 ** 70)),
        st.integers(1, 40))
-def test_derive_seed_lanes_is_derive_seed_in_every_lane(master, first, size):
-    got = unpack_lanes(derive_seed_lanes(master, first, size), size)
-    assert list(got) == [derive_seed(master, first + a) for a in range(size)]
+def test_derive_seed_lanes_is_derive_seed_in_every_lane(masters, first, size):
+    """Master m's attempts fill lanes m*size .., a repeated master
+    included."""
+    for ms in (masters, masters + masters[:1]):
+        total = len(ms) * size
+        got = unpack_lanes(derive_seed_lanes(ms, first, size), total)
+        assert list(got) == [derive_seed(m, first + a) for m in ms
+                             for a in range(size)]
 
 
 def test_no_carry_between_lanes():
@@ -60,7 +65,7 @@ def test_no_carry_between_lanes():
 @pytest.mark.parametrize("size", [1, 3, 1024])
 def test_lane_batch_sizes(size):
     master, first = 0x1234_5678_9ABC_DEF0, MASK - size // 2
-    seeds = unpack_lanes(derive_seed_lanes(master, first, size), size)
+    seeds = unpack_lanes(derive_seed_lanes([master], first, size), size)
     assert list(seeds) == [derive_seed(master, first + a)
                            for a in range(size)]
     values = [EDGES[a % len(EDGES)] for a in range(size)]
@@ -70,7 +75,7 @@ def test_lane_batch_sizes(size):
 
 @pytest.mark.parametrize("size", [1, 3, 1024, 300])
 def test_draw_lanes_follow_each_stream(size):
-    states = derive_seed_lanes(7, 0, size)
+    states = derive_seed_lanes([7], 0, size)
     rngs = [Rng(s) for s in unpack_lanes(states, size)]
     for t in range(1, 5):
         assert list(unpack_lanes(next(draws_lanes(states, size, t, 1, 1)),
