@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .graphs import GenerationBudgetError, check_census_smax
+from .graphs import GenerationBudgetError
 from .matchcount import CapExceededError
 from .rng import DEFAULT_SEED, Rng
 
@@ -255,7 +255,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .positivity import TrendReport, ensemble_grid, rat_cells
+    from .positivity import trend_report
 
     config = _config_line("census", args,
                           ("r", "n", "samples", "seed", "smax", "jobs"))
@@ -263,29 +263,11 @@ def cmd_census(args) -> int:
     if len(rs) != 1:
         print("error: census takes a single --r", file=sys.stderr)
         return EXIT_CONFIG
-    r = rs[0]
-    lines = [f"# {config}",
-             "# model=permutation-union-conditioned-on-simple",
-             "r,n,samples,seed,p_graph_positive,p_graph_positive_dec,"
-             + ",".join(f"mean_c{s}" for s in range(4, args.smax + 1, 2))]
-    rows = []
-    # the census runs on the first ncen of the samples the grid draws
-    ncen = min(args.samples, 200)
-    check_census_smax(args.smax)  # an s_max above its cap samples nothing
-    for n in _parse_ints(args.n):
-        row = ensemble_grid(r, n, args.samples, (), args.seed,
-                            jobs=args.jobs, census_smax=args.smax,
-                            census_samples=ncen)
-        cells = [r, n, args.samples, args.seed,
-                 rat_cells(row.p_graph_positive)]
-        cells += [f"{row.cycle_totals[s] / ncen:.4f}"
-                  for s in range(4, args.smax + 1, 2)]
-        lines.append(",".join(str(c) for c in cells))
-        rows.append(row)
-    text = "\n".join(lines) + "\n"
+    report = trend_report(rs[0], _parse_ints(args.n), args.samples, (),
+                          args.seed, jobs=args.jobs, census_smax=args.smax)
+    text = report.census_csv(config)
     _write_out(args, text)
     sys.stdout.write(text)
-    report = TrendReport(r=r, samples=args.samples, seed=args.seed, rows=rows)
     drops = report.positivity_drops()
     for na, nb in drops:
         print(f"positivity fraction drops from n={na} to n={nb}")

@@ -37,11 +37,11 @@ and 20); `DENSE_BITS` is 2^20 bits, 128 KiB, at that crossover.
 
 The kernel's state budget, `FRONTIER_STATE_BUDGET`, is the one limit on
 counting: neither the graph size nor j is capped, and the packed layout
-never holds more states than the budget.  On seeded samples the
-full polynomial fits the budget at r = 3 up to n = 48 per side (6 to 9 s
-a graph on a shared 2-vCPU machine) and exceeds it at n = 56; at r = 4 it
-fits at n = 28 and exceeds it at n = 32.  Either failure comes within a
-few seconds.
+never holds more states than the budget.  The table holds at most 2^F
+sets for a plan of F frontier slots, so a graph with F <= 18 always
+counts, and F, not n, sets the limit: it grows with n and differs between
+graphs of one size (40 seeded graphs at r = 3, n = 48: median 18, 9 at
+F >= 19, and `simulate --samples 40` exits 3 there; r = 4, n = 28: F up to 20).
 """
 
 from __future__ import annotations

@@ -62,10 +62,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import ceil, comb, lcm, log
-from operator import gt, lt, sub
+from operator import gt, lt, or_, sub
 
 from ._records import Record
-from .graphs import BipGraph, cycle_census, gen_regular_bipartites
+from .graphs import (BipGraph, check_census_smax, cycle_census,
+                     gen_regular_bipartites)
 from .matchcount import MatchVector, match_poly_full, mbar_vector
 from .rng import derive_seed
 from .series import Rat, rat_str
@@ -81,6 +82,9 @@ _FLOAT_SCALE = 2.0 ** 40  # the float tier's leaves count units of 2^-40
 _DECIMAL_TIERS = (40, 80, 160)  # digits
 _DECIMAL_ERR = 3  # E of every decimal tier (see `_KTable`)
 _STRUCTURAL_ZEROS = frozenset({(0, 0), (1, 0), (0, 1)})
+# The cycle census covers the first min(samples, CENSUS_SAMPLES) samples
+CENSUS_SAMPLES = 200
+MODEL = "permutation-union-conditioned-on-simple"
 # Standard errors of the Wilson interval in the trend rule
 WILSON_Z = 2.0
 
@@ -126,7 +130,7 @@ class _KTable:
     - lnk[i] is within 1 unit: half a unit of rounding, plus under
       10^(D - 47) units for the four 60-digit roundings behind it (D as
       below).
-    So E = ceil(LM) + 3, and `rads` holds E 2^k per cell of `cells`.
+    So E = ceil(LM) + 3.
     Decimal tier at p digits (`decimal`), scale 10^q with q = p - D, where
     10^D exceeds every ln m_max[i], ln(num K_i) and ln(den K_i):
     leaf = int(scaleb(ln m_i, q)) + L_i, with L_i = round(10^q ln K_i) from
@@ -134,7 +138,9 @@ class _KTable:
     - `Context.ln` is correctly rounded, within half an ulp, at most
       10^(D - p): half a unit, and scaleb is exact;
     - int truncates by under 1 unit, and L_i is within 1 unit.
-    So E = 3 (`_DECIMAL_ERR`)."""
+    So E = 3 (`_DECIMAL_ERR`).
+    `tiers` lists the float tier (digits None), then the decimal tiers, each
+    with its radii E 2^k per cell of `cells` and their negations."""
 
     def __init__(self, K, m_max, zeros=frozenset()):
         self.K = tuple(K)
@@ -144,10 +150,11 @@ class _KTable:
         self.cells = [(i, k) for k in range(n + 1) for i in range(n - k + 1)]
         self._pairs = [(q.numerator, q.denominator) for q in self.K]
         self.lnk = _scaled_lnk(self._pairs, 60, Decimal(_FLOAT_SCALE))
-        e = ceil(max(map(_ln_upper, self.m_max))) + 3
-        # one flat list in the order of `cells`, and its negation
-        self.rads = [e << k for _, k in self.cells]
-        self.neg_rads = [-e for e in self.rads]
+        errs = [ceil(max(map(_ln_upper, self.m_max))) + 3]
+        errs += [_DECIMAL_ERR] * len(_DECIMAL_TIERS)
+        self.tiers = [(prec, [e << k for _, k in self.cells],
+                       [-e << k for _, k in self.cells])
+                      for prec, e in zip((None, *_DECIMAL_TIERS), errs)]
         self._decimal = {}
         self._alpha0 = {}
 
@@ -259,31 +266,23 @@ def _triangle(leaves: list[int]) -> list[int]:
 
 def _sign_cascade(counts, tab: _KTable) -> dict[tuple[int, int], int]:
     """Sign of Delta^k d(i) on every i + k <= n, equal to `_exact_sign`:
-    the float triangle, then the decimal tiers on the cells it leaves
-    open, then `_exact_sign` (see the module docstring)."""
-    values = _triangle(_float_leaves(counts, tab))
-    # +-1 where |x| > rad; 0 where the interval holds 0 (left open)
-    flat = list(map(sub, map(gt, values, tab.rads),
-                    map(lt, values, tab.neg_rads)))
-    signs = dict(zip(tab.cells, flat))
-    if flat.count(0) == len(tab.zeros):
-        return signs  # a true zero is never decided, so these are the zeros
-    cells = [c for c in tab.cells if signs[c] == 0 and c not in tab.zeros]
-    for prec in _DECIMAL_TIERS:
-        values = dict(zip(tab.cells,
-                          _triangle(_decimal_leaves(counts, tab, prec))))
-        left = []
-        for i, k in cells:
-            x = values[(i, k)]
-            if abs(x) > _DECIMAL_ERR << k:
-                signs[(i, k)] = 1 if x > 0 else -1
-            else:
-                left.append((i, k))
-        cells = left
-        if not cells:
-            return signs
-    for i, k in cells:
-        signs[(i, k)] = _exact_sign(counts, tab, i, k)
+    each tier of `_KTable.tiers` in turn on the cells still open, then
+    `_exact_sign` (see the module docstring)."""
+    signs = None
+    for prec, rads, neg_rads in tab.tiers:
+        values = _triangle(_float_leaves(counts, tab) if prec is None
+                           else _decimal_leaves(counts, tab, prec))
+        # +-1 where |x| > rad, 0 where the interval holds 0 (left open)
+        flat = map(sub, map(gt, values, rads), map(lt, values, neg_rads))
+        # two tiers that decide a cell agree, so `or_` fills the open ones
+        signs = list(flat if signs is None else map(or_, signs, flat))
+        if signs.count(0) == len(tab.zeros):
+            # a true zero is never decided, so these are the zeros
+            return dict(zip(tab.cells, signs))
+    signs = dict(zip(tab.cells, signs))
+    for cell in tab.cells:
+        if not signs[cell] and cell not in tab.zeros:
+            signs[cell] = _exact_sign(counts, tab, *cell)
     return signs
 
 
@@ -437,8 +436,7 @@ def _grid_worker(args) -> Counter:
 
 
 def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
-                  jobs: int = 1, census_smax: int = 0,
-                  census_samples: int = 0) -> TrendRow:
+                  jobs: int = 1, census_smax: int = 0) -> TrendRow:
     """Shared-sample statistics at one n: the `TrendRow` with the stats
     of every (i, k) of `pairs` in the domain i + k <= n.
 
@@ -446,12 +444,12 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
     identical for any `jobs`.  Each worker tallies its chunk of the
     samples (`_grid_worker`), the merge adds the tallies, and the exact
     moments come from one division by D and by D^2 at the end (constants
-    from `_KTable.alpha0`).  With census_samples > 0, the first
-    census_samples samples also get a cycle census up to census_smax,
-    whose totals the row carries.  r < 1, n < r or a pair with i < 0
-    raises ValueError before any sampling.  Pairs outside the domain are
-    dropped; when none is left and there is no census, nothing is
-    sampled, and the row has stats {} and p_graph_positive None."""
+    from `_KTable.alpha0`).  With census_smax > 0, the first
+    min(samples, `CENSUS_SAMPLES`) samples also get a cycle census up to
+    census_smax, whose totals the row carries.  r < 1, n < r or a pair
+    with i < 0 raises ValueError before any sampling.  Pairs outside the
+    domain are dropped; when none is left and there is no census, nothing
+    is sampled, and the row has stats {} and p_graph_positive None."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     if r < 1:
@@ -462,9 +460,9 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
         raise ValueError("need i >= 0 in every (i, k) pair")
     tab = _k_table(n, r)
     consts = {p: tab.alpha0(*p) for p in pairs if p[0] + p[1] <= n}
-    if not consts and not census_samples:
+    if not consts and not census_smax:
         return TrendRow(n=n, stats={}, p_graph_positive=None)
-    census = (census_smax, census_samples)
+    census = (census_smax, min(samples, CENSUS_SAMPLES) if census_smax else 0)
     if jobs > 1:
         step = max(64, samples // (4 * jobs) + 1)
         chunks = [(r, n, seed, lo, min(lo + step, samples), consts, *census)
@@ -489,7 +487,7 @@ def ensemble_grid(r: int, n: int, samples: int, pairs, seed: int,
     cycles = {s: tally["cycles", s] for s in range(4, census_smax + 1, 2)}
     return TrendRow(n=n, stats=stats,
                     p_graph_positive=Fraction(tally["positive"], samples),
-                    cycle_totals=cycles if census_samples else None)
+                    cycle_totals=cycles if census_smax else None)
 
 
 def wilson_bounds(successes: int, samples: int) -> tuple[float, float]:
@@ -504,12 +502,20 @@ def wilson_bounds(successes: int, samples: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _wilson_above(x_hi: int, n_hi: int, x_lo: int, n_lo: int) -> bool:
-    """The trend rule: the Wilson interval of x_hi/n_hi lies strictly above
-    that of x_lo/n_lo, so the two proportions differ beyond noise."""
-    lo, _ = wilson_bounds(x_hi, n_hi)
-    _, hi = wilson_bounds(x_lo, n_lo)
-    return lo > hi
+def _rises(seq) -> list:
+    """The trend rule: the consecutive pairs (a, b) of `seq`, items
+    (label, successes, samples), where the Wilson interval of b lies
+    strictly above that of a, so the two proportions differ beyond
+    noise."""
+    return [(a, b) for (a, xa, na), (b, xb, nb) in zip(seq, seq[1:])
+            if wilson_bounds(xb, nb)[0] > wilson_bounds(xa, na)[1]]
+
+
+def _csv_head(config_line: str, model_note: str) -> list[str]:
+    """The comment lines above a CSV header: the run's configuration, if
+    given, and the sampling model."""
+    lines = [f"# {config_line}"] if config_line else []
+    return lines + [f"# model={MODEL}{model_note}"]
 
 
 class TrendReport(Record):
@@ -530,51 +536,61 @@ class TrendReport(Record):
         """p_violation non-increasing in n within noise: fails only when a
         later Wilson interval (z = 2 standard errors) lies strictly above
         an earlier one."""
-        seq = [row.stats[(i, k)] for row in self.rows
-               if (i, k) in row.stats]
-        for a, b in zip(seq, seq[1:]):
-            if _wilson_above(int(b.p_violation * b.samples), b.samples,
-                             int(a.p_violation * a.samples), a.samples):
-                return False
-        return True
+        seq = [(row.n, int(st.p_violation * st.samples), st.samples)
+               for row in self.rows if (st := row.stats.get((i, k)))]
+        return not _rises(seq)
 
     def positivity_drops(self) -> list[tuple[int, int]]:
         """Consecutive (n_a, n_b) rows whose positivity fraction drops
         beyond noise: the later Wilson interval lies strictly below the
         earlier one.  Rows with nothing sampled are skipped."""
         size = self.samples
-        seq = [(row.n, int(row.p_graph_positive * size)) for row in self.rows
-               if row.p_graph_positive is not None]
-        return [(n_a, n_b) for (n_a, xa), (n_b, xb) in zip(seq, seq[1:])
-                if _wilson_above(xa, size, xb, size)]
+        seq = [(row.n, int(row.p_graph_positive * size), size)
+               for row in self.rows if row.p_graph_positive is not None]
+        # a drop is a rise read from the last row back
+        return [(n_a, n_b) for n_b, n_a in reversed(_rises(seq[::-1]))]
 
     def monotone_positivity(self) -> bool:
         """Positivity fraction non-decreasing in n within noise."""
         return not self.positivity_drops()
 
     def csv(self, config_line: str = "") -> str:
-        lines = []
-        if config_line:
-            lines.append(f"# {config_line}")
-        lines.append("# model=permutation-union-conditioned-on-simple; "
-                     "domain i+k<=n")
-        lines.append(CSV_HEADER)
+        lines = _csv_head(config_line, "; domain i+k<=n") + [CSV_HEADER]
         for row in self.rows:
             positive = rat_cells(row.p_graph_positive)
             for key in sorted(row.stats):
                 lines.append(f"{row.stats[key].csv_row()},{positive}")
         return "\n".join(lines) + "\n"
 
+    def census_csv(self, config_line: str = "") -> str:
+        """Per n the positive fraction and the mean s-cycle counts of the
+        census samples, the first min(samples, `CENSUS_SAMPLES`)."""
+        size = min(self.samples, CENSUS_SAMPLES)
+        cycles = sorted(self.rows[0].cycle_totals)
+        lines = _csv_head(config_line, "") + [
+            "r,n,samples,seed,p_graph_positive,p_graph_positive_dec,"
+            + ",".join(f"mean_c{s}" for s in cycles)]
+        for row in self.rows:
+            cells = [self.r, row.n, self.samples, self.seed,
+                     rat_cells(row.p_graph_positive)]
+            cells += [f"{row.cycle_totals[s] / size:.4f}" for s in cycles]
+            lines.append(",".join(map(str, cells)))
+        return "\n".join(lines) + "\n"
+
 
 def trend_report(r: int, n_list, samples: int, pairs, seed: int,
-                 jobs: int = 1) -> TrendReport:
-    """One `ensemble_grid` row per n of `n_list`.  A pair with i + k > n
-    at every n would get a trend with no data behind it, so it raises
-    ValueError before any sampling."""
+                 jobs: int = 1, census_smax: int = 0) -> TrendReport:
+    """One `ensemble_grid` row per n of `n_list`, with a cycle census up
+    to census_smax when it is > 0.  A pair with i + k > n at every n would
+    get a trend with no data behind it, and an s_max above the census cap
+    would sample for nothing, so either raises ValueError before any
+    sampling."""
     for i, k in pairs:
         if all(i + k > n for n in n_list):
             raise ValueError(f"(i, k) = ({i}, {k}) has i + k > n at every "
                              f"n in {list(n_list)}")
-    rows = [ensemble_grid(r, n, samples, pairs, seed, jobs=jobs)
+    check_census_smax(census_smax)
+    rows = [ensemble_grid(r, n, samples, pairs, seed, jobs=jobs,
+                          census_smax=census_smax)
             for n in n_list]
     return TrendReport(r=r, samples=samples, seed=seed, rows=rows)

@@ -248,6 +248,21 @@ def test_census_runs(env_cache, capsys, tmp_path):
         "# positivity fraction trend: non-decreasing (2 SE)\n"
 
 
+def test_census_and_simulate_agree_on_positive_fraction(env_cache, capsys):
+    """census and simulate on the same --r/--n/--samples/--seed draw the
+    same graphs, so they print the same p_graph_positive cells per n."""
+    grid = ("--r", "3", "--n", "5,7,9", "--samples", "40", "--seed", "11")
+    rows = {}
+    for command in ("census", "simulate"):
+        code, out, _ = run(capsys, command, *grid)
+        assert code == 0
+        rows[command] = [ln.split(",") for ln in out.splitlines()
+                         if ln[:1].isdigit()]
+    census = {(row[1], *row[4:6]) for row in rows["census"]}
+    assert len(census) == 3
+    assert census == {(row[1], *row[-2:]) for row in rows["simulate"]}
+
+
 def test_census_draws_each_sample_once(env_cache, capsys, monkeypatch):
     """The cycle census runs on the samples the grid already draws."""
     import matchdiff.positivity

@@ -18,7 +18,8 @@ from matchdiff.graphs import (BipGraph, circulant_bipartite, cycle_census,
                               gen_regular_bipartite)
 from matchdiff.matchcount import match_poly_full, mbar_vector
 from matchdiff.positivity import (_DECIMAL_ERR, _FLOAT_SCALE, _LOG_ERR,
-                                  EnsembleStats, TrendReport, TrendRow,
+                                  CENSUS_SAMPLES, EnsembleStats,
+                                  TrendReport, TrendRow,
                                   _decimal_leaves, _float_leaves,
                                   _grid_worker, _k_table, _KTable,
                                   _sample_graphs, _scaled_alpha0,
@@ -176,7 +177,8 @@ def test_log_enclosure_contains_exact_logs():
                 assert ref.a - budget <= lm <= ref.b + budget, m
             values = _triangle(_float_leaves(counts, tab))
             refs = _iv_triangle(counts, tab.K)
-            assert _unenclosed(tab.cells, values, tab.rads, _FLOAT_SCALE,
+            _, rads, _ = tab.tiers[0]
+            assert _unenclosed(tab.cells, values, rads, _FLOAT_SCALE,
                                refs) == [], counts
     finally:
         iv.prec = saved
@@ -196,14 +198,16 @@ def test_decimal_tiers_contain_2048_bit_reference(n):
             counts = match_poly_full(g).counts
             tab = _k_table(n, 3)
             refs = _iv_triangle(counts, tab.K)
-            tiers = [(_float_leaves(counts, tab), _FLOAT_SCALE, tab.rads)]
-            for prec in (40, 80, 160):
+            (_, rads, _), *decimals = tab.tiers
+            tiers = [(_float_leaves(counts, tab), _FLOAT_SCALE, rads)]
+            for prec, rads, _ in decimals:
                 q, _ = tab.decimal(prec)
                 tiers.append((_decimal_leaves(counts, tab, prec), 10 ** q,
-                              [_DECIMAL_ERR << k for _, k in tab.cells]))
+                              rads))
+            assert [prec for prec, _, _ in decimals] == [40, 80, 160]
             for leaves, scale, rads in tiers:
                 assert _unenclosed(tab.cells, _triangle(leaves), rads, scale,
-                                   refs) == [], (idx, scale)
+                                   refs) == [], (counts, scale)
     finally:
         iv.prec = saved
 
@@ -262,6 +266,30 @@ def test_near_zero_differences_need_the_later_tiers(monkeypatch):
         calls.clear()
         assert _sign_cascade(counts, tab) == exact_signs(rho)
         assert (near <= set(calls)) == (deciding is None)
+
+
+def test_later_tiers_fill_only_open_cells(monkeypatch):
+    """A tier fills only the cells still open: with decimal tiers that
+    decide nothing, exactly the cells the floats leave open, structural
+    zeros aside, reach the exact sign, and the signs are still exact."""
+    calls = []
+    exact_sign = positivity._exact_sign
+
+    def counted(counts, tab, i, k):
+        calls.append((i, k))
+        return exact_sign(counts, tab, i, k)
+
+    monkeypatch.setattr(positivity, "_exact_sign", counted)
+    monkeypatch.setattr(positivity, "_decimal_leaves",
+                        lambda counts, tab, prec: [0] * len(counts))
+    rho, counts, tab = _synthetic(8, F(7, 5), F(2, 3), 4, 60, 1, [1])
+    _, rads, _ = tab.tiers[0]
+    values = _triangle(_float_leaves(counts, tab))
+    open_cells = [c for c, x, e in zip(tab.cells, values, rads)
+                  if abs(x) <= e and c not in tab.zeros]
+    assert 0 < len(open_cells) < len(tab.cells) - len(tab.zeros)
+    assert _sign_cascade(counts, tab) == exact_signs(rho)
+    assert calls == open_cells
 
 
 def test_simulate_n22_needs_no_exact_sign(capsys, monkeypatch):
@@ -458,17 +486,23 @@ def test_ensemble_pool_no_larger_than_its_chunks(samples, jobs, size,
 
 
 def test_census_totals_merge_across_jobs():
-    """The census totals of the first census_samples samples are the same
-    sums whether one worker or three partials produce them."""
-    kw = dict(census_smax=8, census_samples=100)
-    a = ensemble_grid(3, 7, 130, [(0, 0), (1, 2)], seed=5, jobs=1, **kw)
-    b = ensemble_grid(3, 7, 130, [(0, 0), (1, 2)], seed=5, jobs=2, **kw)
+    """The census totals of the first `CENSUS_SAMPLES` samples are the same
+    sums whether one worker or five partials produce them: at 260 samples
+    and jobs=2 the chunks are 64 samples long, so the cut at 200 falls
+    inside the fourth."""
+    assert CENSUS_SAMPLES == 200
+    a, b = (ensemble_grid(3, 7, 260, [(0, 0), (1, 2)], seed=5, jobs=jobs,
+                          census_smax=8) for jobs in (1, 2))
     assert a == b
     totals = {4: 0, 6: 0, 8: 0}
-    for g in _sample_graphs(3, 7, 5, 0, 100):
+    for g in _sample_graphs(3, 7, 5, 0, CENSUS_SAMPLES):
         for s, c in cycle_census(g, 8).items():
             totals[s] += c
     assert a.cycle_totals == totals
+    # the census table divides by the same cut
+    table = trend_report(3, [7], 260, (), 5, census_smax=8).census_csv()
+    assert table.splitlines()[-1].split(",")[-3:] == [
+        f"{totals[s] / CENSUS_SAMPLES:.4f}" for s in (4, 6, 8)]
 
 
 @settings(max_examples=15, deadline=None)
