@@ -353,6 +353,14 @@ def main(argv=None) -> int:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:  # ATableError included
+        # imported here, so the Monte Carlo commands do not load atable
+        from .atable import QualificationError
+        if isinstance(exc, QualificationError):
+            # a failed derivation check: the invariance of the two
+            # families, a fit's held-out residual, or symbolic against
+            # derived values
+            print(f"check failed: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

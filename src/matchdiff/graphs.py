@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from collections import deque
 from itertools import compress, islice, repeat
 
 from ._kernels_py import cycle_census_counts
@@ -238,16 +237,21 @@ def _draw_batch(n: int, r: int, tables, seeds, batch, first: int, size: int,
     k*size ..): found[j] becomes the graph of the seed's first accepted
     attempt.  Stops at the accept of the batch's last seed, whose lanes
     are the last."""
-    rows, identity, hot, span, hot_top = tables
+    rows, identity, hot, span, hot_words = tables
     total = len(batch) * size
     states = derive_seed_lanes(list(map(seeds.__getitem__, batch)), first,
                                size)
     c = mul_lanes(states, GOLDEN_INV, total)
-    if hot_top.isdisjoint(unpack_lanes(c >> 32, total)):
-        flagged = ()
-    else:
+    # the top 32 bits of every lane, as 4-byte little-endian words; a hot
+    # word found anywhere in them, aligned or across two lanes, sends the
+    # batch to the exact test
+    tops = memoryview(c.to_bytes(16 * total, "little")).cast("I")[1::4]
+    tops = tops.tobytes()
+    if any(word in tops for word in hot_words):
         flagged = {a for a, ca in enumerate(unpack_lanes(c, total))
                    if hot[bisect_right(hot, ca)] - ca <= span}
+    else:
+        flagged = ()
     skip = 0  # the lanes below skip belong to seeds with a graph
     for a, s0, drawn in _packed_filter(states, total, n, r, flagged):
         if a < skip:
@@ -337,16 +341,18 @@ def _attempt_tables(n: int, r: int) -> tuple:
     `rows` and `identity` (see `_lockstep_attempt`), the redraw guard's
     `_hot_draws(n)`, the span r*(n-1) of draws it covers, and the top 32
     bits of every c = s0 * GOLDEN^-1 that the guard flags, c < h <= c + span
-    for an entry h of the hot list, and possibly a few more."""
+    for an entry h of the hot list, and possibly a few more, each as a
+    4-byte little-endian word."""
     # shuffle p's permutation lives at perms[p*n : p*n + n]
     rows = tuple((i, i + 1, tuple(((p * (n - 1) + n - i) * GOLDEN & MASK,
                                    p * n) for p in range(r)))
                  for i in range(n - 1, 0, -1))
     hot = _hot_draws(n)
     span = r * (n - 1)
-    hot_top = frozenset(t for h in hot
-                        for t in range((h - span) >> 32, (h >> 32) + 1))
-    return rows, tuple(range(n)) * r, hot, span, hot_top
+    hot_words = tuple(t.to_bytes(4, "little") for t in {
+        t for h in hot for t in range((h - span) >> 32, (h >> 32) + 1)
+        if 0 <= t < 1 << 32})
+    return rows, tuple(range(n)) * r, hot, span, hot_words
 
 
 def _set_bits(m: int) -> list[int]:
@@ -425,30 +431,37 @@ def _stream_attempt(s0: int, n: int, r: int) -> list[int] | None:
 def girth(g: BipGraph) -> int | float:
     """Length of the shortest cycle (math.inf for forests), by BFS from
     every vertex; bipartite graphs only yield even values."""
-    adj = g.global_adj()
+    return _bfs_girth(g.global_adj(), range(2 * g.n))
+
+
+def _bfs_girth(adj: list[list[int]], roots) -> int | float:
+    """The shortest cycle length that a BFS from each of `roots` finds in
+    the simple graph with adjacency lists `adj`.  Each BFS finds only
+    closed walks that hold a cycle, and the one from a vertex on a
+    shortest cycle finds that cycle's length, so this is the girth
+    whenever some shortest cycle passes through a root."""
     nv = len(adj)
     best = math.inf
-    dist = [-1] * nv
-    par = [-1] * nv
-    for root in range(nv):
-        for i in range(nv):
-            dist[i] = -1
+    par = [-1] * nv  # read only at vertices the current BFS reached
+    for root in roots:
+        dist = [-1] * nv
         dist[root] = 0
         par[root] = -1
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            if 2 * dist[u] >= best:
+        queue = [root]
+        for u in queue:  # the loop reaches what it appends
+            d = dist[u]
+            if 2 * d >= best:
                 break
+            d += 1
+            pu = par[u]
             for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = d
                     par[w] = u
-                    q.append(w)
-                elif par[u] != w:
-                    c = dist[u] + dist[w] + 1
-                    if c < best:
-                        best = c
+                    queue.append(w)
+                elif w != pu and d + dw < best:
+                    best = d + dw
     return best
 
 
@@ -522,6 +535,17 @@ def circulant_bipartite(n: int, offsets) -> BipGraph:
     return BipGraph(n, len(offs), rows)
 
 
+def _circulant_girth(n: int, offsets) -> int | float:
+    """`girth(circulant_bipartite(n, offsets))` for offsets distinct mod n,
+    by one BFS rooted at left vertex 0 of adjacency lists built from the
+    offsets.  i -> i+1 on both sides is an automorphism of a circulant and
+    every cycle holds a left vertex, so some shortest cycle passes through
+    left vertex 0, where `_bfs_girth` reads its length."""
+    adj = [[n + (i + d) % n for d in offsets] for i in range(n)]
+    adj += [[(v - d) % n for d in offsets] for v in range(n)]
+    return _bfs_girth(adj, (0,))
+
+
 def find_circulant(n: int, r: int, min_girth: int,
                    seed: int = 0) -> BipGraph | None:
     """Search for a circulant connection set achieving the girth target.
@@ -529,6 +553,9 @@ def find_circulant(n: int, r: int, min_girth: int,
     Exhaustive over sets containing 0 when that is cheap (r = 3), seeded
     random search of `CIRCULANT_TRIES` sets otherwise.  Returns None when
     nothing is found.
+
+    A candidate's girth comes from `_circulant_girth`, one BFS; only the
+    graph returned is built as a `BipGraph`.
     """
     # Any three offsets a, b, c close the 6-cycle L0, R a, L a-b, R a-b+c,
     # L c-b, R c, so no circulant of degree >= 3 has girth 8.
@@ -537,18 +564,16 @@ def find_circulant(n: int, r: int, min_girth: int,
     if r == 3 and n <= 80:
         for a in range(1, n):
             for b in range(a + 1, n):
-                g = circulant_bipartite(n, (0, a, b))
-                if girth(g) >= min_girth:
-                    return g
+                if _circulant_girth(n, (0, a, b)) >= min_girth:
+                    return circulant_bipartite(n, (0, a, b))
         return None
     rng = Rng(derive_seed(seed, n * 1000 + r))
     for _ in range(CIRCULANT_TRIES):
         offs = {0}
         while len(offs) < r:
             offs.add(rng.randrange(n - 1) + 1)
-        g = circulant_bipartite(n, tuple(offs))
-        if girth(g) >= min_girth:
-            return g
+        if _circulant_girth(n, offs) >= min_girth:
+            return circulant_bipartite(n, tuple(offs))
     return None
 
 
@@ -624,7 +649,7 @@ def girth_search(n: int, r: int, target_girth: int, seed: int) -> BipGraph:
     if target_girth % 2:
         raise GraphError("target girth must be even for bipartite graphs")
     g = find_circulant(n, r, target_girth, seed=seed)
-    if g is not None:
+    if g is not None and girth(g) >= target_girth:
         return g
 
     s_max = target_girth - 2

@@ -25,7 +25,10 @@ holds only the sets that have a count.  The input chooses: the packed
 layout when no count can be cut off (j_max at least the number of left
 vertices), the table has at most `DENSE_BITS` bits and 2^F states are
 within the budget; the dict layout otherwise, which covers every truncated
-count and the wide frontiers.  On the default Monte Carlo grid (r = 3,
+count and the wide frontiers.  The dict layout runs each left vertex in
+three passes, slot by slot rather than state by state (`_dict_table`),
+and tests the budget once per left vertex, on the finished table.  On the
+default Monte Carlo grid (r = 3,
 n <= 12, 2000 samples a size) F is 3 to 9 and the table at most 20 KiB,
 and the packed layout counts a graph about twice as fast as the dict
 one.  On seeded
@@ -33,7 +36,10 @@ full polynomials (three graphs a size, shared 2-vCPU machine) the packed
 layout took 0.29-0.47 of the dict one's time at r = 3, n = 12 (5 KiB)
 and r = 4, n = 12 (23 KiB), 0.68-0.92 at r = 3, n = 20 (27-108 KiB),
 and 1.2-1.6 times it from about 150 KiB on (r = 3, n = 24; r = 4, n = 16
-and 20); `DENSE_BITS` is 2^20 bits, 128 KiB, at that crossover.
+and 20); `DENSE_BITS` is 2^20 bits, 128 KiB, at that crossover.  That
+sweep ran against the state-by-state dict layout; the slot-by-slot one
+took 0.85-0.9 of its time on full counts at r = 3, n = 24-32, so the
+crossover may now lie a little lower.
 
 The kernel's state budget, `FRONTIER_STATE_BUDGET`, is the one limit on
 counting: neither the graph size nor j is capped, and the packed layout
@@ -227,27 +233,41 @@ def _packed_table(steps: list, nslots: int, w: int, width: int) -> int:
 
 def _dict_table(steps: list, w: int, width: int) -> int:
     """The DP table as a dict from slot sets to count vectors, holding only
-    the states with a count; fields above j_max are cut off."""
+    the states with a count; fields above j_max are cut off.
+
+    Each left vertex runs slot by slot: one pass carries every state over
+    unmatched, closed slots dropped (a plain copy when nothing closes);
+    one list holds every state's vector shifted up a field, the states
+    with nothing left after the cut dropped; then each neighbour slot adds
+    its transitions from that list.  A table only grows within a step, so
+    testing the budget once on the finished table decides as testing it
+    after every state would."""
     top = (1 << width) - 1
     budget = FRONTIER_STATE_BUDGET
     states = {0: 1}
     for slots, closes in steps:
-        keep = ~sum(1 << p for p in closes)
-        bits = [1 << p for p in slots]
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for mask, val in states.items():
-            key = mask & keep
-            nxt[key] = get(key, 0) + val
-            val = (val << w) & top
-            if val:
-                for bit in bits:
-                    if not mask & bit:
-                        key = (mask | bit) & keep
-                        nxt[key] = get(key, 0) + val
-            if len(nxt) > budget:
-                raise CapExceededError(
-                    f"frontier DP exceeds its budget of {budget} states")
+        if closes:
+            keep = ~sum(1 << p for p in closes)
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for mask, val in states.items():
+                key = mask & keep
+                nxt[key] = get(key, 0) + val
+        else:
+            keep = -1
+            nxt = states.copy()
+            get = nxt.get
+        shifted = [(mask, up) for mask, val in states.items()
+                   if (up := (val << w) & top)]
+        for p in slots:
+            bit = 1 << p
+            for mask, val in shifted:
+                if not mask & bit:
+                    key = (mask | bit) & keep
+                    nxt[key] = get(key, 0) + val
+        if len(nxt) > budget:
+            raise CapExceededError(
+                f"frontier DP exceeds its budget of {budget} states")
         states = nxt
     return states[0]
 
@@ -277,7 +297,10 @@ def frontier_counts(neigh: list[list[int]], j_max: int) -> list[int]:
     the same states as one keyed by right vertices would, and the packed
     layout is only chosen where that never exceeds the budget, so the
     layout never changes the budget's decision: CapExceededError when
-    more than FRONTIER_STATE_BUDGET states would be held at once."""
+    more than FRONTIER_STATE_BUDGET states would be held at once.  The
+    dict layout runs each left vertex in three slot-by-slot passes and
+    tests the budget once, on the finished table, which decides as a test
+    after every state would (see `_dict_table`)."""
     steps, nslots = _plan(neigh)
     bound = 1
     for row in neigh:

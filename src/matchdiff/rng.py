@@ -180,7 +180,15 @@ def mod_lanes(x: int, k: int, size: int) -> int:
     (Granlund-Montgomery: M*k - 2^(32+2l) < k <= 2^l, so v*M / 2^(32+2l)
     exceeds v/k by less than 1/k).  M <= 2^(33+l), so v*M < 2^(65+2l),
     which fits in the 128-bit slot for l <= 31: k up to MOD_LANES_MAX =
-    2^31.  A k outside 1 .. 2^31 raises ValueError."""
+    2^31.  A k outside 1 .. 2^31 raises ValueError.
+
+    A power of two k needs none of this: u % k is u & (k - 1), one AND of
+    the whole batch with k - 1 in every lane, which also clears the upper
+    halves as the folded form does.  The sampler's row i divides by i + 1,
+    so row 7, the first packed row at n = 8 and the second at n = 9, takes
+    this path."""
+    if 0 < k <= MOD_LANES_MAX and not k & (k - 1):
+        return x & (k - 1) * _lane_consts(size)[0]
     c, mult, shift = _mod_consts(k)
     low32 = _lane_consts(size)[3]
     v = ((x >> 32) & low32) * c + (x & low32)

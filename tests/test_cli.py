@@ -377,6 +377,37 @@ def test_bad_flags_exit_config(capsys):
     assert code == 2
 
 
+def test_failed_derivation_check_exits_check_failed(tmp_path, monkeypatch,
+                                                   capsys):
+    """m_2 + n in place of m_2 on every graph of the random (r=3, j=2)
+    family moves its a_1 by 2/r^2 at every n, so each reconstruction is
+    consistent and the two disagree: `derive-atable` exits 1 (check
+    failed), not 2, says why on stderr and writes no table file.  A bad
+    --r still exits 2."""
+    from matchdiff import derive
+    from matchdiff.rng import DEFAULT_SEED, derive_seed
+
+    seed = derive_seed(DEFAULT_SEED, 1000 * 3 + 2)
+    shifted = {g.graph_id() for g in derive.qualified_family(
+        3, 2, 2 + derive._EXTRA_ROWS, derive_seed(seed, 0xFA), "random")}
+    count_mj = derive.count_mj
+
+    def miscount(g, j, cache=None):
+        m = count_mj(g, j, cache)
+        return m + g.n if g.graph_id() in shifted else m
+
+    monkeypatch.setattr(derive, "count_mj", miscount)
+    root = str(tmp_path / "cache")
+    code, out, err = run(capsys, "derive-atable", "--cache", root)
+    assert code == 1
+    assert "check failed: reconstruction invariance failed at (r=3, j=2)" \
+        in err
+    assert not [name for name in os.listdir(root)
+                if name.startswith("atable_")]
+    code, _, err = run(capsys, "derive-atable", "--cache", root, "--r", "3,x")
+    assert code == 2 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "census"])
 def test_reversed_range_exits_config(command, env_cache, capsys):
     """'12..8' once parsed as an empty range, so `--n 6,12..8` ran n = 6

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -19,8 +20,9 @@ from matchdiff.graphs import (BipGraph, GenerationBudgetError, GraphError,
                               gen_regular_bipartite, gen_regular_bipartites,
                               girth, girth_search,
                               incidence_pg, parse_graph, random_lift)
-from matchdiff.rng import (GOLDEN, MASK, Rng, derive_seed, derive_seed_lanes,
-                           splitmix64, unmix64, unpack_lanes)
+from matchdiff.rng import (GOLDEN, GOLDEN_INV, MASK, Rng, derive_seed,
+                           derive_seed_lanes, mul_lanes, splitmix64, unmix64,
+                           unpack_lanes)
 
 C4 = BipGraph(2, 2, [[0, 1], [0, 1]])
 K33 = BipGraph(3, 3, [[0, 1, 2]] * 3)
@@ -159,6 +161,31 @@ def test_gen_matches_reference_sampler_r5(n, seed):
         reference_gen(n, 5, seed).adj
 
 
+def divisions(monkeypatch) -> list[tuple[int, int]]:
+    """The (divisor, lanes) of every `mod_lanes` call the sampler makes
+    from here on."""
+    seen = []
+    mod_lanes = graphs.mod_lanes
+
+    def spy(x, k, size):
+        seen.append((k, size))
+        return mod_lanes(x, k, size)
+
+    monkeypatch.setattr(graphs, "mod_lanes", spy)
+    return seen
+
+
+@pytest.mark.parametrize("r,seeds", [(3, range(40)), (5, [2])])
+def test_gen_matches_reference_sampler_n16(r, seeds, monkeypatch):
+    """At n = 16 row 15 divides by 16, a power of two, in batches large
+    enough to pack rows: 40 seeds share the first rounds at r = 3, and
+    seed 2's r = 5 draw reaches rounds of 128 lanes and more."""
+    seen = divisions(monkeypatch)
+    assert list(gen_regular_bipartites(16, r, seeds)) == \
+        [reference_gen(16, r, s) for s in seeds]
+    assert any(k == 16 and size > graphs._MAX_UNPACKED for k, size in seen)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, MASK))
 def test_unmix64_inverts_the_output_mix(x):
@@ -243,6 +270,33 @@ def test_gen_redraw_guard_bites_in_packed_batch(unguarded):
     seed = _seed_with_top_draw(t, attempt)
     assert gen_regular_bipartite(n, r, seed).adj != \
         reference_gen(n, r, seed).adj
+
+
+def test_gen_redraw_guard_hit_across_two_lanes(monkeypatch):
+    """The guard looks for its hot words anywhere in the batch's top words,
+    so a word that only straddles two lanes is a hit too.  With such a word
+    added to the hot words, the first batch of 30 seeds runs the exact
+    test on each of its lanes, and every seed still gets the oracle's
+    graph."""
+    n, r, seeds = 9, 3, list(range(30))
+    size = graphs._FIRST_BATCH
+    total = len(seeds) * size
+    c = mul_lanes(derive_seed_lanes(seeds, 0, size), GOLDEN_INV, total)
+    tops = b"".join((ca >> 32).to_bytes(4, "little")
+                    for ca in unpack_lanes(c, total))
+    word = tops[2:6]  # the top half of lane 0, the bottom half of lane 1
+    assert word not in [tops[a:a + 4] for a in range(0, len(tops), 4)]
+    tables = graphs._attempt_tables
+    monkeypatch.setattr(graphs, "_attempt_tables",
+                        lambda n, r: tables(n, r)[:4] + (
+                            tables(n, r)[4] + (word,),))
+    exact = []
+    monkeypatch.setattr(graphs, "bisect_right",
+                        lambda hot, ca: exact.append(ca) or bisect_right(
+                            hot, ca))
+    assert list(gen_regular_bipartites(n, r, seeds)) == \
+        [reference_gen(n, r, s) for s in seeds]
+    assert exact[:total] == list(unpack_lanes(c, total))
 
 
 # graphs that the oracle accepts at attempt `accepted`, inside the second
@@ -712,6 +766,24 @@ def test_circulants_of_degree_3_have_girth_at_most_6(n_offs):
     R c, which is why `find_circulant` does not search for girth 8."""
     n, offs = n_offs
     assert girth(circulant_bipartite(n, offs)) <= 6
+
+
+@st.composite
+def circulants(draw):
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, min(n, 7)))
+    offsets = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=r,
+                            max_size=r, unique_by=lambda d: d % n))
+    return n, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(circulants())
+def test_circulant_girth_from_one_root(args):
+    """The BFS from left vertex 0 alone reads a circulant's girth."""
+    n, offsets = args
+    assert graphs._circulant_girth(n, offsets) == \
+        girth(circulant_bipartite(n, offsets))
 
 
 def test_find_circulant_skips_girth8(monkeypatch):

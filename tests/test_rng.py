@@ -103,7 +103,8 @@ def hardest_lane(k: int) -> int:
                 min_size=1, max_size=40),
        st.one_of(st.sampled_from([1, 2, 3, 7, 8, 1 << 16, MOD_LANES_MAX,
                                   MOD_LANES_MAX - 1, (1 << 30) + 1]),
-                 st.integers(1, MOD_LANES_MAX)),
+                 st.integers(1, MOD_LANES_MAX),
+                 st.integers(0, 31).map(lambda b: 1 << b)),
        st.integers(0, MASK))
 def test_mod_lanes_is_mod_in_every_lane(values, k, upper):
     """Lanes 0, 2^64 - 1 and the hardest lane for k always among them; the
@@ -125,7 +126,24 @@ def test_mod_lanes_hardest_lanes():
             [v % k for v in values], k
 
 
-@pytest.mark.parametrize("k", [0, -3, MOD_LANES_MAX + 1, 1 << 40])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGES), st.integers(0, MASK)),
+                min_size=1, max_size=40),
+       st.lists(st.integers(0, MASK), min_size=1, max_size=40))
+def test_mod_lanes_by_every_power_of_two(values, upper):
+    """k = 2^b for b = 0..31 on the same lanes, each slot's upper half
+    filled with its own garbage: every lane holds u % k, and every upper
+    half comes out clear, as the sampler parks positions there."""
+    size = len(values)
+    uppers = (upper * size)[:size]
+    x = pack(values) | pack(uppers) << 64
+    for b in range(32):
+        assert mod_lanes(x, 1 << b, size) == \
+            pack([v % (1 << b) for v in values]), b
+
+
+# 1 << 32 and 1 << 40 are powers of two past the bound
+@pytest.mark.parametrize("k", [0, -3, MOD_LANES_MAX + 1, 1 << 32, 1 << 40])
 def test_mod_lanes_bound(k):
     with pytest.raises(ValueError, match="1 <= k <= 2"):
         mod_lanes(pack([5, 6]), k, 2)
