@@ -370,42 +370,30 @@ def random_conjecture_spec(rng: Rng, z_max: int = 2) -> ConjectureSpec:
 
 def core_suite(table: ATable) -> list[CheckReport]:
     """The default verification sweep: symbolic in r wherever the table is
-    symbolic, order-3 checks pointwise at `R_POINT`, per-index checks at
-    i = 0..3."""
-    reports: list[CheckReport] = []
+    symbolic, otherwise pointwise (`at_r_for`), per-index checks at
+    i = 0..3.  The sweeps a `verify --id` check also runs come from its
+    `VERIFY_CHECKS` runner."""
+    def sweep(id, **flags):
+        return VERIFY_CHECKS[id][1](table, **flags)
+
     sym_max = table.sym_max()
     # point_max counts symbolic levels too, so h3 >= sym_max
     h3 = table.point_max(R_POINT)
-    for h in range(1, h3 + 1):
-        reports.append(check_log_coefficients(
-            table, h, at_r=at_r_for(table, h)))
-    for k in (2, 3):
-        if k - 1 <= h3:
-            reports.append(check_top_coefficient(
-                table, k, at_r=at_r_for(table, k - 1)))
+    reports = sweep("log-coeff", hmax=h3)
+    reports += sweep("top-coeff", k=[k for k in (2, 3) if k - 1 <= h3])
     for d in range(0, 5):
         for k in range(d, 5):
             reports.append(check_fd_monomial(k, d))
-    for k in (2, 3):
-        if k - 1 > h3:
-            continue
-        at_r = at_r_for(table, k - 1)
-        for i in range(4):
-            reports.append(check_first_identity(table, i, k, at_r=at_r))
+    reports += sweep("first-identity", k=[k for k in (2, 3) if k - 1 <= h3])
     if h3 >= 3:
-        reports.append(check_first_identity(table, 0, 4, at_r=R_POINT))
-    for k in (3, 4):
-        if k - 2 > h3:
-            continue
-        at_r = at_r_for(table, k - 2)
-        for i in range(4):
-            reports.append(check_t_cancellation(table, i, k, at_r=at_r))
-    for k in (0, 1, 2, 3):
-        if max(k - 1, 1) <= sym_max:
-            reports.append(check_alpha0_series(table, None, k))
+        reports += sweep("first-identity", k=(4,), i=(0,))
+    reports += sweep("t-cancellation", k=[k for k in (3, 4) if k - 2 <= h3])
+    reports += sweep("alpha0", k=[k for k in (0, 1, 2, 3)
+                                  if max(k - 1, 1) <= sym_max])
     if h3 >= 3:
         for i in range(4):
-            reports.append(check_alpha0_series(table, i, 4, at_r=R_POINT))
+            reports.append(check_alpha0_series(table, i, 4,
+                                               at_r=at_r_for(table, 3)))
     for k in (0, 1, 2, 3):
         for i in (0, 2):
             reports.append(check_second_identity(table, i, k,

@@ -2,52 +2,33 @@
 
 One counting kernel, `frontier_counts`, serves both the full matching
 polynomial and the fixed-size counts m_0..m_j: a path-decomposition
-("frontier") DP over the left vertices with count vectors truncated at j.
-Besides it stands the closed form for complete graphs.  The subset DP and
-the ordered-edge DFS in `_kernels_py` are independent test oracles; the
-deletion-contraction brute force and the DP keyed by right-vertex labels
-live with the tests (`tests/oracles.py`).  The kernel is pure Python on
-arbitrary-precision ints.
+("frontier") DP over the left vertices with count vectors truncated at j,
+run on the plan `_plan` makes and held in one of two table layouts (see
+`frontier_counts`).  Besides it stands the closed form for complete
+graphs.  The subset DP and the ordered-edge DFS in `_kernels_py` are
+independent test oracles; the deletion-contraction brute force and the DP
+keyed by right-vertex labels live with the tests (`tests/oracles.py`).
+The kernel is pure Python on arbitrary-precision ints.
 
-The kernel runs one plan (`_plan`), made in one pass over right-vertex
-bitmasks: the left vertices in greedy minimum-frontier order, and a
-frontier slot for each right vertex, the lowest one free when the vertex
-is first seen, freed after its last neighbour.  The same pass picks each
-vertex, assigns its slots and finds the slots it closes.  On seeded
-r = 3 graphs (best of 40 passes over 25 graphs, shared 2-vCPU machine) it
-takes 11 us a graph at n = 6 and 27-28 us at n = 12, against 18-20 and
-44-47 us for a list-based order followed by a slot pass (the reference
-kept in `tests/oracles.py`).  Its table of count vectors,
-one per set of matched slots, has two layouts.  The packed one holds all
-2^F entries of the F slots in a single int and updates it with a few
-whole-int mask, shift and add operations per left vertex; the dict one
-holds only the sets that have a count.  The input chooses: the packed
-layout when no count can be cut off (j_max at least the number of left
-vertices), the table has at most `DENSE_BITS` bits and 2^F states are
-within the budget; the dict layout otherwise, which covers every truncated
-count and the wide frontiers.  The dict layout runs each left vertex in
-three passes, slot by slot rather than state by state (`_dict_table`),
-and tests the budget once per left vertex, on the finished table.  On the
-default Monte Carlo grid (r = 3,
+The sweep behind `DENSE_BITS`: on the default Monte Carlo grid (r = 3,
 n <= 12, 2000 samples a size) F is 3 to 9 and the table at most 20 KiB,
 and the packed layout counts a graph about twice as fast as the dict
-one.  On seeded
-full polynomials (three graphs a size, shared 2-vCPU machine) the packed
-layout took 0.29-0.47 of the dict one's time at r = 3, n = 12 (5 KiB)
-and r = 4, n = 12 (23 KiB), 0.68-0.92 at r = 3, n = 20 (27-108 KiB),
-and 1.2-1.6 times it from about 150 KiB on (r = 3, n = 24; r = 4, n = 16
-and 20); `DENSE_BITS` is 2^20 bits, 128 KiB, at that crossover.  That
-sweep ran against the state-by-state dict layout; the slot-by-slot one
-took 0.85-0.9 of its time on full counts at r = 3, n = 24-32, so the
-crossover may now lie a little lower.
+one.  On seeded full polynomials (three graphs a size, shared 2-vCPU
+machine) the packed layout took 0.29-0.47 of the dict one's time at
+r = 3, n = 12 (5 KiB) and r = 4, n = 12 (23 KiB), 0.68-0.92 at r = 3,
+n = 20 (27-108 KiB), and 1.2-1.6 times it from about 150 KiB on (r = 3,
+n = 24; r = 4, n = 16 and 20); `DENSE_BITS` is 2^20 bits, 128 KiB, at
+that crossover.  That sweep ran against the state-by-state dict layout;
+the slot-by-slot one took 0.85-0.9 of its time on full counts at r = 3,
+n = 24-32, so the crossover may now lie a little lower.
 
 The kernel's state budget, `FRONTIER_STATE_BUDGET`, is the one limit on
-counting: neither the graph size nor j is capped, and the packed layout
-never holds more states than the budget.  The table holds at most 2^F
-sets for a plan of F frontier slots, so a graph with F <= 18 always
-counts, and F, not n, sets the limit: it grows with n and differs between
-graphs of one size (40 seeded graphs at r = 3, n = 48: median 18, 9 at
-F >= 19, and `simulate --samples 40` exits 3 there; r = 4, n = 28: F up to 20).
+counting: neither the graph size nor j is capped.  The table holds at
+most 2^F sets for a plan of F frontier slots, so a graph with F <= 18
+always counts, and F, not n, sets the limit: it grows with n and differs
+between graphs of one size (40 seeded graphs at r = 3, n = 48: median 18,
+9 at F >= 19, and `simulate --samples 40` exits 3 there; r = 4, n = 28: F
+up to 20).
 """
 
 from __future__ import annotations
@@ -253,7 +234,7 @@ def _dict_table(steps: list, w: int, width: int) -> int:
             for mask, val in states.items():
                 key = mask & keep
                 nxt[key] = get(key, 0) + val
-        else:
+        else:  # the plain copy saves about 1% of a cold derivation
             keep = -1
             nxt = states.copy()
             get = nxt.get

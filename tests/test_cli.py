@@ -319,6 +319,70 @@ def test_census_smax_cap_fails_before_sampling(env_cache, capsys,
     assert "capped at s_max = 12" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "census"])
+def test_several_r_exit_config(command, env_cache, capsys):
+    code, out, err = run(capsys, command, "--r", "3,4", "--n", "6",
+                         "--samples", "5")
+    assert code == 2
+    assert out == "" and err == f"error: {command} takes a single --r\n"
+
+
+def test_census_positivity_drop_fails(env_cache, capsys):
+    """At r = 2 the positive fraction falls from 1 at n = 7 to 7/10 at
+    n = 8 over 40 samples, a drop beyond the Wilson intervals."""
+    code, out, _ = run(capsys, "census", "--r", "2", "--n", "7,8",
+                       "--samples", "40")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "positivity fraction drops from n=7 to n=8",
+        "# positivity fraction trend: DECREASING"]
+
+
+def test_derive_atable_strict_policy_mismatch(env_cache, capsys,
+                                              monkeypatch):
+    """derive-atable --strict-girth compares the strict table with the
+    default one wherever both hold a value; a default a_2(3, 3) that
+    differs is a failed check."""
+    from matchdiff.atable import ATable
+
+    value = ATable.value
+
+    def off_at_a2_33(self, h, r, j):
+        return value(self, h, r, j) + ((h, r, j) == (2, 3, 3))
+
+    monkeypatch.setattr(ATable, "value", off_at_a2_33)
+    code, out, _ = run(capsys, "derive-atable", "--strict-girth")
+    assert code == 1
+    assert out.splitlines()[-1] == "POLICY MISMATCH at a_2(3, 3)"
+
+
+def test_conjecture_c_dependence_fails(env_cache, capsys, monkeypatch):
+    """Trial 0's k=h+1 values are the reference: a trial whose values
+    differ gets a c-dependence witness, and the run fails."""
+    from matchdiff import identities
+
+    check = identities.check_extended_expansion
+    pointwise = []
+
+    def shifted_at_trial_1(table, spec, h_max, at_r=None):
+        rep, values = check(table, spec, h_max, at_r=at_r)
+        if spec.terms and at_r is not None:
+            pointwise.append(spec)
+            if len(pointwise) == 2:
+                values = {**values, 1: values[1] + 1}
+        return rep, values
+
+    monkeypatch.setattr(identities, "check_extended_expansion",
+                        shifted_at_trial_1)
+    code, out, _ = run(capsys, "conjecture", "--trials", "3")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [ln for ln in lines if " FAIL " in ln]
+    assert len(failed) == 1
+    assert "witness ('c-dependence', 1): " in failed[0]
+    assert lines[-1] == "# 1 failures"
+
+
 def test_crash_exits_internal_not_check_failed(env_cache, capsys,
                                                monkeypatch):
     import matchdiff.positivity

@@ -138,24 +138,39 @@ def test_gen_outside_the_degree_range_raises_before_drawing(n, r,
 
 
 def test_gen_empty_graph():
-    """n = r = 0 has one graph, the empty one, which attempt 0 draws."""
+    """r = 0 has one graph, the edgeless one, which attempt 0 draws: at
+    n = 0 the empty graph, and at n > 0 also for 70 seeds at once, a
+    batch large enough to pack rows."""
     empty = BipGraph(0, 0, ())
     for seed in (0, -1, 2 ** 64 + 7):
         assert gen_regular_bipartite(0, 0, seed) == reference_gen(0, 0, seed) \
             == empty
     assert list(gen_regular_bipartites(0, 0, range(70))) == [empty] * 70
     assert list(gen_regular_bipartites(0, 0, [])) == []
+    for n in range(1, 6):
+        assert gen_regular_bipartite(n, 0, 7) == reference_gen(n, 0, 7) \
+            == BipGraph(n, 0, [()] * n)
+    assert list(gen_regular_bipartites(6, 0, range(70))) == \
+        [BipGraph(6, 0, [()] * 6)] * 70
     for draw in (gen_regular_bipartite, reference_gen,
                  lambda n, r, seed, max_tries: list(gen_regular_bipartites(
                      n, r, [seed], max_tries))):
         with pytest.raises(GenerationBudgetError):
             draw(0, 0, 5, max_tries=0)
+        with pytest.raises(GenerationBudgetError):
+            draw(6, 0, 5, max_tries=0)
 
 
-# the r=5 draws of derive_with_invariance(5, 2) at the default derivation seed
+# The r = 5 draws of derive_with_invariance(5, 2, seed): first at
+# seed = DEFAULT_SEED, then at derive_seed(DEFAULT_SEED, 5002), the seed a
+# cold `derive-atable` gives that entry.  The latter's n = 8 draw (124,912
+# attempts) is most of a cold derivation's sampling.
 @pytest.mark.parametrize("n,seed", [(7, 13483562770953319214),
                                     (8, 5042045720238222367),
-                                    (9, 12621457273394957343)])
+                                    (9, 12621457273394957343),
+                                    (7, 16869679975913684044),
+                                    (8, 14989779772074328663),
+                                    (9, 315532856995851420)])
 def test_gen_matches_reference_sampler_r5(n, seed):
     assert gen_regular_bipartite(n, 5, seed).adj == \
         reference_gen(n, 5, seed).adj

@@ -211,6 +211,40 @@ def test_extended_expansion_detects_corruption(table):
     assert any(key == (4, 2) for key in rep.witness)
 
 
+def test_symbolic_checks_detect_corruption(table):
+    """Fault injection: a_2 off by j^4/9 breaks the t-cancellation at k = 4
+    (its 1/n^2 level) and the k = 3 cubic closed form of the top-coeff
+    check, each with a witness."""
+    import copy
+
+    broken = copy.deepcopy(table)
+    broken.entries[2].sym = broken.entries[2].sym + JPoly.monomial(4, F(1, 9))
+    rep = check_t_cancellation(broken, 0, 4)
+    assert list(rep.witness) == [("*", 2)]
+    rep = check_top_coefficient(broken, 3)
+    assert "cubic-closed-form" in rep.witness
+    assert check_t_cancellation(table, 0, 4).passed
+    assert check_top_coefficient(table, 3).passed
+
+
+def test_synthetic_second_identity_detects_a_wrong_exp(monkeypatch):
+    """The table-based second identity is pure algebra, so no table fault
+    can fail it; an exp that drops its last level fails the synthetic
+    trials."""
+    from matchdiff.series import NSeries
+
+    exp = NSeries.exp
+
+    def short_exp(self):
+        g = exp(self)
+        return NSeries({h: g.jpoly(h) for h in range(g.order)}, g.order)
+
+    monkeypatch.setattr(NSeries, "exp", short_exp)
+    rep = check_second_identity_synthetic(seed=421, trials=10)
+    assert not rep.passed
+    assert all(key[0] == "trial" for key in rep.witness)
+
+
 def test_pointwise_checks_detect_corruption(table):
     """Fault injection at r = 3: a_3(3, 4) off by 1/7 fails every check
     that reads a_3 pointwise, each with a witness, and every witness of the
