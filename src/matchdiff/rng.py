@@ -74,23 +74,10 @@ def fill_lanes(value: int, size: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _full_consts(size: int) -> tuple[int, ...]:
+def _lane_consts(size: int) -> tuple[int, ...]:
     """(ones, mask, golden, low32) for `size` lanes: 1, MASK, GOLDEN and
     2^32 - 1 in every lane."""
     return tuple(fill_lanes(v, size) for v in (1, MASK, GOLDEN, (1 << 32) - 1))
-
-
-@functools.lru_cache(maxsize=2)
-def _lane_consts(size: int) -> tuple[int, ...]:
-    """`_full_consts` for any size: a size that is not a power of two cuts
-    the constants of the next one.  Only the last two sizes are kept, as a
-    batch cut down to its surviving lanes has a size of its own.  One cache
-    of 16 sizes was neutral in time, but not shown so in peak RSS."""
-    full = 1 << (size - 1).bit_length()
-    if full == size:
-        return _full_consts(size)
-    cut = (1 << 128 * size) - 1
-    return tuple(c & cut for c in _full_consts(full))
 
 
 @functools.lru_cache(maxsize=16)

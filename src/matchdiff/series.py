@@ -296,13 +296,9 @@ class JPoly:
 
     def _plus(self, other: "JPoly") -> "JPoly":
         d1, d2 = self._d, other._d
-        # the lcm path alone was neutral in time, not shown so in peak RSS
-        if d1 == d2:
-            d, n, s2 = d1, dict(self._n), 1
-        else:
-            d = lcm(d1, d2)
-            s1, s2 = d // d1, d // d2
-            n = {k: v * s1 for k, v in self._n.items()}
+        d = lcm(d1, d2)
+        s1, s2 = d // d1, d // d2
+        n = {k: v * s1 for k, v in self._n.items()}
         for k, v in other._n.items():
             v *= s2
             if k in n:
