@@ -24,12 +24,17 @@ shared across tables or cached process-wide.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import factorial
 
 from ._records import FrozenRecord, Record
 from .series import (EXACT_ORDER, InconsistentSystemError, JPoly, NSeries,
                      Rat, at_point, rat_str, solve_overdetermined_exact)
+
+
+# The r of the table's pointwise entries, past its symbolic levels
+R_POINT = 3
 
 
 class ATableError(ValueError):
@@ -153,7 +158,8 @@ class ATable:
 
         Symbolic entries are evaluated; pointwise entries are interpolated
         through the forced roots 0..h plus the h stored values at
-        j = h+1..2h (degree <= 2h pins the polynomial exactly)."""
+        j = h+1..2h (degree <= 2h pins the polynomial exactly): the fixed-r
+        case of `_root_divided_fit`."""
         e = self.entries.get(h)
         if e is None:
             raise ATableError(f"no entry for h={h}")
@@ -164,12 +170,8 @@ class ATable:
             raise ATableError(
                 f"need pointwise a_{h}({r}, j) at {h} points beyond the "
                 f"roots to interpolate, have j={js}")
-        pi = root_product(h)
-        # quotient of degree <= h-1; extra points act as held-out rows
-        rows = [[Fraction(j) ** t for t in range(h)] for j in js]
-        rhs = [e.points[(r, j)] / pi.subst_j(j).as_rat() for j in js]
-        q = solve_overdetermined_exact(rows, rhs)
-        return pi * JPoly(q)
+        return _root_divided_fit({(r, j): e.points[(r, j)] for j in js}, h,
+                                 (0,))
 
     def set_sym(self, h: int, jp: JPoly, provenance: str) -> None:
         if jp.deg > 2 * h:
@@ -248,36 +250,36 @@ def fit_atable(points: dict[tuple[int, int], Rat], h: int) -> JPoly:
 
     The forced roots j = 0..h are divided out first, so only the degree
     <= h-1 quotient in j (with Laurent-in-r coefficients over r^-h..r^0)
-    remains.  The system must be overdetermined; every extra row is a
-    held-out sample whose residual must be exactly zero."""
-    if not points:
-        raise FitError("empty sample set")
-    rpows = list(range(-h, 1))
-    unknowns = [(t, e) for t in range(h) for e in rpows]
-    if len(points) <= len(unknowns):
+    remains (`_root_divided_fit`).  The system must be overdetermined;
+    every extra row is a held-out sample."""
+    if len(points) <= h * (h + 1):
         raise FitError(
-            f"need more than {len(unknowns)} samples for a held-out row, "
+            f"need more than {h * (h + 1)} samples for a held-out row, "
             f"got {len(points)}")
-    pi = root_product(h)
-    rows, rhs = [], []
-    for (r, j), v in sorted(points.items()):
-        if j <= h:
-            if v != 0:
-                raise FitError(f"sample at root j={j} must be zero")
-            continue
-        rows.append([Fraction(j) ** t * Fraction(r) ** e
-                     for (t, e) in unknowns])
-        rhs.append(Fraction(v) / pi.subst_j(j).as_rat())
+    for (_, j), v in sorted(points.items()):
+        if j <= h and v != 0:
+            raise FitError(f"sample at root j={j} must be zero")
     try:
-        sol = solve_overdetermined_exact(rows, rhs)
+        return _root_divided_fit(points, h, range(-h, 1))
     except InconsistentSystemError as exc:
         raise FitError(
             f"held-out residual nonzero for a_{h} over r^{-h}..r^0: "
             f"{exc}; check the girth policy") from exc
-    pos = {ue: k for k, ue in enumerate(unknowns)}
-    quotient = JPoly([JPoly.laurent({e: sol[pos[(t, e)]] for e in rpows})
-                      for t in range(h)])
-    return pi * quotient
+
+
+def _root_divided_fit(points: dict[tuple[int, int], Rat], h: int,
+                      rpows) -> JPoly:
+    """j(j-1)...(j-h) q for the q of j-degree < h and r-exponents `rpows`
+    that meets each value at (r, j), j > h, of `points`; extra rows are
+    held out (a nonzero residual raises InconsistentSystemError)."""
+    pi = root_product(h)
+    beyond = [(r, j, v) for (r, j), v in sorted(points.items()) if j > h]
+    rows = [[Fraction(j) ** t * Fraction(r) ** e
+             for t in range(h) for e in rpows] for r, j, _ in beyond]
+    rhs = [Fraction(v) / pi.subst_j(j).as_rat() for _, j, v in beyond]
+    sol = iter(solve_overdetermined_exact(rows, rhs))
+    return pi * JPoly([JPoly.laurent({e: next(sol) for e in rpows})
+                       for _ in range(h)])
 
 
 # -- series builders ---------------------------------------------------------
@@ -359,6 +361,8 @@ def build_F_conjecture(table: ATable, spec: ConjectureSpec, h_max: int,
 
 
 def export_atable(table: ATable, path) -> None:
+    """Write the table file whole or not at all, through a temporary file
+    beside `path`, so no torn table is left to load as a cache hit."""
     lines = ["atable version=1"]
     for h in sorted(table.entries):
         e = table.entries[h]
@@ -371,8 +375,14 @@ def export_atable(table: ATable, path) -> None:
         for (r, j) in sorted(e.points):
             lines.append(f"a h={h} point r={r} j={j} "
                          f"{rat_str(e.points[(r, j)])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def import_atable(path) -> ATable:

@@ -89,8 +89,8 @@ def _write_out(args, text: str) -> None:
 
 
 def cmd_derive_atable(args) -> int:
+    from .atable import R_POINT
     from .derive import build_default_table, default_table_path
-    from .identities import R_POINT
 
     config = _config_line("derive-atable", args,
                           ("r", "seed", "strict_girth"))
@@ -172,9 +172,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    from .atable import ConjectureSpec
-    from .identities import (R_POINT, check_extended_expansion,
-                             random_conjecture_spec)
+    from .atable import R_POINT, ConjectureSpec
+    from .identities import check_extended_expansion, random_conjecture_spec
 
     config = _config_line("conjecture", args,
                           ("r", "seed", "trials", "zmax", "hmax"))
@@ -352,7 +351,7 @@ def main(argv=None) -> int:
         # CapExceededError is a ValueError, so it is caught first
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:  # ATableError included
+    except (ValueError, OSError) as exc:  # ATableError, unwritable paths
         # imported here, so the Monte Carlo commands do not load atable
         from .atable import QualificationError
         if isinstance(exc, QualificationError):

@@ -18,7 +18,7 @@ import json
 import os
 from math import isqrt
 
-from .atable import (ATable, QualificationError, derive_M_pointwise,
+from .atable import (R_POINT, ATable, QualificationError, derive_M_pointwise,
                      fit_atable)
 from .graphs import (BipGraph, GenerationBudgetError, builtin_graph,
                      find_circulant, gen_regular_bipartite, girth,
@@ -257,7 +257,7 @@ def default_table_path(root: str, rs, seed: int, strict: bool) -> str:
 
 # Per girth policy: the levels a_h fitted symbolically; the j values derived
 # at each r in `rs`, then the further (r, j) entries, that the fits read; the
-# j values at r = 3 whose deeper levels are stored as points; the provenance
+# j values at R_POINT whose deeper levels are stored as points; the provenance
 # label.  Default (girth > j): a_1 and a_2 with held-out rows at r = 7 and
 # j = 5, a_3 pointwise through j = 6 (a_4, a_5 as byproducts).  Strict
 # (girth > 2j): j = 2 needs girth >= 6 and j = 3 girth >= 8 (cubic only at
@@ -274,7 +274,7 @@ def build_default_table(root: str, rs=(3, 4, 5),
                         log=None) -> ATable:
     """Derive the table of the girth policy `strict` (see `_POLICIES`):
     symbolic fits across `rs` plus held-out entries, then pointwise deeper
-    levels at r = 3.  The fitted entries must reproduce every derived
+    levels at r = `R_POINT`.  The fitted entries must reproduce every derived
     value they cover.  Results are cached; a cached file is returned as-is.
     The strict values must agree with the default policy wherever both
     apply."""
@@ -308,9 +308,9 @@ def build_default_table(root: str, rs=(3, 4, 5),
         table.set_sym(h, fit_atable(points, h),
                       f"{label} from {sorted(points)}")
     for j in point_js:
-        for h, v in derive(3, j).items():
+        for h, v in derive(R_POINT, j).items():
             if h > levels[-1]:
-                table.add_point(h, 3, j, v, label)
+                table.add_point(h, R_POINT, j, v, label)
     for (r, j), vals in derived.items():
         for h, v in vals.items():
             if h <= levels[-1] and table.value(h, r, j) != v:

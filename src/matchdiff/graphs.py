@@ -174,14 +174,14 @@ def gen_regular_bipartite(n: int, r: int, seed: int,
     short at max_tries; this is the one-seed case of
     `gen_regular_bipartites`, which packs the same round of many seeds into
     one batch.  A batch's stream starts come from one lane-packed
-    `derive_seed_lanes`, and `_packed_filter` decides rows n-1, n-2, ...
-    of every attempt in lane-packed integer arithmetic, with no Python loop
-    over the lanes, for as long as the batch says it pays (see there).  An
-    attempt that repeats a neighbour in one of those rows is rejected there,
-    unless the guard flags it.  Every other attempt goes, in order, to
-    `_stream_attempt` when flagged, or else with the positions its packed
-    steps drew to `_lockstep_attempt`, which replays their swaps and
-    resumes at the next row.  Both decide the attempt exactly, so the
+    `derive_seed_lanes`.  If the guard flags none, `_packed_filter` rejects
+    the attempts that repeat a neighbour in rows n-1, n-2, ..., decided in
+    lane-packed integer arithmetic for as long as the batch says it pays
+    (see there), and the others go, in order, with the positions their
+    packed steps drew to `_lockstep_attempt`, which replays their swaps and
+    resumes at the next row.  A batch with a flagged lane packs no row: its
+    attempts go, in order, to `_stream_attempt` when flagged and to
+    `_lockstep_attempt` otherwise.  Both decide an attempt exactly, so the
     packed tier only rejects what they would reject too.  An r outside
     0..n raises GraphError before any draw, and r = 0 (n = 0 included) has
     one graph, the edgeless one, which attempt 0 draws.
@@ -247,13 +247,14 @@ def _draw_batch(n: int, r: int, tables, seeds, batch, first: int, size: int,
     # batch to the exact test
     tops = memoryview(c.to_bytes(16 * total, "little")).cast("I")[1::4]
     tops = tops.tobytes()
+    flagged = ()
     if any(word in tops for word in hot_words):
         flagged = {a for a, ca in enumerate(unpack_lanes(c, total))
                    if hot[bisect_right(hot, ca)] - ca <= span}
-    else:
-        flagged = ()
+    live = (zip(range(total), unpack_lanes(states, total), repeat(()))
+            if flagged else _packed_filter(states, total, n, r))
     skip = 0  # the lanes below skip belong to seeds with a graph
-    for a, s0, drawn in _packed_filter(states, total, n, r, flagged):
+    for a, s0, drawn in live:
         if a < skip:
             continue
         if a in flagged:
@@ -268,11 +269,11 @@ def _draw_batch(n: int, r: int, tables, seeds, batch, first: int, size: int,
                 return
 
 
-def _packed_filter(states: int, size: int, n: int, r: int, flagged):
-    """The attempts of a batch that its packed rows leave live, with the
-    `flagged` lanes kept whatever their draws, in lane order, as (lane,
-    stream start, drawn): `drawn` holds the position k that each packed
-    step drew, row n-1 first and shuffle by shuffle within a row.
+def _packed_filter(states: int, size: int, n: int, r: int):
+    """The attempts of a batch with no flagged lane that its packed rows
+    leave live, in lane order, as (lane, stream start, drawn): `drawn`
+    holds the position k that each packed step drew, row n-1 first and
+    shuffle by shuffle within a row.
 
     Row i takes step i (draw p*(n-1) + n-i) of each shuffle p, which swaps
     position i with k = u % (i+1).  Its neighbour is the value at k: walked
@@ -310,8 +311,6 @@ def _packed_filter(states: int, size: int, n: int, r: int, flagged):
             js = [select_lanes(j, k, n - 1 - x // r, m)
                   for j, k in zip(js, drawn[x:x + r])]
         keep = distinct_lanes(js, m)
-        if flagged:
-            keep = bytes(k or a in flagged for k, a in zip(keep, lanes))
         drawn += ks
         live = keep.count(1)
         i -= 1
@@ -322,7 +321,6 @@ def _packed_filter(states: int, size: int, n: int, r: int, flagged):
     return zip(compress(lanes, keep), s0s, zip(*cols) if cols else repeat(()))
 
 
-@functools.lru_cache(maxsize=None)
 def _hot_draws(n: int) -> tuple[int, ...]:
     """The states whose draw some `randrange(k)` with 2 <= k <= n redraws,
     as sorted values state * GOLDEN^-1 mod 2^64, closed by the first one

@@ -19,16 +19,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._records import Record
-from .atable import (ATable, ConjectureSpec, build_F_conjecture, build_H,
-                     root_product)
+from .atable import (R_POINT, ATable, ConjectureSpec, build_F_conjecture,
+                     build_H, root_product)
 from .kseries import build_G
 from .positivity import lsplit
 from .rng import Rng
 from .series import JPoly, NSeries, at_point
 
-# The r of the pointwise checks: the default table is pointwise past a_2
-# only at r = 3
-R_POINT = 3
 # Series order of the synthetic second-identity trials
 SYNTHETIC_ORDER = 4
 # Most terms in a random conjecture spec

@@ -13,14 +13,14 @@ The kernel is pure Python on arbitrary-precision ints.
 The sweep behind `DENSE_BITS`: on the default Monte Carlo grid (r = 3,
 n <= 12, 2000 samples a size) F is 3 to 9 and the table at most 20 KiB,
 and the packed layout counts a graph about twice as fast as the dict
-one.  On seeded full polynomials (three graphs a size, shared 2-vCPU
-machine) the packed layout took 0.29-0.47 of the dict one's time at
-r = 3, n = 12 (5 KiB) and r = 4, n = 12 (23 KiB), 0.68-0.92 at r = 3,
-n = 20 (27-108 KiB), and 1.2-1.6 times it from about 150 KiB on (r = 3,
-n = 24; r = 4, n = 16 and 20); `DENSE_BITS` is 2^20 bits, 128 KiB, at
-that crossover.  That sweep ran against the state-by-state dict layout;
-the slot-by-slot one took 0.85-0.9 of its time on full counts at r = 3,
-n = 24-32, so the crossover may now lie a little lower.
+one.  On seeded full counts (three graphs a size, both layouts
+interleaved in one process, best of 9 rounds, shared 2-vCPU machine) the
+packed layout took 0.5-0.9 of the slot-by-slot dict one's time at r = 3
+up to 108 KiB (n <= 20), 1.0-1.4 times it at n = 22 (65-259 KiB) and
+1.4-4 times it from n = 24 on; at r = 4, 0.3-0.9 of it up to 400 KiB
+(n <= 18) and 1.4-3 times it from 800 KiB on.  So `DENSE_BITS`, 2^20
+bits (128 KiB), sits at the r = 3 crossover and below the r = 4 one; no
+benchmark workload counts a table near either.
 
 The kernel's state budget, `FRONTIER_STATE_BUDGET`, is the one limit on
 counting: neither the graph size nor j is capped.  The table holds at
@@ -63,9 +63,6 @@ class MatchVector(FrozenRecord):
 
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
     @property
     def j_max(self) -> int:

@@ -248,15 +248,12 @@ class Rng:
             if u < lim:
                 return u % k
 
-    def shuffle(self, xs: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(xs) - 1, 0, -1):
+    def permutation(self, n: int) -> list[int]:
+        """A Fisher-Yates shuffle of 0..n-1."""
+        xs = list(range(n))
+        for i in range(n - 1, 0, -1):
             k = self.randrange(i + 1)
             xs[i], xs[k] = xs[k], xs[i]
-
-    def permutation(self, n: int) -> list[int]:
-        xs = list(range(n))
-        self.shuffle(xs)
         return xs
 
     def rat(self, max_num: int = 99, max_den: int = 99):

@@ -80,8 +80,6 @@ Rat = Fraction
 # (no truncation error at any order).
 EXACT_ORDER = 1 << 30
 
-DEFAULT_ORDER = 6
-
 
 def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -326,18 +324,6 @@ class JPoly:
     def __neg__(self):
         return self._new(self._d, {k: -v for k, v in self._n.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._plus(-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (-self)._plus(other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(*_ratio(other))
@@ -463,19 +449,19 @@ class NSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order=DEFAULT_ORDER) -> "NSeries":
+    def zero(cls, order: int) -> "NSeries":
         return cls({}, order)
 
     @classmethod
-    def one(cls, order=DEFAULT_ORDER) -> "NSeries":
+    def one(cls, order: int) -> "NSeries":
         return cls(_ONE_LEVELS, order)
 
     @classmethod
-    def const(cls, x, order=DEFAULT_ORDER) -> "NSeries":
+    def const(cls, x, order: int) -> "NSeries":
         return cls({0: JPoly.const(x)}, order)
 
     @classmethod
-    def term(cls, h: int, jpoly: JPoly, order=DEFAULT_ORDER) -> "NSeries":
+    def term(cls, h: int, jpoly: JPoly, order: int) -> "NSeries":
         return cls({h: jpoly}, order)
 
     # -- structure ---------------------------------------------------------
@@ -524,9 +510,6 @@ class NSeries:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, NSeries):
@@ -647,12 +630,6 @@ class NSeries:
 
     def subst_j(self, j0) -> "NSeries":
         return NSeries({h: p.subst_j(j0) for h, p in self._c.items()},
-                       self.order)
-
-    def subst_r(self, r0) -> "NSeries":
-        if _ratio(r0)[0] == 0:
-            raise ZeroDivisionError("substitution r=0")
-        return NSeries({h: p.subst_r(r0) for h, p in self._c.items()},
                        self.order)
 
     def shift_j(self, z: int) -> "NSeries":

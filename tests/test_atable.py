@@ -19,6 +19,7 @@ from matchdiff.derive import (_CountCache, candidate_sizes, count_mj,
 from matchdiff.graphs import incidence_pg, random_lift
 from matchdiff.identities import build_F
 from matchdiff.matchcount import MatchVector, match_count_upto
+from matchdiff.rng import DEFAULT_SEED
 from matchdiff.series import InconsistentSystemError, JPoly, NSeries
 
 
@@ -275,6 +276,66 @@ def test_jpoly_at_r_square_case_unchanged(table):
     assert [jp.coeff(i).as_rat() for i in range(jp.deg + 1)] == [
         0, F(4, 27), F(-71, 648), F(557, 1296), F(-133, 144), F(715, 1296),
         F(-125, 1296)]
+
+
+def test_jpoly_at_r_needs_h_points_and_holds_out_the_rest(table):
+    """Pointwise a_3 at r = 3 needs 3 values past the roots; a fourth is a
+    held-out row of the same root-divided solve that `fit_atable` runs."""
+    jp = table.jpoly_at_r(3, 3)
+    t = ATable()
+    for j in (4, 5):
+        t.add_point(3, 3, j, table.value(3, 3, j), "test")
+    with pytest.raises(ATableError, match=r"need pointwise a_3\(3, j\) at 3 "
+                       r"points beyond the roots to interpolate, have "
+                       r"j=\[4, 5\]"):
+        t.jpoly_at_r(3, 3)
+    for j in (6, 7):
+        t.add_point(3, 3, j, jp.at(j, 3), "test")
+    assert t.jpoly_at_r(3, 3) == jp
+    t.entries[3].points[(3, 7)] += 1
+    with pytest.raises(InconsistentSystemError):
+        t.jpoly_at_r(3, 3)
+
+
+def test_export_failing_part_way_leaves_no_table(table, repo_cache_dir,
+                                                 tmp_path, monkeypatch):
+    """A table write that fails part way leaves no file at the target, so
+    the next `build_default_table` derives the table rather than loading
+    a torn one as a cache hit."""
+    from matchdiff import atable
+
+    root = str(tmp_path)
+    with open(os.path.join(repo_cache_dir, "counts.jsonl"), "rb") as fh:
+        (tmp_path / "counts.jsonl").write_bytes(fh.read())
+    path = derive.default_table_path(root, (3, 4, 5), DEFAULT_SEED, False)
+
+    class Torn:
+        """A file whose write stops half way with a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError("No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(atable, "open", lambda *a: Torn(open(*a)),
+                      raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            export_atable(table, path)
+    assert os.listdir(root) == ["counts.jsonl"]
+    derive.build_default_table(root)
+    with open(path, "rb") as made, \
+            open(os.path.join(repo_cache_dir, os.path.basename(path)),
+                 "rb") as shipped:
+        assert made.read() == shipped.read()
 
 
 def _fresh_copy(table: ATable) -> ATable:

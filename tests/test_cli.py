@@ -472,6 +472,20 @@ def test_failed_derivation_check_exits_check_failed(tmp_path, monkeypatch,
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "6", "--samples", "2", "--out",
+     "{tmp}/missing/x.csv"),
+    ("derive-atable", "--cache", "{tmp}/file"),
+], ids=["out-into-missing-dir", "cache-is-a-file"])
+def test_unwritable_path_exits_config(argv, capsys, tmp_path):
+    """A path that cannot be written is a configuration error (exit 2),
+    said in one line on stderr with no traceback."""
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "census"])
 def test_reversed_range_exits_config(command, env_cache, capsys):
     """'12..8' once parsed as an empty range, so `--n 6,12..8` ran n = 6
@@ -835,11 +849,12 @@ def _loaded_after(code: str) -> list[str]:
     return out.split()
 
 
-def test_monte_carlo_path_imports_no_identity_checks():
+def test_monte_carlo_path_imports_no_identity_checks(repo_cache_dir):
     """A trend report, the command line module, and simulate and census
-    runs load neither the identity checks nor the inspect chain; with every
-    package module imported the record generator is still absent (pkgutil
-    itself loads inspect)."""
+    runs load neither the identity checks nor the inspect chain, and a
+    cache hit of derive-atable loads the table but no identity check; with
+    every package module imported the record generator is still absent
+    (pkgutil itself loads inspect)."""
     assert _loaded_after(
         "from matchdiff.positivity import trend_report\n"
         "trend_report(3, [6, 8], 5, [(1, 1), (2, 2)], seed=1).csv()") == []
@@ -851,6 +866,13 @@ def test_monte_carlo_path_imports_no_identity_checks():
         "             ['census', '--n', '6', '--samples', '3']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv") == []
+    assert _loaded_after(
+        "import contextlib, io\n"
+        "from matchdiff import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['derive-atable', '--cache',\n"
+        f"                     {repo_cache_dir!r}]) == 0") == \
+        ["matchdiff.atable"]
     everything = _loaded_after(
         "import pkgutil, matchdiff\n"
         "for info in pkgutil.iter_modules(matchdiff.__path__):\n"

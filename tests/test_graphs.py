@@ -360,16 +360,26 @@ def test_gen_redraw_guard_in_cross_sample_batch(monkeypatch):
     """Hot attempts among the attempts of 30 ordinary seeds: the rounds
     that reach them pack them with other seeds' attempts, more than
     `_MAX_UNPACKED` lanes, and the guard still sends them down the stream
-    path, so every seed gets the oracle's graph."""
+    path, so every seed gets the oracle's graph.  No packed row sees a
+    flagged lane: a batch that holds one is decided lane by lane."""
     n, r = 9, 3
     hot = hot_among_ordinary(n)
     seeds = list(range(30))
     for k, (seed, _) in enumerate(hot):
         seeds.insert(4 + 9 * k, seed)
     batches = drawn_batches(monkeypatch)
+    packed = set()
+    pack = graphs._packed_filter
+
+    def spy(states, size, n, r):
+        packed.update(unpack_lanes(states, size))
+        return pack(states, size, n, r)
+
+    monkeypatch.setattr(graphs, "_packed_filter", spy)
     assert list(gen_regular_bipartites(n, r, seeds)) == \
         [reference_gen(n, r, s) for s in seeds]
     for seed, attempt in hot:
+        assert derive_seed(seed, attempt) not in packed
         held = batch_holding(batches, seed, attempt)
         size = next(size for first, size, _ in batches
                     if first <= attempt < first + size)
@@ -435,17 +445,17 @@ def shuffle_positions(n: int, r: int, s0: int) -> list[int]:
     return [k for step in zip(*ks) for k in step]
 
 
-def reference_packed_filter(states: int, size: int, n: int, r: int,
-                            flagged) -> list[tuple[int, ...]]:
+def reference_packed_filter(states: int, size: int, n: int,
+                            r: int) -> list[tuple[int, ...]]:
     """Oracle of `_packed_filter`, on lists: the kept attempts of a batch as
     (lane, stream start, positions drawn).  Row i takes draw p*(n-1) + n-i
     of each shuffle p, swaps position i with k = u % (i+1) in a list that
     starts as the identity, and gets the value at k as its neighbour.  A
-    lane whose row repeats a neighbour is dropped unless flagged.  A batch
-    of at most `_MAX_UNPACKED` lanes draws no row; in a larger one the
-    next row is drawn while more than `_MIN_LIVE` lanes are live, the
-    row just decided dropped at least `_MIN_REJECTED` of its lanes, and it
-    is not past row 1."""
+    lane whose row repeats a neighbour is dropped.  A batch of at most
+    `_MAX_UNPACKED` lanes draws no row; in a larger one the next row is
+    drawn while more than `_MIN_LIVE` lanes are live, the row just decided
+    dropped at least `_MIN_REJECTED` of its lanes, and it is not past row
+    1."""
     s0s = unpack_lanes(states, size)
     live = list(range(size))
     perms = [[list(range(n)) for _ in range(r)] for _ in live]
@@ -462,7 +472,7 @@ def reference_packed_filter(states: int, size: int, n: int, r: int,
                 row.append(perm[k])
                 perm[i], perm[k] = perm[k], perm[i]
                 drawn[a].append(k)
-            if a in flagged or len(set(row)) == r:
+            if len(set(row)) == r:
                 kept.append(a)
         entered, live = len(live), kept
         if entered - len(live) < graphs._MIN_REJECTED * entered:
@@ -474,38 +484,32 @@ def reference_packed_filter(states: int, size: int, n: int, r: int,
 @given(st.integers(2, 14), st.integers(2, 5), st.integers(0, MASK),
        st.integers(0, MASK))
 def test_packed_filter_only_rejects(n, r, seed, first):
-    """Every attempt the packed rows rule out is one the oracle rejects,
-    and the lanes the guard flags are kept whatever their draws."""
+    """Every attempt the packed rows rule out is one the oracle rejects."""
     r = min(r, n)
     size = 96
     states = derive_seed_lanes([seed], first, size)
-    flagged = {0, size - 1}
-    for marked in (set(), flagged):
-        live = [a for a, _, _ in graphs._packed_filter(states, size, n, r,
-                                                       marked)]
-        assert live == sorted(set(live)) and marked <= set(live)
-        for a, s0 in enumerate(unpack_lanes(states, size)):
-            if a not in live:
-                assert reference_attempt(n, r, s0) is None
+    live = [a for a, _, _ in graphs._packed_filter(states, size, n, r)]
+    assert live == sorted(set(live))
+    for a, s0 in enumerate(unpack_lanes(states, size)):
+        if a not in live:
+            assert reference_attempt(n, r, s0) is None
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.integers(1, 14), st.sampled_from([3, 40, 1000])),
        st.integers(1, 6), st.integers(0, MASK), st.integers(0, MASK),
        st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33, 100, 1024]),
-                 st.integers(1, 300)),
-       st.sets(st.integers(0, 1023), max_size=4))
+                 st.integers(1, 300)))
 def test_packed_filter_keeps_the_lanes_of_the_list_filter(n, r, seed, first,
-                                                          size, flagged):
+                                                          size):
     """The lane-packed filter keeps exactly the lanes of the list-based
-    oracle above, flagged lanes included, and hands on each kept attempt's
-    stream start and the positions its packed steps drew, which are those
-    the full shuffles draw (checked on the first 20)."""
+    oracle above, and hands on each kept attempt's stream start and the
+    positions its packed steps drew, which are those the full shuffles
+    draw (checked on the first 20)."""
     r = min(r, n)
-    flagged = {a for a in flagged if a < size}
     states = derive_seed_lanes([seed], first, size)
-    got = list(graphs._packed_filter(states, size, n, r, flagged))
-    assert got == reference_packed_filter(states, size, n, r, flagged)
+    got = list(graphs._packed_filter(states, size, n, r))
+    assert got == reference_packed_filter(states, size, n, r)
     for a, s0, drawn in got[:20]:
         assert list(drawn) == shuffle_positions(n, r, s0)[:len(drawn)]
 
@@ -514,8 +518,8 @@ def packed_rows(n: int, r: int, size: int, seed: int = 3) -> set[int]:
     """How many rows `_packed_filter` packs on one batch, per kept lane
     (a batch that keeps no lane reads as the empty set)."""
     states = derive_seed_lanes([seed], 0, size)
-    got = list(graphs._packed_filter(states, size, n, r, ()))
-    assert got == reference_packed_filter(states, size, n, r, set())
+    got = list(graphs._packed_filter(states, size, n, r))
+    assert got == reference_packed_filter(states, size, n, r)
     for a, s0, drawn in got[:20]:
         assert list(drawn) == shuffle_positions(n, r, s0)[:len(drawn)]
     return {len(drawn) // r for _, _, drawn in got}

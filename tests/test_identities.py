@@ -37,7 +37,7 @@ def test_report_pass_iff_no_witness():
 def test_build_F_small_orders(table):
     f = build_F(table, 1)
     # [1/n](F - 1) = j(j-1)/(2r)
-    expect = (JPoly.monomial(2) - JPoly.monomial(1)) * \
+    expect = (JPoly.monomial(2) + -JPoly.monomial(1)) * \
         JPoly.laurent({-1: F(1, 2)})
     assert f.jpoly(1) == expect
     assert f.subst_j(0).jpoly(0) == JPoly.const(1)

@@ -66,10 +66,10 @@ def test_add_inverse():
 def test_add_a1_plus_jsq_minus_j():
     # a_1/n + (j^2 - j)/n = j(j-1)/(2r) / n; re-checked by evaluation
     a1 = NSeries({1: a1_builtin()}, 4)
-    other = nterm(1, jmono(2) - jmono(1))
+    other = nterm(1, jmono(2) + -jmono(1))
     total = a1 + other
     half_r = JPoly.laurent({-1: F(1, 2)})
-    expected = nterm(1, (jmono(2) - jmono(1)) * half_r)
+    expected = nterm(1, (jmono(2) + -jmono(1)) * half_r)
     assert total == expected
     for j0 in (2, 3, 4, 5):
         got = total.subst_j(j0).coeff(0, 1).at(0, 3)
@@ -164,7 +164,8 @@ def test_ln1p_exp_of_unbounded_order(monkeypatch):
 
     monkeypatch.setattr(series, "_convolve", refuse)
     zero = NSeries.zero(EXACT_ORDER)
-    for got, want in ((zero.ln1p(), zero), (zero.exp(), NSeries.one())):
+    for got, want in ((zero.ln1p(), zero),
+                      (zero.exp(), NSeries.one(EXACT_ORDER))):
         assert got == want and got.order == EXACT_ORDER
 
 
@@ -211,14 +212,12 @@ def test_shift_j_zero_is_identity():
 def test_subst_r_a1():
     # a_1(3, 4) = 4*3*(1/6 - 1) = -10
     assert a1_builtin().at(4, 3) == F(-10)
-    a1 = NSeries({1: a1_builtin()}, 3)
-    assert a1.subst_r(3).subst_j(4).coeff(0, 1) == JPoly.const(F(-10))
+    assert a1_builtin().subst_r(3).subst_j(4) == JPoly.const(F(-10))
 
 
 def test_subst_r_zero_rejected():
-    a1 = NSeries({1: a1_builtin()}, 3)
     with pytest.raises(ZeroDivisionError):
-        a1.subst_r(0)
+        a1_builtin().subst_r(0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -338,19 +337,19 @@ def test_rlaurent_ops_match_evaluation(a, b, r0, s):
 
     assert_well_formed(a)
     results = [(a + b, ev(a) + ev(b)),
-               (a - b, ev(a) - ev(b)),
+               (a + -b, ev(a) - ev(b)),
                (-a, -ev(a)),
                (a * b, ev(a) * ev(b)),
                (a * s, ev(a) * s),
                (s * a, s * ev(a)),
                (a + s, ev(a) + s),
-               (s - a, s - ev(a))]
+               (s + -a, s - ev(a))]
     for got, want in results:
         assert got.deg <= 0
         assert_well_formed(got)
         assert ev(got) == want
         assert got.subst_r(r0) == JPoly.const(want)
-    assert (a - a).terms() == {}
+    assert (a + -a).terms() == {}
 
 
 def test_negative_r_keeps_the_sign_of_odd_exponents():
@@ -373,11 +372,11 @@ def test_jpoly_ops_match_evaluation(p, q, r0, j0):
     def ev(x):
         return x.at(j0, r0)
 
-    for got, want in ((p + q, ev(p) + ev(q)), (p - q, ev(p) - ev(q)),
+    for got, want in ((p + q, ev(p) + ev(q)), (p + -q, ev(p) - ev(q)),
                       (-p, -ev(p)), (p * q, ev(p) * ev(q))):
         assert_jpoly_well_formed(got)
         assert ev(got) == want
-    assert (p - p).is_zero()
+    assert (p + -p).is_zero()
 
 
 def test_singular_square_system_raises():
@@ -577,7 +576,7 @@ def _symbolic_series(order=4):
     r-exponents."""
     a1 = a1_builtin()
     return NSeries({0: JPoly.const(1), 1: a1,
-                    2: reference_jpoly_mul(a1, a1) - JPoly.monomial(1)},
+                    2: reference_jpoly_mul(a1, a1) + -JPoly.monomial(1)},
                    order)
 
 
@@ -803,12 +802,11 @@ def test_a_checked_coefficient_is_checked_again_at_each_level():
     lambda: JPoly.monomial(1).subst_j(0.5),
     lambda: NSeries.one(2).subst_j(0.5),
     lambda: JPoly.monomial(1).subst_r(0.5),
-    lambda: NSeries.one(2).subst_r(0.5),
     lambda: JPoly.monomial(1).shift_j(F(1, 2)),
 ], ids=["RLaurent", "RLaurent.const", "JPoly", "JPoly.monomial",
         "NSeries.const", "RLaurent-scalar", "JPoly-scalar", "NSeries-scalar",
         "NSeries-minus-scalar", "eval", "eval_j", "JPoly.subst_j",
-        "NSeries.subst_j", "JPoly.subst_r", "NSeries.subst_r", "shift_j"])
+        "NSeries.subst_j", "JPoly.subst_r", "shift_j"])
 def test_floats_are_refused(call):
     """A float once entered as its binary value (0.1 stored as
     3602879701896397/36028797018963968); every entry point raises.  The
@@ -921,7 +919,8 @@ def test_fraction_free_ops_match_fraction_reference(a, b, u, s, z, j0, r0, e):
         ((h, i, e), v * comb(j, i) * (-z) ** (j - i)) for i in range(j + 1)]))
     assert_matches(a.subst_j(j0),
                    ra.map(lambda h, j, e, v: [((h, 0, e), v * j0 ** j)]))
-    assert_matches(a.subst_r(r0),
+    assert_matches(NSeries({h: p.subst_r(r0) for h, p in a.terms().items()},
+                           a.order),
                    ra.map(lambda h, j, e, v: [((h, j, 0), v * r0 ** e)]))
 
 
@@ -936,7 +935,7 @@ def test_normal_form_is_unique():
     p = JPoly([F(1, 6), F(1, 3)]) + JPoly([F(1, 6), F(2, 3)])
     assert p == JPoly([F(1, 3), 1]) and hash(p) == hash(JPoly([F(1, 3), 1]))
     assert p * F(3, 4) == JPoly([F(1, 4), F(3, 4)])
-    zero = p - p
+    zero = p + -p
     assert zero == JPoly.zero() and hash(zero) == hash(JPoly.zero())
     assert zero.terms() == {} and zero.deg == -1
     assert JPoly.laurent({0: F(2, 3)}).terms() == {(0, 0): F(2, 3)}
