@@ -9,6 +9,7 @@ are byte-identical.  Exit codes: 0 success / all pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -82,6 +83,40 @@ def _load_table(args, strict_girth: bool = False):
     return None
 
 
+def _unwritable(code: int, path: str) -> OSError:
+    """The OSError that writing `path` would raise; `main` reports it as a
+    configuration error."""
+    return OSError(code, os.strerror(code), path)
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out that the final write could not
+    create: a directory, or a path whose directory is missing or cannot be
+    written.  Nothing is created or truncated here."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise _unwritable(errno.EISDIR, path)
+    if not os.path.exists(parent):
+        raise _unwritable(errno.ENOENT, path)
+    if not os.path.isdir(parent):
+        raise _unwritable(errno.ENOTDIR, path)
+    if not os.access(parent, os.W_OK):
+        raise _unwritable(errno.EACCES, path)
+
+
+def _check_cache(root: str) -> None:
+    """Refuse, before any derivation, a cache that the derivation could not
+    write: its nearest existing ancestor (the cache itself when it exists)
+    must be a directory that can be written."""
+    near = os.path.abspath(root)
+    while not os.path.exists(near):
+        near = os.path.dirname(near)
+    if not os.path.isdir(near):
+        raise _unwritable(errno.ENOTDIR, near)
+    if not os.access(near, os.W_OK):
+        raise _unwritable(errno.EACCES, near)
+
+
 def _write_out(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -99,6 +134,8 @@ def cmd_derive_atable(args) -> int:
     rs = tuple(_parse_ints(args.r))
     path = default_table_path(root, rs, args.seed, args.strict_girth)
     cached = os.path.exists(path)
+    if not cached:
+        _check_cache(root)
     table = build_default_table(root, rs, args.seed, args.strict_girth,
                                 log=lambda m: print(f"  {m}"))
     print(f"{'cache hit' if cached else 'derived'}: {path}")
@@ -346,6 +383,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (GenerationBudgetError, CapExceededError) as exc:
         # CapExceededError is a ValueError, so it is caught first

@@ -78,10 +78,22 @@ class BipGraph:
         return [sorted(row) for row in rows]
 
     def graph_id(self) -> str:
-        # imported here: hashlib loads OpenSSL, and only derive's family
-        # records need ids, not the Monte Carlo path
-        import hashlib
-        h = hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        """`bg-{n}x{r}-` and the first 16 hex digits of the SHA-256 of
+        `to_text()`.  `counts.jsonl` is keyed by these ids, so any source of
+        the hash must give the same digest.
+
+        SHA-256 comes from the interpreter's built-in module (`_sha2` from
+        3.12, `_sha256` before), as `random` takes its hash: `hashlib` loads
+        OpenSSL, megabytes of resident memory that no command needs.  A
+        build with neither module falls back to `hashlib`."""
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        h = sha256(self.to_text().encode()).hexdigest()[:16]
         return f"bg-{self.n}x{self.r}-{h}"
 
     def to_text(self) -> str:

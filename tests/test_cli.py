@@ -476,14 +476,32 @@ def test_failed_derivation_check_exits_check_failed(tmp_path, monkeypatch,
     ("simulate", "--n", "6", "--samples", "2", "--out",
      "{tmp}/missing/x.csv"),
     ("derive-atable", "--cache", "{tmp}/file"),
-], ids=["out-into-missing-dir", "cache-is-a-file"])
-def test_unwritable_path_exits_config(argv, capsys, tmp_path):
+    ("census", "--n", "6", "--samples", "2", "--out", "{tmp}/missing/x.csv"),
+    ("verify", "--out", "{tmp}/missing/x.csv"),
+    ("simulate", "--n", "6", "--samples", "2", "--out", "{tmp}"),
+    ("derive-atable", "--cache", "{tmp}/file/sub"),
+], ids=["out-into-missing-dir", "cache-is-a-file", "census-out-into-missing-dir",
+        "verify-out-into-missing-dir", "out-is-a-directory",
+        "cache-under-a-file"])
+def test_unwritable_path_exits_config(argv, env_cache, monkeypatch, capsys,
+                                      tmp_path):
     """A path that cannot be written is a configuration error (exit 2),
-    said in one line on stderr with no traceback."""
+    said in one line on stderr with no traceback, before any work: no graph
+    is drawn, no check runs, no family is derived and nothing is written."""
+    from matchdiff import identities, positivity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the path was checked")
+
+    monkeypatch.setattr(positivity, "trend_report", refuse)
+    monkeypatch.setattr(identities, "core_suite", refuse)
     (tmp_path / "file").write_text("")
-    code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "derive (r=" not in out
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "census"])
@@ -835,15 +853,14 @@ NOT_ON_THE_MC_PATH = ("dataclasses", "inspect", "matchdiff.atable",
                       "matchdiff.identities", "matchdiff.kseries")
 
 
-def _loaded_after(code: str) -> list[str]:
-    """Which of `NOT_ON_THE_MC_PATH` a fresh interpreter holds after
-    running `code`."""
+def _loaded_after(code: str, names=NOT_ON_THE_MC_PATH) -> list[str]:
+    """Which of `names` a fresh interpreter holds after running `code`."""
     src = os.path.dirname(os.path.dirname(matchdiff.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     probe = (code + "\nimport sys\n"
-             f"print(*sorted(set({NOT_ON_THE_MC_PATH!r}) & set(sys.modules)))\n")
+             f"print(*sorted(set({tuple(names)!r}) & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.split()
@@ -879,3 +896,30 @@ def test_monte_carlo_path_imports_no_identity_checks(repo_cache_dir):
         "    __import__('matchdiff.' + info.name)")
     assert "matchdiff.identities" in everything
     assert "dataclasses" not in everything
+
+
+_QUIET_MAIN = ("import contextlib, io\n"
+               "from matchdiff import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert cli.main({argv!r}) == 0\n")
+
+
+@pytest.mark.parametrize("code", [
+    "from matchdiff.positivity import trend_report\n"
+    "trend_report(3, [6, 8], 5, [(1, 1), (2, 2)], seed=1).csv()",
+    "import os, tempfile\n"
+    "from matchdiff import derive\n"
+    "with tempfile.TemporaryDirectory() as root:\n"
+    "    derive.derive_with_invariance(3, 2, 1, derive._CountCache(root))\n"
+    "    assert os.path.getsize(os.path.join(root, 'counts.jsonl'))",
+    _QUIET_MAIN.format(argv=["simulate", "--n", "6", "--samples", "3"]),
+    _QUIET_MAIN.format(argv=["census", "--n", "6", "--samples", "3"]),
+    _QUIET_MAIN.format(argv=["verify", "--suite", "core"]),
+    _QUIET_MAIN.format(argv=["conjecture", "--trials", "2"]),
+], ids=["trend-report", "derive-cold", "simulate", "census", "verify-core",
+        "conjecture"])
+def test_no_command_loads_openssl(code, env_cache):
+    """hashlib loads OpenSSL, megabytes of resident memory that no command
+    needs: graph ids hash with the interpreter's built-in SHA-256.  A cold
+    derivation computes ids and writes them to its count cache."""
+    assert _loaded_after(code, ("hashlib", "_hashlib")) == []

@@ -623,26 +623,56 @@ def test_gen_errors_match_reference_sampler():
             sampler(3, 4, seed=1)
 
 
+# The sampler's stream contract, pinned independently of the oracle:
+# (n, r, seed) -> the id of gen_regular_bipartite(n, r, seed)
+PINNED_IDS = {
+    (6, 3, 0): "bg-6x3-07091f388aa2b647",
+    (8, 3, 1): "bg-8x3-5a5e9e70fece5179",
+    (10, 3, -7): "bg-10x3-4e87530841946bbb",
+    (12, 4, 2 ** 64 + 5): "bg-12x4-fc78bbc1f38e3a12",
+    (9, 5, 3): "bg-9x5-be353138181ec9d8",
+    (14, 4, 123456789): "bg-14x4-bbf95c1d8c2ac414",
+    (7, 2, 42): "bg-7x2-7fdbd8bd29bad7e2",
+    (5, 5, 11): "bg-5x5-bef0036c8116f725",
+    # the slowest draw of a cold (r=5, j=2) derivation, and a girth
+    # search restart of a cold derive-atable
+    (8, 5, 14989779772074328663): "bg-8x5-19318006f29a8497",
+    (22, 5, 720701715770117513): "bg-22x5-ddda65baa4e9d939",
+    # a large draw: each row is decoded from its set bits
+    (1000, 3, 1): "bg-1000x3-769b9aff4e711218",
+}
+
+
 def test_gen_graph_ids_pinned():
     """The sampler's stream contract, pinned independently of the oracle."""
-    pinned = {
-        (6, 3, 0): "bg-6x3-07091f388aa2b647",
-        (8, 3, 1): "bg-8x3-5a5e9e70fece5179",
-        (10, 3, -7): "bg-10x3-4e87530841946bbb",
-        (12, 4, 2 ** 64 + 5): "bg-12x4-fc78bbc1f38e3a12",
-        (9, 5, 3): "bg-9x5-be353138181ec9d8",
-        (14, 4, 123456789): "bg-14x4-bbf95c1d8c2ac414",
-        (7, 2, 42): "bg-7x2-7fdbd8bd29bad7e2",
-        (5, 5, 11): "bg-5x5-bef0036c8116f725",
-        # the slowest draw of a cold (r=5, j=2) derivation, and a girth
-        # search restart of a cold derive-atable
-        (8, 5, 14989779772074328663): "bg-8x5-19318006f29a8497",
-        (22, 5, 720701715770117513): "bg-22x5-ddda65baa4e9d939",
-        # a large draw: each row is decoded from its set bits
-        (1000, 3, 1): "bg-1000x3-769b9aff4e711218",
-    }
-    for (n, r, seed), gid in pinned.items():
+    for (n, r, seed), gid in PINNED_IDS.items():
         assert gen_regular_bipartite(n, r, seed).graph_id() == gid
+
+
+_IDS_WITHOUT_BUILTIN_SHA256 = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from matchdiff.graphs import gen_regular_bipartite, girth_search
+for n, r, seed in eval(sys.argv[1]):
+    print(gen_regular_bipartite(n, r, seed).graph_id())
+print(girth_search(15, 3, 8, seed=7).graph_id())
+print("hashlib" in sys.modules)
+"""
+
+
+def test_graph_ids_without_builtin_sha256():
+    """With neither built-in SHA-256 module importable, graph_id falls back
+    to hashlib and gives the same ids: the sampler's pinned ids and the
+    hill-climbed girth-8 graph of `test_girth_search_targets`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matchdiff.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", _IDS_WITHOUT_BUILTIN_SHA256,
+                          repr(list(PINNED_IDS))],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [*PINNED_IDS.values(),
+                                       "bg-15x3-fa1450d7411c9e5f", "True"]
 
 
 def test_gen_forced_small_cases():

@@ -594,22 +594,6 @@ def test_ensemble_grid_computes_no_graph_ids(monkeypatch):
     assert ensemble_grid(3, 6, 5, [(1, 1), (2, 2)], seed=1)
 
 
-def test_trend_report_does_not_load_hashlib():
-    """hashlib loads OpenSSL (megabytes of resident memory); the Monte
-    Carlo path has no use for it."""
-    src = os.path.dirname(os.path.dirname(matchdiff.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys\n"
-            "from matchdiff.positivity import trend_report\n"
-            "trend_report(3, [6, 8], 5, [(1, 1), (2, 2)], seed=1).csv()\n"
-            "print('hashlib' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "False\n"
-
-
 def test_trend_report_structure():
     rep = trend_report(3, [6, 8], 40, [(1, 1), (0, 0)], seed=9)
     assert [row.n for row in rep.rows] == [6, 8]
